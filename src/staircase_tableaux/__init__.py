@@ -9,7 +9,7 @@ staircase tableaux executable:
 
 - ``tableau``: the data model (validation, weights, subtableaux, the
   dagger symmetry, text rendering, JSON round trips);
-- ``eulerian``: the exact generalized Eulerian triangle v_{a,b}(n,k), its
+- ``eulerian_poly``: the exact generalized Eulerian triangle v_{a,b}(n,k), its
   polynomials, c-table and classical specializations;
 - ``enumeration``: brute-force generation of all tableaux of small size,
   exact partition functions and joint generating polynomials;

@@ -338,8 +338,6 @@ def cmd_triangle(args) -> int:
         _emit(args, _csv(rows, ["n", "k", "v"]))
         return EXIT_OK
     params = _resolve_params(args)
-    if params.a == math.inf or params.b == math.inf:
-        raise ParameterError("triangle needs finite a and b")
     if args.row is not None:
         row = eulerian_poly.v_row(args.row, params.a, params.b)
         rows = [[str(args.row), str(k), fmt_number(v, args.as_float)] for k, v in enumerate(row)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import scaled_row, tilde_row
+from .eulerian_poly import _as_ab, scaled_row, scaled_rows, tilde_row
 
 __all__ = [
     "DiscreteDist",
@@ -37,18 +37,6 @@ __all__ = [
     "ChiSquareResult",
     "chi_square_gof",
 ]
-
-
-def _as_ab(a, b) -> tuple[Fraction, Fraction]:
-    try:
-        a, b = Fraction(a), Fraction(b)
-    except (OverflowError, TypeError, ValueError) as exc:
-        # a = inf (weight alpha = 0) collapses every law here to a point
-        # mass; callers handle that case before reaching this module
-        raise ParameterError(f"need finite rational a, b, got ({a}, {b})") from exc
-    if a < 0 or b < 0:
-        raise ParameterError(f"need a, b >= 0, got ({a}, {b})")
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -106,10 +94,6 @@ class DiscreteDist:
         hi = self.offset + len(self.probs) - 1
         return DiscreteDist(n - hi, tuple(reversed(self.probs)))
 
-    def tv_distance(self, other: "DiscreteDist") -> Fraction:
-        keys = set(self.support()) | set(other.support())
-        return sum((abs(self.pmf(k) - other.pmf(k)) for k in keys), Fraction(0)) / 2
-
     def is_log_concave(self) -> bool:
         p = self.probs
         return all(p[k] * p[k] >= p[k - 1] * p[k + 1] for k in range(1, len(p) - 1))
@@ -130,8 +114,6 @@ def dist_A(n: int, a, b, rho=None) -> DiscreteDist:
         row = tilde_row(n)
         total = sum(row, Fraction(0))
         return DiscreteDist(0, tuple(p / total for p in row))
-    if n == 0:
-        return DiscreteDist(0, (Fraction(1),))
     row, _d = scaled_row(n, a, b)
     total = sum(row)
     return DiscreteDist(0, tuple(Fraction(x, total) for x in row))
@@ -149,6 +131,8 @@ def moments_A(n: int, a, b) -> tuple[Fraction, Fraction]:
     their limits, which is what the law itself gives.
     """
     a, b = _as_ab(a, b)
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
     if a == 0 and b == 0 and n < 2:
         raise DomainError("a = b = 0 needs n >= 2")
     if n == 0:
@@ -361,10 +345,7 @@ def bernoulli_decomposition(n: int, a, b) -> BernoulliDecomp:
 
     xi_exact: list[Fraction] = []
     if degree > 0:
-        rows = []
-        for m in range(degree + 1):
-            row, _ = scaled_row(m, core_a, core_b)
-            rows.append(row)
+        rows = [row for row, _ in scaled_rows(degree, core_a, core_b)]
         brackets = _interlacing_roots(rows)
         if len(brackets) != degree:
             raise RootFindingError(
@@ -444,6 +425,8 @@ def dist_N_pairs(n: int, a, b) -> NPairLaw:
     for i = 0..n-1, with the i = 0, a = b = 0 case read as (1/2, 1/2, 0).
     """
     a, b = _as_ab(a, b)
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
     pairs = []
     mean_a = var_a = mean_b = var_b = cov = Fraction(0)
     for i in range(n):

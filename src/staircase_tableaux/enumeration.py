@@ -24,6 +24,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import CapExceededError, ParameterError
+from .eulerian_poly import BivarPoly
 from .tableau import Symbol, Tableau, counts, validate, weight
 
 __all__ = [
@@ -199,72 +200,34 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
     return {t: w / z for t, w in weights.items() if w != 0}
 
 
-class JointPoly:
-    """Exact-rational coefficient map over one or two integer exponents."""
+JointPoly = BivarPoly  # the enumeration-side name of the one sparse-polynomial type
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[tuple[int, ...], Fraction] | None = None):
-        self.coeffs = {m: Fraction(c) for m, c in (coeffs or {}).items() if c != 0}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JointPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"JointPoly({self.coeffs!r})"
-
-    def evaluate(self, *values) -> Fraction:
-        vals = [Fraction(v) for v in values]
-        out = Fraction(0)
-        for mono, c in self.coeffs.items():
-            term = c
-            for v, e in zip(vals, mono):
-                term *= v**e
-            out += term
-        return out
-
-    def total(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
-
-    def normalized(self) -> "JointPoly":
-        z = self.total()
-        return JointPoly({m: c / z for m, c in self.coeffs.items()})
-
-    def marginal(self, axis: int) -> "JointPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in self.coeffs.items():
-            key = (mono[axis],)
-            out[key] = out.get(key, Fraction(0)) + c
-        return JointPoly(out)
+def _weighted_tally(n: int, alpha, beta, allow_large: bool, name: str, key) -> JointPoly:
+    """Sum of alpha^N_alpha beta^N_beta x^key(S) over the alpha/beta
+    tableaux S of size n, tallied by brute force."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if alpha <= 0 or beta <= 0:
+        raise ParameterError(f"{name} needs alpha, beta > 0")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for t in enumerate_ab(n, allow_large):
+        c = counts(t)
+        w = alpha ** c.n_alpha * beta ** c.n_beta
+        out[key(c)] = out.get(key(c), Fraction(0)) + w
+    return JointPoly(out)
 
 
 def joint_poly_A_r(n: int, alpha, beta, allow_large: bool = False) -> JointPoly:
     """D_n(x, z) = sum over alpha/beta tableaux of wt(S) x^A(S) z^r(S),
     tallied by brute force."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha <= 0 or beta <= 0:
-        raise ParameterError("joint_poly_A_r needs alpha, beta > 0")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for t in enumerate_ab(n, allow_large):
-        c = counts(t)
-        key = (c.diagonal_alpha, c.alpha_indexed_rows)
-        w = alpha ** c.n_alpha * beta ** c.n_beta
-        out[key] = out.get(key, Fraction(0)) + w
-    return JointPoly(out)
+    return _weighted_tally(n, alpha, beta, allow_large, "joint_poly_A_r",
+                           lambda c: (c.diagonal_alpha, c.alpha_indexed_rows))
 
 
 def joint_poly_N(n: int, alpha, beta, allow_large: bool = False) -> JointPoly:
     """Weighted tally over (N_alpha, N_beta) for alpha/beta tableaux."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha <= 0 or beta <= 0:
-        raise ParameterError("joint_poly_N needs alpha, beta > 0")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for t in enumerate_ab(n, allow_large):
-        c = counts(t)
-        key = (c.n_alpha, c.n_beta)
-        w = alpha ** c.n_alpha * beta ** c.n_beta
-        out[key] = out.get(key, Fraction(0)) + w
-    return JointPoly(out)
+    return _weighted_tally(n, alpha, beta, allow_large, "joint_poly_N",
+                           lambda c: (c.n_alpha, c.n_beta))
 
 
 def max_symbol_tableaux(n: int, allow_large: bool = False) -> Iterator[Tableau]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainError, ParameterError
 
@@ -28,6 +29,7 @@ __all__ = [
     "v_triangle",
     "v_row",
     "scaled_row",
+    "scaled_rows",
     "BivarPoly",
     "v_symbolic",
     "p_eval",
@@ -42,10 +44,16 @@ __all__ = [
 ]
 
 
-def _check_nonneg(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    a, b = Fraction(a), Fraction(b)
+def _as_ab(a, b) -> tuple[Fraction, Fraction]:
+    """The shared parameter rule: a and b finite rationals >= 0."""
+    try:
+        a, b = Fraction(a), Fraction(b)
+    except (OverflowError, TypeError, ValueError) as exc:
+        # a = inf (weight alpha = 0) collapses every law to a point mass;
+        # callers that support it handle that case before calling here
+        raise ParameterError(f"need finite rational a, b, got ({a}, {b})") from exc
     if a < 0 or b < 0:
-        raise ParameterError(f"parameters must be >= 0, got a={a}, b={b}")
+        raise ParameterError(f"need a, b >= 0, got ({a}, {b})")
     return a, b
 
 
@@ -60,34 +68,12 @@ def rising_factorial(x, n: int) -> Fraction:
     return out
 
 
-def scaled_row(n: int, a, b) -> tuple[list[int], int]:
-    """Row n of the triangle as integers: returns (row, d) with
-    v(n, k) = row[k] / d**n and d the common denominator of a and b."""
-    a, b = _check_nonneg(a, b)
-    d = math.lcm(a.denominator, b.denominator)
-    da = int(a * d)
-    db = int(b * d)
-    row = [1]
-    for m in range(1, n + 1):
-        prev = row
-        row = [0] * (m + 1)
-        for k in range(m + 1):
-            acc = 0
-            if k < m:
-                acc += (k * d + da) * prev[k]
-            if k > 0:
-                acc += ((m - k) * d + db) * prev[k - 1]
-            row[k] = acc
-    return row, d
-
-
-def _scaled_rows(n_max: int, a: Fraction, b: Fraction):
-    """Yield (n, row, d) for n = 0..n_max without keeping earlier rows."""
-    d = math.lcm(a.denominator, b.denominator)
-    da = int(a * d)
-    db = int(b * d)
-    row = [1]
-    yield 0, row, d
+def _rows(n_max: int, d, da, db, one=1):
+    """Rows 0..n_max of the two-term recursion with k + a and n - k + b
+    carried as k*d + da and (n-k)*d + db: ints scaled by d for the numeric
+    triangle, polynomials in a and b (d = 1) for the symbolic one."""
+    row = [one]
+    yield row
     for m in range(1, n_max + 1):
         prev = row
         row = [0] * (m + 1)
@@ -98,7 +84,26 @@ def _scaled_rows(n_max: int, a: Fraction, b: Fraction):
             if k > 0:
                 acc += ((m - k) * d + db) * prev[k - 1]
             row[k] = acc
-        yield m, row, d
+        yield row
+
+
+def scaled_rows(n_max: int, a, b):
+    """Rows n = 0..n_max of the triangle as integers, one pass, O(n) memory:
+    yields (row, d) with v(n, k) = row[k] / d**n and d the common
+    denominator of a and b."""
+    if n_max < 0:
+        raise DomainError(f"n must be >= 0, got {n_max}")
+    a, b = _as_ab(a, b)
+    d = math.lcm(a.denominator, b.denominator)
+    return ((row, d) for row in _rows(n_max, d, int(a * d), int(b * d)))
+
+
+def scaled_row(n: int, a, b) -> tuple[list[int], int]:
+    """Row n of the triangle as integers: returns (row, d) with
+    v(n, k) = row[k] / d**n and d the common denominator of a and b."""
+    for row, d in scaled_rows(n, a, b):
+        pass
+    return row, d
 
 
 @dataclass(frozen=True)
@@ -129,13 +134,11 @@ class EulerTriangle:
 
 def v_triangle(n_max: int, a, b) -> EulerTriangle:
     """Full triangle up to n_max, built by the two-term recursion."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    a, b = _check_nonneg(a, b)
     rows = []
-    for n, row, d in _scaled_rows(n_max, a, b):
+    for n, (row, d) in enumerate(scaled_rows(n_max, a, b)):
         den = d ** n
         rows.append(tuple(Fraction(x, den) for x in row))
+    a, b = _as_ab(a, b)
     return EulerTriangle(a=a, b=b, n_max=n_max, rows=tuple(rows))
 
 
@@ -147,20 +150,25 @@ def v_row(n: int, a, b) -> tuple[Fraction, ...]:
 
 
 class BivarPoly:
-    """Polynomial in two indeterminates a, b with integer coefficients.
+    """Sparse polynomial in up to two indeterminates, printed as a and b.
 
-    Stored as a mapping (i, j) -> coefficient of a^i b^j; zero coefficients
-    are dropped.  Just enough arithmetic for the symbolic triangle.
+    Stored as a mapping (i, j) -> exact coefficient of a^i b^j; zero
+    coefficients are dropped.  ``+`` and ``*`` also take plain numbers,
+    which act as constants, so the triangle recursion runs on it unchanged.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
+    def __init__(self, coeffs: dict[tuple[int, ...], int | Fraction] | None = None):
         self.coeffs = {m: c for m, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
-    def constant(cls, c: int) -> "BivarPoly":
+    def constant(cls, c) -> "BivarPoly":
         return cls({(0, 0): c})
+
+    @staticmethod
+    def _lift(other) -> "BivarPoly":
+        return other if isinstance(other, BivarPoly) else BivarPoly.constant(other)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -171,48 +179,66 @@ class BivarPoly:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
+    def __add__(self, other) -> "BivarPoly":
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
+        for m, c in self._lift(other).coeffs.items():
             out[m] = out.get(m, 0) + c
         return BivarPoly(out)
 
-    def scale(self, c: int) -> "BivarPoly":
-        return BivarPoly({m: c * v for m, v in self.coeffs.items()})
+    __radd__ = __add__
 
-    def times_a(self) -> "BivarPoly":
-        return BivarPoly({(i + 1, j): c for (i, j), c in self.coeffs.items()})
+    def __mul__(self, other) -> "BivarPoly":
+        other = self._lift(other)
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return BivarPoly(out)
 
-    def times_b(self) -> "BivarPoly":
-        return BivarPoly({(i, j + 1): c for (i, j), c in self.coeffs.items()})
+    __rmul__ = __mul__
 
-    def evaluate(self, a, b) -> Fraction:
-        a, b = Fraction(a), Fraction(b)
-        return sum(
-            (c * a**i * b**j for (i, j), c in self.coeffs.items()),
-            Fraction(0),
-        )
+    def evaluate(self, *values) -> Fraction:
+        vals = [Fraction(v) for v in values]
+        out = Fraction(0)
+        for mono, c in self.coeffs.items():
+            term = c
+            for v, e in zip(vals, mono):
+                term *= v**e
+            out += term
+        return out
+
+    def total(self) -> Fraction:
+        return sum(self.coeffs.values(), Fraction(0))
+
+    def normalized(self) -> "BivarPoly":
+        z = self.total()
+        return BivarPoly({m: c / z for m, c in self.coeffs.items()})
+
+    def marginal(self, axis: int) -> "BivarPoly":
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for mono, c in self.coeffs.items():
+            key = (mono[axis],)
+            out[key] = out.get(key, 0) + c
+        return BivarPoly(out)
 
     def total_degree(self) -> int:
         if not self.coeffs:
             return -1
-        return max(i + j for i, j in self.coeffs)
+        return max(sum(m) for m in self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        def monomial(i: int, j: int) -> str:
-            parts = []
-            if i:
-                parts.append("a" if i == 1 else f"a^{i}")
-            if j:
-                parts.append("b" if j == 1 else f"b^{j}")
-            return "*".join(parts)
+        def monomial(mono: tuple[int, ...]) -> str:
+            return "*".join(
+                x if e == 1 else f"{x}^{e}" for x, e in zip("ab", mono) if e
+            )
 
         terms = []
-        for (i, j) in sorted(self.coeffs, key=lambda m: (m[0] + m[1], -m[0])):
-            c = self.coeffs[(i, j)]
-            m = monomial(i, j)
+        for mono in sorted(self.coeffs, key=lambda m: (sum(m), [-e for e in m])):
+            c = self.coeffs[mono]
+            m = monomial(mono)
             if not m:
                 terms.append(str(c))
             elif c == 1:
@@ -226,23 +252,18 @@ class BivarPoly:
     __repr__ = __str__
 
 
+_A = BivarPoly({(1, 0): 1})
+_B = BivarPoly({(0, 1): 1})
+
+
 def v_symbolic(n: int, k: int) -> BivarPoly:
     """v(n, k) as a polynomial in a and b (zero outside 0 <= k <= n)."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if k < 0 or k > n:
         return BivarPoly()
-    row = [BivarPoly.constant(1)]
-    for m in range(1, n + 1):
-        prev = row
-        row = []
-        for kk in range(m + 1):
-            acc = BivarPoly()
-            if kk < m:
-                acc = acc + prev[kk].scale(kk) + prev[kk].times_a()
-            if kk > 0:
-                acc = acc + prev[kk - 1].scale(m - kk) + prev[kk - 1].times_b()
-            row.append(acc)
+    for row in _rows(n, 1, _A, _B, one=BivarPoly.constant(1)):
+        pass
     return row[k]
 
 
@@ -291,7 +312,7 @@ def p_at_one(n: int, a, b) -> tuple[Fraction, Fraction, Fraction]:
         P''(1) = n (n-1) (3n^2 + (12b - 11) n + 12b^2 - 24b + 10) / 12
                  * (a+b)^{rise n-2}
     """
-    a, b = _check_nonneg(a, b)
+    a, b = _as_ab(a, b)
     s = a + b
     p0 = rising_factorial(s, n)
     if n == 0:
@@ -344,20 +365,7 @@ def c_table(n_max: int, b) -> CTable:
 
 def eulerian_row(n: int) -> list[int]:
     """Row n of the classical Eulerian triangle <n, k> as integers."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    row = [1]
-    for m in range(1, n + 1):
-        prev = row
-        row = [0] * (m + 1)
-        for k in range(m + 1):
-            acc = 0
-            if k < m:
-                acc += (k + 1) * prev[k]
-            if k > 0:
-                acc += (m - k) * prev[k - 1]
-            row[k] = acc
-    return row
+    return scaled_row(n, 1, 0)[0]
 
 
 def eulerian(n: int, k: int) -> int:

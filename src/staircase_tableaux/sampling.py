@@ -48,7 +48,6 @@ __all__ = [
     "TableauStats",
     "BatchSummary",
     "sample_batch",
-    "rejection_sample_ab",
 ]
 
 INF = math.inf
@@ -192,6 +191,8 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     a = b = 0 starts with the 1/2 rule: the first added ball is white with
     probability exactly 1/2 (the second then restores balance, so from time
     2 the urn evolves as if started at (1, 1))."""
+    if n < 0:
+        raise ParameterError(f"n must be >= 0, got {n}")
     a, b = Fraction(a), Fraction(b)
     if a < 0 or b < 0:
         raise ParameterError(f"urn weights must be >= 0, got ({a}, {b})")
@@ -297,33 +298,3 @@ def sample_batch(n: int, params: Params, seed: int, count: int,
     for part in parts:
         out = out.merge(part)
     return out
-
-
-def rejection_sample_ab(n: int, params: Params, seed: int,
-                        law=None) -> Tableau:
-    """Test-only fallback sampler: inverse-CDF over the exact enumeration
-    law (so it only reaches sizes the oracle can enumerate).  ``law`` may
-    be passed to amortize the enumeration across draws."""
-    from .enumeration import law_ab
-
-    if law is None:
-        law = law_ab(n, params.alpha, params.beta)
-    rng = SplitMix64(seed)
-    items = sorted(law.items(), key=lambda kv: kv[0].cells)
-    # exact inverse CDF: reveal bits of a uniform until the cell is decided
-    cdf = Fraction(0)
-    u_num = 0
-    u_bits = 0
-    for t, p in items:
-        cdf += p
-        while True:
-            # is u < cdf decidable at current precision?
-            lo = Fraction(u_num, 1 << u_bits) if u_bits else Fraction(0)
-            hi = lo + (Fraction(1, 1 << u_bits) if u_bits else Fraction(1))
-            if hi <= cdf:
-                return t
-            if lo >= cdf:
-                break
-            u_num = (u_num << 64) | rng.next_u64()
-            u_bits += 64
-    return items[-1][0]

@@ -185,10 +185,6 @@ def validate(t: Tableau) -> list[Violation]:
     return out
 
 
-def is_valid(t: Tableau) -> bool:
-    return not validate(t)
-
-
 def counts(t: Tableau) -> SymbolCounts:
     """Exact symbol tallies, diagonal tallies, and alpha-indexed row count.
 

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from staircase_tableaux import cli, parse
 
 
@@ -36,6 +38,16 @@ def test_conventions_are_exclusive(capsys):
 def test_parameter_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "dist-a", "--n", "2", "--a", "-1", "--b", "1")
     assert code == cli.EXIT_PARAMETER
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist-a", "--n", "-2", "--a", "1", "--b", "1"),
+    ("triangle", "--n-max", "3", "--a", "inf", "--b", "1"),
+])
+def test_out_of_domain_exit_code(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PARAMETER
+    assert err.startswith("error: ")
 
 
 def test_cap_exit_code(capsys):

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import counts
 from staircase_tableaux.distributions import (
@@ -22,7 +23,8 @@ from staircase_tableaux.distributions import (
 )
 from staircase_tableaux.enumeration import law_ab
 from staircase_tableaux.errors import DomainError, ParameterError
-from staircase_tableaux.eulerian_poly import eulerian
+from staircase_tableaux.eulerian_poly import eulerian, p_eval, scaled_row, scaled_rows, v_row
+from staircase_tableaux.sampling import urn_sample
 
 
 def test_discrete_dist_trims_and_checks():
@@ -256,3 +258,39 @@ def test_dist_A_matches_enumeration_spot():
             k = counts(t).diagonal_alpha
             pm[k] = pm.get(k, F(0)) + p
         assert DiscreteDist.from_map(pm) == dist_A(4, 1 / al, 1 / be)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: scaled_rows(-1, 1, 1), DomainError),
+    (lambda: scaled_row(-3, 1, 1), DomainError),
+    (lambda: v_row(-1, 1, 1), DomainError),
+    (lambda: p_eval(-2, 1, 1, 2), DomainError),
+    (lambda: dist_A(-1, 1, 1), DomainError),
+    (lambda: moments_A(-3, 1, 1), DomainError),
+    (lambda: dist_N_pairs(-1, 1, 1), DomainError),
+    (lambda: urn_sample(-1, 1, 1, 0), ParameterError),
+], ids=["scaled_rows", "scaled_row", "v_row", "p_eval", "dist_A", "moments_A",
+        "dist_N_pairs", "urn_sample"])
+def test_negative_n_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
+RATIONAL_1_9 = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+
+
+@given(RATIONAL_1_9, RATIONAL_1_9, st.integers(min_value=0, max_value=25))
+@settings(max_examples=60, deadline=None)
+def test_dist_A_matches_urn_recursion(a, b, n):
+    # opposite-colour urn started at (a white, b black): after m draws with
+    # k white balls added, the next draw adds a white ball with probability
+    # (m - k + b)/(m + a + b); A is the number of white balls added
+    probs = {0: F(1)}
+    for m in range(n):
+        nxt: dict[int, F] = {}
+        den = m + a + b
+        for k, p in probs.items():
+            nxt[k] = nxt.get(k, F(0)) + p * (a + k) / den
+            nxt[k + 1] = nxt.get(k + 1, F(0)) + p * (m - k + b) / den
+        probs = nxt
+    assert dist_A(n, a, b) == DiscreteDist.from_map(probs)

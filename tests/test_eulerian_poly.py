@@ -53,6 +53,17 @@ def test_triangle_rejects_negative_params():
         v_row(3, 0, F(-1, 2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: v_triangle(3, math.inf, 1),
+    lambda: v_row(3, 1, math.inf),
+    lambda: p_at_one(3, math.inf, 1),
+    lambda: v_row(3, "x", 1),
+], ids=["v_triangle-inf", "v_row-inf", "p_at_one-inf", "v_row-not-a-number"])
+def test_triangle_rejects_non_finite_params(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
 @pytest.mark.parametrize("a,b", [(F(0), F(0)), (F(0), F(1)), (F(1), F(0)),
                                  (F(1), F(1)), (F(1, 2), F(1, 2)), (F(2), F(3, 7))])
 def test_row_sums(a, b):
@@ -246,3 +257,15 @@ def test_bivar_poly_str_ordering():
 @settings(max_examples=40, deadline=None)
 def test_row_sum_property(a, b, n):
     assert sum(v_row(n, a, b)) == rising_factorial(a + b, n)
+
+
+@given(
+    st.builds(F, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(F, st.integers(1, 9), st.integers(1, 9)),
+    st.integers(min_value=0, max_value=6),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_v_symbolic_evaluates_to_row_property(a, b, n, data):
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    assert v_symbolic(n, k).evaluate(a, b) == v_row(n, a, b)[k]
