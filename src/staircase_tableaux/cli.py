@@ -14,12 +14,13 @@ overrides the default enumeration caps.
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import acceptance, asep, distributions, enumeration, eulerian_poly, sampling, tableau
@@ -96,29 +97,41 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write to file (atomic) instead of stdout")
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(args, lines: str | Iterable[str]) -> None:
+    """Write ``lines`` to stdout as each is made, or atomically to --output.
+
+    A str is one line.  Each line ends with one newline, added unless it
+    already has one, so the output always ends with a newline (no lines at
+    all make one empty line)."""
+    if isinstance(lines, str):
+        lines = (lines,)
     if args.output:
         directory = os.path.dirname(os.path.abspath(args.output))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".staircase-")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                _write_lines(fh, lines)
             os.replace(tmp, args.output)
         except BaseException:
             os.unlink(tmp)
             raise
     else:
-        sys.stdout.write(text)
+        _write_lines(sys.stdout, lines)
 
 
-def _csv(rows: list[list[str]], header: list[str]) -> str:
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
+def _write_lines(fh, lines: Iterable[str]) -> None:
+    empty = True
+    for line in lines:
+        fh.write(line if line.endswith("\n") else line + "\n")
+        empty = False
+    if empty:
+        fh.write("\n")
+
+
+def _csv(rows: Iterable[list[str]], header: list[str]) -> Iterator[str]:
+    yield ",".join(header)
     for row in rows:
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+        yield ",".join(row)
 
 
 def _default_cap(fallback: int) -> int:
@@ -157,18 +170,19 @@ def cmd_sample(args) -> int:
         else:
             _emit(args, tableau.serialize(t).decode())
         return EXIT_OK
-    seeds = [sampling.derive_seed(args.seed, i) for i in range(args.samples)]
+    tableaux = (draw(sampling.derive_seed(args.seed, i)) for i in range(args.samples))
+    # draw the first tableau before writing anything, so that a parameter
+    # error leaves stdout empty
+    tableaux = itertools.chain(list(itertools.islice(tableaux, 1)), tableaux)
     if args.format == "csv":
-        rows = []
-        for i, seed in enumerate(seeds):
-            s = sampling.tableau_stats(draw(seed))
-            rows.append([str(i), str(s.diagonal_alpha), str(s.diagonal_beta),
-                         str(s.n_alpha), str(s.n_beta),
-                         str(s.alpha_indexed_rows), s.diagonal_word])
+        rows = (
+            [str(i), str(s.diagonal_alpha), str(s.diagonal_beta), str(s.n_alpha),
+             str(s.n_beta), str(s.alpha_indexed_rows), s.diagonal_word]
+            for i, s in enumerate(map(sampling.tableau_stats, tableaux))
+        )
         _emit(args, _csv(rows, ["index", "A", "B", "n_alpha", "n_beta", "r", "diagonal"]))
     else:
-        lines = [tableau.serialize(draw(seed)).decode() for seed in seeds]
-        _emit(args, "\n".join(lines))
+        _emit(args, (tableau.serialize(t).decode() for t in tableaux))
     return EXIT_OK
 
 
@@ -253,10 +267,9 @@ def cmd_pairs_n(args) -> int:
                **{k: fmt_number(v, args.as_float) for k, v in summary.items()}}
         _emit(args, json.dumps(doc, sort_keys=True))
     else:
-        text = _csv(rows, ["i", "p10", "p01", "p11"])
-        text += "\n" + _csv([[fmt_number(v, args.as_float) for v in summary.values()]],
-                            list(summary))
-        _emit(args, text)
+        _emit(args, itertools.chain(
+            _csv(rows, ["i", "p10", "p01", "p11"]), [""],
+            _csv([[fmt_number(v, args.as_float) for v in summary.values()]], list(summary))))
     return EXIT_OK
 
 

@@ -5,17 +5,27 @@ The generator is SplitMix64 (Steele, Lea & Flood's mix function): pure
 sharding derives one independent seed per sample index from (seed, index),
 so batches are reproducible regardless of how work is split over workers.
 
-Bernoulli draws with exact rational parameters are decided by comparing a
-lazily extended binary expansion of a uniform against the probability, so
+Every coin is exact.  A uniform U in [0,1) is revealed lazily, one 64-bit
+chunk of its binary expansion at a time, and compared against a rational
+threshold only until the answer is decided (Knuth & Yao's lazy uniform), so
 no rounding enters anywhere (a single 64-bit compare would carry a 2^-64
-bias for non-dyadic probabilities).
+bias for non-dyadic probabilities).  Two primitives work on integer
+numerators and denominators, so the samplers never build a reduced
+Fraction per coin:
+
+- ``bernoulli_ratio(rng, num, den)``: U < num/den.  ``bernoulli(rng, p)``
+  is the same draw for a Fraction p.
+- ``first_passage(rng, w, d, steps)``: the first-passage time C in
+  0..steps with P(C >= i) = (w - i*d)/w, read off U as floor(U*w/d).
+
+Both cost about one chunk in expectation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["SplitMix64", "derive_seed", "bernoulli"]
+__all__ = ["SplitMix64", "derive_seed", "bernoulli", "bernoulli_ratio", "first_passage"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -42,23 +52,21 @@ def derive_seed(seed: int, index: int) -> int:
     return SplitMix64((seed + (index + 1) * _GOLDEN) & _MASK).next_u64()
 
 
-def bernoulli(rng: SplitMix64, p: Fraction) -> bool:
-    """Exact Bernoulli(p) draw for rational p in [0, 1].
+def bernoulli_ratio(rng: SplitMix64, num: int, den: int) -> bool:
+    """Exact Bernoulli(num/den) draw for integers 0 <= num <= den, den > 0.
 
-    Compares a uniform U in [0,1) against p chunk by chunk: with
-    t = p * 2^64 and u the next chunk, u + 1 <= t decides True, u >= t
-    decides False, otherwise recurse on the fractional remainder.
-    Terminates after ~1 chunk in expectation.
+    Compares a uniform U in [0,1) against num/den chunk by chunk: with
+    t = num * 2^64 and u the next chunk, (u + 1) * den <= t decides True,
+    u * den >= t decides False, otherwise recurse on the remainder.  The
+    ratio need not be reduced: scaling num and den by k scales every
+    comparison by k, so the decisions and the chunks consumed depend only
+    on the value num/den.  Terminates after ~1 chunk in expectation; p = 0
+    and p = 1 consume none.
     """
-    num, den = p.numerator, p.denominator
-    if num <= 0:
-        if num < 0:
-            raise ValueError(f"probability {p} < 0")
-        return False
-    if num >= den:
-        if num > den:
-            raise ValueError(f"probability {p} > 1")
-        return True
+    if not 0 < num < den:
+        if den <= 0 or num < 0 or num > den:
+            raise ValueError(f"probability {num}/{den} outside [0, 1]")
+        return num == den
     while True:
         u = rng.next_u64()
         num <<= 64
@@ -68,3 +76,36 @@ def bernoulli(rng: SplitMix64, p: Fraction) -> bool:
         if lo >= num:
             return False
         num -= lo
+
+
+def bernoulli(rng: SplitMix64, p: Fraction) -> bool:
+    """Exact Bernoulli(p) draw for rational p in [0, 1]: ``bernoulli_ratio``
+    on p's numerator and denominator."""
+    return bernoulli_ratio(rng, p.numerator, p.denominator)
+
+
+def first_passage(rng: SplitMix64, w: int, d: int, steps: int) -> int:
+    """Exact draw of C in 0..steps with P(C >= i) = (w - i*d) / w.
+
+    Integers with d > 0, steps >= 0 and w >= steps * d.  C is
+    min(steps, floor(U * w / d)) for a uniform U in [0,1) whose base-2^64
+    digits are revealed one chunk at a time: after k chunks U is known to
+    lie in an interval of width 2^-64k, whose image under U * w / d is
+    c + [r, r + w) / (d * 2^64k).  The answer is c as soon as that
+    interval holds no integer boundary (r + w <= d * 2^64k) or c reaches
+    steps.  The first chunk decides unless its interval holds one of the
+    points U = i*d/w, i = 1..steps, which has probability at most
+    steps / 2^64.  steps = 0 consumes no chunk; C = steps has probability
+    0 when w = steps * d.
+    """
+    if d <= 0 or steps < 0 or w < steps * d:
+        raise ValueError(f"need d > 0 and w >= steps * d >= 0, got w={w}, d={d}, steps={steps}")
+    if steps == 0:
+        return 0
+    den = d << 64
+    c, r = divmod(rng.next_u64() * w, den)
+    while c < steps and r + w > den:
+        den <<= 64
+        carry, r = divmod((r << 64) + rng.next_u64() * w, den)
+        c += carry
+    return min(c, steps)

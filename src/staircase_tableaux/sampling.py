@@ -18,9 +18,25 @@ One step, given the current set of alpha-indexed rows:
      bottom box and every marked row get a Beta, except the topmost marked
      row which receives sigma.
 
-All probabilities are exact rationals and all coin flips are exact, so the
-output law is exactly the target (audited against the enumeration oracle
-by chi-square in the tests).
+The marks are not flipped step by step.  A row's marks at different steps
+are independent, and its chance of escaping the mark at step t is
+b_t/(1 + b_t) = (b + n - t)/(b + n - t + 1), so the product telescopes:
+a row that is alpha-indexed after step s is still unmarked after step t
+with probability (b + n - t)/(b + n - s).  ``sample_ab`` therefore draws
+each row's next mark step once, by one exact first-passage draw, and files
+the row in a bucket under that step.  At step m the sorted bucket is the
+set of marks and its smallest row the top mark.  A top row that receives
+Alpha stays alpha-indexed and is drawn again from step m; every other
+marked row receives a Beta and leaves for good.  One draw per Alpha
+placed and one sigma coin per step make the expected work O(n + symbols
+placed), which is O(n) because a tableau holds at most 2n - 1 symbols.
+
+With a = A/d and b = B/d over one denominator d, every coin is a ratio of
+integers: the sigma coin is B_m/(A + B_m) with B_m = B + (n - m) d, and the
+mark step of a row alpha-indexed after step s is s + C + 1, where
+P(C >= i) = (w - i d)/w with w = B + (n - s) d (C = n - s: never marked).
+All coin flips are exact (see ``rng``), so the output law is exactly the
+target (audited against the enumeration oracle by chi-square in the tests).
 
 Infinite parameters short-circuit: b = inf (beta = 0) gives the all-alpha
 diagonal, a = inf (alpha = 0) the all-beta diagonal, a = b = inf each
@@ -30,12 +46,14 @@ diagonal box independently Alpha with probability rho.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParameterError
-from .rng import SplitMix64, bernoulli, derive_seed
+from .enumeration import AB_CAP
+from .rng import SplitMix64, bernoulli, bernoulli_ratio, derive_seed, first_passage
 from .tableau import Symbol, Tableau, counts
 
 __all__ = [
@@ -106,47 +124,66 @@ def _diagonal_tableau(n: int, symbol_for_row) -> Tableau:
     return Tableau(n, tuple((i, n + 1 - i, symbol_for_row(i)) for i in range(1, n + 1)))
 
 
+def _over_one_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(X, Y, d) with x = X/d and y = Y/d."""
+    d = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+
+
 def sample_ab(n: int, params: Params, seed: int) -> Tableau:
-    """One exact draw of the weighted random alpha/beta tableau of size n."""
+    """One exact draw of the weighted random alpha/beta tableau of size n,
+    in O(n) expected time."""
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     if n == 0:
         return Tableau(0, ())
     rng = SplitMix64(seed)
     a, b, rho = params.a, params.b, params.rho
-    if a == INF and b == INF:
+    a_inf, b_inf = a == INF, b == INF
+    if a_inf and b_inf:
         return _diagonal_tableau(
             n, lambda i: Symbol.ALPHA if bernoulli(rng, rho) else Symbol.BETA
         )
-    if b == INF:
+    if b_inf:
         return _diagonal_tableau(n, lambda i: Symbol.ALPHA)
-    if a == INF:
+    if a_inf:
         return _diagonal_tableau(n, lambda i: Symbol.BETA)
 
+    A, B, d = _over_one_denominator(a, b)
+    ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
     cells: list[tuple[int, int, Symbol]] = []
-    alpha_rows: list[int] = []
+    marked_at: dict[int, list[int]] = {}  # step -> rows whose next mark falls there
+
+    def schedule(row: int, s: int) -> None:
+        """File ``row``, alpha-indexed after step s, under its next mark step."""
+        steps = n - s
+        c = first_passage(rng, B + steps * d, d, steps)
+        if c < steps:
+            marked_at.setdefault(s + c + 1, []).append(row)
+
     for m in range(1, n + 1):
-        b_m = b + (n - m)
         col = n + 1 - m
-        marks = [r for r in alpha_rows if bernoulli(rng, Fraction(1, 1 + b_m))]
-        if a == 0 and b_m == 0:
+        b_m = B + (n - m) * d
+        if A == 0 and b_m == 0:
             # a = b = 0 at the last step: both case weights vanish at the
             # same rate; the surviving ratio is rho (Friedman-urn tie).
-            sigma = Symbol.ALPHA if bernoulli(rng, rho) else Symbol.BETA
+            alpha = bernoulli(rng, rho)
         else:
-            sigma = Symbol.ALPHA if bernoulli(rng, b_m / (a + b_m)) else Symbol.BETA
-        if not marks:
+            alpha = bernoulli_ratio(rng, b_m, A + b_m)
+        sigma = ALPHA if alpha else BETA
+        marks = marked_at.pop(m, None)
+        if marks is None:
             cells.append((m, col, sigma))
-            if sigma is Symbol.ALPHA:
-                alpha_rows.append(m)
+            if alpha:
+                schedule(m, m)
         else:
-            cells.append((m, col, Symbol.BETA))
+            marks.sort()
             top = marks[0]
-            for r in marks:
-                cells.append((r, col, sigma if r == top else Symbol.BETA))
-            # rows that just received a beta are no longer alpha-indexed
-            removed = set(marks) if sigma is Symbol.BETA else set(marks[1:])
-            alpha_rows = [r for r in alpha_rows if r not in removed]
+            cells.append((m, col, BETA))
+            cells.append((top, col, sigma))
+            cells.extend((r, col, BETA) for r in marks[1:])
+            if alpha:
+                schedule(top, m)
     return Tableau(n, tuple(cells))
 
 
@@ -164,13 +201,13 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int,
     rng = SplitMix64(derive_seed(seed, 1))
     base = sample_ab(n, Params.from_alpha_beta(alpha + gamma, beta + delta, rho),
                      derive_seed(seed, 0))
-    p_gamma = gamma / (alpha + gamma)
-    p_delta = delta / (beta + delta)
+    g_num, g_den, _ = _over_one_denominator(gamma, alpha + gamma)
+    d_num, d_den, _ = _over_one_denominator(delta, beta + delta)
     cells = []
     for r, c, s in base.cells:
-        if s is Symbol.ALPHA and bernoulli(rng, p_gamma):
+        if s is Symbol.ALPHA and bernoulli_ratio(rng, g_num, g_den):
             s = Symbol.GAMMA
-        elif s is Symbol.BETA and bernoulli(rng, p_delta):
+        elif s is Symbol.BETA and bernoulli_ratio(rng, d_num, d_den):
             s = Symbol.DELTA
         cells.append((r, c, s))
     return Tableau(n, tuple(cells))
@@ -196,16 +233,15 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     a, b = Fraction(a), Fraction(b)
     if a < 0 or b < 0:
         raise ParameterError(f"urn weights must be >= 0, got ({a}, {b})")
+    A, B, d = _over_one_denominator(a, b)
     rng = SplitMix64(seed)
     white_added = 0
     path = []
     for k in range(n):
-        if a + b == 0 and k == 0:
-            white_added += 1 if bernoulli(rng, Fraction(1, 2)) else 0
-        else:
-            drew_white = bernoulli(rng, (a + white_added) / (a + b + k))
-            if not drew_white:
-                white_added += 1
+        if A + B == 0 and k == 0:
+            white_added += bernoulli_ratio(rng, 1, 2)
+        elif not bernoulli_ratio(rng, A + white_added * d, A + B + k * d):
+            white_added += 1  # black, drawn w.p. 1 - (a + white added)/(a + b + k)
         path.append(white_added)
     return UrnResult(white_added, n - white_added, tuple(path))
 
@@ -229,11 +265,15 @@ def tableau_stats(t: Tableau) -> TableauStats:
 
 @dataclass
 class BatchSummary:
-    """Associatively mergeable empirical summary of a sample batch."""
+    """Associatively mergeable empirical summary of a sample batch.
+
+    ``tableau_counts`` records whole tableaux only for sizes up to
+    ``enumeration.AB_CAP``, the sizes an enumeration oracle can check;
+    beyond it the Counter would grow with the number of samples."""
 
     count: int = 0
-    sum_diag_alpha: Fraction = Fraction(0)
-    sum_diag_alpha_sq: Fraction = Fraction(0)
+    sum_diag_alpha: int = 0
+    sum_diag_alpha_sq: int = 0
     diag_alpha_counts: Counter = field(default_factory=Counter)
     tableau_counts: Counter = field(default_factory=Counter)
     word_counts: Counter = field(default_factory=Counter)
@@ -244,7 +284,8 @@ class BatchSummary:
         self.sum_diag_alpha += s.diagonal_alpha
         self.sum_diag_alpha_sq += s.diagonal_alpha ** 2
         self.diag_alpha_counts[s.diagonal_alpha] += 1
-        self.tableau_counts[t.cells] += 1
+        if t.n <= AB_CAP:
+            self.tableau_counts[t.cells] += 1
         self.word_counts[s.diagonal_word] += 1
 
     def merge(self, other: "BatchSummary") -> "BatchSummary":
@@ -258,11 +299,11 @@ class BatchSummary:
         )
 
     def mean_diag_alpha(self) -> Fraction:
-        return self.sum_diag_alpha / self.count
+        return Fraction(self.sum_diag_alpha, self.count)
 
     def var_diag_alpha(self) -> Fraction:
         m = self.mean_diag_alpha()
-        return self.sum_diag_alpha_sq / self.count - m * m
+        return Fraction(self.sum_diag_alpha_sq, self.count) - m * m
 
 
 def _batch_range(n: int, params: Params, seed: int, start: int, stop: int) -> BatchSummary:
@@ -280,9 +321,11 @@ def _batch_worker(job) -> BatchSummary:
 def sample_batch(n: int, params: Params, seed: int, count: int,
                  workers: int = 1) -> BatchSummary:
     """Summary of ``count`` independent draws; sample i always uses the
-    derived seed (seed, i), so the result does not depend on ``workers``."""
+    derived seed (seed, i), so the result does not depend on ``workers``.
+    ``workers`` is clamped to the number of CPUs."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or count < 2 * workers:
         return _batch_range(n, params, seed, 0, count)
     import multiprocessing

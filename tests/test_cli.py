@@ -93,6 +93,37 @@ def test_sample_batch_csv(capsys):
     assert len(lines) == 5
 
 
+def test_sample_streams_rows(monkeypatch):
+    import io
+    import sys
+
+    from staircase_tableaux import sampling
+
+    buf = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", buf)
+    lines_at_draw = []
+    real = sampling.sample_ab
+
+    def spy(*args):
+        lines_at_draw.append(buf.getvalue().count("\n"))
+        return real(*args)
+
+    monkeypatch.setattr(sampling, "sample_ab", spy)
+    assert cli.main(["sample", "--n", "3", "--a", "1", "--b", "1", "--seed", "5",
+                     "--samples", "4", "--format", "csv"]) == 0
+    # the first tableau is drawn before anything is written; every later one
+    # after the header and all earlier rows have reached stdout
+    assert lines_at_draw == [0, 2, 3, 4]
+    assert buf.getvalue().count("\n") == 5
+
+
+def test_sample_parameter_error_leaves_stdout_empty(capsys):
+    code, out, err = run_cli(capsys, "sample", "--n", "3", "--four", "--alpha", "0",
+                             "--beta", "1", "--samples", "5", "--format", "csv")
+    assert code == 3 and out == ""
+    assert "alpha + gamma" in err
+
+
 def test_sample_four(capsys):
     code, out, _ = run_cli(capsys, "sample", "--n", "3", "--four", "--alpha", "1",
                            "--beta", "1", "--gamma", "1", "--delta", "1",

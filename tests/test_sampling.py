@@ -3,12 +3,19 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import Symbol, Tableau, counts, validate
 from staircase_tableaux.distributions import chi_square_gof, dist_A
-from staircase_tableaux.enumeration import enumerate_four, law_ab, max_symbol_tableaux
+from staircase_tableaux.enumeration import AB_CAP, enumerate_four, law_ab, max_symbol_tableaux
 from staircase_tableaux.errors import ParameterError
-from staircase_tableaux.rng import SplitMix64, bernoulli, derive_seed
+from staircase_tableaux.rng import (
+    SplitMix64,
+    bernoulli,
+    bernoulli_ratio,
+    derive_seed,
+    first_passage,
+)
 from staircase_tableaux.sampling import (
     INF,
     BatchSummary,
@@ -43,6 +50,94 @@ def test_exact_bernoulli_bounds():
     assert abs(freq - 1 / 3) < 3 * math.sqrt(2 / 9 / 30_000)
 
 
+@given(p=st.integers(0, 10**6), extra=st.integers(0, 10**6),
+       k=st.integers(1, 10**12), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_bernoulli_ratio_agrees_with_bernoulli(p, extra, k, seed):
+    # the ratio need not be reduced: same decisions, same chunks consumed
+    q = p + extra
+    if q == 0:
+        return
+    g1, g2 = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(20):
+        assert bernoulli_ratio(g1, k * p, k * q) == bernoulli(g2, F(p, q))
+        assert g1.state == g2.state
+
+
+def test_exact_coins_reject_bad_arguments():
+    g = SplitMix64(1)
+    for num, den in [(-1, 2), (3, 2), (0, 0), (1, -1)]:
+        with pytest.raises(ValueError):
+            bernoulli_ratio(g, num, den)
+    for w, d, steps in [(5, 0, 1), (5, 1, -1), (5, 2, 3)]:
+        with pytest.raises(ValueError):
+            first_passage(g, w, d, steps)
+
+
+class Chunks:
+    """A stream that yields the given 64-bit chunks first, then SplitMix64
+    output, and records every chunk it hands out."""
+
+    def __init__(self, first, seed=0):
+        self.first = list(first)
+        self.rest = SplitMix64(seed)
+        self.used = []
+
+    def next_u64(self) -> int:
+        u = self.first.pop(0) if self.first else self.rest.next_u64()
+        self.used.append(u)
+        return u
+
+
+def test_coins_straddling_first_chunk():
+    # U in [u1, u1 + 1) / 2^64 with u1 = (2^64 - 1)/3 holds 1/3, so neither
+    # coin can decide on the first chunk; the second one decides
+    third = 0x5555555555555555
+    for second, want_c, want_coin in [(0, 0, True), ((1 << 64) - 1, 1, False)]:
+        g = Chunks([third, second])
+        assert first_passage(g, 3, 1, 2) == want_c   # floor(3U) against 1/3
+        assert len(g.used) == 2
+        g = Chunks([third, second])
+        assert bernoulli_ratio(g, 1, 3) is want_coin
+        assert len(g.used) == 2
+
+
+@given(d=st.integers(1, 10**30), steps=st.integers(1, 50), extra=st.integers(0, 10**30),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_passage_is_floor_of_revealed_uniform(d, steps, extra, data):
+    # start the stream on the chunk that holds the boundary U = i*d/w, so
+    # the multi-chunk path runs; the answer must be min(steps, floor(U*w/d))
+    # for every U the consumed chunks allow
+    w = steps * d + extra
+    i = data.draw(st.integers(1, steps))
+    first = min((i * d << 64) // w, (1 << 64) - 1)   # i*d = w is the point U = 1
+    g = Chunks([first], seed=data.draw(st.integers(0, 2**64 - 1)))
+    c = first_passage(g, w, d, steps)
+    v = 0
+    for u in g.used:
+        v = (v << 64) | u
+    scale = 1 << (64 * len(g.used))
+    lo = min(steps, v * w // (d * scale))
+    hi = min(steps, -(-(v + 1) * w // (d * scale)) - 1)
+    assert c == lo == hi
+
+
+@pytest.mark.parametrize("w,d,steps", [(7, 2, 3), (29, 5, 5), (12, 3, 4),
+                                       (5 * 2**70 + 3, 2**70 + 1, 4)])
+def test_first_passage_law_chi_square(w, d, steps):
+    # P(C >= i) = (w - i d)/w; (12, 3, 4) is the b = 0 edge w = steps * d,
+    # where C = steps has probability 0
+    law = {i: F(d, w) for i in range(steps)}
+    law[steps] = F(w - steps * d, w)
+    g = SplitMix64(20240531 + w)
+    obs = Counter(first_passage(g, w, d, steps) for _ in range(30_000))
+    if w == steps * d:
+        assert obs[steps] == 0
+        del law[steps]
+    assert chi_square_gof(law, obs).p_value > 1e-3
+
+
 def test_params_conversions():
     p = Params.from_alpha_beta(2, 1)
     assert (p.a, p.b) == (F(1, 2), F(1))
@@ -62,7 +157,7 @@ def test_sample_determinism():
     t1 = sample_ab(6, params, 99)
     t2 = sample_ab(6, params, 99)
     assert t1 == t2
-    assert sample_ab(6, params, 100) != t1 or True  # different seed may differ
+    assert any(sample_ab(6, params, seed) != t1 for seed in range(100, 120))
 
 
 def test_sample_empty():
@@ -221,12 +316,93 @@ def test_urn_matches_dist_A():
     assert chi_square_gof(law, obs).p_value > 1e-3
 
 
+def test_urn_golden_path():
+    # the path drawn for a given seed is pinned: reproducible urn runs rely on it
+    assert urn_sample(30, F(2, 3), F(5, 7), 12345).path == (
+        0, 0, 0, 1, 2, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 8, 9, 9,
+        10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10)
+
+
 def test_urn_empty_start():
     for i in range(200):
         res = urn_sample(3, 0, 0, derive_seed(43, i))
         assert res.path[1] == 1   # composition (1,1) at time 2
     with pytest.raises(ParameterError):
         urn_sample(2, -1, 1, 0)
+
+
+def test_large_draws_are_valid():
+    for alpha, beta in [(F(1), F(1)), (F(3), F(1, 5))]:
+        t = sample_ab(2000, Params.from_alpha_beta(alpha, beta), 2000)
+        assert validate(t) == []
+        assert 2000 <= counts(t).total <= 3999
+
+
+def pooled_chi_square(law, obs, min_expected=20):
+    """Chi-square of ``obs`` against ``law`` after pooling outcomes, in order
+    of decreasing probability, until each pool expects ``min_expected``
+    draws; an outcome outside the law's support fails the test."""
+    total = sum(obs.values())
+    pools, pool_of = [F(0)], {}
+    for t in sorted(law, key=lambda t: (-law[t], t.cells)):
+        if pools[-1] * total >= min_expected:
+            pools.append(F(0))
+        pool_of[t] = len(pools) - 1
+        pools[-1] += law[t]
+    if len(pools) > 1 and pools[-1] * total < min_expected:
+        pools[-2] += pools.pop()
+        pool_of = {t: min(i, len(pools) - 1) for t, i in pool_of.items()}
+    observed = Counter()
+    for t, k in obs.items():
+        observed[pool_of.get(t, -1)] += k
+    return chi_square_gof(dict(enumerate(pools)), observed)
+
+
+@pytest.mark.parametrize("n,a,b", [
+    (5, F(1, 3), F(5, 7)),
+    (6, F(7, 3), F(3, 5)),
+    (5, F(0), F(2, 3)),      # a = 0: alpha = inf
+    (6, F(5, 3), F(0)),      # b = 0: beta = inf
+])
+def test_sampler_audit_against_law(n, a, b):
+    params = Params(a, b)
+    law = law_ab(n, params.alpha, params.beta)
+    obs = Counter(sample_ab(n, params, derive_seed(67, i)) for i in range(40_000))
+    assert pooled_chi_square(law, obs).p_value > 1e-3
+
+
+@pytest.mark.parametrize("a,b", [(INF, F(2, 3)), (F(3, 7), INF)])
+def test_sampler_audit_one_infinite_weight(a, b):
+    # a = inf (alpha = 0) or b = inf (beta = 0): the law is one tableau
+    params = Params(a, b)
+    law = law_ab(5, params.alpha, params.beta)
+    assert len(law) == 1
+    obs = Counter(sample_ab(5, params, derive_seed(71, i)) for i in range(200))
+    assert obs == Counter({next(iter(law)): 200})
+
+
+def test_sampler_audit_both_weights_infinite():
+    # a = b = inf: each diagonal box independently Alpha with probability rho
+    n, rho = 5, F(1, 4)
+    law = {}
+    for word in range(1 << n):
+        alphas = bin(word).count("1")
+        cells = tuple((i, n + 1 - i, A if word >> (i - 1) & 1 else B) for i in range(1, n + 1))
+        law[Tableau(n, cells)] = rho ** alphas * (1 - rho) ** (n - alphas)
+    obs = Counter(sample_ab(n, Params(INF, INF, rho), derive_seed(73, i)) for i in range(40_000))
+    assert pooled_chi_square(law, obs).p_value > 1e-3
+
+
+def test_sampler_audit_rho_tie():
+    # a = b = 0: uniform over the maximal tableaux, reweighted by rho or
+    # 1 - rho according to the symbol in box (1, 1)
+    n, rho = 5, F(1, 4)
+    maximal = list(max_symbol_tableaux(n))
+    law = {t: (rho if t.symbol_at(1, 1) is A else 1 - rho) * 2 / len(maximal)
+           for t in maximal}
+    assert sum(law.values()) == 1
+    obs = Counter(sample_ab(n, Params(0, 0, rho), derive_seed(79, i)) for i in range(40_000))
+    assert pooled_chi_square(law, obs).p_value > 1e-3
 
 
 def test_batch_summary():
@@ -254,6 +430,52 @@ def test_batch_workers_equivalence():
     seq = sample_batch(4, params, 9, 400)
     par = sample_batch(4, params, 9, 400, workers=2)
     assert seq == par
+
+
+def test_batch_workers_clamped_to_cpu_count(monkeypatch):
+    import multiprocessing
+    import os
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            seen.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    params = Params.from_alpha_beta(1, 2)
+    out = sample_batch(4, params, 9, 400, workers=10**6)
+    assert seen == [3]
+    assert out == sample_batch(4, params, 9, 400)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sample_batch(4, params, 9, 400, workers=8)
+    assert seen == [3]   # an unknown CPU count runs in-process
+
+
+def test_batch_summary_beyond_enumeration_cap():
+    n = AB_CAP + 1
+    params = Params.from_alpha_beta(2, 1)
+    s = sample_batch(n, params, 83, 300)
+    assert s.tableau_counts == Counter()
+    assert sum(s.diag_alpha_counts.values()) == sum(s.word_counts.values()) == 300
+    assert isinstance(s.sum_diag_alpha, int) and isinstance(s.sum_diag_alpha_sq, int)
+    assert s.sum_diag_alpha == sum(k * c for k, c in s.diag_alpha_counts.items())
+    assert isinstance(s.mean_diag_alpha(), F) and isinstance(s.var_diag_alpha(), F)
+    merged = sample_batch(n, params, 83, 100)
+    rest = BatchSummary()
+    for i in range(100, 300):
+        rest.add(sample_ab(n, params, derive_seed(83, i)))
+    assert merged.merge(rest) == s
 
 
 def rejection_sample_ab(law, seed: int) -> Tableau:
