@@ -1,27 +1,41 @@
 """Command-line interface: ``staircase-tableaux <command> ...``.
 
-Every numeric emitted in json/csv mode is an exact rational string "p/q"
-unless ``--float`` asks for floats (root and diagnostic output is float by
-nature).  Identical invocations produce byte-identical output.
+One table, ``COMMANDS``, lists each command's handler, its arguments and
+the output formats it offers; ``build_parser`` builds the parser from it,
+so a command accepts only the flags it honours.  A handler returns its
+output *views*: a dict from format name to a lazy iterable of lines, in
+order of preference.  ``emit`` writes the view ``--format`` names, or the
+first one, and formats every value by one rule:
+
+* a tuple is one csv row, a dict or list one JSON document (keys sorted),
+  anything else is written on its own line;
+* a ``Fraction`` prints as the exact string "p/q", or under ``--float`` as
+  ``repr(float)``; a float prints as ``repr``; anything else prints as
+  ``str``, or stays as it is inside JSON.
+
+Identical invocations produce byte-identical output.  An invocation whose
+format or flags the command would not honour is a usage error and writes
+nothing to stdout.
 
 Exit codes: 0 success, 2 usage error, 3 parameter error, 4 cap refusal,
-5 numerical failure, 6 verification failure.
-
-The environment variable STAIRCASE_TABLEAUX_CAP, when set to an integer,
-overrides the default enumeration caps.
+5 numerical failure, 6 verification failure.  The enumeration caps,
+including the STAIRCASE_TABLEAUX_CAP override, live in ``enumeration``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import acceptance, asep, distributions, enumeration, eulerian_poly, sampling, tableau
 from .errors import (
@@ -40,6 +54,12 @@ EXIT_CAP = 4
 EXIT_NUMERICAL = 5
 EXIT_VERIFY = 6
 
+Views = dict[str, Iterable]
+
+
+class UsageError(Exception):
+    """A combination of flags or a format the command would not honour."""
+
 
 def parse_rational(text: str) -> Fraction | float:
     """Accept 'p/q', 'p', or 'inf'."""
@@ -52,21 +72,13 @@ def parse_rational(text: str) -> Fraction | float:
         raise ParameterError(f"not a rational: {text!r}") from exc
 
 
-def fmt_number(x, as_float: bool) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if as_float:
-        return repr(float(x))
-    return str(x)
-
-
 def _resolve_params(args) -> sampling.Params:
     """Exactly one of the two parameter conventions per invocation."""
     has_ab = args.a is not None or args.b is not None
-    has_greek = getattr(args, "alpha", None) is not None or getattr(args, "beta", None) is not None
+    has_greek = args.alpha is not None or args.beta is not None
     if has_ab and has_greek:
         raise ParameterError("use either --a/--b or --alpha/--beta, not both")
-    rho = args.rho if getattr(args, "rho", None) is not None else Fraction(1, 2)
+    rho = getattr(args, "rho", Fraction(1, 2))
     if has_greek:
         if args.alpha is None or args.beta is None:
             raise ParameterError("--alpha and --beta must be given together")
@@ -76,35 +88,55 @@ def _resolve_params(args) -> sampling.Params:
     return sampling.Params(args.a, args.b, rho)
 
 
-def _add_param_args(p: argparse.ArgumentParser, greek: bool = True) -> None:
-    p.add_argument("--a", type=parse_rational, default=None,
-                   help="inverse weight a = 1/alpha ('p/q' or 'inf')")
-    p.add_argument("--b", type=parse_rational, default=None,
-                   help="inverse weight b = 1/beta")
-    if greek:
-        p.add_argument("--alpha", type=parse_rational, default=None,
-                       help="tableau weight alpha ('p/q' or 'inf')")
-        p.add_argument("--beta", type=parse_rational, default=None,
-                       help="tableau weight beta")
-    p.add_argument("--rho", type=parse_rational, default=None,
-                   help="tie-break probability in [0,1], default 1/2")
+def _unused(args, context: str, *dests: str) -> None:
+    """Refuse flags that the rest of the invocation would ignore."""
+    given = [d for d in dests if getattr(args, d) is not None and getattr(args, d) is not False]
+    if given:
+        flags = ", ".join("--" + d.replace("_", "-") for d in given)
+        raise UsageError(f"{context} does not use {flags}")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.add_argument("--float", action="store_true", dest="as_float",
-                   help="emit floats instead of exact rationals")
-    p.add_argument("--output", default=None, help="write to file (atomic) instead of stdout")
+def _later(make: Callable[[], Iterable]) -> Iterator:
+    """A view whose lines are computed only when it is the one written."""
+    yield from make()
 
 
-def _emit(args, lines: str | Iterable[str]) -> None:
-    """Write ``lines`` to stdout as each is made, or atomically to --output.
+# ---------------------------------------------------------------------------
+# the emitter
 
-    A str is one line.  Each line ends with one newline, added unless it
-    already has one, so the output always ends with a newline (no lines at
-    all make one empty line)."""
-    if isinstance(lines, str):
-        lines = (lines,)
+
+def _float_text(x) -> str:
+    return repr(float(x)) if type(x) is Fraction else str(x)
+
+
+def _json_value(x, text: Callable[[object], str]):
+    if isinstance(x, dict):
+        return {k: _json_value(v, text) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v, text) for v in x]
+    return text(x) if type(x) is Fraction else x
+
+
+def _line(item, text: Callable[[object], str]) -> str:
+    if isinstance(item, tuple):
+        return ",".join(map(text, item))
+    if isinstance(item, (dict, list)):
+        return json.dumps(_json_value(item, text), sort_keys=True)
+    return text(item)
+
+
+def emit(views: Views, args) -> None:
+    """Write the chosen view to stdout as each line is made, or atomically
+    to --output.  Each line ends with one newline, added unless it already
+    has one, so the output always ends with a newline (no lines at all
+    make one empty line)."""
+    fmt = args.format or next(iter(views))
+    if fmt not in views:
+        raise UsageError(f"--format {fmt} is not available for this invocation; "
+                         f"choose from {', '.join(views)}")
+    # str prints a Fraction as "p/q" and a float as its repr
+    text = _float_text if getattr(args, "float", False) else str
+    lines = (_line(item, text) for item in views[fmt])
     if args.output:
         directory = os.path.dirname(os.path.abspath(args.output))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".staircase-")
@@ -128,241 +160,174 @@ def _write_lines(fh, lines: Iterable[str]) -> None:
         fh.write("\n")
 
 
-def _csv(rows: Iterable[list[str]], header: list[str]) -> Iterator[str]:
-    yield ",".join(header)
-    for row in rows:
-        yield ",".join(row)
-
-
-def _default_cap(fallback: int) -> int:
-    env = os.environ.get("STAIRCASE_TABLEAUX_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParameterError(f"bad STAIRCASE_TABLEAUX_CAP: {env!r}") from exc
-    return fallback
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# commands: each returns its views, or (views, exit status)
 
 
-def cmd_sample(args) -> int:
-    params = None if args.four else _resolve_params(args)
+def cmd_sample(args) -> Views:
     if args.four:
+        _unused(args, "sample --four", "a", "b")
         if args.alpha is None or args.beta is None:
             raise ParameterError("--four needs --alpha and --beta (plus optional --gamma/--delta)")
         gamma = args.gamma if args.gamma is not None else Fraction(0)
         delta = args.delta if args.delta is not None else Fraction(0)
-        rho = args.rho if args.rho is not None else Fraction(1, 2)
 
         def draw(seed: int) -> tableau.Tableau:
-            return sampling.sample_four(args.n, args.alpha, args.beta, gamma, delta, seed, rho)
+            return sampling.sample_four(args.n, args.alpha, args.beta, gamma, delta, seed,
+                                        args.rho)
     else:
+        _unused(args, "sample without --four", "gamma", "delta")
+        params = _resolve_params(args)
 
         def draw(seed: int) -> tableau.Tableau:
             return sampling.sample_ab(args.n, params, seed)
     if args.samples == 1:
-        t = draw(args.seed)
-        if args.format == "text":
-            _emit(args, tableau.render_text(t))
-        else:
-            _emit(args, tableau.serialize(t).decode())
-        return EXIT_OK
-    tableaux = (draw(sampling.derive_seed(args.seed, i)) for i in range(args.samples))
-    # draw the first tableau before writing anything, so that a parameter
-    # error leaves stdout empty
-    tableaux = itertools.chain(list(itertools.islice(tableaux, 1)), tableaux)
-    if args.format == "csv":
-        rows = (
-            [str(i), str(s.diagonal_alpha), str(s.diagonal_beta), str(s.n_alpha),
-             str(s.n_beta), str(s.alpha_indexed_rows), s.diagonal_word]
-            for i, s in enumerate(map(sampling.tableau_stats, tableaux))
-        )
-        _emit(args, _csv(rows, ["index", "A", "B", "n_alpha", "n_beta", "r", "diagonal"]))
-    else:
-        _emit(args, (tableau.serialize(t).decode() for t in tableaux))
-    return EXIT_OK
+        return {"text": _later(lambda: [tableau.render_text(draw(args.seed))]),
+                "json": _later(lambda: [tableau.serialize(draw(args.seed)).decode()])}
+
+    def tableaux() -> Iterator[tableau.Tableau]:
+        return (draw(sampling.derive_seed(args.seed, i)) for i in range(args.samples))
+
+    def rows():
+        draws = tableaux()
+        # draw the first tableau before the header, so that a parameter
+        # error leaves stdout empty
+        first = list(itertools.islice(draws, 1))
+        yield ("index", "A", "B", "n_alpha", "n_beta", "r", "diagonal")
+        for i, s in enumerate(map(sampling.tableau_stats, itertools.chain(first, draws))):
+            yield (i, s.diagonal_alpha, s.diagonal_beta, s.n_alpha, s.n_beta,
+                   s.alpha_indexed_rows, s.diagonal_word)
+
+    return {"json": (tableau.serialize(t).decode() for t in tableaux()), "csv": rows()}
 
 
-def cmd_enumerate(args) -> int:
-    cap = _default_cap(enumeration.FOUR_CAP if args.mode == "four" else enumeration.AB_CAP)
-    if args.n > cap and not args.allow_large:
-        raise CapExceededError(
-            f"n={args.n} exceeds the enumeration cap {cap}; pass --allow-large to override"
-        )
+def cmd_enumerate(args) -> Views:
     stream = {
         "ab": enumeration.enumerate_ab,
         "four": enumeration.enumerate_four,
         "max": enumeration.max_symbol_tableaux,
-    }[args.mode](args.n, allow_large=True)
+    }[args.mode](args.n, allow_large=args.allow_large)
     if args.count_only:
-        _emit(args, str(sum(1 for _ in stream)))
-        return EXIT_OK
-    lines = []
-    for t in stream:
-        if args.format == "text":
-            lines.append(tableau.render_text(t))
-            lines.append("")
-        else:
-            lines.append(tableau.serialize(t).decode())
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+        count = _later(lambda: [sum(1 for _ in stream)])
+        return {"text": count, "json": count}
+
+    def text():
+        for i, t in enumerate(stream):
+            if i:
+                yield ""
+            yield tableau.render_text(t)
+
+    return {"text": text(), "json": (tableau.serialize(t).decode() for t in stream)}
 
 
-def cmd_dist_a(args) -> int:
+def cmd_dist_a(args) -> Views:
     params = _resolve_params(args)
-    d = distributions.dist_A(args.n, params.a, params.b, params.rho)
+    d = distributions.dist_A(args.n, params.a, params.b)
     pairs = [(k, d.pmf(k)) for k in d.support()]
-    if args.format == "json":
-        doc = {"n": args.n, "a": str(params.a), "b": str(params.b),
-               "pmf": {str(k): fmt_number(p, args.as_float) for k, p in pairs}}
-        _emit(args, json.dumps(doc, sort_keys=True))
-    else:
-        _emit(args, _csv([[str(k), fmt_number(p, args.as_float)] for k, p in pairs],
-                         ["k", "probability"]))
-    return EXIT_OK
+    return {"csv": [("k", "probability"), *pairs],
+            "json": [{"n": args.n, "a": str(params.a), "b": str(params.b),
+                      "pmf": {str(k): p for k, p in pairs}}]}
 
 
-def cmd_moments_a(args) -> int:
+def cmd_moments_a(args) -> Views:
     params = _resolve_params(args)
     mean, var = distributions.moments_A(args.n, params.a, params.b)
-    if args.format == "json":
-        _emit(args, json.dumps({"n": args.n, "mean": fmt_number(mean, args.as_float),
-                                "variance": fmt_number(var, args.as_float)}, sort_keys=True))
-    else:
-        _emit(args, _csv([[fmt_number(mean, args.as_float), fmt_number(var, args.as_float)]],
-                         ["mean", "variance"]))
-    return EXIT_OK
+    return {"csv": [("mean", "variance"), (mean, var)],
+            "json": [{"n": args.n, "mean": mean, "variance": var}]}
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> Views:
     params = _resolve_params(args)
     bd = distributions.bernoulli_decomposition(args.n, params.a, params.b)
-    if args.format == "json":
-        _emit(args, json.dumps({"n": bd.n, "p": list(bd.p), "xi": [repr(x) for x in bd.xi]},
-                               sort_keys=True))
-    else:
-        rows = [[str(i + 1), repr(p), repr(x)] for i, (p, x) in enumerate(zip(bd.p, bd.xi))]
-        _emit(args, _csv(rows, ["i", "p", "xi"]))
-    return EXIT_OK
+    rows = [(i + 1, p, x) for i, (p, x) in enumerate(zip(bd.p, bd.xi))]
+    return {"csv": [("i", "p", "xi"), *rows],
+            "json": [{"n": bd.n, "p": bd.p, "xi": [repr(x) for x in bd.xi]}]}
 
 
-def cmd_pairs_n(args) -> int:
+def cmd_pairs_n(args) -> Views:
     params = _resolve_params(args)
     law = distributions.dist_N_pairs(args.n, params.a, params.b)
-    rows = [
-        [str(i), fmt_number(pd.p10, args.as_float), fmt_number(pd.p01, args.as_float),
-         fmt_number(pd.p11, args.as_float)]
-        for i, pd in enumerate(law.pairs)
-    ]
+    rows = [(i, pd.p10, pd.p01, pd.p11) for i, pd in enumerate(law.pairs)]
     summary = {
         "mean_alpha": law.mean_alpha, "var_alpha": law.var_alpha,
         "mean_beta": law.mean_beta, "var_beta": law.var_beta, "cov": law.cov,
     }
-    if args.format == "json":
-        doc = {"n": args.n,
-               "pairs": [{"i": int(r[0]), "p10": r[1], "p01": r[2], "p11": r[3]} for r in rows],
-               **{k: fmt_number(v, args.as_float) for k, v in summary.items()}}
-        _emit(args, json.dumps(doc, sort_keys=True))
-    else:
-        _emit(args, itertools.chain(
-            _csv(rows, ["i", "p10", "p01", "p11"]), [""],
-            _csv([[fmt_number(v, args.as_float) for v in summary.values()]], list(summary))))
-    return EXIT_OK
+    header = ("i", "p10", "p01", "p11")
+    return {"csv": [header, *rows, "", tuple(summary), tuple(summary.values())],
+            "json": [{"n": args.n, **summary, "pairs": [dict(zip(header, r)) for r in rows]}]}
 
 
-def cmd_positions(args) -> int:
+# the position arguments each --kind reads
+_KIND_ARGS = {"diag": ("i",), "cell": ("i", "j"), "joint": ("positions",), "cov": ("i", "j")}
+
+
+def cmd_positions(args) -> Views:
+    needed = _KIND_ARGS[args.kind]
+    _unused(args, f"--kind {args.kind}", *(d for d in ("i", "j", "positions") if d not in needed))
+    if any(getattr(args, d) is None for d in needed):
+        raise ParameterError(f"--kind {args.kind} needs " + " and ".join("--" + d for d in needed))
     params = _resolve_params(args)
     a, b = params.a, params.b
     if args.kind == "diag":
-        if args.i is None:
-            raise ParameterError("--kind diag needs --i")
         value = {"p_alpha": distributions.diag_prob(args.n, a, b, args.i)}
     elif args.kind == "cell":
-        if args.i is None or args.j is None:
-            raise ParameterError("--kind cell needs --i and --j")
         pa, pb, pf = distributions.cell_prob(args.n, a, b, args.i, args.j)
         value = {"p_alpha": pa, "p_beta": pb, "p_filled": pf}
     elif args.kind == "joint":
-        if not args.positions:
-            raise ParameterError("--kind joint needs --positions j1,j2,...")
-        js = [int(x) for x in args.positions.split(",")]
-        value = {"p_all_alpha": distributions.joint_diag_alpha(args.n, a, b, js)}
+        value = {"p_all_alpha": distributions.joint_diag_alpha(args.n, a, b, args.positions)}
     else:
-        if args.i is None or args.j is None:
-            raise ParameterError("--kind cov needs --i and --j (columns j < k)")
         value = {"covariance": distributions.diag_cov(args.n, a, b, args.i, args.j)}
-    if args.format == "json":
-        _emit(args, json.dumps({k: fmt_number(v, args.as_float) for k, v in value.items()},
-                               sort_keys=True))
-    else:
-        _emit(args, _csv([[fmt_number(v, args.as_float) for v in value.values()]], list(value)))
-    return EXIT_OK
+    return {"csv": [tuple(value), tuple(value.values())], "json": [value]}
 
 
-def cmd_subcheck(args) -> int:
+def cmd_subcheck(args) -> tuple[Views, int]:
     params = _resolve_params(args)
     rep = distributions.subtableau_law_check(args.n, params.a, params.b, args.i, args.j,
                                              allow_large=args.allow_large)
     doc = {"n": rep.n, "i": rep.i, "j": rep.j, "sub_size": rep.sub_size,
-           "a_hat": str(rep.a_hat), "b_hat": str(rep.b_hat), "equal": rep.equal}
+           "a_hat": rep.a_hat, "b_hat": rep.b_hat, "equal": rep.equal}
     if rep.first_difference is not None:
         t, lhs, rhs = rep.first_difference
         doc["first_difference"] = {"tableau": tableau.to_document(t),
-                                   "induced": str(lhs), "direct": str(rhs)}
-    _emit(args, json.dumps(doc, sort_keys=True))
-    return EXIT_OK if rep.equal else EXIT_VERIFY
+                                   "induced": lhs, "direct": rhs}
+    return {"json": [doc]}, EXIT_OK if rep.equal else EXIT_VERIFY
 
 
-def cmd_urn(args) -> int:
+def cmd_urn(args) -> Views:
     a = args.a if args.a is not None else Fraction(1)
     b = args.b if args.b is not None else Fraction(1)
     if args.samples == 1:
         res = sampling.urn_sample(args.n, a, b, args.seed)
-        if args.format == "csv":
-            rows = [[str(k + 1), str(x)] for k, x in enumerate(res.path)]
-            _emit(args, _csv(rows, ["draw", "added_white"]))
-        else:
-            _emit(args, json.dumps({"added_white": res.added_white,
-                                    "added_black": res.added_black,
-                                    "path": list(res.path)}, sort_keys=True))
-        return EXIT_OK
-    from collections import Counter
+        return {"json": [{"added_white": res.added_white, "added_black": res.added_black,
+                          "path": res.path}],
+                "csv": [("draw", "added_white"), *((k + 1, x) for k, x in enumerate(res.path))]}
 
-    counts: Counter = Counter()
-    for i in range(args.samples):
-        counts[sampling.urn_sample(args.n, a, b, sampling.derive_seed(args.seed, i)).added_white] += 1
-    rows = [[str(k), str(counts[k])] for k in sorted(counts)]
-    if args.format == "json":
-        _emit(args, json.dumps({str(k): counts[k] for k in sorted(counts)}, sort_keys=True))
-    else:
-        _emit(args, _csv(rows, ["added_white", "count"]))
-    return EXIT_OK
+    def tally() -> list[tuple[int, int]]:
+        seeds = (sampling.derive_seed(args.seed, i) for i in range(args.samples))
+        counts = Counter(sampling.urn_sample(args.n, a, b, s).added_white for s in seeds)
+        return sorted(counts.items())
+
+    return {"csv": _later(lambda: [("added_white", "count"), *tally()]),
+            "json": _later(lambda: [{str(k): c for k, c in tally()}])}
 
 
-def cmd_triangle(args) -> int:
+def cmd_triangle(args) -> Views:
+    header = ("n", "k", "v")
     if args.symbolic:
-        rows = []
-        for n in range(args.n_max + 1):
-            for k in range(n + 1):
-                rows.append([str(n), str(k), str(eulerian_poly.v_symbolic(n, k))])
-        _emit(args, _csv(rows, ["n", "k", "v"]))
-        return EXIT_OK
-    params = _resolve_params(args)
-    if args.row is not None:
+        _unused(args, "triangle --symbolic", "a", "b", "alpha", "beta", "row", "float")
+    elif args.row is not None:
+        _unused(args, "triangle --row", "n_max")
+        params = _resolve_params(args)
         row = eulerian_poly.v_row(args.row, params.a, params.b)
-        rows = [[str(args.row), str(k), fmt_number(v, args.as_float)] for k, v in enumerate(row)]
+        return {"csv": [header, *((args.row, k, v) for k, v in enumerate(row))]}
+    n_max = 10 if args.n_max is None else args.n_max
+    if args.symbolic:
+        value = eulerian_poly.v_symbolic
     else:
-        tri = eulerian_poly.v_triangle(args.n_max, params.a, params.b)
-        rows = [
-            [str(n), str(k), fmt_number(tri.v(n, k), args.as_float)]
-            for n in range(args.n_max + 1)
-            for k in range(n + 1)
-        ]
-    _emit(args, _csv(rows, ["n", "k", "v"]))
-    return EXIT_OK
+        params = _resolve_params(args)
+        value = eulerian_poly.v_triangle(n_max, params.a, params.b).v
+    return {"csv": itertools.chain([header], (
+        (n, k, value(n, k)) for n in range(n_max + 1) for k in range(n + 1)))}
 
 
 def _read_tableau(args) -> tableau.Tableau:
@@ -374,56 +339,136 @@ def _read_tableau(args) -> tableau.Tableau:
     return tableau.parse(data)
 
 
-def cmd_asep(args) -> int:
-    if args.action == "z-full":
-        if args.n is None:
-            raise ParameterError("z-full needs --n")
-        one = Fraction(1)
-        params = [x if x is not None else one
-                  for x in (args.alpha, args.beta, args.gamma, args.delta)]
-        total = asep.z_full(args.n, *params, args.q, args.u,
-                            allow_large=args.allow_large)
-        _emit(args, fmt_number(total, args.as_float))
-        return EXIT_OK
-    t = _read_tableau(args)
-    if args.action == "fill":
-        filled = asep.fill_uq(t)
-        if args.format == "text":
-            _emit(args, asep.render_filled(filled))
-        else:
-            _emit(args, asep.serialize_filled(filled).decode())
-    else:  # weight
-        vec = asep.wtx(t)
-        names = ["n_alpha", "n_beta", "n_gamma", "n_delta", "n_u", "n_q"]
-        if args.format == "json":
-            _emit(args, json.dumps(dict(zip(names, vec)), sort_keys=True))
-        else:
-            _emit(args, _csv([[str(x) for x in vec]], names))
-    return EXIT_OK
+def cmd_asep_fill(args) -> Views:
+    filled = asep.fill_uq(_read_tableau(args))
+    return {"text": _later(lambda: [asep.render_filled(filled)]),
+            "json": _later(lambda: [asep.serialize_filled(filled).decode()])}
 
 
-def cmd_clt(args) -> int:
+def cmd_asep_weight(args) -> Views:
+    names = ("n_alpha", "n_beta", "n_gamma", "n_delta", "n_u", "n_q")
+    vec = asep.wtx(_read_tableau(args))
+    return {"csv": [names, tuple(vec)], "json": [dict(zip(names, vec))]}
+
+
+def cmd_asep_z_full(args) -> Views:
+    return {"text": [asep.z_full(args.n, args.alpha, args.beta, args.gamma, args.delta,
+                                 args.q, args.u, allow_large=args.allow_large)]}
+
+
+def cmd_clt(args) -> Views:
     params = _resolve_params(args)
     d = distributions.clt_diagnostics(args.n, params.a, params.b)
-    _emit(args, json.dumps({
-        "n": d.n, "mean": d.mean, "sd": d.sd,
-        "ks_to_normal": d.ks_to_normal,
-        "llt_max_residual": d.llt_max_residual,
-    }, sort_keys=True))
-    return EXIT_OK
+    return {"json": [{"n": d.n, "mean": d.mean, "sd": d.sd, "ks_to_normal": d.ks_to_normal,
+                      "llt_max_residual": d.llt_max_residual}]}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[Views, int]:
     results = acceptance.run(level=args.level, indices=args.only)
     width = max(len(r.name) for r in results)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{status}] {r.index:2d} {r.name:<{width}}  ({r.seconds:.1f}s)  {r.detail}")
-    ok = all(r.passed for r in results)
-    lines.append(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
-    _emit(args, "\n".join(lines))
-    return EXIT_OK if ok else EXIT_VERIFY
+    text = [f"[{'PASS' if r.passed else 'FAIL'}] {r.index:2d} {r.name:<{width}}  "
+            f"({r.seconds:.1f}s)  {r.detail}" for r in results]
+    text.append(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
+    views = {"text": text, "json": [dataclasses.asdict(r) for r in results]}
+    return views, EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+
+def _columns(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    formats: tuple[str, ...]
+    arguments: tuple
+
+
+N = _arg("--n", type=int, required=True)
+AB = (_arg("--a", type=parse_rational, help="inverse weight a = 1/alpha ('p/q' or 'inf')"),
+      _arg("--b", type=parse_rational, help="inverse weight b = 1/beta"),
+      _arg("--alpha", type=parse_rational, help="tableau weight alpha ('p/q' or 'inf')"),
+      _arg("--beta", type=parse_rational, help="tableau weight beta"))
+RHO = _arg("--rho", type=parse_rational, default=Fraction(1, 2),
+           help="tie-break probability in [0,1], default 1/2")
+FLOAT = _arg("--float", action="store_true", help="emit floats instead of exact rationals")
+SEED = _arg("--seed", type=int, default=0)
+SAMPLES = _arg("--samples", type=int, default=1)
+ALLOW_LARGE = _arg("--allow-large", action="store_true", help="override the enumeration cap")
+INPUT = _arg("--input", help="tableau JSON file ('-' or omitted for stdin)")
+ONE = {"type": parse_rational, "default": Fraction(1)}
+
+COMMANDS = {
+    "sample": Command(cmd_sample, "draw random tableaux", ("text", "json", "csv"), (
+        N, *AB, _arg("--gamma", type=parse_rational), _arg("--delta", type=parse_rational),
+        _arg("--four", action="store_true", help="four-symbol model"), RHO, SEED, SAMPLES)),
+    "enumerate": Command(cmd_enumerate, "stream or count all tableaux of a size",
+                         ("text", "json"), (
+        N, _arg("--mode", choices=("ab", "four", "max"), default="ab"),
+        _arg("--count-only", action="store_true"), ALLOW_LARGE)),
+    "dist-a": Command(cmd_dist_a, "exact law of the diagonal alpha count", ("csv", "json"),
+                      (N, *AB, FLOAT)),
+    "moments-a": Command(cmd_moments_a, "exact mean/variance of the diagonal alpha count",
+                         ("csv", "json"), (N, *AB, FLOAT)),
+    "decompose": Command(cmd_decompose, "Bernoulli decomposition via root isolation",
+                         ("csv", "json"), (N, *AB)),
+    "pairs-n": Command(cmd_pairs_n, "independent pair laws of (N_alpha, N_beta)", ("csv", "json"),
+                       (N, *AB, FLOAT)),
+    "positions": Command(cmd_positions, "exact symbol position probabilities", ("csv", "json"), (
+        N, _arg("--kind", choices=tuple(_KIND_ARGS), required=True),
+        _arg("--i", type=int), _arg("--j", type=int),
+        _arg("--positions", type=_columns, help="comma-separated columns for --kind joint"),
+        *AB, FLOAT)),
+    "subcheck": Command(cmd_subcheck, "verify the subtableau law identity by enumeration",
+                        ("json",), (
+        N, _arg("--i", type=int, required=True), _arg("--j", type=int, required=True),
+        ALLOW_LARGE, *AB)),
+    "urn": Command(cmd_urn, "simulate the opposite-colour urn", ("json", "csv"), (
+        N, _arg("--a", type=parse_rational), _arg("--b", type=parse_rational), SEED, SAMPLES)),
+    "triangle": Command(cmd_triangle, "exact generalized Eulerian triangle", ("csv",), (
+        _arg("--n-max", type=int, help="largest row (default 10)"),
+        _arg("--row", type=int, help="emit a single row"),
+        _arg("--symbolic", action="store_true",
+             help="emit the bivariate coefficient polynomials instead"), *AB, FLOAT)),
+    "asep": ("u/q filling and the six-variable generating function", {
+        "fill": Command(cmd_asep_fill, "u/q filling of a tableau", ("text", "json"), (INPUT,)),
+        "weight": Command(cmd_asep_weight, "the six-variable weight of a tableau", ("csv", "json"),
+                          (INPUT,)),
+        "z-full": Command(cmd_asep_z_full, "Z_n(alpha, beta, gamma, delta; q, u) by enumeration",
+                          ("text",), (
+            N, *(_arg(f"--{v}", **ONE) for v in ("alpha", "beta", "gamma", "delta", "q", "u")),
+            ALLOW_LARGE, FLOAT)),
+    }),
+    "clt": Command(cmd_clt, "finite-n normal/local limit diagnostics", ("json",), (N, *AB)),
+    "verify": Command(cmd_verify, "run the acceptance suite", ("text", "json"), (
+        _arg("--level", choices=("quick", "desk"), default="desk"),
+        _arg("--only", type=int, action="append", choices=[i for i, _, _ in acceptance.CRITERIA],
+             help="run a single criterion (repeatable)"))),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, spec in table.items():
+        if not isinstance(spec, Command):
+            help_, nested = spec
+            _add_commands(sub.add_parser(name, help=help_), nested, "action")
+            continue
+        p = sub.add_parser(name, help=spec.help)
+        for flags, kwargs in spec.arguments:
+            p.add_argument(*flags, **kwargs)
+        p.add_argument("--format", choices=spec.formats,
+                       help="output format (default: the first this invocation offers)")
+        p.add_argument("--output", help="write to file (atomic) instead of stdout")
+        p.set_defaults(func=spec.handler, parser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,124 +476,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="staircase-tableaux",
         description="Exact computation, enumeration and sampling for weighted staircase tableaux.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="draw random tableaux")
-    p.add_argument("--n", type=int, required=True)
-    _add_param_args(p)
-    p.add_argument("--gamma", type=parse_rational, default=None)
-    p.add_argument("--delta", type=parse_rational, default=None)
-    p.add_argument("--four", action="store_true", help="four-symbol model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("enumerate", help="stream or count all tableaux of a size")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("ab", "four", "max"), default="ab")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--allow-large", action="store_true",
-                   help="override the enumeration cap")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("dist-a", help="exact law of the diagonal alpha count")
-    p.add_argument("--n", type=int, required=True)
-    _add_param_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_dist_a)
-
-    p = sub.add_parser("moments-a", help="exact mean/variance of the diagonal alpha count")
-    p.add_argument("--n", type=int, required=True)
-    _add_param_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_moments_a)
-
-    p = sub.add_parser("decompose", help="Bernoulli decomposition via root isolation")
-    p.add_argument("--n", type=int, required=True)
-    _add_param_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("pairs-n", help="independent pair laws of (N_alpha, N_beta)")
-    p.add_argument("--n", type=int, required=True)
-    _add_param_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_pairs_n)
-
-    p = sub.add_parser("positions", help="exact symbol position probabilities")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=("diag", "cell", "joint", "cov"), required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--positions", default=None, help="comma-separated columns for --kind joint")
-    _add_param_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_positions)
-
-    p = sub.add_parser("subcheck", help="verify the subtableau law identity by enumeration")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
-    _add_param_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_subcheck)
-
-    p = sub.add_parser("urn", help="simulate the opposite-colour urn")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=parse_rational, default=None)
-    p.add_argument("--b", type=parse_rational, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_urn)
-
-    p = sub.add_parser("triangle", help="exact generalized Eulerian triangle")
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--row", type=int, default=None, help="emit a single row")
-    p.add_argument("--symbolic", action="store_true",
-                   help="emit the bivariate coefficient polynomials instead")
-    _add_param_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_triangle)
-
-    p = sub.add_parser("asep", help="u/q filling and the six-variable generating function")
-    p.add_argument("action", choices=("fill", "weight", "z-full"))
-    p.add_argument("--input", default=None, help="tableau JSON file ('-' for stdin)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=parse_rational, default=None)
-    p.add_argument("--beta", type=parse_rational, default=None)
-    p.add_argument("--gamma", type=parse_rational, default=None)
-    p.add_argument("--delta", type=parse_rational, default=None)
-    p.add_argument("--q", type=parse_rational, default=Fraction(1))
-    p.add_argument("--u", type=parse_rational, default=Fraction(1))
-    p.add_argument("--allow-large", action="store_true")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_asep)
-
-    p = sub.add_parser("clt", help="finite-n normal/local limit diagnostics")
-    p.add_argument("--n", type=int, required=True)
-    _add_param_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_clt)
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--level", choices=("quick", "desk"), default="desk")
-    p.add_argument("--only", type=int, action="append", default=None,
-                   help="run a single criterion (repeatable)")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_verify)
-
+    _add_commands(parser, COMMANDS, "command")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        views, status = out if isinstance(out, tuple) else (out, EXIT_OK)
+        emit(views, args)
+        return status
+    except UsageError as exc:
+        args.parser.error(str(exc))
     except (ParameterError, DomainError, MalformedDocumentError, InvalidTableauError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

@@ -99,13 +99,12 @@ class DiscreteDist:
         return all(p[k] * p[k] >= p[k - 1] * p[k + 1] for k in range(1, len(p) - 1))
 
 
-def dist_A(n: int, a, b, rho=None) -> DiscreteDist:
+def dist_A(n: int, a, b) -> DiscreteDist:
     """Exact law of the number of alphas on the diagonal.
 
     P(A=k) = v_{a,b}(n,k) / (a+b)^{rise n} for (a,b) != (0,0); at
     a = b = 0 (both weights infinite) the substitute triangle gives
-    P(A=k) = tilde_v(n,k)/(n-1)!, valid for n >= 2.  ``rho`` is accepted
-    for signature parity with the sampler but never affects this law.
+    P(A=k) = tilde_v(n,k)/(n-1)!, valid for n >= 2.
     """
     a, b = _as_ab(a, b)
     if a == 0 and b == 0:

@@ -20,6 +20,7 @@ addressed as -m and shifted to 1..n at the end; rows never move.
 from __future__ import annotations
 
 import itertools
+import os
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -46,11 +47,21 @@ FOUR_CAP = 5
 
 
 def _check_cap(n: int, cap: int, override: bool) -> None:
+    """The one cap policy of every enumeration: n <= cap unless overridden,
+    where the environment variable STAIRCASE_TABLEAUX_CAP, when set,
+    replaces the default cap (AB_CAP or FOUR_CAP)."""
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
+    env = os.environ.get("STAIRCASE_TABLEAUX_CAP")
+    if env:
+        try:
+            cap = int(env)
+        except ValueError as exc:
+            raise ParameterError(f"bad STAIRCASE_TABLEAUX_CAP: {env!r}") from exc
     if n > cap and not override:
         raise CapExceededError(
-            f"n={n} exceeds the enumeration cap {cap}; pass allow_large=True to override"
+            f"n={n} exceeds the enumeration cap {cap}; pass allow_large=True "
+            "(--allow-large on the command line) to override"
         )
 
 

@@ -44,17 +44,21 @@ __all__ = [
 ]
 
 
-def _as_ab(a, b) -> tuple[Fraction, Fraction]:
-    """The shared parameter rule: a and b finite rationals >= 0."""
+def _finite(name: str, x) -> Fraction:
+    """The shared parameter rule: a weight is a finite rational >= 0."""
     try:
-        a, b = Fraction(a), Fraction(b)
+        x = Fraction(x)
     except (OverflowError, TypeError, ValueError) as exc:
-        # a = inf (weight alpha = 0) collapses every law to a point mass;
-        # callers that support it handle that case before calling here
-        raise ParameterError(f"need finite rational a, b, got ({a}, {b})") from exc
-    if a < 0 or b < 0:
-        raise ParameterError(f"need a, b >= 0, got ({a}, {b})")
-    return a, b
+        raise ParameterError(f"{name} must be a finite rational >= 0, got {x!r}") from exc
+    if x < 0:
+        raise ParameterError(f"{name} must be >= 0, got {x}")
+    return x
+
+
+def _as_ab(a, b) -> tuple[Fraction, Fraction]:
+    # a = inf (weight alpha = 0) collapses every law to a point mass;
+    # callers that support it handle that case before calling here
+    return _finite("a", a), _finite("b", b)
 
 
 def rising_factorial(x, n: int) -> Fraction:

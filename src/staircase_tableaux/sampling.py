@@ -53,6 +53,7 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .enumeration import AB_CAP
+from .eulerian_poly import _finite
 from .rng import SplitMix64, bernoulli, bernoulli_ratio, derive_seed, first_passage
 from .tableau import Symbol, Tableau, counts
 
@@ -193,9 +194,8 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int,
     beta+delta), then independently relabel each Alpha to Gamma with
     probability gamma/(alpha+gamma) and each Beta to Delta with
     probability delta/(beta+delta)."""
-    alpha, beta, gamma, delta = (Fraction(x) for x in (alpha, beta, gamma, delta))
-    if min(alpha, beta, gamma, delta) < 0:
-        raise ParameterError("weights must be >= 0")
+    alpha, beta, gamma, delta = (_finite("alpha", alpha), _finite("beta", beta),
+                                 _finite("gamma", gamma), _finite("delta", delta))
     if alpha + gamma <= 0 or beta + delta <= 0:
         raise ParameterError("need alpha + gamma > 0 and beta + delta > 0")
     rng = SplitMix64(derive_seed(seed, 1))
@@ -230,9 +230,7 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     2 the urn evolves as if started at (1, 1))."""
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    a, b = Fraction(a), Fraction(b)
-    if a < 0 or b < 0:
-        raise ParameterError(f"urn weights must be >= 0, got ({a}, {b})")
+    a, b = _finite("a", a), _finite("b", b)
     A, B, d = _over_one_denominator(a, b)
     rng = SplitMix64(seed)
     white_added = 0
@@ -276,17 +274,15 @@ class BatchSummary:
     sum_diag_alpha_sq: int = 0
     diag_alpha_counts: Counter = field(default_factory=Counter)
     tableau_counts: Counter = field(default_factory=Counter)
-    word_counts: Counter = field(default_factory=Counter)
 
     def add(self, t: Tableau) -> None:
-        s = tableau_stats(t)
+        a = counts(t).diagonal_alpha
         self.count += 1
-        self.sum_diag_alpha += s.diagonal_alpha
-        self.sum_diag_alpha_sq += s.diagonal_alpha ** 2
-        self.diag_alpha_counts[s.diagonal_alpha] += 1
+        self.sum_diag_alpha += a
+        self.sum_diag_alpha_sq += a ** 2
+        self.diag_alpha_counts[a] += 1
         if t.n <= AB_CAP:
             self.tableau_counts[t.cells] += 1
-        self.word_counts[s.diagonal_word] += 1
 
     def merge(self, other: "BatchSummary") -> "BatchSummary":
         return BatchSummary(
@@ -295,7 +291,6 @@ class BatchSummary:
             sum_diag_alpha_sq=self.sum_diag_alpha_sq + other.sum_diag_alpha_sq,
             diag_alpha_counts=self.diag_alpha_counts + other.diag_alpha_counts,
             tableau_counts=self.tableau_counts + other.tableau_counts,
-            word_counts=self.word_counts + other.word_counts,
         )
 
     def mean_diag_alpha(self) -> Fraction:

@@ -281,3 +281,127 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli.distributions, "bernoulli_decomposition", boom)
     code, _, err = run_cli(capsys, "decompose", "--n", "3", "--a", "1", "--b", "1")
     assert code == cli.EXIT_NUMERICAL and "forced" in err
+
+
+def test_cap_env_covers_every_enumeration(capsys, monkeypatch):
+    monkeypatch.setenv("STAIRCASE_TABLEAUX_CAP", "2")
+    subcheck = ("subcheck", "--n", "3", "--i", "1", "--j", "2", "--a", "1", "--b", "1")
+    z_full = ("asep", "z-full", "--n", "3")
+    for argv in (subcheck, z_full):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_CAP and out == "" and "cap 2" in err
+    code, out, _ = run_cli(capsys, *subcheck, "--allow-large")
+    assert code == 0 and json.loads(out)["equal"] is True
+    code, out, _ = run_cli(capsys, *z_full, "--allow-large")
+    assert code == 0 and out == "384\n"
+    monkeypatch.setenv("STAIRCASE_TABLEAUX_CAP", "two")
+    code, out, err = run_cli(capsys, *subcheck)
+    assert code == cli.EXIT_PARAMETER and out == "" and "STAIRCASE_TABLEAUX_CAP" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "3", "--four", "--alpha", "inf", "--beta", "1"),
+    ("sample", "--n", "3", "--four", "--alpha", "1", "--beta", "1", "--gamma", "inf",
+     "--samples", "3", "--format", "csv"),
+    ("urn", "--n", "3", "--a", "inf"),
+    ("urn", "--n", "3", "--b", "inf", "--samples", "5"),
+])
+def test_infinite_weight_is_a_parameter_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PARAMETER and out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+AB = ("--a", "1", "--b", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    # --rho, which only the sampler reads
+    ("dist-a", "--n", "2", *AB, "--rho", "1/3"),
+    ("moments-a", "--n", "2", *AB, "--rho", "1/3"),
+    ("decompose", "--n", "2", *AB, "--rho", "1/3"),
+    ("pairs-n", "--n", "2", *AB, "--rho", "1/3"),
+    ("positions", "--n", "2", "--kind", "diag", "--i", "1", *AB, "--rho", "1/3"),
+    ("subcheck", "--n", "3", "--i", "1", "--j", "2", *AB, "--rho", "1/3"),
+    ("triangle", "--n-max", "2", *AB, "--rho", "1/3"),
+    ("clt", "--n", "20", *AB, "--rho", "1/3"),
+    # --float where no exact rational is printed
+    ("sample", "--n", "3", *AB, "--float"),
+    ("enumerate", "--n", "2", "--float"),
+    ("decompose", "--n", "2", *AB, "--float"),
+    ("subcheck", "--n", "3", "--i", "1", "--j", "2", *AB, "--float"),
+    ("urn", "--n", "3", "--float"),
+    ("clt", "--n", "20", *AB, "--float"),
+    ("verify", "--level", "quick", "--only", "3", "--float"),
+    ("asep", "fill", "--input", "-", "--float"),
+    ("asep", "weight", "--input", "-", "--float"),
+    ("triangle", "--n-max", "2", "--symbolic", "--float"),
+    # a --format that used to print another format
+    ("sample", "--n", "3", *AB, "--format", "csv"),
+    ("sample", "--n", "3", *AB, "--samples", "3", "--format", "text"),
+    ("sample", "--n", "3", *AB, "--samples", "0", "--format", "text"),
+    ("enumerate", "--n", "2", "--format", "csv"),
+    ("enumerate", "--n", "2", "--count-only", "--format", "csv"),
+    ("dist-a", "--n", "2", *AB, "--format", "text"),
+    ("moments-a", "--n", "2", *AB, "--format", "text"),
+    ("decompose", "--n", "2", *AB, "--format", "text"),
+    ("pairs-n", "--n", "2", *AB, "--format", "text"),
+    ("positions", "--n", "2", "--kind", "diag", "--i", "1", *AB, "--format", "text"),
+    ("subcheck", "--n", "3", "--i", "1", "--j", "2", *AB, "--format", "csv"),
+    ("subcheck", "--n", "3", "--i", "1", "--j", "2", *AB, "--format", "text"),
+    ("urn", "--n", "3", "--format", "text"),
+    ("urn", "--n", "3", "--samples", "4", "--format", "text"),
+    ("triangle", "--n-max", "2", *AB, "--format", "json"),
+    ("triangle", "--n-max", "2", *AB, "--format", "text"),
+    ("asep", "fill", "--input", "-", "--format", "csv"),
+    ("asep", "weight", "--input", "-", "--format", "text"),
+    ("asep", "z-full", "--n", "2", "--format", "json"),
+    ("asep", "z-full", "--n", "2", "--format", "csv"),
+    ("clt", "--n", "20", *AB, "--format", "csv"),
+    ("clt", "--n", "20", *AB, "--format", "text"),
+    ("verify", "--level", "quick", "--only", "3", "--format", "csv"),
+    # flags another flag makes meaningless
+    ("asep", "fill", "--input", "-", "--n", "3"),
+    ("asep", "weight", "--input", "-", "--alpha", "1", "--q", "2"),
+    ("asep", "z-full", "--n", "2", "--input", "-"),
+    ("sample", "--n", "3", *AB, "--gamma", "1"),
+    ("sample", "--n", "3", "--four", "--alpha", "1", "--beta", "1", "--a", "1"),
+    ("triangle", "--n-max", "2", "--symbolic", *AB),
+    ("triangle", "--n-max", "2", "--symbolic", "--row", "2"),
+    ("triangle", "--row", "2", "--n-max", "3", *AB),
+    ("positions", "--n", "2", "--kind", "diag", "--i", "1", "--j", "2", *AB),
+    ("positions", "--n", "4", "--kind", "joint", "--positions", "1,2", "--i", "1", *AB),
+    ("positions", "--n", "2", "--kind", "cell", "--i", "1", "--j", "1", "--positions", "1", *AB),
+])
+def test_ignored_flag_or_format_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_verify_json_report(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--only", "3",
+                           "--format", "json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 1
+    record = records[0]
+    assert set(record) == {"index", "name", "passed", "detail", "seconds"}
+    assert record["index"] == 3 and record["name"] == "triangle" and record["passed"] is True
+    assert isinstance(record["detail"], str) and record["seconds"] >= 0
+
+
+def test_readme_command_lines_parse():
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("staircase-tableaux ")]
+    assert len(lines) >= 13
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

@@ -299,6 +299,19 @@ def test_sample_four_rejects_bad_params():
         sample_four(2, 0, 1, 0, 1, seed=1)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: sample_four(3, math.inf, 1, 0, 0, seed=1), "alpha"),
+    (lambda: sample_four(3, 1, 1, 0, math.inf, seed=1), "delta"),
+    (lambda: sample_four(3, 1, 1, -1, 0, seed=1), "gamma"),
+    (lambda: urn_sample(3, math.inf, 1, 1), "a"),
+    (lambda: urn_sample(3, 1, -math.inf, 1), "b"),
+    (lambda: urn_sample(3, 1, -1, 1), "b"),
+])
+def test_infinite_or_negative_weight_is_a_named_parameter_error(call, name):
+    with pytest.raises(ParameterError, match=f"^{name} must be"):
+        call()
+
+
 def test_urn_basic():
     res = urn_sample(1, 1, 1, 3)
     assert res.added_white + res.added_black == 1
@@ -467,7 +480,7 @@ def test_batch_summary_beyond_enumeration_cap():
     params = Params.from_alpha_beta(2, 1)
     s = sample_batch(n, params, 83, 300)
     assert s.tableau_counts == Counter()
-    assert sum(s.diag_alpha_counts.values()) == sum(s.word_counts.values()) == 300
+    assert sum(s.diag_alpha_counts.values()) == 300
     assert isinstance(s.sum_diag_alpha, int) and isinstance(s.sum_diag_alpha_sq, int)
     assert s.sum_diag_alpha == sum(k * c for k, c in s.diag_alpha_counts.items())
     assert isinstance(s.mean_diag_alpha(), F) and isinstance(s.var_diag_alpha(), F)
