@@ -171,17 +171,11 @@ def check_moments(level: str) -> str:
     grid = [(F(1), F(1)), (F(1, 2), F(1)), (F(1, 2), F(1, 2)), (F(0), F(1)),
             (F(2), F(3, 7)), (F(0), F(0))]
     for a, b in grid:
-        start = 2 if a == b == 0 else 0
         if a == b == 0:
-            law = [dist.dist_A(n, a, b) for n in range(start, n_max + 1)]
+            laws = [(n, dist.dist_A(n, a, b)) for n in range(2, n_max + 1)]
         else:
-            tri = eul.v_triangle(n_max, a, b)
-            law = []
-            for n in range(start, n_max + 1):
-                row = tri.row(n)
-                total = sum(row, F(0))
-                law.append(dist.DiscreteDist(0, tuple(p / total for p in row)))
-        for n, d in zip(range(start, n_max + 1), law):
+            laws = enumerate(dist.DiscreteDist(0, row) for row, _d in eul.scaled_rows(n_max, a, b))
+        for n, d in laws:
             mean, var = dist.moments_A(n, a, b)
             assert mean == d.mean() and var == d.variance(), (a, b, n)
     for n in range(1, 51):

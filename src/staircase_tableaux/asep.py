@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, StaircaseError
+from .errors import StaircaseError
+from .eulerian_poly import _finite
 from .tableau import Symbol, Tableau, weight_exponents
 
 __all__ = ["FilledTableau", "fill_uq", "wtx", "z_full", "render_filled", "serialize_filled"]
@@ -96,11 +97,8 @@ def z_full(n: int, alpha, beta, gamma, delta, q, u,
     all staircase tableaux of size n (by brute-force enumeration)."""
     from .enumeration import enumerate_four
 
-    alpha, beta, gamma, delta, q, u = (
-        Fraction(x) for x in (alpha, beta, gamma, delta, q, u)
-    )
-    if min(alpha, beta, gamma, delta, q, u) < 0:
-        raise ParameterError("parameters must be >= 0")
+    alpha, beta, gamma, delta, q, u = map(_finite, ("alpha", "beta", "gamma", "delta", "q", "u"),
+                                          (alpha, beta, gamma, delta, q, u))
     total = Fraction(0)
     for t in enumerate_four(n, allow_large):
         na, nb, ng, nd, nu, nq = wtx(t)

@@ -322,12 +322,12 @@ def cmd_triangle(args) -> Views:
         return {"csv": [header, *((args.row, k, v) for k, v in enumerate(row))]}
     n_max = 10 if args.n_max is None else args.n_max
     if args.symbolic:
-        value = eulerian_poly.v_symbolic
+        rows = ([eulerian_poly.v_symbolic(n, k) for k in range(n + 1)] for n in range(n_max + 1))
     else:
         params = _resolve_params(args)
-        value = eulerian_poly.v_triangle(n_max, params.a, params.b).v
+        rows = map(eulerian_poly.v_triangle(n_max, params.a, params.b).row, range(n_max + 1))
     return {"csv": itertools.chain([header], (
-        (n, k, value(n, k)) for n in range(n_max + 1) for k in range(n + 1)))}
+        (n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)))}
 
 
 def _read_tableau(args) -> tableau.Tableau:
@@ -483,6 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "samples", 0) < 0:   # sample and urn
+            raise ParameterError(f"--samples must be >= 0, got {args.samples}")
         out = args.func(args)
         views, status = out if isinstance(out, tuple) else (out, EXIT_OK)
         emit(views, args)

@@ -9,11 +9,11 @@ CLT/LLT diagnostics and chi-square p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import _as_ab, scaled_row, scaled_rows, tilde_row
+from .eulerian_poly import _as_ab, _fractions, scaled_row, scaled_rows
 
 __all__ = [
     "DiscreteDist",
@@ -41,81 +41,88 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Finitely supported exact distribution on consecutive integers
-    offset..offset+len(probs)-1 (leading/trailing zeros trimmed)."""
+    """Finitely supported exact law on consecutive integers as integer
+    weights over one denominator: P(offset + i) = weights[i] / total, total =
+    sum(weights).  Zero ends are trimmed and the weights divided by their gcd,
+    so equal laws compare equal.  Values are handed out as Fractions."""
 
     offset: int
-    probs: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        probs = list(self.probs)
-        offset = self.offset
-        while probs and probs[0] == 0:
-            probs.pop(0)
-            offset += 1
-        while probs and probs[-1] == 0:
-            probs.pop()
-        if not probs:
+        w = self.weights
+        if any(x < 0 for x in w):
+            raise ValueError("negative weight")
+        nonzero = [i for i, x in enumerate(w) if x]
+        if not nonzero:
             raise ValueError("empty distribution")
-        total = sum(probs, Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < 0 for p in probs):
-            raise ValueError("negative probability")
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "probs", tuple(probs))
+        w = w[nonzero[0]:nonzero[-1] + 1]
+        g = math.gcd(*w)
+        w = tuple(x // g for x in w)
+        object.__setattr__(self, "offset", self.offset + nonzero[0])
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "total", sum(w))
 
     @classmethod
     def from_map(cls, pm: dict[int, Fraction]) -> "DiscreteDist":
+        """The law with exact probabilities pm[k], which must sum to 1."""
         lo, hi = min(pm), max(pm)
-        return cls(lo, tuple(pm.get(k, Fraction(0)) for k in range(lo, hi + 1)))
+        den = math.lcm(*(p.denominator for p in pm.values()))
+        weights = [int(pm.get(k, 0) * den) for k in range(lo, hi + 1)]
+        if sum(weights) != den:
+            raise ValueError(f"probabilities sum to {Fraction(sum(weights), den)}, not 1")
+        return cls(lo, weights)
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        """P(offset), P(offset + 1), ... as Fractions."""
+        return _fractions(self.weights, self.total)
 
     def support(self) -> range:
-        return range(self.offset, self.offset + len(self.probs))
+        return range(self.offset, self.offset + len(self.weights))
 
     def pmf(self, k: int) -> Fraction:
         if k in self.support():
-            return self.probs[k - self.offset]
+            return Fraction(self.weights[k - self.offset], self.total)
         return Fraction(0)
 
     def mean(self) -> Fraction:
-        return sum((k * p for k, p in zip(self.support(), self.probs)), Fraction(0))
+        s1 = sum(i * w for i, w in enumerate(self.weights))
+        return self.offset + Fraction(s1, self.total)
 
     def variance(self) -> Fraction:
-        m = self.mean()
-        ex2 = sum((k * k * p for k, p in zip(self.support(), self.probs)), Fraction(0))
-        return ex2 - m * m
+        """(total S2 - S1^2) / total^2 with S_j = sum_i i^j weights[i]."""
+        s1 = sum(i * w for i, w in enumerate(self.weights))
+        s2 = sum(i * i * w for i, w in enumerate(self.weights))
+        return Fraction(self.total * s2 - s1 * s1, self.total ** 2)
 
     def shifted(self, delta: int) -> "DiscreteDist":
-        return DiscreteDist(self.offset + delta, self.probs)
+        return DiscreteDist(self.offset + delta, self.weights)
 
     def reversed_about(self, n: int) -> "DiscreteDist":
         """Law of n - X when self is the law of X."""
-        hi = self.offset + len(self.probs) - 1
-        return DiscreteDist(n - hi, tuple(reversed(self.probs)))
+        hi = self.offset + len(self.weights) - 1
+        return DiscreteDist(n - hi, self.weights[::-1])
 
     def is_log_concave(self) -> bool:
-        p = self.probs
-        return all(p[k] * p[k] >= p[k - 1] * p[k + 1] for k in range(1, len(p) - 1))
+        w = self.weights
+        return all(w[k] * w[k] >= w[k - 1] * w[k + 1] for k in range(1, len(w) - 1))
 
 
 def dist_A(n: int, a, b) -> DiscreteDist:
     """Exact law of the number of alphas on the diagonal.
 
-    P(A=k) = v_{a,b}(n,k) / (a+b)^{rise n} for (a,b) != (0,0); at
-    a = b = 0 (both weights infinite) the substitute triangle gives
-    P(A=k) = tilde_v(n,k)/(n-1)!, valid for n >= 2.
+    P(A=k) = v_{a,b}(n,k) / (a+b)^{rise n} for (a,b) != (0,0), so the
+    scaled triangle row is the weight vector; at a = b = 0 (both weights
+    infinite) P(A=k) = tilde_v(n,k)/(n-1)! = v_{1,1}(n-2,k-1)/(n-1)!, n >= 2.
     """
     a, b = _as_ab(a, b)
     if a == 0 and b == 0:
         if n < 2:
             raise DomainError("a = b = 0 needs n >= 2")
-        row = tilde_row(n)
-        total = sum(row, Fraction(0))
-        return DiscreteDist(0, tuple(p / total for p in row))
-    row, _d = scaled_row(n, a, b)
-    total = sum(row)
-    return DiscreteDist(0, tuple(Fraction(x, total) for x in row))
+        return DiscreteDist(1, scaled_row(n - 2, 1, 1)[0])
+    return DiscreteDist(0, scaled_row(n, a, b)[0])
 
 
 def moments_A(n: int, a, b) -> tuple[Fraction, Fraction]:
@@ -594,19 +601,14 @@ def clt_diagnostics(n: int, a, b) -> CLTDiagnostics:
     dist = dist_A(n, a, b)
     mean, var = moments_A(n, a, b)
     mu, sd = float(mean), math.sqrt(float(var))
-    probs = [float(p) for p in dist.probs]
-    ks = 0.0
-    cdf = 0.0
-    for k, p in zip(dist.support(), probs):
-        z = (k - mu) / sd
-        phi = _std_normal_cdf(z)
+    amp = math.sqrt(6 / (math.pi * n))
+    ks = cdf = resid = 0.0
+    for k, w in zip(dist.support(), dist.weights):
+        p = w / dist.total   # int / int rounds correctly, as float(Fraction) does
+        phi = _std_normal_cdf((k - mu) / sd)
         ks = max(ks, abs(cdf - phi), abs(cdf + p - phi))
         cdf += p
-    amp = math.sqrt(6 / (math.pi * n))
-    resid = 0.0
-    for k, p in zip(dist.support(), probs):
-        gauss = amp * math.exp(-6 * (k - n / 2) ** 2 / n)
-        resid = max(resid, abs(p - gauss))
+        resid = max(resid, abs(p - amp * math.exp(-6 * (k - n / 2) ** 2 / n)))
     return CLTDiagnostics(n=n, mean=mu, sd=sd, ks_to_normal=ks,
                           llt_max_residual=resid * math.sqrt(n))
 

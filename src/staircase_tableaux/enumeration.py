@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import CapExceededError, ParameterError
-from .eulerian_poly import BivarPoly
+from .eulerian_poly import BivarPoly, _finite
 from .tableau import Symbol, Tableau, counts, validate, weight
 
 __all__ = [
@@ -144,9 +144,8 @@ def partition_function(n: int, alpha, beta, gamma=0, delta=0,
     """Z_n(alpha, beta, gamma, delta) as a direct weighted sum over the
     enumeration stream (the four-symbol stream, or the alpha/beta stream
     when gamma = delta = 0, where the extra symbols carry weight zero)."""
-    alpha, beta, gamma, delta = (Fraction(x) for x in (alpha, beta, gamma, delta))
-    if min(alpha, beta, gamma, delta) < 0:
-        raise ParameterError("weights must be >= 0")
+    alpha, beta, gamma, delta = map(_finite, ("alpha", "beta", "gamma", "delta"),
+                                    (alpha, beta, gamma, delta))
     if gamma == 0 and delta == 0:
         stream = enumerate_ab(n, allow_large)
     else:
@@ -175,8 +174,8 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
         return {t: p for t in support}
     if inf_a or inf_b:
         if inf_a:
-            beta = Fraction(beta)
-            if beta <= 0:
+            beta = _finite("beta", beta)
+            if beta == 0:
                 # alpha = inf, beta = 0: single all-alpha-diagonal tableau
                 best = max(c.n_alpha for _, c in stats)
                 support = [
@@ -189,8 +188,8 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
                 t: beta ** c.n_beta for t, c in stats if c.n_alpha == best
             }
         else:
-            alpha = Fraction(alpha)
-            if alpha <= 0:
+            alpha = _finite("alpha", alpha)
+            if alpha == 0:
                 best = max(c.n_beta for _, c in stats)
                 support = [
                     t for t, c in stats if c.n_beta == best and c.n_alpha == 0
@@ -203,9 +202,9 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
             }
         z = sum(weights.values(), Fraction(0))
         return {t: w / z for t, w in weights.items()}
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
-        raise ParameterError(f"need alpha, beta >= 0 and not both zero, got ({alpha}, {beta})")
+    alpha, beta = _finite("alpha", alpha), _finite("beta", beta)
+    if alpha == 0 and beta == 0:
+        raise ParameterError("need alpha, beta not both zero")
     weights = {t: alpha ** c.n_alpha * beta ** c.n_beta for t, c in stats}
     z = sum(weights.values(), Fraction(0))
     return {t: w / z for t, w in weights.items() if w != 0}
@@ -217,8 +216,8 @@ JointPoly = BivarPoly  # the enumeration-side name of the one sparse-polynomial 
 def _weighted_tally(n: int, alpha, beta, allow_large: bool, name: str, key) -> JointPoly:
     """Sum of alpha^N_alpha beta^N_beta x^key(S) over the alpha/beta
     tableaux S of size n, tallied by brute force."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha <= 0 or beta <= 0:
+    alpha, beta = _finite("alpha", alpha), _finite("beta", beta)
+    if alpha == 0 or beta == 0:
         raise ParameterError(f"{name} needs alpha, beta > 0")
     out: dict[tuple[int, ...], Fraction] = {}
     for t in enumerate_ab(n, allow_large):

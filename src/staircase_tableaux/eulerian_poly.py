@@ -65,7 +65,7 @@ def rising_factorial(x, n: int) -> Fraction:
     """x^{rise n} = x (x+1) ... (x+n-1); empty product for n = 0."""
     if n < 0:
         raise DomainError(f"rising factorial needs n >= 0, got {n}")
-    x = Fraction(x)
+    x = _finite("x", x)
     out = Fraction(1)
     for i in range(n):
         out *= x + i
@@ -110,47 +110,55 @@ def scaled_row(n: int, a, b) -> tuple[list[int], int]:
     return row, d
 
 
+def _fractions(row, den: int) -> tuple[Fraction, ...]:
+    """The one place an integer row over one denominator becomes Fractions."""
+    return tuple(Fraction(x, den) for x in row)
+
+
 @dataclass(frozen=True)
 class EulerTriangle:
-    """Exact table of v_{a,b}(n, k) for 0 <= k <= n <= n_max."""
+    """Exact table of v_{a,b}(n, k) for 0 <= k <= n <= n_max, kept as the
+    integer rows of the recursion: v(n, k) = rows[n][k] / d**n, with d the
+    common denominator of a and b.  Values are handed out as Fractions."""
 
     a: Fraction
     b: Fraction
     n_max: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    d: int
+    rows: tuple[tuple[int, ...], ...]
 
-    def v(self, n: int, k: int) -> Fraction:
-        """v(n, k); zero outside the triangle."""
-        if n < 0 or n > self.n_max:
-            raise DomainError(f"row {n} outside stored range 0..{self.n_max}")
-        if k < 0 or k > n:
-            return Fraction(0)
-        return self.rows[n][k]
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
+    def _row(self, n: int) -> tuple[int, ...]:
         if n < 0 or n > self.n_max:
             raise DomainError(f"row {n} outside stored range 0..{self.n_max}")
         return self.rows[n]
 
+    def v(self, n: int, k: int) -> Fraction:
+        """v(n, k); zero outside the triangle."""
+        row = self._row(n)
+        if k < 0 or k > n:
+            return Fraction(0)
+        return Fraction(row[k], self.d ** n)
+
+    def row(self, n: int) -> tuple[Fraction, ...]:
+        return _fractions(self._row(n), self.d ** n)
+
     def row_sum(self, n: int) -> Fraction:
-        return sum(self.row(n), Fraction(0))
+        return Fraction(sum(self._row(n)), self.d ** n)
 
 
 def v_triangle(n_max: int, a, b) -> EulerTriangle:
     """Full triangle up to n_max, built by the two-term recursion."""
     rows = []
-    for n, (row, d) in enumerate(scaled_rows(n_max, a, b)):
-        den = d ** n
-        rows.append(tuple(Fraction(x, den) for x in row))
+    for row, d in scaled_rows(n_max, a, b):
+        rows.append(tuple(row))
     a, b = _as_ab(a, b)
-    return EulerTriangle(a=a, b=b, n_max=n_max, rows=tuple(rows))
+    return EulerTriangle(a=a, b=b, n_max=n_max, d=d, rows=tuple(rows))
 
 
 def v_row(n: int, a, b) -> tuple[Fraction, ...]:
     """Single row n as exact rationals, O(n) memory."""
     row, d = scaled_row(n, a, b)
-    den = d ** n
-    return tuple(Fraction(x, den) for x in row)
+    return _fractions(row, d ** n)
 
 
 class BivarPoly:
@@ -276,10 +284,8 @@ def p_eval(n: int, a, b, x) -> Fraction:
     x = Fraction(x)
     row, d = scaled_row(n, a, b)
     num = Fraction(0)
-    xp = Fraction(1)
-    for v in row:
-        num += v * xp
-        xp *= x
+    for v in reversed(row):   # Horner on the integer row
+        num = num * x + v
     return num / d**n
 
 
@@ -293,11 +299,10 @@ def tilde_row(n: int) -> tuple[Fraction, ...]:
 
 
 def tilde_v(n: int, k: int) -> Fraction:
-    if n < 2:
-        raise DomainError(f"tilde quantities need n >= 2, got {n}")
+    row = tilde_row(n)   # DomainError for n < 2
     if k < 0 or k > n:
         return Fraction(0)
-    return tilde_row(n)[k]
+    return row[k]
 
 
 def tilde_p_eval(n: int, x) -> Fraction:
@@ -349,9 +354,7 @@ class CTable:
 def c_table(n_max: int, b) -> CTable:
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    b = Fraction(b)
-    if b < 0:
-        raise ParameterError(f"b must be >= 0, got {b}")
+    b = _finite("b", b)
     rows = [(Fraction(1),)]
     for n in range(n_max):
         prev = rows[-1]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -99,6 +100,14 @@ def test_z_full_homogeneity():
 def test_z_full_rejects_negative():
     with pytest.raises(ParameterError):
         z_full(2, 1, 1, 1, 1, -1, 1)
+
+
+@pytest.mark.parametrize("position, name", [(0, "alpha"), (3, "delta"), (4, "q"), (5, "u")])
+def test_z_full_rejects_infinite_weight(position, name):
+    weights = [1] * 6
+    weights[position] = math.inf
+    with pytest.raises(ParameterError, match=f"^{name} must be a finite rational"):
+        z_full(2, *weights)
 
 
 def test_serialize_filled_round_trips_cells(showcase8):

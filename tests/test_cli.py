@@ -305,11 +305,33 @@ def test_cap_env_covers_every_enumeration(capsys, monkeypatch):
      "--samples", "3", "--format", "csv"),
     ("urn", "--n", "3", "--a", "inf"),
     ("urn", "--n", "3", "--b", "inf", "--samples", "5"),
+    ("asep", "z-full", "--n", "3", "--alpha", "inf"),
+    ("asep", "z-full", "--n", "2", "--q", "inf", "--allow-large"),
 ])
 def test_infinite_weight_is_a_parameter_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_PARAMETER and out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "3", "--a", "1", "--b", "1", "--samples", "-2"),
+    ("sample", "--n", "3", "--a", "1", "--b", "1", "--samples", "-1", "--format", "json"),
+    ("urn", "--n", "3", "--samples", "-2"),
+    ("urn", "--n", "3", "--samples", "-1", "--format", "json"),
+])
+def test_negative_samples_is_a_parameter_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PARAMETER and out == ""
+    assert err.startswith("error: ") and "--samples" in err
+
+
+def test_zero_samples_prints_only_the_header(capsys):
+    code, out, _ = run_cli(capsys, "sample", "--n", "3", "--a", "1", "--b", "1",
+                           "--samples", "0", "--format", "csv")
+    assert code == 0 and out == "index,A,B,n_alpha,n_beta,r,diagonal\n"
+    code, out, _ = run_cli(capsys, "urn", "--n", "3", "--samples", "0")
+    assert code == 0 and out == "added_white,count\n"
 
 
 AB = ("--a", "1", "--b", "1")

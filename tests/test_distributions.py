@@ -28,10 +28,12 @@ from staircase_tableaux.sampling import urn_sample
 
 
 def test_discrete_dist_trims_and_checks():
-    d = DiscreteDist(0, (F(0), F(1, 2), F(1, 2), F(0)))
+    d = DiscreteDist.from_map({0: F(0), 1: F(1, 2), 2: F(1, 2), 3: F(0)})
     assert d.offset == 1 and d.probs == (F(1, 2), F(1, 2))
     with pytest.raises(ValueError):
-        DiscreteDist(0, (F(1, 2), F(1, 3)))
+        DiscreteDist.from_map({0: F(1, 2), 1: F(1, 3)})
+    with pytest.raises(ValueError):
+        DiscreteDist(0, (1, -1, 2))
     assert d.pmf(1) == F(1, 2) and d.pmf(5) == 0
     assert d.mean() == F(3, 2) and d.variance() == F(1, 4)
     assert d.shifted(2).support() == range(3, 5)
@@ -294,3 +296,33 @@ def test_dist_A_matches_urn_recursion(a, b, n):
             nxt[k + 1] = nxt.get(k + 1, F(0)) + p * (m - k + b) / den
         probs = nxt
     assert dist_A(n, a, b) == DiscreteDist.from_map(probs)
+
+
+@given(RATIONAL_1_9, RATIONAL_1_9, st.integers(min_value=0, max_value=6))
+@settings(max_examples=15, deadline=None)
+def test_dist_A_is_the_enumeration_marginal(a, b, n):
+    pm: dict[int, F] = {}
+    for t, p in law_ab(n, 1 / a, 1 / b).items():
+        k = counts(t).diagonal_alpha
+        pm[k] = pm.get(k, F(0)) + p
+    assert dist_A(n, a, b) == DiscreteDist.from_map(pm)
+
+
+RATIONAL_0_9 = st.builds(F, st.integers(0, 9), st.integers(1, 9))
+
+
+@given(RATIONAL_0_9, RATIONAL_0_9, st.integers(min_value=2, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_dist_A_dagger_symmetry(a, b, n):
+    # the dagger involution swaps alpha and beta, so B = n - A under (a, b)
+    # has the law of A under (b, a)
+    assert dist_A(n, a, b).reversed_about(n) == dist_A(n, b, a)
+
+
+@given(RATIONAL_0_9, RATIONAL_0_9, st.integers(min_value=2, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_dist_A_weights_are_canonical(a, b, n):
+    d = dist_A(n, a, b)
+    assert math.gcd(*d.weights) == 1 and d.weights[0] and d.weights[-1]
+    assert d.total == sum(d.weights)
+    assert DiscreteDist.from_map({k: d.pmf(k) for k in d.support()}) == d

@@ -181,3 +181,31 @@ def test_law_ab_infinite_weights():
 def test_law_ab_rejects_both_zero():
     with pytest.raises(ParameterError):
         law_ab(2, 0, 0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: law_ab(3, -1, math.inf), "alpha"),
+    (lambda: law_ab(3, math.inf, F(-1, 2)), "beta"),
+    (lambda: law_ab(3, float("nan"), 1), "alpha"),
+    (lambda: law_ab(3, math.inf, float("nan")), "beta"),
+    (lambda: law_ab(3, 1, -math.inf), "beta"),
+], ids=["negative-alpha-beside-inf", "negative-beta-beside-inf", "nan-alpha",
+        "nan-beta-beside-inf", "minus-inf-beta"])
+def test_law_ab_checks_the_finite_weight(call, name):
+    with pytest.raises(ParameterError, match=f"^{name} must be"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: partition_function(2, math.inf, 1), "alpha"),
+    (lambda: partition_function(2, 1, 1, 1, math.inf), "delta"),
+    (lambda: partition_function(2, 1, 1, -1, 0), "gamma"),
+    (lambda: joint_poly_A_r(2, 1, math.inf), "beta"),
+    (lambda: joint_poly_N(2, math.inf, 1), "alpha"),
+    (lambda: joint_poly_N(2, -1, 1), "alpha"),
+], ids=["partition_function-inf", "partition_function-inf-delta",
+        "partition_function-negative", "joint_poly_A_r-inf", "joint_poly_N-inf",
+        "joint_poly_N-negative"])
+def test_weights_follow_the_one_rule(call, name):
+    with pytest.raises(ParameterError, match=f"^{name} must be"):
+        call()

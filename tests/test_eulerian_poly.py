@@ -41,6 +41,19 @@ def test_triangle_known_rows():
     assert 4 * v_row(2, F(1, 2), F(1, 2))[1] == 6  # type-B Eulerian
 
 
+def test_triangle_stores_integer_rows_over_one_denominator():
+    a, b = F(3, 7), F(5, 9)
+    tri = v_triangle(12, a, b)
+    assert tri.d == 63
+    assert all(type(x) is int for row in tri.rows for x in row)
+    for n in range(13):
+        assert tri.row(n) == v_row(n, a, b)
+        assert [tri.v(n, k) for k in range(n + 1)] == list(tri.row(n))
+        assert tri.row_sum(n) == sum(tri.row(n)) == rising_factorial(a + b, n)
+    with pytest.raises(DomainError):
+        tri.row(13)
+
+
 def test_triangle_out_of_range_is_zero():
     tri = v_triangle(4, 1, 2)
     assert tri.v(3, -1) == 0 and tri.v(3, 4) == 0
@@ -58,7 +71,10 @@ def test_triangle_rejects_negative_params():
     lambda: v_row(3, 1, math.inf),
     lambda: p_at_one(3, math.inf, 1),
     lambda: v_row(3, "x", 1),
-], ids=["v_triangle-inf", "v_row-inf", "p_at_one-inf", "v_row-not-a-number"])
+    lambda: c_table(3, math.inf),
+    lambda: rising_factorial(math.inf, 2),
+], ids=["v_triangle-inf", "v_row-inf", "p_at_one-inf", "v_row-not-a-number",
+        "c_table-inf", "rising_factorial-inf"])
 def test_triangle_rejects_non_finite_params(call):
     with pytest.raises(ParameterError):
         call()
