@@ -37,6 +37,11 @@ mark step of a row alpha-indexed after step s is s + C + 1, where
 P(C >= i) = (w - i d)/w with w = B + (n - s) d (C = n - s: never marked).
 All coin flips are exact (see ``rng``), so the output law is exactly the
 target (audited against the enumeration oracle by chi-square in the tests).
+The one integer core ``_draw_ab`` serves ``sample_ab``, ``sample_four`` and
+``sample_batch``.  Parameters are normalised once per call, not once per
+draw: ``Params`` keeps (A, B, d) from construction and ``sample_four``
+puts its summed weights over one denominator itself, so a draw does only
+exact coin flips and cell appends.
 
 Infinite parameters short-circuit: b = inf (beta = 0) gives the all-alpha
 diagonal, a = inf (alpha = 0) the all-beta diagonal, a = b = inf each
@@ -72,14 +77,24 @@ __all__ = [
 INF = math.inf
 
 
-def _as_param(x) -> Fraction | float:
-    """Normalize a parameter to a nonnegative Fraction or math.inf."""
-    if x == INF:
+def _as_param(name: str, x, top=INF) -> Fraction | float:
+    """``x`` as a Fraction in [0, top], or math.inf when top is inf."""
+    rule = "a rational >= 0 or inf" if top == INF else f"a rational in [0, {top}]"
+    if x == INF == top:
         return INF
-    x = Fraction(x)
-    if x < 0:
-        raise ParameterError(f"parameter must be >= 0 or inf, got {x}")
+    try:
+        x = Fraction(x)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must be {rule}, got {x!r}") from exc
+    if not 0 <= x <= top:
+        raise ParameterError(f"{name} must be {rule}, got {x}")
     return x
+
+
+def _over_one_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(X, Y, d) with x = X/d and y = Y/d."""
+    d = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
 
 
 @dataclass(frozen=True)
@@ -91,26 +106,26 @@ class Params:
     a: Fraction | float
     b: Fraction | float
     rho: Fraction = Fraction(1, 2)
+    # (A, B, d) with a = A/d and b = B/d, the sampler's integer form; None
+    # when either weight is infinite
+    _scaled: tuple[int, int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_param(self.a))
-        object.__setattr__(self, "b", _as_param(self.b))
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if not 0 <= self.rho <= 1:
-            raise ParameterError(f"rho must lie in [0, 1], got {self.rho}")
+        a, b = _as_param("a", self.a), _as_param("b", self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rho", _as_param("rho", self.rho, 1))
+        object.__setattr__(self, "_scaled",
+                           None if INF in (a, b) else _over_one_denominator(a, b))
 
     @classmethod
     def from_alpha_beta(cls, alpha, beta, rho=Fraction(1, 2)) -> "Params":
         """Build from tableau-side weights: a = 1/alpha with 0 <-> inf."""
-        def invert(x):
-            if x == INF:
-                return Fraction(0)
-            x = Fraction(x)
-            if x < 0:
-                raise ParameterError(f"weight must be >= 0 or inf, got {x}")
-            return INF if x == 0 else 1 / x
+        def invert(name, x):
+            x = _as_param(name, x)
+            return Fraction(0) if x == INF else (INF if x == 0 else 1 / x)
 
-        return cls(invert(alpha), invert(beta), rho)
+        return cls(invert("alpha", alpha), invert("beta", beta), rho)
 
     @property
     def alpha(self) -> Fraction | float:
@@ -125,12 +140,6 @@ def _diagonal_tableau(n: int, symbol_for_row) -> Tableau:
     return Tableau(n, tuple((i, n + 1 - i, symbol_for_row(i)) for i in range(1, n + 1)))
 
 
-def _over_one_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
-    """(X, Y, d) with x = X/d and y = Y/d."""
-    d = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
-
-
 def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     """One exact draw of the weighted random alpha/beta tableau of size n,
     in O(n) expected time."""
@@ -139,18 +148,20 @@ def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     if n == 0:
         return Tableau(0, ())
     rng = SplitMix64(seed)
-    a, b, rho = params.a, params.b, params.rho
-    a_inf, b_inf = a == INF, b == INF
-    if a_inf and b_inf:
+    if params._scaled is not None:
+        return _draw_ab(n, *params._scaled, params.rho, rng)
+    if params.a == params.b == INF:
         return _diagonal_tableau(
-            n, lambda i: Symbol.ALPHA if bernoulli(rng, rho) else Symbol.BETA
+            n, lambda i: Symbol.ALPHA if bernoulli(rng, params.rho) else Symbol.BETA
         )
-    if b_inf:
+    if params.b == INF:
         return _diagonal_tableau(n, lambda i: Symbol.ALPHA)
-    if a_inf:
-        return _diagonal_tableau(n, lambda i: Symbol.BETA)
+    return _diagonal_tableau(n, lambda i: Symbol.BETA)
 
-    A, B, d = _over_one_denominator(a, b)
+
+def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> Tableau:
+    """The finite-weight draw at a = A/d, b = B/d: exact coins and cell
+    appends only (see the module docstring)."""
     ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
     cells: list[tuple[int, int, Symbol]] = []
     marked_at: dict[int, list[int]] = {}  # step -> rows whose next mark falls there
@@ -196,13 +207,20 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int,
     probability delta/(beta+delta)."""
     alpha, beta, gamma, delta = (_finite("alpha", alpha), _finite("beta", beta),
                                  _finite("gamma", gamma), _finite("delta", delta))
-    if alpha + gamma <= 0 or beta + delta <= 0:
+    x, y = alpha + gamma, beta + delta
+    if x <= 0 or y <= 0:
         raise ParameterError("need alpha + gamma > 0 and beta + delta > 0")
+    rho = _as_param("rho", rho, 1)
+    if n < 0:
+        raise ParameterError(f"n must be >= 0, got {n}")
+    # a = 1/x and b = 1/y over one denominator, straight from the integers
+    d = math.lcm(x.numerator, y.numerator)
+    base = _draw_ab(n, x.denominator * (d // x.numerator), y.denominator * (d // y.numerator),
+                    d, rho, SplitMix64(derive_seed(seed, 0)))
     rng = SplitMix64(derive_seed(seed, 1))
-    base = sample_ab(n, Params.from_alpha_beta(alpha + gamma, beta + delta, rho),
-                     derive_seed(seed, 0))
-    g_num, g_den, _ = _over_one_denominator(gamma, alpha + gamma)
-    d_num, d_den, _ = _over_one_denominator(delta, beta + delta)
+    # gamma/x and delta/y as unreduced integer ratios
+    g_num, g_den = gamma.numerator * x.denominator, gamma.denominator * x.numerator
+    d_num, d_den = delta.numerator * y.denominator, delta.denominator * y.numerator
     cells = []
     for r, c, s in base.cells:
         if s is Symbol.ALPHA and bernoulli_ratio(rng, g_num, g_den):
@@ -276,7 +294,8 @@ class BatchSummary:
     tableau_counts: Counter = field(default_factory=Counter)
 
     def add(self, t: Tableau) -> None:
-        a = counts(t).diagonal_alpha
+        diagonal, ALPHA = t.n + 1, Symbol.ALPHA
+        a = sum(1 for r, c, s in t.cells if s is ALPHA and r + c == diagonal)
         self.count += 1
         self.sum_diag_alpha += a
         self.sum_diag_alpha_sq += a ** 2

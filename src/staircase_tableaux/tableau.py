@@ -45,11 +45,14 @@ class Symbol(enum.Enum):
     GAMMA = "gamma"
     DELTA = "delta"
 
+    # members are singletons, so identity is equality; Enum's default
+    # hash(name) would run in Python on every dict or Counter lookup
+    __hash__ = object.__hash__
+
     def __lt__(self, other: "Symbol") -> bool:
         if not isinstance(other, Symbol):
             return NotImplemented
-        order = ("alpha", "beta", "gamma", "delta")
-        return order.index(self.value) < order.index(other.value)
+        return _RANK[self] < _RANK[other]
 
     @property
     def column_type(self) -> bool:
@@ -63,10 +66,11 @@ class Symbol(enum.Enum):
 
     @property
     def letter(self) -> str:
-        return {"alpha": "a", "beta": "b", "gamma": "g", "delta": "d"}[self.value]
+        return _LETTER[self]
 
 
-_LETTER_TO_SYMBOL = {s.letter: s for s in Symbol}
+_RANK = {s: i for i, s in enumerate(Symbol)}  # alpha < beta < gamma < delta
+_LETTER = {Symbol.ALPHA: "a", Symbol.BETA: "b", Symbol.GAMMA: "g", Symbol.DELTA: "d"}
 
 _DAGGER_SWAP = {
     Symbol.ALPHA: Symbol.BETA,

@@ -43,6 +43,7 @@ def test_parameter_error_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ("dist-a", "--n", "-2", "--a", "1", "--b", "1"),
     ("triangle", "--n-max", "3", "--a", "inf", "--b", "1"),
+    ("sample", "--n", "3", "--a", "1", "--b", "1", "--rho", "inf"),
 ])
 def test_out_of_domain_exit_code(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -13,6 +13,7 @@ from staircase_tableaux.eulerian_poly import (
     p_at_one,
     p_eval,
     rising_factorial,
+    scaled_row,
     tilde_p_eval,
     tilde_v,
     v_row,
@@ -285,3 +286,30 @@ def test_row_sum_property(a, b, n):
 def test_v_symbolic_evaluates_to_row_property(a, b, n, data):
     k = data.draw(st.integers(min_value=0, max_value=n))
     assert v_symbolic(n, k).evaluate(a, b) == v_row(n, a, b)[k]
+
+
+def closed_form_v(n: int, k: int, a: F, b: F) -> F:
+    """Independent oracle for the triangle, written without the recursion:
+    v(n, k) = sum_{j <= k} (-1)^(k-j) C(n+a+b, k-j) (j+a)^n (a+b)^{rise j} / j!
+    with C the generalised binomial coefficient."""
+    def binom(x: F, m: int) -> F:
+        out = F(1)
+        for i in range(m):
+            out = out * (x - i) / (i + 1)
+        return out
+
+    total, rise = F(0), F(1)   # rise = (a+b)^{rise j} / j!
+    for j in range(k + 1):
+        total += (-1) ** (k - j) * binom(n + a + b, k - j) * (j + a) ** n * rise
+        rise = rise * (a + b + j) / (j + 1)
+    return total
+
+
+RATIONAL_OR_ZERO = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 12), st.integers(1, 12)))
+
+
+@given(RATIONAL_OR_ZERO, RATIONAL_OR_ZERO, st.integers(min_value=0, max_value=25))
+@settings(max_examples=60, deadline=None)
+def test_scaled_row_matches_closed_form(a, b, n):
+    row, d = scaled_row(n, a, b)
+    assert [F(x, d ** n) for x in row] == [closed_form_v(n, k, a, b) for k in range(n + 1)]

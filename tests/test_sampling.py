@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staircase_tableaux import Symbol, Tableau, counts, validate
+from staircase_tableaux import Symbol, Tableau, counts, serialize, validate
 from staircase_tableaux.distributions import chi_square_gof, dist_A
 from staircase_tableaux.enumeration import AB_CAP, enumerate_four, law_ab, max_symbol_tableaux
 from staircase_tableaux.errors import ParameterError
@@ -150,6 +151,34 @@ def test_params_conversions():
         Params(-1, 0)
     with pytest.raises(ParameterError):
         Params(1, 1, rho=2)
+
+
+GOLDEN_STREAM = "ffff31ab00317f7ce2413a0191757c68d2d81590442a417cf40777f8a2a495f7"
+
+
+def test_golden_stream():
+    # one digest over serialised draws pins the coin stream: every weight
+    # regime of sample_ab (finite, a = 0, b = 0, one or both weights
+    # infinite, the rho tie), sample_four and a sample_batch summary.  A
+    # change to the sampler must leave every draw byte-identical per seed.
+    h = hashlib.sha256()
+    regimes = [Params(F(1, 3), F(5, 7)), Params(F(7, 3), F(3, 5)), Params(F(0), F(2, 3)),
+               Params(F(5, 3), F(0)), Params(INF, F(2, 3)), Params(F(3, 7), INF),
+               Params(INF, INF, F(1, 4)), Params(F(0), F(0), F(1, 4)), Params(F(0), F(0))]
+    for k, params in enumerate(regimes):
+        for n in (0, 1, 2, 3, 4, 5, 9, 17, 40):
+            for i in range(12):
+                h.update(serialize(sample_ab(n, params, derive_seed(1000 + k, 100 * n + i))))
+    for weights in [(F(2), F(3, 7), F(1, 3), F(5)), (1, 1, 1, 1), (F(1, 2), 0, 0, 3)]:
+        for n in (1, 4, 11):
+            for i in range(12):
+                h.update(serialize(sample_four(n, *weights, derive_seed(2000 + n, i))))
+    s = sample_batch(4, Params(F(1, 2), F(1, 3)), 3000, 400)
+    h.update(repr((s.count, s.sum_diag_alpha, s.sum_diag_alpha_sq,
+                   sorted(s.diag_alpha_counts.items()),
+                   sorted((tuple((r, c, x.value) for r, c, x in t), m)
+                          for t, m in s.tableau_counts.items()))).encode())
+    assert h.hexdigest() == GOLDEN_STREAM
 
 
 def test_sample_determinism():
@@ -312,6 +341,34 @@ def test_infinite_or_negative_weight_is_a_named_parameter_error(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: Params(-1, 0), "a"),
+    (lambda: Params(1, F(-1, 2)), "b"),
+    (lambda: Params("x", 1), "a"),
+    (lambda: Params(1, -math.inf), "b"),
+    (lambda: Params(1, math.nan), "b"),
+    (lambda: Params(1, 1, rho="x"), "rho"),
+    (lambda: Params(1, 1, rho=math.inf), "rho"),
+    (lambda: Params(1, 1, rho=F(-1, 3)), "rho"),
+    (lambda: Params.from_alpha_beta(-1, 1), "alpha"),
+    (lambda: Params.from_alpha_beta(1, "x"), "beta"),
+    (lambda: sample_four(3, 1, 1, 0, 0, seed=1, rho="x"), "rho"),
+])
+def test_bad_params_weight_or_rho_is_a_named_parameter_error(call, name):
+    with pytest.raises(ParameterError, match=f"^{name} must "):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: sample_four(-1, 1, 1, 0, 0, seed=1), "^n must be >= 0"),
+    (lambda: sample_four(3, 1, 1, 0, 0, seed=1, rho=F(3, 2)), r"^rho must be a rational in \[0, 1\]"),
+    (lambda: sample_four(3, 1, 1, 0, 0, seed=1, rho=-1), r"^rho must be a rational in \[0, 1\]"),
+])
+def test_sample_four_guards_n_and_rho(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()
+
+
 def test_urn_basic():
     res = urn_sample(1, 1, 1, 3)
     assert res.added_white + res.added_black == 1
@@ -430,6 +487,24 @@ def test_batch_summary():
     for i in range(2000, 5000):
         rest.add(sample_ab(10, params, derive_seed(321, i)))
     assert merged.merge(rest) == s
+
+
+@pytest.mark.parametrize("n, params", [
+    (4, Params(F(1, 2), F(1, 3))),
+    (AB_CAP + 3, Params(F(7, 3), F(3, 5))),
+    (5, Params(INF, F(2, 3))),
+    (6, Params(INF, INF, F(1, 4))),
+    (5, Params(0, 0, F(1, 4))),
+])
+def test_batch_diagonal_alpha_tallies_match_counts(n, params):
+    # BatchSummary.add counts diagonal alphas from the cells directly; it
+    # must agree with tableau.counts on the same draws
+    s = sample_batch(n, params, 89, 300)
+    want = Counter(counts(sample_ab(n, params, derive_seed(89, i))).diagonal_alpha
+                   for i in range(300))
+    assert s.diag_alpha_counts == want
+    assert s.sum_diag_alpha == sum(k * c for k, c in want.items())
+    assert s.sum_diag_alpha_sq == sum(k * k * c for k, c in want.items())
 
 
 def test_batch_variance_near_theory():
