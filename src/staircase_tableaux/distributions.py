@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import _as_ab, _fractions, scaled_row, scaled_rows
+from .eulerian_poly import _as_ab, _as_n, _fractions, scaled_row, scaled_rows
 
 __all__ = [
     "DiscreteDist",
@@ -118,6 +118,7 @@ def dist_A(n: int, a, b) -> DiscreteDist:
     infinite) P(A=k) = tilde_v(n,k)/(n-1)! = v_{1,1}(n-2,k-1)/(n-1)!, n >= 2.
     """
     a, b = _as_ab(a, b)
+    n = _as_n(n)
     if a == 0 and b == 0:
         if n < 2:
             raise DomainError("a = b = 0 needs n >= 2")
@@ -137,8 +138,7 @@ def moments_A(n: int, a, b) -> tuple[Fraction, Fraction]:
     their limits, which is what the law itself gives.
     """
     a, b = _as_ab(a, b)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    n = _as_n(n)
     if a == 0 and b == 0 and n < 2:
         raise DomainError("a = b = 0 needs n >= 2")
     if n == 0:
@@ -162,44 +162,48 @@ def moments_A(n: int, a, b) -> tuple[Fraction, Fraction]:
 # Bernoulli decomposition by real-root isolation
 
 
-def _sign_at(coeffs: list[int], x: Fraction) -> int:
-    """Exact sign of sum_k coeffs[k] x^k at rational x.
+Dyadic = tuple[int, int]   # (u, e) is u / 2^e in lowest terms, e >= 0
 
-    Every evaluation point the ladder produces is dyadic (the outer bound
-    is a power of two and midpoints stay dyadic), so the scaled sum is
-    pure shifts and integer multiplies."""
-    u, w = x.numerator, x.denominator
-    m = len(coeffs) - 1
-    acc = 0
-    up = 1
-    if w & (w - 1) == 0:
-        e = w.bit_length() - 1
-        for k, c in enumerate(coeffs):
-            acc += (c * up) << (e * (m - k))
-            up *= u
-    else:
-        wp = [1] * (m + 1)
-        for i in range(1, m + 1):
-            wp[i] = wp[i - 1] * w
-        for k, c in enumerate(coeffs):
-            acc += c * up * wp[m - k]
-            up *= u
+
+def _dyadic(u: int, e: int) -> Dyadic:
+    """u / 2^e in lowest terms, zero as (0, 0): equal points are equal tuples."""
+    z = min((u & -u).bit_length() - 1, e) if u else e
+    return u >> z, e - z
+
+
+def _common(x: Dyadic, y: Dyadic) -> tuple[int, int, int]:
+    """(u, v, e) with x = u / 2^e and y = v / 2^e at the larger exponent e."""
+    (u, e), (v, f) = x, y
+    return u << max(f - e, 0), v << max(e - f, 0), max(e, f)
+
+
+def _sign_at(coeffs: list[int], x: Dyadic) -> int:
+    """Exact sign of sum_k coeffs[k] x^k at the dyadic x = u / 2^e.
+
+    Every ladder point is dyadic (the Vieta bound is a power of two;
+    midpoints and outward re-roundings keep a power-of-two denominator), so
+    the sign is that of the integer sum_k c_k u^k 2^(e(m-k)), by Horner."""
+    u, e = x
+    acc = sh = 0
+    for c in reversed(coeffs):
+        acc = acc * u + (c << sh)
+        sh += e
     return (acc > 0) - (acc < 0)
 
 
-_REL_TOL = Fraction(1, 10**12)
-
-
-def _bisect(coeffs: list[int], lo: Fraction, hi: Fraction,
-            s_lo: int) -> tuple[Fraction, Fraction]:
+def _bisect(coeffs: list[int], lo: Dyadic, hi: Dyadic,
+            s_lo: int) -> tuple[Dyadic, Dyadic]:
     """Shrink a sign-changing bracket to relative width 1e-12; a midpoint
     hitting the root exactly collapses the bracket to a point.
 
     The returned endpoints are re-rounded outward to the coarsest dyadic
     grid that keeps a quarter of the final width, so bit sizes do not
     accumulate from rung to rung of the ladder."""
-    while hi - lo > _REL_TOL * abs(lo):
-        mid = (lo + hi) / 2
+    while True:
+        u, v, e = _common(lo, hi)
+        if (v - u) * 10**12 <= abs(u):
+            break
+        mid = _dyadic(u + v, e + 1)
         s_mid = _sign_at(coeffs, mid)
         if s_mid == 0:
             return mid, mid
@@ -207,13 +211,9 @@ def _bisect(coeffs: list[int], lo: Fraction, hi: Fraction,
             lo = mid
         else:
             hi = mid
-    width = hi - lo
-    if width == 0:
-        return lo, hi
-    ratio = 4 / width
-    scale = 1 << (ratio.numerator // ratio.denominator + 1).bit_length()
-    lo2 = Fraction(math.floor(lo * scale), scale)
-    hi2 = Fraction(math.ceil(hi * scale), scale)
+    s = ((4 << e) // (v - u) + 1).bit_length()
+    lo2 = _dyadic((u << s) >> e, s)
+    hi2 = _dyadic(-((-v << s) >> e), s)
     if lo2 != lo and _sign_at(coeffs, lo2) != s_lo:
         lo2 = lo
     if hi2 != hi and _sign_at(coeffs, hi2) != -s_lo:
@@ -221,7 +221,7 @@ def _bisect(coeffs: list[int], lo: Fraction, hi: Fraction,
     return lo2, hi2
 
 
-def _interlacing_roots(rows: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+def _interlacing_roots(rows: list[list[int]]) -> list[tuple[Dyadic, Dyadic]]:
     """Brackets for all roots of the top row's polynomial.
 
     ``rows[m]`` holds the (all-positive) integer coefficients of the
@@ -231,20 +231,18 @@ def _interlacing_roots(rows: list[list[int]]) -> list[tuple[Fraction, Fraction]]
     separate the roots of row m, every bracket is certified by an exact
     sign change, and failures raise rather than guess.
 
-    Returned brackets are sorted ascending (most negative root first).
+    Returned brackets are dyadic pairs sorted ascending (most negative
+    root first).
     """
-    n = len(rows) - 1
-    brackets: list[tuple[Fraction, Fraction]] = []
-    for m in range(1, n + 1):
-        coeffs = rows[m]
-        prev = rows[m - 1]
+    brackets: list[tuple[Dyadic, Dyadic]] = []
+    for m, (prev, coeffs) in enumerate(zip(rows, rows[1:]), start=1):
         if any(c <= 0 for c in coeffs):
             raise RootFindingError("ladder rows must have positive coefficients")
         # Separation points between consecutive roots of row m.  Counted
         # from the right, the r-th root of row m-1 lies strictly between
         # the r-th and (r+1)-th roots of row m, where row m keeps the sign
         # (-1)^r; narrow the old bracket until its midpoint shows it.
-        seps_rl: list[Fraction] = []
+        seps_rl: list[Dyadic] = []
         for r, (plo, phi) in enumerate(reversed(brackets), start=1):
             want = 1 if r % 2 == 0 else -1
             sep = None
@@ -257,7 +255,8 @@ def _interlacing_roots(rows: list[list[int]]) -> list[tuple[Fraction, Fraction]]
             else:
                 s_plo = _sign_at(prev, plo)
                 for _ in range(20000):
-                    mid = (plo + phi) / 2
+                    u, v, e = _common(plo, phi)
+                    mid = _dyadic(u + v, e + 1)
                     if _sign_at(coeffs, mid) == want:
                         sep = mid
                         break
@@ -278,13 +277,11 @@ def _interlacing_roots(rows: list[list[int]]) -> list[tuple[Fraction, Fraction]]
         # Outermost point strictly left of all roots: Vieta gives the sum
         # of root magnitudes as c_{m-1}/c_m; round the bound up to a power
         # of two so every later midpoint stays dyadic.
-        left = Fraction(-(1 << (coeffs[m - 1] // coeffs[m] + 2).bit_length()))
-        ends = [left] + seps_rl[::-1] + [Fraction(0)]
-        new_brackets: list[tuple[Fraction, Fraction]] = []
-        for i in range(m):
-            lo, hi = ends[i], ends[i + 1]
-            s_lo = _sign_at(coeffs, lo)
-            s_hi = _sign_at(coeffs, hi)
+        left = (-(1 << (coeffs[m - 1] // coeffs[m] + 2).bit_length()), 0)
+        ends = [left] + seps_rl[::-1] + [(0, 0)]
+        new_brackets: list[tuple[Dyadic, Dyadic]] = []
+        for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            s_lo, s_hi = _sign_at(coeffs, lo), _sign_at(coeffs, hi)
             if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
                 raise RootFindingError(
                     f"bracket {i} of degree {m} does not change sign"
@@ -330,8 +327,7 @@ def bernoulli_decomposition(n: int, a, b) -> BernoulliDecomp:
     any bracket fails to certify, never returns silently wrong roots.
     """
     a, b = _as_ab(a, b)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = _as_n(n, 1)
     prefix: list[float] = []   # exact known p's (from factored-out roots)
     suffix: list[float] = []   # padded zeros
     if a == 0 and b == 0:
@@ -357,7 +353,8 @@ def bernoulli_decomposition(n: int, a, b) -> BernoulliDecomp:
             raise RootFindingError(
                 f"found {len(brackets)} roots, expected {degree}"
             )
-        xi_exact = sorted(-(lo + hi) / 2 for lo, hi in brackets)
+        xi_exact = sorted(Fraction(-(u + v), 2 << e)
+                          for u, v, e in (_common(*br) for br in brackets))
         if any(x < 0 for x in xi_exact):
             raise RootFindingError("located a positive root")
     core_p = [float(1 / (1 + x)) for x in xi_exact]
@@ -431,8 +428,7 @@ def dist_N_pairs(n: int, a, b) -> NPairLaw:
     for i = 0..n-1, with the i = 0, a = b = 0 case read as (1/2, 1/2, 0).
     """
     a, b = _as_ab(a, b)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    n = _as_n(n)
     pairs = []
     mean_a = var_a = mean_b = var_b = cov = Fraction(0)
     for i in range(n):
@@ -596,8 +592,7 @@ def clt_diagnostics(n: int, a, b) -> CLTDiagnostics:
     """Distance of the exact law of A from its Gaussian limit shape:
     Kolmogorov distance of the standardized law to N(0,1), and the local
     residual sqrt(n) * max_k |P(A=k) - sqrt(6/(pi n)) exp(-6(k-n/2)^2/n)|."""
-    if n < 10:
-        raise DomainError(f"diagnostics need n >= 10, got {n}")
+    n = _as_n(n, 10)
     dist = dist_A(n, a, b)
     mean, var = moments_A(n, a, b)
     mu, sd = float(mean), math.sqrt(float(var))
@@ -627,8 +622,8 @@ def n_alpha_growth_check(n_list, a, b) -> list[GrowthRow]:
     """Exact N_alpha moments against their a log n growth, for each n in
     n_list (sums are accumulated once up to max(n_list))."""
     a, b = _as_ab(a, b)
-    targets = sorted(set(int(n) for n in n_list))
-    if not targets or targets[0] < 1:
+    targets = sorted({_as_n(n, 1) for n in n_list})
+    if not targets:
         raise DomainError("n_list must hold integers >= 1")
     if a == 0 and b == 0:
         raise ParameterError("growth check needs (a, b) != (0, 0)")

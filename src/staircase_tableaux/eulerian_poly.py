@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, index
 
 from .errors import DomainError, ParameterError
 
@@ -61,10 +61,20 @@ def _as_ab(a, b) -> tuple[Fraction, Fraction]:
     return _finite("a", a), _finite("b", b)
 
 
+def _as_n(n, least: int = 0, name: str = "n") -> int:
+    """The shared size rule: n is an integer >= least."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {n!r}") from None
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 def rising_factorial(x, n: int) -> Fraction:
     """x^{rise n} = x (x+1) ... (x+n-1); empty product for n = 0."""
-    if n < 0:
-        raise DomainError(f"rising factorial needs n >= 0, got {n}")
+    n = _as_n(n)
     x = _finite("x", x)
     out = Fraction(1)
     for i in range(n):
@@ -95,8 +105,7 @@ def scaled_rows(n_max: int, a, b):
     """Rows n = 0..n_max of the triangle as integers, one pass, O(n) memory:
     yields (row, d) with v(n, k) = row[k] / d**n and d the common
     denominator of a and b."""
-    if n_max < 0:
-        raise DomainError(f"n must be >= 0, got {n_max}")
+    n_max = _as_n(n_max)
     a, b = _as_ab(a, b)
     d = math.lcm(a.denominator, b.denominator)
     return ((row, d) for row in _rows(n_max, d, int(a * d), int(b * d)))
@@ -270,8 +279,7 @@ _B = BivarPoly({(0, 1): 1})
 
 def v_symbolic(n: int, k: int) -> BivarPoly:
     """v(n, k) as a polynomial in a and b (zero outside 0 <= k <= n)."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    n = _as_n(n)
     if k < 0 or k > n:
         return BivarPoly()
     for row in _rows(n, 1, _A, _B, one=BivarPoly.constant(1)):
@@ -292,8 +300,7 @@ def p_eval(n: int, a, b, x) -> Fraction:
 def tilde_row(n: int) -> tuple[Fraction, ...]:
     """Row n of the (a,b) = (0,0) substitute triangle:
     tilde_v(n, k) = v_{1,1}(n-2, k-1), defined for n >= 2."""
-    if n < 2:
-        raise DomainError(f"tilde quantities need n >= 2, got {n}")
+    n = _as_n(n, 2)
     inner = v_row(n - 2, 1, 1)
     return (Fraction(0),) + inner + (Fraction(0),)
 
@@ -307,8 +314,7 @@ def tilde_v(n: int, k: int) -> Fraction:
 
 def tilde_p_eval(n: int, x) -> Fraction:
     """tilde-P_{n,0,0}(x) = x * P_{n-2,1,1}(x), n >= 2."""
-    if n < 2:
-        raise DomainError(f"tilde quantities need n >= 2, got {n}")
+    n = _as_n(n, 2)
     x = Fraction(x)
     return x * p_eval(n - 2, 1, 1, x)
 
@@ -352,8 +358,7 @@ class CTable:
 
 
 def c_table(n_max: int, b) -> CTable:
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = _as_n(n_max, name="n_max")
     b = _finite("b", b)
     rows = [(Fraction(1),)]
     for n in range(n_max):
@@ -377,8 +382,7 @@ def eulerian_row(n: int) -> list[int]:
 
 def eulerian(n: int, k: int) -> int:
     """Classical Eulerian number <n, k> (permutations of n with k descents)."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    n = _as_n(n)
     if k < 0 or k > n:
         return 0
     return eulerian_row(n)[k]

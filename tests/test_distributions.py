@@ -1,13 +1,16 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import counts
 from staircase_tableaux.distributions import (
     DiscreteDist,
+    _interlacing_roots,
     bernoulli_decomposition,
     cell_prob,
     chi_square_gof,
@@ -22,9 +25,22 @@ from staircase_tableaux.distributions import (
     subtableau_law_check,
 )
 from staircase_tableaux.enumeration import law_ab
-from staircase_tableaux.errors import DomainError, ParameterError
-from staircase_tableaux.eulerian_poly import eulerian, p_eval, scaled_row, scaled_rows, v_row
+from staircase_tableaux.errors import DomainError, ParameterError, RootFindingError
+from staircase_tableaux.eulerian_poly import (
+    c_table,
+    eulerian,
+    p_eval,
+    rising_factorial,
+    scaled_row,
+    scaled_rows,
+    tilde_row,
+    v_row,
+    v_symbolic,
+    v_triangle,
+)
 from staircase_tableaux.sampling import urn_sample
+
+RATIONAL_1_9 = st.builds(F, st.integers(1, 9), st.integers(1, 9))
 
 
 def test_discrete_dist_trims_and_checks():
@@ -120,6 +136,57 @@ def test_decomposition_reconstruction(a, b):
     assert tv < 1e-9
     mean, _ = moments_A(n, a, b)
     assert abs(sum(bd.p) - float(mean)) < 1e-10
+
+
+GOLDEN_AB = [(F(1, 3), F(5)), (F(2, 3), F(7, 5)), (F(3), F(1, 7)), (F(5, 9), F(5, 9)),
+             (F(7, 2), F(2, 9)), (F(9, 7), F(4, 3)), (F(0), F(3, 7)), (F(2, 3), F(0)),
+             (F(0), F(0))]
+
+
+def test_decomposition_golden_digest():
+    # SHA-256 over repr of every p and xi, recorded on the Fraction ladder
+    # before the root ladder moved to dyadic integers: any change to a
+    # bracket shows up here as a changed float
+    h = hashlib.sha256()
+    for n in (1, 2, 5, 16, 30):
+        for a, b in GOLDEN_AB:
+            if a == b == 0 and n < 2:
+                continue
+            bd = bernoulli_decomposition(n, a, b)
+            h.update(repr((n, a, b, bd.p, bd.xi)).encode())
+    assert h.hexdigest() == "d9948301f3a8e9858a1ce16fb579ecbc23b0e90d2ce254162f5ce2c9a8be7c07"
+
+
+def _pgf_sign(weights, x: F) -> int:
+    acc = F(0)
+    for w in reversed(weights):
+        acc = acc * x + w
+    return (acc > 0) - (acc < 0)
+
+
+@given(RATIONAL_1_9, RATIONAL_1_9, st.integers(min_value=1, max_value=20))
+@settings(max_examples=30, deadline=None)
+def test_decomposition_roots_certified_independently(a, b, n):
+    # each returned xi brackets an exact sign change of the pgf of A within
+    # relative 1e-9, and the n brackets are disjoint, so together they
+    # account for all n roots
+    weights = dist_A(n, a, b).weights
+    tol = F(1, 10**9)
+    xis = [F(x) for x in bernoulli_decomposition(n, a, b).xi]
+    assert len(xis) == n
+    for xi in xis:
+        assert _pgf_sign(weights, -xi * (1 - tol)) * _pgf_sign(weights, -xi * (1 + tol)) == -1
+    assert all(x * (1 + tol) < y * (1 - tol) for x, y in zip(xis, xis[1:]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1], [1, 1], [1, 2, 1]],
+    [[1], [1, 1], [1, 1, 1]],
+    [[1], [1, 1], [1, 0, 1]],
+], ids=["double-root", "complex-pair", "zero-coefficient"])
+def test_interlacing_roots_failures_are_typed(rows):
+    with pytest.raises(RootFindingError):
+        _interlacing_roots(rows)
 
 
 def test_pairs_marginals_and_moments():
@@ -278,7 +345,36 @@ def test_negative_n_rejected(call, error):
         call()
 
 
-RATIONAL_1_9 = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+@pytest.mark.parametrize("call", [
+    lambda n: moments_A(n, 1, 1),
+    lambda n: dist_A(n, 1, 1),
+    lambda n: dist_A(n, 0, 0),
+    lambda n: bernoulli_decomposition(n, 1, 1),
+    lambda n: scaled_row(n, 1, 1),
+    lambda n: v_triangle(n, 1, 1),
+    lambda n: v_row(n, 1, 1),
+    lambda n: p_eval(n, 1, 1, 2),
+    lambda n: dist_N_pairs(n, 1, 1),
+    lambda n: clt_diagnostics(n, 1, 1),
+    lambda n: n_alpha_growth_check([10, n], 1, 1),
+    lambda n: rising_factorial(2, n),
+    lambda n: v_symbolic(n, 1),
+    lambda n: eulerian(n, 1),
+    lambda n: tilde_row(n),
+    lambda n: c_table(n, 1),
+], ids=["moments_A", "dist_A", "dist_A-00", "bernoulli_decomposition", "scaled_row",
+        "v_triangle", "v_row", "p_eval", "dist_N_pairs", "clt_diagnostics",
+        "n_alpha_growth_check", "rising_factorial", "v_symbolic", "eulerian",
+        "tilde_row", "c_table"])
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None], ids=["2.5", "3.0", "str", "None"])
+def test_non_integer_n_is_a_named_domain_error(call, n):
+    with pytest.raises(DomainError, match=r"^n(_max)? must be an integer, got "):
+        call(n)
+
+
+def test_integer_like_n_is_accepted():
+    assert moments_A(numpy.int64(3), 1, 1) == moments_A(3, 1, 1)
+    assert dist_A(numpy.int64(12), 1, 1) == dist_A(12, 1, 1)
 
 
 @given(RATIONAL_1_9, RATIONAL_1_9, st.integers(min_value=0, max_value=25))
