@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import CapExceededError, ParameterError
-from .eulerian_poly import BivarPoly, _finite
+from .eulerian_poly import BivarPoly, _as_n, _finite
 from .tableau import Symbol, Tableau, counts, validate, weight
 
 __all__ = [
@@ -46,12 +46,11 @@ AB_CAP = 8
 FOUR_CAP = 5
 
 
-def _check_cap(n: int, cap: int, override: bool) -> None:
+def _check_cap(n: int, cap: int, override: bool) -> int:
     """The one cap policy of every enumeration: n <= cap unless overridden,
     where the environment variable STAIRCASE_TABLEAUX_CAP, when set,
-    replaces the default cap (AB_CAP or FOUR_CAP)."""
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    replaces the default cap (AB_CAP or FOUR_CAP).  Returns n as an int."""
+    n = _as_n(n, error=ParameterError)
     env = os.environ.get("STAIRCASE_TABLEAUX_CAP")
     if env:
         try:
@@ -63,6 +62,7 @@ def _check_cap(n: int, cap: int, override: bool) -> None:
             f"n={n} exceeds the enumeration cap {cap}; pass allow_large=True "
             "(--allow-large on the command line) to override"
         )
+    return n
 
 
 def _grow(cells: list[tuple[int, int, Symbol]], alpha_rows: list[int],
@@ -100,7 +100,7 @@ def enumerate_ab(n: int, allow_large: bool = False) -> Iterator[Tableau]:
     There are (n+1)! of them.  Guarded by AB_CAP (default 8).  Size 0 is
     the single empty tableau.
     """
-    _check_cap(n, AB_CAP, allow_large)
+    n = _check_cap(n, AB_CAP, allow_large)
     for cells in _grow([], [], 0, n):
         yield Tableau(n, tuple((r, c + n + 1, s) for r, c, s in cells))
 
@@ -109,7 +109,7 @@ def enumerate_four(n: int, allow_large: bool = False) -> Iterator[Tableau]:
     """All four-symbol staircase tableaux of size n: every alpha/beta
     tableau expanded by relabelling alphas to gamma and betas to delta in
     all possible subsets.  There are 4^n n! of them."""
-    _check_cap(n, FOUR_CAP, allow_large)
+    n = _check_cap(n, FOUR_CAP, allow_large)
     for base in enumerate_ab(n, allow_large=True):
         spots = list(base.cells)
         options = [

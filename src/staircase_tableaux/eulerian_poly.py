@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from operator import add, index
 
 from .errors import DomainError, ParameterError
@@ -44,13 +45,22 @@ __all__ = [
 ]
 
 
+def _fraction(x) -> Fraction:
+    """Fraction(x) over Python ints: a NumPy integer x would lend it its
+    own fixed-width integers, which overflow in the samplers' coins."""
+    if isinstance(x, Rational) and not isinstance(x, int):
+        return Fraction(int(x.numerator), int(x.denominator))
+    return Fraction(x)
+
+
 def _finite(name: str, x) -> Fraction:
     """The shared parameter rule: a weight is a finite rational >= 0."""
-    try:
-        x = Fraction(x)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be a finite rational >= 0, got {x!r}") from exc
-    if x < 0:
+    if type(x) is not Fraction:
+        try:
+            x = _fraction(x)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ParameterError(f"{name} must be a finite rational >= 0, got {x!r}") from exc
+    if x.numerator < 0:
         raise ParameterError(f"{name} must be >= 0, got {x}")
     return x
 
@@ -61,14 +71,14 @@ def _as_ab(a, b) -> tuple[Fraction, Fraction]:
     return _finite("a", a), _finite("b", b)
 
 
-def _as_n(n, least: int = 0, name: str = "n") -> int:
-    """The shared size rule: n is an integer >= least."""
+def _as_n(n, least: int = 0, name: str = "n", error: type = DomainError) -> int:
+    """The shared size rule: n is an integer >= least, else ``error``."""
     try:
         n = index(n)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {n!r}") from None
+        raise error(f"{name} must be an integer, got {n!r}") from None
     if n < least:
-        raise DomainError(f"{name} must be >= {least}, got {n}")
+        raise error(f"{name} must be >= {least}, got {n}")
     return n
 
 

@@ -39,9 +39,13 @@ All coin flips are exact (see ``rng``), so the output law is exactly the
 target (audited against the enumeration oracle by chi-square in the tests).
 The one integer core ``_draw_ab`` serves ``sample_ab``, ``sample_four`` and
 ``sample_batch``.  Parameters are normalised once per call, not once per
-draw: ``Params`` keeps (A, B, d) from construction and ``sample_four``
-puts its summed weights over one denominator itself, so a draw does only
-exact coin flips and cell appends.
+draw, on integers: ``Params`` keeps (A, B, d) from construction,
+``urn_sample`` puts (a, b) over one denominator, and ``sample_four`` forms
+alpha + gamma and beta + delta unreduced (each coin depends on the value
+of its ratio only), with no Fraction arithmetic and no conversion of a
+weight that is a Fraction.  So a draw does only exact coin flips and cell
+appends, and ``Tableau._sorted`` builds its one tableau without the
+public constructor's checks.
 
 Infinite parameters short-circuit: b = inf (beta = 0) gives the all-alpha
 diagonal, a = inf (alpha = 0) the all-beta diagonal, a = b = inf each
@@ -58,7 +62,7 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .enumeration import AB_CAP
-from .eulerian_poly import _finite
+from .eulerian_poly import _as_n, _finite, _fraction
 from .rng import SplitMix64, bernoulli, bernoulli_ratio, derive_seed, first_passage
 from .tableau import Symbol, Tableau, counts
 
@@ -80,21 +84,23 @@ INF = math.inf
 def _as_param(name: str, x, top=INF) -> Fraction | float:
     """``x`` as a Fraction in [0, top], or math.inf when top is inf."""
     rule = "a rational >= 0 or inf" if top == INF else f"a rational in [0, {top}]"
-    if x == INF == top:
-        return INF
-    try:
-        x = Fraction(x)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be {rule}, got {x!r}") from exc
-    if not 0 <= x <= top:
+    if type(x) is not Fraction:
+        if x == INF == top:
+            return INF
+        try:
+            x = _fraction(x)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ParameterError(f"{name} must be {rule}, got {x!r}") from exc
+    if x.numerator < 0 or (top != INF and x.numerator > x.denominator * top):
         raise ParameterError(f"{name} must be {rule}, got {x}")
     return x
 
 
 def _over_one_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     """(X, Y, d) with x = X/d and y = Y/d."""
-    d = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    d = math.lcm(xd, yd)
+    return xn * (d // xd), yn * (d // yd), d
 
 
 @dataclass(frozen=True)
@@ -137,19 +143,18 @@ class Params:
 
 
 def _diagonal_tableau(n: int, symbol_for_row) -> Tableau:
-    return Tableau(n, tuple((i, n + 1 - i, symbol_for_row(i)) for i in range(1, n + 1)))
+    return Tableau._sorted(n, [(i, n + 1 - i, symbol_for_row(i)) for i in range(1, n + 1)])
 
 
 def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     """One exact draw of the weighted random alpha/beta tableau of size n,
     in O(n) expected time."""
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    n = _as_n(n, error=ParameterError)
     if n == 0:
         return Tableau(0, ())
     rng = SplitMix64(seed)
     if params._scaled is not None:
-        return _draw_ab(n, *params._scaled, params.rho, rng)
+        return Tableau._sorted(n, _draw_ab(n, *params._scaled, params.rho, rng))
     if params.a == params.b == INF:
         return _diagonal_tableau(
             n, lambda i: Symbol.ALPHA if bernoulli(rng, params.rho) else Symbol.BETA
@@ -159,9 +164,10 @@ def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     return _diagonal_tableau(n, lambda i: Symbol.BETA)
 
 
-def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> Tableau:
-    """The finite-weight draw at a = A/d, b = B/d: exact coins and cell
-    appends only (see the module docstring)."""
+def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> list:
+    """The cells, unsorted, of the finite-weight draw at a = A/d, b = B/d
+    (in lowest terms or not): exact coins and cell appends only (see the
+    module docstring)."""
     ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
     cells: list[tuple[int, int, Symbol]] = []
     marked_at: dict[int, list[int]] = {}  # step -> rows whose next mark falls there
@@ -196,7 +202,7 @@ def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> 
             cells.extend((r, col, BETA) for r in marks[1:])
             if alpha:
                 schedule(top, m)
-    return Tableau(n, tuple(cells))
+    return cells
 
 
 def sample_four(n: int, alpha, beta, gamma, delta, seed: int,
@@ -205,30 +211,34 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int,
     beta+delta), then independently relabel each Alpha to Gamma with
     probability gamma/(alpha+gamma) and each Beta to Delta with
     probability delta/(beta+delta)."""
-    alpha, beta, gamma, delta = (_finite("alpha", alpha), _finite("beta", beta),
-                                 _finite("gamma", gamma), _finite("delta", delta))
-    x, y = alpha + gamma, beta + delta
-    if x <= 0 or y <= 0:
+    an, ad = _finite("alpha", alpha).as_integer_ratio()
+    bn, bd = _finite("beta", beta).as_integer_ratio()
+    gn, gd = _finite("gamma", gamma).as_integer_ratio()
+    dn, dd = _finite("delta", delta).as_integer_ratio()
+    # x = alpha + gamma = x_num/x_den and y = beta + delta = y_num/y_den,
+    # left unreduced: every coin below depends on the value of its ratio only
+    x_num, x_den = an * gd + gn * ad, ad * gd
+    y_num, y_den = bn * dd + dn * bd, bd * dd
+    if x_num == 0 or y_num == 0:
         raise ParameterError("need alpha + gamma > 0 and beta + delta > 0")
     rho = _as_param("rho", rho, 1)
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    # a = 1/x and b = 1/y over one denominator, straight from the integers
-    d = math.lcm(x.numerator, y.numerator)
-    base = _draw_ab(n, x.denominator * (d // x.numerator), y.denominator * (d // y.numerator),
-                    d, rho, SplitMix64(derive_seed(seed, 0)))
+    n = _as_n(n, error=ParameterError)
+    # a = 1/x and b = 1/y over the one denominator x_num * y_num
+    base = _draw_ab(n, x_den * y_num, y_den * x_num, x_num * y_num, rho,
+                    SplitMix64(derive_seed(seed, 0)))
+    base.sort()  # the relabel coins are flipped in sorted cell order
     rng = SplitMix64(derive_seed(seed, 1))
     # gamma/x and delta/y as unreduced integer ratios
-    g_num, g_den = gamma.numerator * x.denominator, gamma.denominator * x.numerator
-    d_num, d_den = delta.numerator * y.denominator, delta.denominator * y.numerator
+    g_num, g_den = gn * x_den, gd * x_num
+    d_num, d_den = dn * y_den, dd * y_num
     cells = []
-    for r, c, s in base.cells:
+    for r, c, s in base:
         if s is Symbol.ALPHA and bernoulli_ratio(rng, g_num, g_den):
             s = Symbol.GAMMA
         elif s is Symbol.BETA and bernoulli_ratio(rng, d_num, d_den):
             s = Symbol.DELTA
         cells.append((r, c, s))
-    return Tableau(n, tuple(cells))
+    return Tableau._sorted(n, cells)
 
 
 @dataclass(frozen=True)
@@ -246,8 +256,7 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     a = b = 0 starts with the 1/2 rule: the first added ball is white with
     probability exactly 1/2 (the second then restores balance, so from time
     2 the urn evolves as if started at (1, 1))."""
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    n = _as_n(n, error=ParameterError)
     a, b = _finite("a", a), _finite("b", b)
     A, B, d = _over_one_denominator(a, b)
     rng = SplitMix64(seed)
@@ -337,8 +346,8 @@ def sample_batch(n: int, params: Params, seed: int, count: int,
     """Summary of ``count`` independent draws; sample i always uses the
     derived seed (seed, i), so the result does not depend on ``workers``.
     ``workers`` is clamped to the number of CPUs."""
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    n = _as_n(n, error=ParameterError)
+    count = _as_n(count, 1, "count", ParameterError)
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or count < 2 * workers:
         return _batch_range(n, params, seed, 0, count)

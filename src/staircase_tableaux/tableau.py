@@ -88,6 +88,12 @@ class Tableau:
     so tableaux hash and compare by value.  Construction only checks basic
     well-formedness (positive coordinates, no duplicate box); rule checks
     live in :func:`validate`.
+
+    The samplers build through the private ``_sorted``, which skips these
+    checks: their cells are valid by construction (the tests validate
+    every regime's draws), and at small n the checks were about 15% of a
+    draw.  Everything else, parsing and enumeration included, goes through
+    the public constructor and keeps every check.
     """
 
     n: int
@@ -106,6 +112,16 @@ class Tableau:
                 raise ValueError(f"duplicate cell ({row}, {col})")
             seen.add((row, col))
         object.__setattr__(self, "cells", tuple(sorted(self.cells)))
+
+    @classmethod
+    def _sorted(cls, n: int, cells: list[tuple[int, int, Symbol]]) -> "Tableau":
+        """The sampler's constructor: sorts ``cells`` in place and checks
+        nothing, so its caller must pass cells that form a valid tableau."""
+        cells.sort()
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "cells", tuple(cells))
+        return t
 
     @classmethod
     def of(cls, n: int, cells) -> "Tableau":

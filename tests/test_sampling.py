@@ -3,12 +3,19 @@ import math
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import Symbol, Tableau, counts, serialize, validate
 from staircase_tableaux.distributions import chi_square_gof, dist_A
-from staircase_tableaux.enumeration import AB_CAP, enumerate_four, law_ab, max_symbol_tableaux
+from staircase_tableaux.enumeration import (
+    AB_CAP,
+    enumerate_ab,
+    enumerate_four,
+    law_ab,
+    max_symbol_tableaux,
+)
 from staircase_tableaux.errors import ParameterError
 from staircase_tableaux.rng import (
     SplitMix64,
@@ -367,6 +374,135 @@ def test_bad_params_weight_or_rho_is_a_named_parameter_error(call, name):
 def test_sample_four_guards_n_and_rho(call, match):
     with pytest.raises(ParameterError, match=match):
         call()
+
+
+N_CALLS = {
+    "sample_ab": (lambda n: sample_ab(n, Params(1, 1), 0), "n"),
+    "sample_four": (lambda n: sample_four(n, 1, 1, 1, 1, 0), "n"),
+    "urn_sample": (lambda n: urn_sample(n, 1, 1, 0), "n"),
+    "sample_batch-n": (lambda n: sample_batch(n, Params(1, 1), 0, 3), "n"),
+    "sample_batch-count": (lambda n: sample_batch(3, Params(1, 1), 0, n), "count"),
+    "law_ab": (lambda n: law_ab(n, 1, 1), "n"),
+    "enumerate_ab": (lambda n: list(enumerate_ab(n)), "n"),
+}
+
+
+@pytest.mark.parametrize("call, name", N_CALLS.values(), ids=N_CALLS.keys())
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None], ids=["2.5", "3.0", "str", "None"])
+def test_non_integer_n_is_a_named_parameter_error(call, name, n):
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got "):
+        call(n)
+
+
+@pytest.mark.parametrize("call, name", N_CALLS.values(), ids=N_CALLS.keys())
+def test_numpy_integer_n_is_accepted(call, name):
+    assert call(numpy.int64(3)) == call(3)
+
+
+def spellings(x: F) -> list:
+    """The ways a caller may pass the rational x: a Fraction, a "p/q"
+    string, and an int, a NumPy int or a float where x is one exactly."""
+    out = [x, f"{x.numerator}/{x.denominator}"]
+    if x.denominator == 1:
+        out += [int(x), numpy.int64(x)]
+    if x.denominator & (x.denominator - 1) == 0:
+        out.append(float(x))
+    return out
+
+
+def respelled(args: tuple):
+    """Each way of passing ``args`` with one argument spelled otherwise."""
+    for k, x in enumerate(args):
+        for spelled in spellings(x):
+            yield args[:k] + (spelled,) + args[k + 1:]
+
+
+@pytest.mark.parametrize("args", [(F(2), F(3, 7), F(1, 2), F(0), F(1, 4)),
+                                  (F(0), F(5), F(3), F(1, 2), F(1, 2))])
+def test_sample_four_weight_spellings_draw_alike(args):
+    # Fractions skip the Fraction(x) conversion; every other spelling of
+    # the same weights must give the same draw per seed
+    seeds = [derive_seed(97, i) for i in range(20)]
+    want = [serialize(sample_four(4, *args[:4], s, rho=args[4])) for s in seeds]
+    for spelled in respelled(args):
+        assert [serialize(sample_four(4, *spelled[:4], s, rho=spelled[4]))
+                for s in seeds] == want, spelled
+
+
+@pytest.mark.parametrize("args", [(F(3, 7), F(2)), (F(1, 2), F(0)), (F(0), F(0))])
+def test_urn_weight_spellings_draw_alike(args):
+    seeds = [derive_seed(101, i) for i in range(20)]
+    want = [urn_sample(12, *args, s) for s in seeds]
+    for spelled in respelled(args):
+        assert [urn_sample(12, *spelled, s) for s in seeds] == want, spelled
+
+
+@pytest.mark.parametrize("args", [(F(1, 2), F(2), F(1, 4)), (F(0), F(3, 7), F(1)),
+                                  (F(0), F(0), F(0))])
+def test_params_weight_spellings_draw_alike(args):
+    params = Params(*args)
+    seeds = [derive_seed(103, i) for i in range(20)]
+    want = [serialize(sample_ab(5, params, s)) for s in seeds]
+    for spelled in respelled(args):
+        assert Params(*spelled) == params
+        assert [serialize(sample_ab(5, Params(*spelled), s)) for s in seeds] == want
+
+
+BAD_WEIGHT_CALLS = {
+    "sample_four-alpha": (lambda w: sample_four(3, w, 1, 0, 0, 1), "alpha must be >= 0"),
+    "sample_four-delta": (lambda w: sample_four(3, 1, 1, 0, w, 1), "delta must be >= 0"),
+    "sample_four-rho": (lambda w: sample_four(3, 1, 1, 0, 0, 1, rho=w),
+                        "rho must be a rational in [0, 1]"),
+    "urn_sample-a": (lambda w: urn_sample(3, w, 1, 1), "a must be >= 0"),
+    "urn_sample-b": (lambda w: urn_sample(3, 1, w, 1), "b must be >= 0"),
+    "Params-a": (lambda w: Params(w, 1), "a must be a rational >= 0 or inf"),
+    "Params-rho": (lambda w: Params(1, 1, w), "rho must be a rational in [0, 1]"),
+    "from_alpha_beta-beta": (lambda w: Params.from_alpha_beta(1, w),
+                             "beta must be a rational >= 0 or inf"),
+}
+
+
+@pytest.mark.parametrize("call, rule", BAD_WEIGHT_CALLS.values(), ids=BAD_WEIGHT_CALLS.keys())
+def test_negative_weight_in_any_spelling_keeps_its_message(call, rule):
+    for bad in spellings(F(-1, 2)) + spellings(F(-1)):
+        with pytest.raises(ParameterError) as info:
+            call(bad)
+        assert str(info.value) == f"{rule}, got {F(bad)}"
+
+
+@pytest.mark.parametrize("call", [lambda w: Params(1, 1, w),
+                                  lambda w: sample_four(3, 1, 1, 0, 0, 1, rho=w)],
+                         ids=["Params", "sample_four"])
+def test_rho_above_one_in_any_spelling_keeps_its_message(call):
+    for bad in spellings(F(3, 2)):
+        with pytest.raises(ParameterError) as info:
+            call(bad)
+        assert str(info.value) == "rho must be a rational in [0, 1], got 3/2"
+
+
+SAMPLERS = {
+    "finite": lambda n, seed: sample_ab(n, Params(F(1, 3), F(5, 7)), seed),
+    "a=0": lambda n, seed: sample_ab(n, Params(F(0), F(2, 3)), seed),
+    "b=0": lambda n, seed: sample_ab(n, Params(F(5, 3), F(0)), seed),
+    "rho-tie": lambda n, seed: sample_ab(n, Params(F(0), F(0), F(1, 4)), seed),
+    "a=inf": lambda n, seed: sample_ab(n, Params(INF, F(2, 3)), seed),
+    "b=inf": lambda n, seed: sample_ab(n, Params(F(3, 7), INF), seed),
+    "a=b=inf": lambda n, seed: sample_ab(n, Params(INF, INF, F(1, 4)), seed),
+    "four": lambda n, seed: sample_four(n, F(2), F(3, 7), F(1, 3), F(5), seed),
+}
+
+
+@pytest.mark.parametrize("draw", SAMPLERS.values(), ids=SAMPLERS.keys())
+def test_sampled_tableau_equals_its_public_construction(draw):
+    # the samplers build their tableaux without the public constructor's
+    # checks; the result must be the very value the public one makes
+    for n in (1, 2, 3, 5, 17):
+        for i in range(10):
+            t = draw(n, derive_seed(107, 100 * n + i))
+            public = Tableau(t.n, t.cells)
+            assert t == public and hash(t) == hash(public)
+            assert isinstance(t.cells, tuple) and list(t.cells) == sorted(t.cells)
+            assert validate(t) == []
 
 
 def test_urn_basic():
