@@ -400,24 +400,33 @@ class NPairLaw:
         """Bernoulli parameters of the I_i."""
         return tuple(pd.p10 + pd.p11 for pd in self.pairs)
 
+    def _joint_weights(self) -> tuple[dict[tuple[int, int], int], int]:
+        """Joint law of (N_alpha, N_beta) as integer weights over one total:
+        each pair is put over its own denominator once, then convolved."""
+        law, total = {(0, 0): 1}, 1
+        for pd in self.pairs:
+            den = math.lcm(pd.p10.denominator, pd.p01.denominator, pd.p11.denominator)
+            steps = [(dx, dy, q.numerator * (den // q.denominator))
+                     for (dx, dy), q in (((1, 0), pd.p10), ((0, 1), pd.p01), ((1, 1), pd.p11))
+                     if q]
+            nxt: dict[tuple[int, int], int] = {}
+            for (x, y), w in law.items():
+                for dx, dy, q in steps:
+                    key = (x + dx, y + dy)
+                    nxt[key] = nxt.get(key, 0) + w * q
+            law, total = nxt, total * den
+        return law, total
+
     def joint_law(self) -> dict[tuple[int, int], Fraction]:
         """Exact joint law of (N_alpha, N_beta) by convolving the pairs."""
-        law: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-        for pd in self.pairs:
-            nxt: dict[tuple[int, int], Fraction] = {}
-            for (x, y), w in law.items():
-                for (dx, dy), q in (((1, 0), pd.p10), ((0, 1), pd.p01), ((1, 1), pd.p11)):
-                    if q:
-                        key = (x + dx, y + dy)
-                        nxt[key] = nxt.get(key, Fraction(0)) + w * q
-            law = nxt
-        return law
+        law, total = self._joint_weights()
+        return {key: Fraction(w, total) for key, w in law.items()}
 
     def alpha_law(self) -> DiscreteDist:
-        pm: dict[int, Fraction] = {}
-        for (x, _y), w in self.joint_law().items():
-            pm[x] = pm.get(x, Fraction(0)) + w
-        return DiscreteDist.from_map(pm)
+        weights = [0] * (self.n + 1)
+        for (x, _y), w in self._joint_weights()[0].items():
+            weights[x] += w
+        return DiscreteDist(0, weights)
 
 
 def dist_N_pairs(n: int, a, b) -> NPairLaw:
@@ -457,7 +466,8 @@ def diag_prob(n: int, a, b, i: int) -> Fraction:
     """P(i-th diagonal box, counted from the NE, holds an alpha) =
     (n - i + b) / (n + a + b - 1)."""
     a, b = _as_ab(a, b)
-    if not 1 <= i <= n:
+    n, i = _as_n(n), _as_n(i, 1, "i")
+    if i > n:
         raise DomainError(f"diagonal index must lie in 1..{n}, got {i}")
     den = n + a + b - 1
     if den == 0:
@@ -475,7 +485,8 @@ def cell_prob(n: int, a, b, i: int, j: int) -> tuple[Fraction, Fraction, Fractio
     with the a = b = 0, i = j = 1 entries read as 1/2 (the box is then
     filled with probability one)."""
     a, b = _as_ab(a, b)
-    if i < 1 or j < 1 or i + j > n:
+    n, i, j = _as_n(n), _as_n(i, 1, "i"), _as_n(j, 1, "j")
+    if i + j > n:
         raise DomainError(
             f"need a non-diagonal box: 1 <= i, j and i + j <= {n}, got ({i}, {j})"
         )
@@ -492,10 +503,11 @@ def joint_diag_alpha(n: int, a, b, positions) -> Fraction:
     """P(the diagonal boxes in columns j_1 < ... < j_l all hold alpha) =
     prod_k (j_k - k + b) / (n - k + a + b)."""
     a, b = _as_ab(a, b)
-    js = list(positions)
+    n = _as_n(n)
+    js = [_as_n(j, 1, "each position") for j in positions]
     if not js:
         return Fraction(1)
-    if any(not 1 <= j <= n for j in js) or any(x >= y for x, y in zip(js, js[1:])):
+    if any(j > n for j in js) or any(x >= y for x, y in zip(js, js[1:])):
         raise DomainError(f"positions must be strictly increasing within 1..{n}")
     out = Fraction(1)
     for k, j in enumerate(js, start=1):
@@ -510,7 +522,8 @@ def diag_cov(n: int, a, b, j: int, k: int) -> Fraction:
     """Covariance of the alpha indicators of the diagonal boxes in columns
     j < k: -(j-1+b)(n-k+a) / ((n+a+b-1)^2 (n+a+b-2))."""
     a, b = _as_ab(a, b)
-    if not 1 <= j < k <= n:
+    n, j, k = _as_n(n), _as_n(j, 1, "j"), _as_n(k, 1, "k")
+    if not j < k <= n:
         raise DomainError(f"need 1 <= j < k <= {n}, got ({j}, {k})")
     den = (n + a + b - 1) ** 2 * (n + a + b - 2)
     if den == 0:
@@ -544,7 +557,8 @@ def subtableau_law_check(n: int, a, b, i: int, j: int,
     from .tableau import subtableau
 
     a, b = _as_ab(a, b)
-    if i < 1 or j < 1 or i + j > n + 1:
+    i, j = _as_n(i, 1, "i"), _as_n(j, 1, "j")
+    if i + j > n + 1:
         raise DomainError(f"box ({i}, {j}) outside the size-{n} staircase")
     m = n - i - j + 2
     a_hat, b_hat = a + i - 1, b + j - 1

@@ -172,40 +172,21 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
         support = [t for t, c in stats if c.total == best]
         p = Fraction(1, len(support))
         return {t: p for t in support}
-    if inf_a or inf_b:
-        if inf_a:
-            beta = _finite("beta", beta)
-            if beta == 0:
-                # alpha = inf, beta = 0: single all-alpha-diagonal tableau
-                best = max(c.n_alpha for _, c in stats)
-                support = [
-                    t for t, c in stats if c.n_alpha == best and c.n_beta == 0
-                ]
-                p = Fraction(1, len(support))
-                return {t: p for t in support}
-            best = max(c.n_alpha for _, c in stats)
-            weights = {
-                t: beta ** c.n_beta for t, c in stats if c.n_alpha == best
-            }
-        else:
-            alpha = _finite("alpha", alpha)
-            if alpha == 0:
-                best = max(c.n_beta for _, c in stats)
-                support = [
-                    t for t, c in stats if c.n_beta == best and c.n_alpha == 0
-                ]
-                p = Fraction(1, len(support))
-                return {t: p for t in support}
-            best = max(c.n_beta for _, c in stats)
-            weights = {
-                t: alpha ** c.n_alpha for t, c in stats if c.n_beta == best
-            }
-        z = sum(weights.values(), Fraction(0))
-        return {t: w / z for t, w in weights.items()}
-    alpha, beta = _finite("alpha", alpha), _finite("beta", beta)
-    if alpha == 0 and beta == 0:
-        raise ParameterError("need alpha, beta not both zero")
-    weights = {t: alpha ** c.n_alpha * beta ** c.n_beta for t, c in stats}
+    if inf_a:
+        # the law concentrates on the maximal alpha counts; beta = 0 leaves
+        # only the tableaux without betas (0**0 == 1), the all-alpha diagonal
+        beta = _finite("beta", beta)
+        best = max(c.n_alpha for _, c in stats)
+        weights = {t: beta ** c.n_beta for t, c in stats if c.n_alpha == best}
+    elif inf_b:
+        alpha = _finite("alpha", alpha)
+        best = max(c.n_beta for _, c in stats)
+        weights = {t: alpha ** c.n_alpha for t, c in stats if c.n_beta == best}
+    else:
+        alpha, beta = _finite("alpha", alpha), _finite("beta", beta)
+        if alpha == 0 and beta == 0:
+            raise ParameterError("need alpha, beta not both zero")
+        weights = {t: alpha ** c.n_alpha * beta ** c.n_beta for t, c in stats}
     z = sum(weights.values(), Fraction(0))
     return {t: w / z for t, w in weights.items() if w != 0}
 

@@ -230,7 +230,7 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def evaluate(self, *values) -> Fraction:
-        vals = [Fraction(v) for v in values]
+        vals = [_fraction(v) for v in values]
         out = Fraction(0)
         for mono, c in self.coeffs.items():
             term = c
@@ -299,7 +299,7 @@ def v_symbolic(n: int, k: int) -> BivarPoly:
 
 def p_eval(n: int, a, b, x) -> Fraction:
     """P_{n,a,b}(x) = sum_k v(n,k) x^k, exact."""
-    x = Fraction(x)
+    x = _fraction(x)
     row, d = scaled_row(n, a, b)
     num = Fraction(0)
     for v in reversed(row):   # Horner on the integer row
@@ -325,7 +325,7 @@ def tilde_v(n: int, k: int) -> Fraction:
 def tilde_p_eval(n: int, x) -> Fraction:
     """tilde-P_{n,0,0}(x) = x * P_{n-2,1,1}(x), n >= 2."""
     n = _as_n(n, 2)
-    x = Fraction(x)
+    x = _fraction(x)
     return x * p_eval(n - 2, 1, 1, x)
 
 
@@ -353,35 +353,32 @@ def p_at_one(n: int, a, b) -> tuple[Fraction, Fraction, Fraction]:
 @dataclass(frozen=True)
 class CTable:
     """Exact table of the connection coefficients c_{n,l}:
-    c_{0,0} = 1 and c_{n+1,l} = (l + b) c_{n,l} + c_{n,l-1}."""
+    c_{0,0} = 1 and c_{n+1,l} = (l + b) c_{n,l} + c_{n,l-1}, kept as integer
+    rows: c_{n,l} = rows[n][l] / d**(n-l), with b = B/d in lowest terms, so
+    rows[n+1][l] = (l d + B) rows[n][l] + rows[n][l-1].  Values are handed
+    out as Fractions."""
 
     b: Fraction
     n_max: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def c(self, n: int, ell: int) -> Fraction:
         if n < 0 or n > self.n_max:
             raise DomainError(f"row {n} outside stored range 0..{self.n_max}")
         if ell < 0 or ell > n:
             return Fraction(0)
-        return self.rows[n][ell]
+        return Fraction(self.rows[n][ell], self.b.denominator ** (n - ell))
 
 
 def c_table(n_max: int, b) -> CTable:
     n_max = _as_n(n_max, name="n_max")
     b = _finite("b", b)
-    rows = [(Fraction(1),)]
-    for n in range(n_max):
+    B, d = b.numerator, b.denominator
+    rows = [(1,)]
+    for _ in range(n_max):
         prev = rows[-1]
-        nxt = []
-        for ell in range(n + 2):
-            acc = Fraction(0)
-            if ell <= n:
-                acc += (ell + b) * prev[ell]
-            if ell > 0:
-                acc += prev[ell - 1]
-            nxt.append(acc)
-        rows.append(tuple(nxt))
+        rows.append(tuple((ell * d + B) * same + lower for ell, (same, lower)
+                          in enumerate(zip(prev + (0,), (0,) + prev))))
     return CTable(b=b, n_max=n_max, rows=tuple(rows))
 
 

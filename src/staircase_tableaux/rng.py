@@ -1,9 +1,9 @@
 """Deterministic, portable randomness for the samplers.
 
 The generator is SplitMix64 (Steele, Lea & Flood's mix function): pure
-64-bit integer arithmetic, identical output on every platform.  Batch
-sharding derives one independent seed per sample index from (seed, index),
-so batches are reproducible regardless of how work is split over workers.
+64-bit integer arithmetic, identical output on every platform.  A batch
+derives one independent seed per sample index from (seed, index), so each
+draw of a batch is reproducible on its own.
 
 Every coin is exact.  A uniform U in [0,1) is revealed lazily, one 64-bit
 chunk of its binary expansion at a time, and compared against a rational
@@ -48,7 +48,7 @@ class SplitMix64:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Seed for shard/sample ``index`` of a batch rooted at ``seed``."""
+    """Seed for sample ``index`` of a batch rooted at ``seed``."""
     return SplitMix64((seed + (index + 1) * _GOLDEN) & _MASK).next_u64()
 
 

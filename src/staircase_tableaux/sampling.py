@@ -55,7 +55,6 @@ diagonal box independently Alpha with probability rho.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -290,7 +289,7 @@ def tableau_stats(t: Tableau) -> TableauStats:
 
 @dataclass
 class BatchSummary:
-    """Associatively mergeable empirical summary of a sample batch.
+    """Empirical summary of a sample batch, one ``add`` per draw.
 
     ``tableau_counts`` records whole tableaux only for sizes up to
     ``enumeration.AB_CAP``, the sizes an enumeration oracle can check;
@@ -312,15 +311,6 @@ class BatchSummary:
         if t.n <= AB_CAP:
             self.tableau_counts[t.cells] += 1
 
-    def merge(self, other: "BatchSummary") -> "BatchSummary":
-        return BatchSummary(
-            count=self.count + other.count,
-            sum_diag_alpha=self.sum_diag_alpha + other.sum_diag_alpha,
-            sum_diag_alpha_sq=self.sum_diag_alpha_sq + other.sum_diag_alpha_sq,
-            diag_alpha_counts=self.diag_alpha_counts + other.diag_alpha_counts,
-            tableau_counts=self.tableau_counts + other.tableau_counts,
-        )
-
     def mean_diag_alpha(self) -> Fraction:
         return Fraction(self.sum_diag_alpha, self.count)
 
@@ -329,38 +319,12 @@ class BatchSummary:
         return Fraction(self.sum_diag_alpha_sq, self.count) - m * m
 
 
-def _batch_range(n: int, params: Params, seed: int, start: int, stop: int) -> BatchSummary:
-    out = BatchSummary()
-    for i in range(start, stop):
-        out.add(sample_ab(n, params, derive_seed(seed, i)))
-    return out
-
-
-def _batch_worker(job) -> BatchSummary:
-    n, params, seed, start, stop = job
-    return _batch_range(n, params, seed, start, stop)
-
-
-def sample_batch(n: int, params: Params, seed: int, count: int,
-                 workers: int = 1) -> BatchSummary:
-    """Summary of ``count`` independent draws; sample i always uses the
-    derived seed (seed, i), so the result does not depend on ``workers``.
-    ``workers`` is clamped to the number of CPUs."""
+def sample_batch(n: int, params: Params, seed: int, count: int) -> BatchSummary:
+    """Summary of ``count`` independent draws; sample i uses the derived
+    seed (seed, i)."""
     n = _as_n(n, error=ParameterError)
     count = _as_n(count, 1, "count", ParameterError)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or count < 2 * workers:
-        return _batch_range(n, params, seed, 0, count)
-    import multiprocessing
-
-    chunk = (count + workers - 1) // workers
-    jobs = [
-        (n, params, seed, lo, min(lo + chunk, count))
-        for lo in range(0, count, chunk)
-    ]
-    with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_batch_worker, jobs)
     out = BatchSummary()
-    for part in parts:
-        out = out.merge(part)
+    for i in range(count):
+        out.add(sample_ab(n, params, derive_seed(seed, i)))
     return out

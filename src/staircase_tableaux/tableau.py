@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InvalidTableauError, MalformedDocumentError
+from .eulerian_poly import _fraction
 
 __all__ = [
     "Symbol",
@@ -247,10 +248,10 @@ def weight(t: Tableau, alpha, beta, gamma=0, delta=0) -> Fraction:
     """Weight alpha^Na * beta^Nb * gamma^Ng * delta^Nd, exact (0**0 == 1)."""
     na, nb, ng, nd = weight_exponents(t)
     return (
-        Fraction(alpha) ** na
-        * Fraction(beta) ** nb
-        * Fraction(gamma) ** ng
-        * Fraction(delta) ** nd
+        _fraction(alpha) ** na
+        * _fraction(beta) ** nb
+        * _fraction(gamma) ** ng
+        * _fraction(delta) ** nd
     )
 
 

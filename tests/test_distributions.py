@@ -377,6 +377,36 @@ def test_integer_like_n_is_accepted():
     assert dist_A(numpy.int64(12), 1, 1) == dist_A(12, 1, 1)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: diag_prob(3, 1, 1, 1.5), "i"),
+    (lambda: diag_prob(3.5, 1, 1, 1), "n"),
+    (lambda: cell_prob(4, 1, 1, 1.5, 1), "i"),
+    (lambda: cell_prob(4, 1, 1, 1, F(2)), "j"),
+    (lambda: cell_prob(4.0, 1, 1, 1, 1), "n"),
+    (lambda: joint_diag_alpha(3, 1, 1, [1.5]), "each position"),
+    (lambda: joint_diag_alpha(3, 1, 1, [1, "2"]), "each position"),
+    (lambda: joint_diag_alpha(3.0, 1, 1, [1]), "n"),
+    (lambda: diag_cov(3.0, 1, 1, 1, 2), "n"),
+    (lambda: diag_cov(3, 1, 1, 1, 2.5), "k"),
+    (lambda: diag_cov(3, 1, 1, None, 2), "j"),
+    (lambda: subtableau_law_check(3, 1, 1, 1.5, 1), "i"),
+    (lambda: subtableau_law_check(3, 1, 1, 1, 1.5), "j"),
+], ids=["diag_prob-i", "diag_prob-n", "cell_prob-i", "cell_prob-j", "cell_prob-n",
+        "joint-position", "joint-str-position", "joint-n", "diag_cov-n", "diag_cov-k",
+        "diag_cov-j", "subcheck-i", "subcheck-j"])
+def test_position_formulas_reject_non_integers(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_position_formulas_accept_integer_like_arguments():
+    i3, i1, i2 = numpy.int64(3), numpy.int64(1), numpy.int64(2)
+    assert diag_prob(i3, 1, 1, i1) == diag_prob(3, 1, 1, 1)
+    assert cell_prob(numpy.int64(4), 1, 1, i1, i2) == cell_prob(4, 1, 1, 1, 2)
+    assert joint_diag_alpha(i3, 1, 1, [i1, i2]) == joint_diag_alpha(3, 1, 1, [1, 2])
+    assert diag_cov(i3, 1, 1, i1, i2) == diag_cov(3, 1, 1, 1, 2)
+
+
 @given(RATIONAL_1_9, RATIONAL_1_9, st.integers(min_value=0, max_value=25))
 @settings(max_examples=60, deadline=None)
 def test_dist_A_matches_urn_recursion(a, b, n):
@@ -422,3 +452,25 @@ def test_dist_A_weights_are_canonical(a, b, n):
     assert math.gcd(*d.weights) == 1 and d.weights[0] and d.weights[-1]
     assert d.total == sum(d.weights)
     assert DiscreteDist.from_map({k: d.pmf(k) for k in d.support()}) == d
+
+
+def _inverse_weight(x: F):
+    return math.inf if x == 0 else 1 / x
+
+
+@given(st.one_of(st.just(F(0)), RATIONAL_0_9), st.one_of(st.just(F(0)), RATIONAL_0_9),
+       st.integers(min_value=0, max_value=5))
+@settings(max_examples=30, deadline=None)
+def test_pair_laws_match_enumeration(a, b, n):
+    # the (N_alpha, N_beta) law read off the exhaustive enumeration at
+    # alpha = 1/a, beta = 1/b (a = 0 or b = 0 is an infinite weight)
+    joint: dict[tuple[int, int], F] = {}
+    alpha: dict[int, F] = {}
+    for t, p in law_ab(n, _inverse_weight(a), _inverse_weight(b)).items():
+        c = counts(t)
+        joint[c.n_alpha, c.n_beta] = joint.get((c.n_alpha, c.n_beta), F(0)) + p
+        alpha[c.n_alpha] = alpha.get(c.n_alpha, F(0)) + p
+    law = dist_N_pairs(n, a, b)
+    assert law.joint_law() == joint
+    marginal = law.alpha_law()
+    assert {k: p for k, p in zip(marginal.support(), marginal.probs) if p} == alpha

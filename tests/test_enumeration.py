@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from staircase_tableaux import Symbol, counts, validate
+from staircase_tableaux import Symbol, Tableau, counts, validate
 from staircase_tableaux.enumeration import (
     enumerate_ab,
     enumerate_four,
@@ -176,6 +176,16 @@ def test_law_ab_infinite_weights():
     assert len(law) == 1
     (t,) = law
     assert all(s is Symbol.ALPHA for s in t.diagonal())
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("alpha, beta, symbol", [
+    (math.inf, 0, Symbol.ALPHA),
+    (0, math.inf, Symbol.BETA),
+], ids=["alpha-inf-beta-0", "alpha-0-beta-inf"])
+def test_law_ab_infinite_weight_beside_zero_is_one_diagonal(n, alpha, beta, symbol):
+    diagonal = Tableau(n, tuple((i, n + 1 - i, symbol) for i in range(1, n + 1)))
+    assert law_ab(n, alpha, beta) == {diagonal: 1}
 
 
 def test_law_ab_rejects_both_zero():

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction as F
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux.errors import DomainError, ParameterError
+from staircase_tableaux.tableau import Symbol, Tableau, weight
 from staircase_tableaux.eulerian_poly import (
     BivarPoly,
     c_table,
@@ -230,6 +232,7 @@ def test_p_at_one_examples():
 
 def test_c_table():
     ct = c_table(50, F(1))
+    assert all(type(x) is int for row in c_table(20, F(2, 3)).rows for x in row)
     assert ct.c(1, 0) == 1          # c_{1,0} = b
     assert ct.c(3, 2) == 6          # n(n+2b-1)/2 at n=3, b=1
     for b in (F(0), F(1, 2), F(7, 3)):
@@ -313,3 +316,36 @@ RATIONAL_OR_ZERO = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 12), st.
 def test_scaled_row_matches_closed_form(a, b, n):
     row, d = scaled_row(n, a, b)
     assert [F(x, d ** n) for x in row] == [closed_form_v(n, k, a, b) for k in range(n + 1)]
+
+
+def closed_form_c(n: int, ell: int, b: F) -> F:
+    """Independent oracle for the connection coefficients, written without
+    the recursion: (x + b)^n = sum_l c_{n,l} x^{falling l} gives
+    c_{n,l} = sum_{j <= l} (-1)^(l-j) (j+b)^n / (j! (l-j)!)."""
+    return sum((F((-1) ** (ell - j), math.factorial(j) * math.factorial(ell - j)) * (j + b) ** n
+                for j in range(ell + 1)), F(0))
+
+
+@given(RATIONAL_OR_ZERO, st.integers(min_value=0, max_value=25))
+@settings(max_examples=40, deadline=None)
+def test_c_table_matches_closed_form(b, n_max):
+    ct = c_table(n_max, b)
+    assert [[ct.c(n, ell) for ell in range(n + 1)] for n in range(n_max + 1)] == \
+        [[closed_form_c(n, ell, b) for ell in range(n + 1)] for n in range(n_max + 1)]
+
+
+ALL_ALPHA_40 = Tableau(40, tuple((i, 41 - i, Symbol.ALPHA) for i in range(1, 41)))
+
+
+@pytest.mark.parametrize("call, x", [
+    (lambda x: weight(ALL_ALPHA_40, x, x), 10),
+    (lambda x: p_eval(30, 1, 1, x), 10),
+    (lambda x: tilde_p_eval(30, x), 10),
+    (lambda x: v_symbolic(3, 1).evaluate(x, x), 10 ** 10),
+], ids=["weight", "p_eval", "tilde_p_eval", "BivarPoly.evaluate"])
+def test_numpy_integer_arguments_evaluate_exactly(call, x):
+    # a NumPy integer must not lend its fixed-width arithmetic to the result
+    assert call(numpy.int64(x)) == call(x)
+    for junk, error in (("x", ValueError), (None, TypeError), (math.inf, OverflowError)):
+        with pytest.raises(error):
+            call(junk)

@@ -26,7 +26,6 @@ from staircase_tableaux.rng import (
 )
 from staircase_tableaux.sampling import (
     INF,
-    BatchSummary,
     Params,
     sample_ab,
     sample_batch,
@@ -618,11 +617,12 @@ def test_batch_summary():
     assert abs(float(s.mean_diag_alpha()) - 5) < 3 * math.sqrt(11 / 12 / 5000)
     s2 = sample_batch(10, params, 321, 5000)
     assert s == s2
-    merged = sample_batch(10, params, 321, 2000)
-    rest = BatchSummary()
+    # sample i of a batch is the draw at derive_seed(seed, i): a shorter
+    # batch extended by the missing draws is the longer batch
+    extended = sample_batch(10, params, 321, 2000)
     for i in range(2000, 5000):
-        rest.add(sample_ab(10, params, derive_seed(321, i)))
-    assert merged.merge(rest) == s
+        extended.add(sample_ab(10, params, derive_seed(321, i)))
+    assert extended == s
 
 
 @pytest.mark.parametrize("n, params", [
@@ -649,43 +649,6 @@ def test_batch_variance_near_theory():
     assert abs(float(s.var_diag_alpha()) - 1.0) < 0.05
 
 
-def test_batch_workers_equivalence():
-    params = Params.from_alpha_beta(1, 2)
-    seq = sample_batch(4, params, 9, 400)
-    par = sample_batch(4, params, 9, 400, workers=2)
-    assert seq == par
-
-
-def test_batch_workers_clamped_to_cpu_count(monkeypatch):
-    import multiprocessing
-    import os
-
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            seen.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    params = Params.from_alpha_beta(1, 2)
-    out = sample_batch(4, params, 9, 400, workers=10**6)
-    assert seen == [3]
-    assert out == sample_batch(4, params, 9, 400)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    sample_batch(4, params, 9, 400, workers=8)
-    assert seen == [3]   # an unknown CPU count runs in-process
-
-
 def test_batch_summary_beyond_enumeration_cap():
     n = AB_CAP + 1
     params = Params.from_alpha_beta(2, 1)
@@ -695,11 +658,10 @@ def test_batch_summary_beyond_enumeration_cap():
     assert isinstance(s.sum_diag_alpha, int) and isinstance(s.sum_diag_alpha_sq, int)
     assert s.sum_diag_alpha == sum(k * c for k, c in s.diag_alpha_counts.items())
     assert isinstance(s.mean_diag_alpha(), F) and isinstance(s.var_diag_alpha(), F)
-    merged = sample_batch(n, params, 83, 100)
-    rest = BatchSummary()
+    extended = sample_batch(n, params, 83, 100)
     for i in range(100, 300):
-        rest.add(sample_ab(n, params, derive_seed(83, i)))
-    assert merged.merge(rest) == s
+        extended.add(sample_ab(n, params, derive_seed(83, i)))
+    assert extended == s
 
 
 def rejection_sample_ab(law, seed: int) -> Tableau:
