@@ -276,6 +276,8 @@ def cmd_positions(args) -> Views:
     elif args.kind == "joint":
         value = {"p_all_alpha": distributions.joint_diag_alpha(args.n, a, b, args.positions)}
     else:
+        if not 1 <= args.i < args.j <= args.n:
+            raise DomainError(f"--kind cov needs 1 <= --i < --j <= --n, got {args.i}, {args.j}")
         value = {"covariance": distributions.diag_cov(args.n, a, b, args.i, args.j)}
     return {"csv": [tuple(value), tuple(value.values())], "json": [value]}
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import _as_ab, _as_n, _fractions, scaled_row, scaled_rows
+from .eulerian_poly import _as_ab, _as_n, _fractions, _invert, scaled_row, scaled_rows
 
 __all__ = [
     "DiscreteDist",
@@ -557,20 +557,17 @@ def subtableau_law_check(n: int, a, b, i: int, j: int,
     from .tableau import subtableau
 
     a, b = _as_ab(a, b)
-    i, j = _as_n(i, 1, "i"), _as_n(j, 1, "j")
+    n, i, j = _as_n(n), _as_n(i, 1, "i"), _as_n(j, 1, "j")
     if i + j > n + 1:
         raise DomainError(f"box ({i}, {j}) outside the size-{n} staircase")
     m = n - i - j + 2
     a_hat, b_hat = a + i - 1, b + j - 1
 
-    def side(x: Fraction):
-        return math.inf if x == 0 else 1 / x
-
     induced: dict = {}
-    for t, p in law_ab(n, side(a), side(b), allow_large).items():
+    for t, p in law_ab(n, _invert(a), _invert(b), allow_large).items():
         s = subtableau(t, i, j)
         induced[s] = induced.get(s, Fraction(0)) + p
-    direct = law_ab(m, side(a_hat), side(b_hat), allow_large)
+    direct = law_ab(m, _invert(a_hat), _invert(b_hat), allow_large)
     keys = set(induced) | set(direct)
     diff = None
     for t in sorted(keys, key=lambda t: t.cells):
@@ -680,14 +677,27 @@ class ChiSquareResult:
         return self.p_value > significance
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with integer df by Abramowitz & Stegun
+    26.4.4-26.4.5: with h = x/2 and c = (df mod 2)/2 + j, the sum over j < df//2
+    of h^c e^-h / Gamma(c+1), each term in log space, plus erfc(sqrt h) if df is odd."""
+    h = x / 2
+    if not 0 < h < math.inf:
+        return 1.0 if h <= 0 else 0.0
+    half, log_h = (df % 2) / 2, math.log(h)
+    terms = [math.exp((half + j) * log_h - h - math.lgamma(half + j + 1))
+             for j in range(df // 2)]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return min(1.0, math.fsum(terms))
+
+
 def chi_square_gof(expected, observed) -> ChiSquareResult:
     """Pearson chi-square of observed counts against an exact law.
 
     ``expected`` maps outcomes to exact probabilities, ``observed`` maps
     outcomes to counts; an observed outcome of probability zero yields an
     infinite statistic."""
-    from scipy.stats import chi2
-
     total = sum(observed.values())
     if total <= 0:
         raise ParameterError("need at least one observation")
@@ -704,5 +714,4 @@ def chi_square_gof(expected, observed) -> ChiSquareResult:
         diff = observed.get(key, 0) - exp_count
         stat += diff * diff / exp_count
     df = len(expected) - 1
-    p = float(chi2.sf(stat, df))
-    return ChiSquareResult(stat, df, p, total)
+    return ChiSquareResult(stat, df, _chi2_sf(stat, df), total)

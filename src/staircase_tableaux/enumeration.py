@@ -20,6 +20,7 @@ addressed as -m and shifted to 1..n at the end; rows never move.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections.abc import Iterator
 from fractions import Fraction
@@ -163,30 +164,17 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
     tableaux maximizing the corresponding symbol count (uniformly over the
     maximizers when both are infinite).
     """
-    inf_a = alpha == float("inf")
-    inf_b = beta == float("inf")
-    tableaux = list(enumerate_ab(n, allow_large))
-    stats = [(t, counts(t)) for t in tableaux]
-    if inf_a and inf_b:
-        best = max(c.total for _, c in stats)
-        support = [t for t, c in stats if c.total == best]
-        p = Fraction(1, len(support))
-        return {t: p for t in support}
-    if inf_a:
-        # the law concentrates on the maximal alpha counts; beta = 0 leaves
-        # only the tableaux without betas (0**0 == 1), the all-alpha diagonal
-        beta = _finite("beta", beta)
-        best = max(c.n_alpha for _, c in stats)
-        weights = {t: beta ** c.n_beta for t, c in stats if c.n_alpha == best}
-    elif inf_b:
-        alpha = _finite("alpha", alpha)
-        best = max(c.n_beta for _, c in stats)
-        weights = {t: alpha ** c.n_alpha for t, c in stats if c.n_beta == best}
-    else:
-        alpha, beta = _finite("alpha", alpha), _finite("beta", beta)
-        if alpha == 0 and beta == 0:
-            raise ParameterError("need alpha, beta not both zero")
-        weights = {t: alpha ** c.n_alpha * beta ** c.n_beta for t, c in stats}
+    stats = [(t, counts(t)) for t in enumerate_ab(n, allow_large)]
+    # an infinite weight counts as 1 on the maximisers of its symbol count; beta = 0
+    # beside alpha = inf leaves the all-alpha diagonal (0**0 == 1, zeros dropped)
+    inf_a, inf_b = alpha == math.inf, beta == math.inf
+    alpha = 1 if inf_a else _finite("alpha", alpha)
+    beta = 1 if inf_b else _finite("beta", beta)
+    if alpha == 0 and beta == 0:
+        raise ParameterError("need alpha, beta not both zero")
+    best = max(inf_a * c.n_alpha + inf_b * c.n_beta for _, c in stats)
+    weights = {t: alpha ** c.n_alpha * beta ** c.n_beta for t, c in stats
+               if inf_a * c.n_alpha + inf_b * c.n_beta == best}
     z = sum(weights.values(), Fraction(0))
     return {t: w / z for t, w in weights.items() if w != 0}
 

@@ -27,7 +27,3 @@ class InvalidTableauError(StaircaseError, ValueError):
 
 class RootFindingError(StaircaseError, RuntimeError):
     """Root isolation could not certify the expected root structure."""
-
-
-class VerificationError(StaircaseError, RuntimeError):
-    """An acceptance check failed."""

@@ -71,6 +71,11 @@ def _as_ab(a, b) -> tuple[Fraction, Fraction]:
     return _finite("a", a), _finite("b", b)
 
 
+def _invert(x):
+    """The a <-> alpha (and b <-> beta) map: 0 <-> inf, otherwise x -> 1/x."""
+    return math.inf if x == 0 else (Fraction(0) if x == math.inf else 1 / x)
+
+
 def _as_n(n, least: int = 0, name: str = "n", error: type = DomainError) -> int:
     """The shared size rule: n is an integer >= least, else ``error``."""
     try:

@@ -61,7 +61,7 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .enumeration import AB_CAP
-from .eulerian_poly import _as_n, _finite, _fraction
+from .eulerian_poly import _as_n, _finite, _fraction, _invert
 from .rng import SplitMix64, bernoulli, bernoulli_ratio, derive_seed, first_passage
 from .tableau import Symbol, Tableau, counts
 
@@ -126,19 +126,15 @@ class Params:
     @classmethod
     def from_alpha_beta(cls, alpha, beta, rho=Fraction(1, 2)) -> "Params":
         """Build from tableau-side weights: a = 1/alpha with 0 <-> inf."""
-        def invert(name, x):
-            x = _as_param(name, x)
-            return Fraction(0) if x == INF else (INF if x == 0 else 1 / x)
-
-        return cls(invert("alpha", alpha), invert("beta", beta), rho)
+        return cls(_invert(_as_param("alpha", alpha)), _invert(_as_param("beta", beta)), rho)
 
     @property
     def alpha(self) -> Fraction | float:
-        return INF if self.a == 0 else (Fraction(0) if self.a == INF else 1 / self.a)
+        return _invert(self.a)
 
     @property
     def beta(self) -> Fraction | float:
-        return INF if self.b == 0 else (Fraction(0) if self.b == INF else 1 / self.b)
+        return _invert(self.b)
 
 
 def _diagonal_tableau(n: int, symbol_for_row) -> Tableau:

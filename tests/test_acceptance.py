@@ -4,9 +4,15 @@ pass/fail line per criterion; the CLI equivalent is
 ``staircase-tableaux verify --level desk``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from staircase_tableaux import acceptance
+import staircase_tableaux
+from staircase_tableaux import acceptance, cli
 
 _RESULTS: dict[int, acceptance.CheckResult] = {}
 
@@ -25,3 +31,35 @@ def test_criterion(results, index, name):
     status = "PASS" if r.passed else "FAIL"
     print(f"ACCEPTANCE {index:2d} {name}: {status} ({r.seconds:.1f}s) {r.detail}")
     assert r.passed, f"criterion {index} ({name}): {r.detail}"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(staircase_tableaux.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_verify_fails_under_optimize_flag():
+    # python -O strips asserts, so no criterion can be trusted to have run
+    proc = _python("-O", "-m", "staircase_tableaux.cli", "verify", "--level", "quick",
+                   "--only", "1", "--only", "7")
+    assert proc.returncode == cli.EXIT_VERIFY, proc.stderr
+    assert "0/2 criteria passed" in proc.stdout and "python -O" in proc.stdout
+
+
+def test_chi_square_runs_without_scipy():
+    proc = _python("-c", "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from collections import Counter",
+        "from fractions import Fraction",
+        "from staircase_tableaux import cli",
+        "from staircase_tableaux.distributions import chi_square_gof",
+        "res = chi_square_gof({0: Fraction(1, 2), 1: Fraction(1, 2)}, Counter({0: 9, 1: 11}))",
+        "assert res.passes() and 0 < res.p_value < 1, res",
+        "sys.exit(cli.main(['verify', '--level', 'quick', '--only', '7']))",
+    ]))
+    assert proc.returncode == cli.EXIT_OK, proc.stdout + proc.stderr
+    assert "1/1 criteria passed" in proc.stdout

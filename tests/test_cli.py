@@ -173,6 +173,14 @@ def test_positions(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("i, j", [("3", "2"), ("0", "3"), ("2", "6")])
+def test_positions_cov_errors_name_the_flags(capsys, i, j):
+    code, _, err = run_cli(capsys, "positions", "--n", "5", "--kind", "cov",
+                           "--i", i, "--j", j, "--a", "1", "--b", "1")
+    assert code == cli.EXIT_PARAMETER
+    assert f"--kind cov needs 1 <= --i < --j <= --n, got {i}, {j}" in err
+
+
 def test_subcheck(capsys):
     code, out, _ = run_cli(capsys, "subcheck", "--n", "3", "--i", "1", "--j", "2",
                            "--a", "1", "--b", "1")

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from staircase_tableaux import counts
 from staircase_tableaux.distributions import (
     DiscreteDist,
+    _chi2_sf,
     _interlacing_roots,
     bernoulli_decomposition,
     cell_prob,
@@ -286,6 +287,8 @@ def test_subtableau_law_check_examples():
     assert rep.equal and rep.sub_size == 3
     with pytest.raises(DomainError):
         subtableau_law_check(3, 1, 1, 2, 3)
+    with pytest.raises(DomainError, match=r"^n must be >= 0, got -1$"):
+        subtableau_law_check(-1, 1, 1, 1, 1)
 
 
 def test_clt_diagnostics_sane():
@@ -318,6 +321,49 @@ def test_chi_square_gof_helper():
     assert math.isinf(res.statistic) and res.p_value == 0
     with pytest.raises(ParameterError):
         chi_square_gof(expected, Counter())
+    res = chi_square_gof({0: F(1)}, Counter({0: 100}))   # one outcome: df = 0
+    assert (res.statistic, res.df, res.p_value) == (0, 0, 1.0) and res.passes()
+
+
+# (x, P(X > x)) per df, recorded from scipy 1.17.1: chi2.sf at x = chi2.ppf(q, df)
+# for q = 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9
+CHI2_SF_REFERENCE = {
+    1: [(1.5707963267957187e-12, 0.999999), (1.5707971492624921e-06, 0.999),
+        (0.01579077409343122, 0.8999999999999999), (0.454936423119572, 0.5000000000000002),
+        (2.705543454095404, 0.10000000000000103), (10.827566170662733, 0.0010000000000000007),
+        (37.32489310651872, 9.999999717180685e-10)],
+    2: [(2.0000010000006676e-06, 0.999999), (0.002001000667167068, 0.999),
+        (0.21072103131565273, 0.8999999999999999), (1.386294361119891, 0.5),
+        (4.605170185988092, 0.09999999999999996), (13.815510557964274, 0.0010000000000000002),
+        (41.446531730456684, 9.999999717180692e-10)],
+    3: [(0.00024181048720124264, 0.999999), (0.024297585815692732, 0.999),
+        (0.5843743741551835, 0.9), (2.3659738843753377, 0.5),
+        (6.251388631170325, 0.10000000000000006), (16.26623619623813, 0.0010000000000000007),
+        (44.841275388361254, 9.999999717180706e-10)],
+    4: [(0.0028297613229586872, 0.999999), (0.09080403553897909, 0.999),
+        (1.063623216779224, 0.9), (3.3566939800333224, 0.5),
+        (7.779440339734858, 0.09999999999999999), (18.46682695290317, 0.001000000000000001),
+        (47.87945579007457, 9.999999717180683e-10)],
+    119: [(59.45587669763604, 0.999999), (76.95466918220383, 0.999),
+          (99.7067333606213, 0.8999999999999999), (118.334001382597, 0.5000000000000001),
+          (139.14946437730342, 0.09999999999999981), (172.41768160217916, 0.0009999999999999352),
+          (235.94006659742337, 9.999999717180925e-10)],
+    1000: [(801.6244376068657, 0.9999990000000001), (867.479082607277, 0.999),
+           (943.132562342892, 0.8999999999999999), (999.333412403381, 0.49999999999999994),
+           (1057.723901381614, 0.10000000000000003), (1143.9170926196791, 0.0010000000000000041),
+           (1291.9578664788812, 9.99999971718068e-10)],
+    6143: [(5630.440874048691, 0.999999), (5806.163288521969, 0.999),
+           (6001.3850957829745, 0.8999999999999996), (6142.333346197038, 0.5000000000000004),
+           (6285.471397665908, 0.09999999999999963), (6491.235570774236, 0.0009999999999999946),
+           (6831.297026022153, 9.99999971718052e-10)],
+}
+
+
+@pytest.mark.parametrize("df", sorted(CHI2_SF_REFERENCE))
+def test_chi2_sf_matches_reference_table(df):
+    assert _chi2_sf(0.0, df) == 1.0 and _chi2_sf(math.inf, df) == 0.0
+    for x, p in CHI2_SF_REFERENCE[df]:
+        assert _chi2_sf(x, df) == pytest.approx(p, rel=1e-10, abs=0)
 
 
 def test_dist_A_matches_enumeration_spot():
@@ -391,9 +437,11 @@ def test_integer_like_n_is_accepted():
     (lambda: diag_cov(3, 1, 1, None, 2), "j"),
     (lambda: subtableau_law_check(3, 1, 1, 1.5, 1), "i"),
     (lambda: subtableau_law_check(3, 1, 1, 1, 1.5), "j"),
+    (lambda: subtableau_law_check(3.5, 1, 1, 1, 1), "n"),
+    (lambda: subtableau_law_check("3", 1, 1, 1, 1), "n"),
 ], ids=["diag_prob-i", "diag_prob-n", "cell_prob-i", "cell_prob-j", "cell_prob-n",
         "joint-position", "joint-str-position", "joint-n", "diag_cov-n", "diag_cov-k",
-        "diag_cov-j", "subcheck-i", "subcheck-j"])
+        "diag_cov-j", "subcheck-i", "subcheck-j", "subcheck-n", "subcheck-str-n"])
 def test_position_formulas_reject_non_integers(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
         call()

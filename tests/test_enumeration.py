@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -186,6 +187,39 @@ def test_law_ab_infinite_weights():
 def test_law_ab_infinite_weight_beside_zero_is_one_diagonal(n, alpha, beta, symbol):
     diagonal = Tableau(n, tuple((i, n + 1 - i, symbol) for i in range(1, n + 1)))
     assert law_ab(n, alpha, beta) == {diagonal: 1}
+
+
+def _law_ab_text(n, alpha, beta) -> str:
+    """Items of law_ab in order, as cells and exact p, or the error raised."""
+    try:
+        law = law_ab(n, alpha, beta)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    assert all(type(p) is F for p in law.values())
+    return ";".join(f"{[(i, j, s.value) for i, j, s in t.cells]}={p.numerator}/{p.denominator}"
+                    for t, p in law.items())
+
+
+# SHA-256 prefixes over n = 0..6, recorded when law_ab still had one branch
+# per infinite weight: the single maximise-then-weigh rule must reproduce
+# the items, their order, every Fraction and every error message
+@pytest.mark.parametrize("alpha, beta, digest", [
+    (F(1), F(1), "735cd4716d200a95"),
+    (F(2), F(1), "e2058f8942cc79be"),
+    (F(1, 3), F(5), "ab88474257df0a77"),
+    (F(1), F(0), "4691d932257ee0df"),
+    (F(0), F(1), "381bdafbaa75f94a"),
+    (math.inf, F(0), "4691d932257ee0df"),
+    (F(0), math.inf, "381bdafbaa75f94a"),
+    (math.inf, math.inf, "2972aa294ff6e573"),
+    (math.inf, F(2, 3), "f16cdf2c2329ff15"),
+    (F(3, 2), math.inf, "bf696e308755f37e"),
+    (F(0), F(0), "5dcd7d6ffb3c289b"),
+    (math.inf, F(-1, 2), "dfdc4846c04db4e8"),
+])
+def test_law_ab_weight_grid_is_pinned(alpha, beta, digest):
+    text = "|".join(_law_ab_text(n, alpha, beta) for n in range(7))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_law_ab_rejects_both_zero():
