@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from staircase_tableaux import Symbol, Tableau, counts, validate
+from staircase_tableaux.asep import z_full
 from staircase_tableaux.enumeration import (
     enumerate_ab,
     enumerate_four,
@@ -253,3 +254,51 @@ def test_law_ab_checks_the_finite_weight(call, name):
 def test_weights_follow_the_one_rule(call, name):
     with pytest.raises(ParameterError, match=f"^{name} must be"):
         call()
+
+
+def _sum_text(f, ns, *args) -> str:
+    """repr of f(n, *args) for each n (a polynomial's coefficient dict in
+    insertion order), or the error it raised."""
+    out = []
+    for n in ns:
+        try:
+            value = f(n, *args)
+        except Exception as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+            continue
+        out.append(repr(value.coeffs if hasattr(value, "coeffs") else value))
+    return "|".join(out)
+
+
+# SHA-256 prefixes recorded while every enumeration sum still took its
+# Fraction powers once per tableau: a sum that tallies exponent vectors
+# first must reproduce every value, every coefficient dict (keys in the
+# same order) and every error, the 0**0 edges included
+_AB_SUMS = range(7)
+_FOUR_SUMS = range(5)
+
+
+@pytest.mark.parametrize("f, ns, args, digest", [
+    (partition_function, _AB_SUMS, (F(1), F(1)), "8a769aabe21ee9a1"),
+    (partition_function, _AB_SUMS, (F(2), F(3, 7)), "24c279afeb26b3bc"),
+    (partition_function, _AB_SUMS, (F(0), F(1)), "6712dd8f8e0a663c"),
+    (partition_function, _AB_SUMS, (F(5, 2), F(0)), "c03c096d8c545ede"),
+    (partition_function, _AB_SUMS, (F(0), F(0)), "fc227c842ac9759c"),
+    (partition_function, _FOUR_SUMS, (F(2), F(3, 7), F(1, 3), F(5)), "907dbd186a9d7f6f"),
+    (partition_function, _FOUR_SUMS, (F(0), F(1), F(0), F(2)), "396b72ed69ebb5d5"),
+    (partition_function, _FOUR_SUMS, (F(3), F(0), F(1, 2), F(0)), "42031ed131f68b07"),
+    (partition_function, _FOUR_SUMS, (F(1), F(2), F(0), F(1, 3)), "a8d80340224bce76"),
+    (z_full, _FOUR_SUMS, (F(2), F(3, 7), F(1, 3), F(5), F(2, 5), F(3)), "ba4b9bd0d0ae18ee"),
+    (z_full, _FOUR_SUMS, (F(1), F(2), F(0), F(1, 3), F(0), F(1)), "c6856e93db90b94e"),
+    (z_full, _FOUR_SUMS, (F(0), F(1), F(1, 2), F(2), F(3), F(0)), "a988c1de65b4e5a0"),
+    (z_full, _FOUR_SUMS, (F(1), F(0), F(0), F(0), F(1), F(1)), "b3a9482420bb7d4f"),
+    (joint_poly_A_r, _AB_SUMS, (F(1), F(1)), "37b9fa450492ccc3"),
+    (joint_poly_A_r, _AB_SUMS, (F(2), F(3, 7)), "08cda0210b50dd65"),
+    (joint_poly_A_r, _AB_SUMS, (F(0), F(1)), "f135505dd0f50acd"),
+    (joint_poly_N, _AB_SUMS, (F(1, 3), F(5)), "82f8d2f13aa87f39"),
+    (joint_poly_N, _AB_SUMS, (F(2), F(3, 7)), "ca743bbfd78be58e"),
+    (joint_poly_N, _AB_SUMS, (F(1), F(0)), "5a3743eec91f41cf"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_enumeration_sums_are_pinned(f, ns, args, digest):
+    text = _sum_text(f, ns, *args)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
