@@ -13,11 +13,12 @@ empty box of a valid tableau.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import StaircaseError
-from .eulerian_poly import _finite
+from .eulerian_poly import BivarPoly, _finite
 from .tableau import Symbol, Tableau, weight_exponents
 
 __all__ = ["FilledTableau", "fill_uq", "wtx", "z_full", "render_filled", "serialize_filled"]
@@ -94,16 +95,14 @@ def wtx(t: Tableau) -> tuple[int, int, int, int, int, int]:
 def z_full(n: int, alpha, beta, gamma, delta, q, u,
            allow_large: bool = False) -> Fraction:
     """Six-variable generating function: the sum of filled weights over
-    all staircase tableaux of size n (by brute-force enumeration)."""
+    all staircase tableaux of size n.  The ``wtx`` exponent vectors of the
+    enumeration are tallied, then each distinct monomial is evaluated once."""
     from .enumeration import enumerate_four
 
     alpha, beta, gamma, delta, q, u = map(_finite, ("alpha", "beta", "gamma", "delta", "q", "u"),
                                           (alpha, beta, gamma, delta, q, u))
-    total = Fraction(0)
-    for t in enumerate_four(n, allow_large):
-        na, nb, ng, nd, nu, nq = wtx(t)
-        total += alpha**na * beta**nb * gamma**ng * delta**nd * u**nu * q**nq
-    return total
+    return BivarPoly(Counter(map(wtx, enumerate_four(n, allow_large)))).evaluate(
+        alpha, beta, gamma, delta, u, q)
 
 
 def render_filled(f: FilledTableau) -> str:

@@ -484,6 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact output can pass CPython's int <-> str digit limit: lift it after
+    # parsing the arguments, and put it back for in-process callers
+    old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if getattr(args, "samples", 0) < 0:   # sample and urn
             raise ParameterError(f"--samples must be >= 0, got {args.samples}")
@@ -502,6 +507,9 @@ def main(argv=None) -> int:
     except RootFindingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 This is the ground-truth oracle for everything else in the package: the
 generators are constructive (valid by construction, each tableau exactly
-once) and the sums are plain weighted sums over the streams.
+once) and every sum tallies the integer exponent vectors of a stream,
+then weighs each distinct vector once.
 
 The alpha/beta generator grows a tableau one column at a time, left to
 right in construction order: extending a size m-1 tableau to size m means
@@ -22,12 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import CapExceededError, ParameterError
 from .eulerian_poly import BivarPoly, _as_n, _finite
-from .tableau import Symbol, Tableau, counts, validate, weight
+from .tableau import Symbol, Tableau, counts, validate, weight_exponents
 
 __all__ = [
     "AB_CAP",
@@ -142,18 +144,14 @@ def enumerate_naive(n: int, four: bool = False) -> Iterator[Tableau]:
 
 def partition_function(n: int, alpha, beta, gamma=0, delta=0,
                        allow_large: bool = False) -> Fraction:
-    """Z_n(alpha, beta, gamma, delta) as a direct weighted sum over the
-    enumeration stream (the four-symbol stream, or the alpha/beta stream
-    when gamma = delta = 0, where the extra symbols carry weight zero)."""
+    """Z_n(alpha, beta, gamma, delta) over the enumeration stream (the
+    four-symbol stream, or the alpha/beta stream when gamma = delta = 0,
+    where the extra symbols carry weight zero): the weight exponents are
+    tallied, then each distinct monomial is evaluated once."""
     alpha, beta, gamma, delta = map(_finite, ("alpha", "beta", "gamma", "delta"),
                                     (alpha, beta, gamma, delta))
-    if gamma == 0 and delta == 0:
-        stream = enumerate_ab(n, allow_large)
-    else:
-        stream = enumerate_four(n, allow_large)
-    return sum(
-        (weight(t, alpha, beta, gamma, delta) for t in stream), Fraction(0)
-    )
+    stream = (enumerate_ab if gamma == 0 and delta == 0 else enumerate_four)(n, allow_large)
+    return BivarPoly(Counter(map(weight_exponents, stream))).evaluate(alpha, beta, gamma, delta)
 
 
 def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Fraction]:
@@ -164,7 +162,8 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
     tableaux maximizing the corresponding symbol count (uniformly over the
     maximizers when both are infinite).
     """
-    stats = [(t, counts(t)) for t in enumerate_ab(n, allow_large)]
+    stats = [(t, weight_exponents(t)[:2]) for t in enumerate_ab(n, allow_large)]
+    tally = Counter(e for _, e in stats)
     # an infinite weight counts as 1 on the maximisers of its symbol count; beta = 0
     # beside alpha = inf leaves the all-alpha diagonal (0**0 == 1, zeros dropped)
     inf_a, inf_b = alpha == math.inf, beta == math.inf
@@ -172,11 +171,12 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
     beta = 1 if inf_b else _finite("beta", beta)
     if alpha == 0 and beta == 0:
         raise ParameterError("need alpha, beta not both zero")
-    best = max(inf_a * c.n_alpha + inf_b * c.n_beta for _, c in stats)
-    weights = {t: alpha ** c.n_alpha * beta ** c.n_beta for t, c in stats
-               if inf_a * c.n_alpha + inf_b * c.n_beta == best}
-    z = sum(weights.values(), Fraction(0))
-    return {t: w / z for t, w in weights.items() if w != 0}
+    best = max(inf_a * na + inf_b * nb for na, nb in tally)
+    weights = {(na, nb): alpha ** na * beta ** nb for na, nb in tally
+               if inf_a * na + inf_b * nb == best}
+    z = sum((tally[e] * w for e, w in weights.items()), Fraction(0))
+    p = {e: w / z for e, w in weights.items() if w != 0}
+    return {t: p[e] for t, e in stats if e in p}
 
 
 JointPoly = BivarPoly  # the enumeration-side name of the one sparse-polynomial type
@@ -184,15 +184,15 @@ JointPoly = BivarPoly  # the enumeration-side name of the one sparse-polynomial 
 
 def _weighted_tally(n: int, alpha, beta, allow_large: bool, name: str, key) -> JointPoly:
     """Sum of alpha^N_alpha beta^N_beta x^key(S) over the alpha/beta
-    tableaux S of size n, tallied by brute force."""
+    tableaux S of size n: the vectors (N_alpha, N_beta, key(S)) are
+    tallied, then each distinct one adds its weight once to its key."""
     alpha, beta = _finite("alpha", alpha), _finite("beta", beta)
     if alpha == 0 or beta == 0:
         raise ParameterError(f"{name} needs alpha, beta > 0")
+    tally = Counter((c.n_alpha, c.n_beta, key(c)) for c in map(counts, enumerate_ab(n, allow_large)))
     out: dict[tuple[int, ...], Fraction] = {}
-    for t in enumerate_ab(n, allow_large):
-        c = counts(t)
-        w = alpha ** c.n_alpha * beta ** c.n_beta
-        out[key(c)] = out.get(key(c), Fraction(0)) + w
+    for (na, nb, k), m in tally.items():
+        out[k] = out.get(k, Fraction(0)) + m * alpha ** na * beta ** nb
     return JointPoly(out)
 
 

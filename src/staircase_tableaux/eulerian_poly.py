@@ -186,7 +186,7 @@ def v_row(n: int, a, b) -> tuple[Fraction, ...]:
 
 
 class BivarPoly:
-    """Sparse polynomial in up to two indeterminates, printed as a and b.
+    """Sparse polynomial over exponent tuples of any length, printed in a and b.
 
     Stored as a mapping (i, j) -> exact coefficient of a^i b^j; zero
     coefficients are dropped.  ``+`` and ``*`` also take plain numbers,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InvalidTableauError, MalformedDocumentError
-from .eulerian_poly import _fraction
+from .eulerian_poly import BivarPoly
 
 __all__ = [
     "Symbol",
@@ -210,30 +210,26 @@ def counts(t: Tableau) -> SymbolCounts:
     """Exact symbol tallies, diagonal tallies, and alpha-indexed row count.
 
     A row is indexed by alpha when its leftmost symbol is alpha; for an
-    alpha/beta tableau this forces alpha_indexed_rows = n - n_beta.
+    alpha/beta tableau this forces alpha_indexed_rows = n - n_beta.  The
+    cells are always sorted, so a row's first cell is its leftmost.
     """
     tally = {s: 0 for s in Symbol}
-    leftmost: dict[int, tuple[int, Symbol]] = {}
+    diagonal = dict(tally)
+    r = last_row = 0
     for row, col, sym in t.cells:
         tally[sym] += 1
-        best = leftmost.get(row)
-        if best is None or col < best[0]:
-            leftmost[row] = (col, sym)
-    diag_a = diag_b = 0
-    for i in range(1, t.n + 1):
-        sym = t.symbol_at(i, t.n + 1 - i)
-        if sym is Symbol.ALPHA:
-            diag_a += 1
-        elif sym is Symbol.BETA:
-            diag_b += 1
-    r = sum(1 for _, sym in leftmost.values() if sym is Symbol.ALPHA)
+        if row != last_row:
+            last_row = row
+            r += sym is Symbol.ALPHA
+        if row + col == t.n + 1:
+            diagonal[sym] += 1
     return SymbolCounts(
         n_alpha=tally[Symbol.ALPHA],
         n_beta=tally[Symbol.BETA],
         n_gamma=tally[Symbol.GAMMA],
         n_delta=tally[Symbol.DELTA],
-        diagonal_alpha=diag_a,
-        diagonal_beta=diag_b,
+        diagonal_alpha=diagonal[Symbol.ALPHA],
+        diagonal_beta=diagonal[Symbol.BETA],
         alpha_indexed_rows=r,
     )
 
@@ -246,13 +242,7 @@ def weight_exponents(t: Tableau) -> tuple[int, int, int, int]:
 
 def weight(t: Tableau, alpha, beta, gamma=0, delta=0) -> Fraction:
     """Weight alpha^Na * beta^Nb * gamma^Ng * delta^Nd, exact (0**0 == 1)."""
-    na, nb, ng, nd = weight_exponents(t)
-    return (
-        _fraction(alpha) ** na
-        * _fraction(beta) ** nb
-        * _fraction(gamma) ** ng
-        * _fraction(delta) ** nd
-    )
+    return BivarPoly({weight_exponents(t): 1}).evaluate(alpha, beta, gamma, delta)
 
 
 def subtableau(t: Tableau, i: int, j: int) -> Tableau:

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import staircase_tableaux
 from staircase_tableaux import cli, parse
+from staircase_tableaux.distributions import dist_A
+from staircase_tableaux.eulerian_poly import v_row
 
 
 def run_cli(capsys, *argv):
@@ -436,3 +443,49 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="no int <-> str digit limit before CPython 3.11")
+
+
+def _cli_under_digit_limit(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter whose int <-> str limit is 640 digits."""
+    src = str(Path(staircase_tableaux.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-m",
+                           "staircase_tableaux.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+@needs_digit_limit
+def test_dist_a_prints_past_the_digit_limit():
+    proc = _cli_under_digit_limit("dist-a", "--n", "400", "--a", "1/2", "--b", "1/2",
+                                  "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    pmf = json.loads(proc.stdout)["pmf"]
+    assert max(map(len, pmf.values())) > 640
+    d = dist_A(400, F(1, 2), F(1, 2))
+    assert {int(k): F(p) for k, p in pmf.items()} == {k: d.pmf(k) for k in d.support()}
+
+
+@needs_digit_limit
+def test_triangle_prints_past_the_digit_limit():
+    proc = _cli_under_digit_limit("triangle", "--n-max", "300", "--a", "1/2", "--b", "1/2",
+                                  "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert max(len(v) for _, _, v in rows) > 640
+    assert [F(v) for n, _, v in rows if n == "300"] == list(v_row(300, F(1, 2), F(1, 2)))
+
+
+@needs_digit_limit
+def test_main_restores_the_digit_limit(capsys):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run_cli(capsys, "dist-a", "--n", "2", "--a", "1", "--b", "1")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)

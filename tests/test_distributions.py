@@ -522,3 +522,20 @@ def test_pair_laws_match_enumeration(a, b, n):
     assert law.joint_law() == joint
     marginal = law.alpha_law()
     assert {k: p for k, p in zip(marginal.support(), marginal.probs) if p} == alpha
+
+
+@st.composite
+def _size_and_box(draw):
+    n = draw(st.integers(1, 5))
+    i = draw(st.integers(1, n))
+    return n, i, draw(st.integers(1, n + 1 - i))
+
+
+@given(RATIONAL_0_9, RATIONAL_0_9, _size_and_box())
+@settings(max_examples=25, deadline=None)
+def test_subtableau_shift_identity(a, b, box):
+    # the (i, j)-subtableau of the size-n tableau at (a, b) has the law of
+    # the size n-i-j+2 tableau at (a+i-1, b+j-1); a = 0 or b = 0 is an
+    # infinite weight
+    n, i, j = box
+    assert subtableau_law_check(n, a, b, i, j).equal

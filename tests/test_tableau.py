@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import (
     Symbol,
+    SymbolCounts,
     Tableau,
     counts,
     dagger,
@@ -17,6 +19,7 @@ from staircase_tableaux import (
     weight_exponents,
 )
 from staircase_tableaux.enumeration import enumerate_ab, enumerate_four
+from staircase_tableaux.sampling import Params, sample_ab, sample_four
 from staircase_tableaux.errors import (
     DomainError,
     InvalidTableauError,
@@ -234,3 +237,33 @@ def test_sampled_tableaux_invariants(t):
     assert dagger(dagger(t)) == t
     c = counts(t)
     assert t.n <= c.total <= 2 * t.n - 1
+
+
+def _recount(t: Tableau) -> SymbolCounts:
+    """counts by another route: the leftmost symbol of each row as the
+    minimum column over cell_map, the diagonal through symbol_at."""
+    cm = t.cell_map
+    leftmost: dict[int, tuple[int, Symbol]] = {}
+    for (row, col), sym in cm.items():
+        if row not in leftmost or col < leftmost[row][0]:
+            leftmost[row] = (col, sym)
+    diagonal = [t.symbol_at(i, t.n + 1 - i) for i in range(1, t.n + 1)]
+    per_symbol = Counter(cm.values())
+    return SymbolCounts(
+        n_alpha=per_symbol[A], n_beta=per_symbol[B],
+        n_gamma=per_symbol[G], n_delta=per_symbol[D],
+        diagonal_alpha=diagonal.count(A), diagonal_beta=diagonal.count(B),
+        alpha_indexed_rows=sum(sym is A for _, sym in leftmost.values()),
+    )
+
+
+def test_counts_matches_an_independent_recount():
+    # every enumerated tableau and its dagger, sampler draws built through
+    # Tableau._sorted, and a tableau built from an unsorted cell map
+    tableaux = [*enumerate_four(4), *enumerate_ab(6)]
+    tableaux += map(dagger, list(tableaux))
+    tableaux += [sample_ab(40, Params(F(2), F(1, 3)), seed) for seed in range(20)]
+    tableaux += [sample_four(40, F(2), F(1, 3), F(1), F(3, 2), seed) for seed in range(20)]
+    tableaux.append(Tableau.of(3, {(3, 1): B, (1, 3): A, (2, 2): A, (1, 1): B, (2, 1): A}))
+    for t in tableaux:
+        assert counts(t) == _recount(t), t
