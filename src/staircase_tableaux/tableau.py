@@ -213,7 +213,7 @@ def counts(t: Tableau) -> SymbolCounts:
     alpha/beta tableau this forces alpha_indexed_rows = n - n_beta.  The
     cells are always sorted, so a row's first cell is its leftmost.
     """
-    tally = {s: 0 for s in Symbol}
+    tally = dict.fromkeys(_RANK, 0)
     diagonal = dict(tally)
     r = last_row = 0
     for row, col, sym in t.cells:
