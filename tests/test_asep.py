@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from staircase_tableaux.asep import (
 )
 from staircase_tableaux.enumeration import enumerate_four, partition_function
 from staircase_tableaux.errors import ParameterError, StaircaseError
+from staircase_tableaux.sampling import sample_four
 
 A, B, G, D = Symbol.ALPHA, Symbol.BETA, Symbol.GAMMA, Symbol.DELTA
 
@@ -117,3 +119,55 @@ def test_serialize_filled_round_trips_cells(showcase8):
     assert doc["n"] == 8
     assert len(doc["labels"]) == 23
     assert {lab["label"] for lab in doc["labels"]} == {"u", "q"}
+
+
+def _two_pass_labels(t):
+    """Independent reference for the u/q filling, straight from its
+    definition: first every empty box left of a beta gets u and left of a
+    delta q, then every still-empty box takes u when the nearest symbol
+    below it is an alpha or delta, q when it is a beta or gamma."""
+    cm = t.cell_map
+    labels = {}
+    for (row, col), sym in cm.items():
+        if sym in (B, D):
+            for col2 in range(1, col):
+                if (row, col2) not in cm:
+                    labels[(row, col2)] = "u" if sym is B else "q"
+    for row in range(1, t.n + 1):
+        for col in range(1, t.n + 2 - row):
+            if (row, col) in cm or (row, col) in labels:
+                continue
+            below = next(cm[(r, col)] for r in range(row + 1, t.n + 2 - col) if (r, col) in cm)
+            labels[(row, col)] = "u" if below in (A, D) else "q"
+    return tuple(sorted((r, c, lab) for (r, c), lab in labels.items()))
+
+
+_DRAW_WEIGHTS = [(F(2), F(3, 7), F(1, 3), F(5)), (F(1), F(1), F(1), F(1)), (F(1, 2), F(4), F(3), F(0))]
+
+
+def _draws(sizes, seeds=range(3)):
+    return [sample_four(n, *w, seed) for n in sizes for w in _DRAW_WEIGHTS for seed in seeds]
+
+
+@pytest.mark.parametrize("n", [10, 40, 120])
+def test_fill_matches_two_pass_reference_on_draws(n):
+    for t in _draws([n]):
+        assert fill_uq(t).labels == _two_pass_labels(t)
+
+
+def test_fill_matches_two_pass_reference_exhaustively():
+    for n in range(5):
+        for t in enumerate_four(n):
+            assert fill_uq(t).labels == _two_pass_labels(t)
+
+
+def test_filling_outputs_are_pinned():
+    # SHA-256 prefix recorded while fill_uq still labelled in two passes
+    # and wtx still counted symbols through weight_exponents: labels, wtx
+    # vectors and renderings must all come out byte-identical
+    tableaux = [t for n in range(5) for t in enumerate_four(n)] + _draws([10, 40, 120])
+    h = hashlib.sha256()
+    for t in tableaux:
+        filled = fill_uq(t)
+        h.update(repr((filled.labels, wtx(t), render_filled(filled))).encode())
+    assert h.hexdigest()[:16] == "2565d2c0f6b2af70"
