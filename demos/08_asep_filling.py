@@ -1,7 +1,8 @@
-"""The ASEP-side weight: label every empty box with u or q (row pass for
-boxes left of a beta/delta, then column pass by the nearest symbol below)
-and sum the degree-n(n+1)/2 monomials into the six-variable generating
-function."""
+"""The ASEP-side weight: label every empty box with u or q (u left of a
+beta, q left of a delta, otherwise by the nearest symbol below: u above an
+alpha/delta, q above a beta/gamma) in one sweep from the bottom row up that
+also checks the tableau's rules, and sum the degree-n(n+1)/2 monomials into
+the six-variable generating function."""
 
 from fractions import Fraction as F
 

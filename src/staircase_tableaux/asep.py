@@ -1,13 +1,14 @@
 """The ASEP-side weight structure: deterministic u/q labelling of the
 empty boxes and the six-variable generating function.
 
-The labelling runs in two passes.  First every box strictly left of a beta
-in its row gets a u and strictly left of a delta a q (at most one beta or
-delta per row, so this is unambiguous).  Then every still-empty box looks
-down its column to the nearest symbol below: u above an alpha or delta,
-q above a beta or gamma.  A column's bottom box is diagonal and filled, so
-the second pass always finds a symbol; both passes together label every
-empty box of a valid tableau.
+An empty box left of a beta in its row is labelled u, left of a delta q;
+any other takes u if the nearest symbol below it is an alpha or delta, q if
+a beta or gamma.  One sweep labels every box, from the bottom row up and
+right to left along each row.  It carries the nearest symbol to the right
+(a beta or delta can only lead its row) and each column's nearest symbol
+below, which exists because a column's bottom box is diagonal.  On the way
+it checks the shape and rules (ii)-(iv), and raises InvalidTableauError at
+the first broken one.
 """
 
 from __future__ import annotations
@@ -16,20 +17,45 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .errors import StaircaseError
+from .enumeration import enumerate_four
+from .errors import InvalidTableauError
 from .eulerian_poly import BivarPoly, _finite
-from .tableau import Symbol, Tableau, weight_exponents
+from .tableau import Symbol, Tableau, to_document
 
 __all__ = ["FilledTableau", "fill_uq", "wtx", "z_full", "render_filled", "serialize_filled"]
 
 _ROW_LABEL = {Symbol.BETA: "u", Symbol.DELTA: "q"}
-_COL_LABEL = {
-    Symbol.ALPHA: "u",
-    Symbol.DELTA: "u",
-    Symbol.BETA: "q",
-    Symbol.GAMMA: "q",
-}
+_COL_LABEL = {Symbol.ALPHA: "u", Symbol.DELTA: "u", Symbol.BETA: "q", Symbol.GAMMA: "q"}
+
+
+def _filled_rows(t: Tableau) -> list[list[Symbol | str]]:
+    """Every box of a valid tableau, top row first, as its symbol or its
+    u/q label; raises InvalidTableauError if t breaks a rule."""
+    n = t.n
+    rows: list[list] = [[None] * (n - i) for i in range(n)]
+    for r, c, s in t.cells:
+        if r + c > n + 1:
+            raise InvalidTableauError(f"box ({r}, {c}) outside the size-{n} staircase")
+        rows[r - 1][c - 1] = s
+    below: list[Symbol | None] = [None] * n   # per column, the nearest symbol below
+    for r in range(n, 0, -1):
+        row = rows[r - 1]
+        if row[-1] is None:
+            raise InvalidTableauError(f"diagonal box ({r}, {n + 1 - r}) is empty")
+        right = None   # nearest symbol right of the current box
+        for c in range(n - r, -1, -1):
+            s = row[c]
+            if s is None:
+                row[c] = _ROW_LABEL.get(right) or _COL_LABEL[below[c]]
+                continue
+            if right is not None and right.row_type:
+                raise InvalidTableauError(f"box ({r}, {c + 1}) left of a {right.value} is filled")
+            if below[c] is not None and below[c].column_type:
+                raise InvalidTableauError(f"box ({r}, {c + 1}) above a {below[c].value} is filled")
+            below[c] = right = s
+    return rows
 
 
 @dataclass(frozen=True)
@@ -55,41 +81,21 @@ class FilledTableau:
 
 def fill_uq(t: Tableau) -> FilledTableau:
     """Label every empty box of a valid tableau with u or q."""
-    cm = t.cell_map
-    labels: dict[tuple[int, int], str] = {}
-    # row pass: everything left of a beta/delta
-    for (row, col), sym in cm.items():
-        lab = _ROW_LABEL.get(sym)
-        if lab:
-            for col2 in range(1, col):
-                if (row, col2) not in cm:
-                    labels[(row, col2)] = lab
-    # column pass: nearest symbol strictly below decides
-    for row in range(1, t.n + 1):
-        for col in range(1, t.row_width(row) + 1):
-            box = (row, col)
-            if box in cm or box in labels:
-                continue
-            lab = None
-            for row2 in range(row + 1, t.n + 2 - col):
-                below = cm.get((row2, col))
-                if below is not None:
-                    lab = _COL_LABEL[below]
-                    break
-            if lab is None:
-                raise StaircaseError(
-                    f"box {box} has no symbol below it; tableau is invalid"
-                )
-            labels[box] = lab
-    return FilledTableau(base=t, labels=tuple(sorted((r, c, l) for (r, c), l in labels.items())))
+    labels = tuple(
+        (r, c, x)
+        for r, row in enumerate(_filled_rows(t), 1)
+        for c, x in enumerate(row, 1)
+        if type(x) is str
+    )
+    return FilledTableau(base=t, labels=labels)
 
 
 def wtx(t: Tableau) -> tuple[int, int, int, int, int, int]:
     """Exponent vector (N_alpha, N_beta, N_gamma, N_delta, N_u, N_q) of the
     filled weight monomial; the total degree is always n(n+1)/2."""
-    filled = fill_uq(t)
-    na, nb, ng, nd = weight_exponents(t)
-    return (na, nb, ng, nd, filled.u_count(), filled.q_count())
+    tally = Counter(chain.from_iterable(_filled_rows(t)))
+    return (tally[Symbol.ALPHA], tally[Symbol.BETA], tally[Symbol.GAMMA],
+            tally[Symbol.DELTA], tally["u"], tally["q"])
 
 
 def z_full(n: int, alpha, beta, gamma, delta, q, u,
@@ -97,8 +103,6 @@ def z_full(n: int, alpha, beta, gamma, delta, q, u,
     """Six-variable generating function: the sum of filled weights over
     all staircase tableaux of size n.  The ``wtx`` exponent vectors of the
     enumeration are tallied, then each distinct monomial is evaluated once."""
-    from .enumeration import enumerate_four
-
     alpha, beta, gamma, delta, q, u = map(_finite, ("alpha", "beta", "gamma", "delta", "q", "u"),
                                           (alpha, beta, gamma, delta, q, u))
     return BivarPoly(Counter(map(wtx, enumerate_four(n, allow_large)))).evaluate(
@@ -107,26 +111,13 @@ def z_full(n: int, alpha, beta, gamma, delta, q, u,
 
 def render_filled(f: FilledTableau) -> str:
     """Like the plain text rendering, with u/q letters in labelled boxes."""
-    lm = f.label_map()
-    lines = []
-    t = f.base
-    for row in range(1, t.n + 1):
-        line = []
-        for col in range(1, t.row_width(row) + 1):
-            sym = t.symbol_at(row, col)
-            if sym is not None:
-                line.append(sym.letter)
-            else:
-                line.append(lm.get((row, col), "."))
-        lines.append("".join(line))
-    return "\n".join(lines)
+    return "\n".join(
+        "".join(x if type(x) is str else x.letter for x in row)
+        for row in _filled_rows(f.base)
+    )
 
 
 def serialize_filled(f: FilledTableau) -> bytes:
-    from .tableau import to_document
-
     doc = to_document(f.base)
-    doc["labels"] = [
-        {"row": r, "col": c, "label": lab} for r, c, lab in f.labels
-    ]
+    doc["labels"] = [{"row": r, "col": c, "label": lab} for r, c, lab in f.labels]
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()

@@ -186,11 +186,12 @@ def v_row(n: int, a, b) -> tuple[Fraction, ...]:
 
 
 class BivarPoly:
-    """Sparse polynomial over exponent tuples of any length, printed in a and b.
+    """Sparse polynomial over exponent tuples of any length, in a, b, x3, x4, ...
 
     Stored as a mapping (i, j) -> exact coefficient of a^i b^j; zero
     coefficients are dropped.  ``+`` and ``*`` also take plain numbers,
-    which act as constants, so the triangle recursion runs on it unchanged.
+    which act as constants of the same monomial length, so the triangle
+    recursion runs on it unchanged.
     """
 
     __slots__ = ("coeffs",)
@@ -202,9 +203,10 @@ class BivarPoly:
     def constant(cls, c) -> "BivarPoly":
         return cls({(0, 0): c})
 
-    @staticmethod
-    def _lift(other) -> "BivarPoly":
-        return other if isinstance(other, BivarPoly) else BivarPoly.constant(other)
+    def _lift(self, other) -> "BivarPoly":
+        if isinstance(other, BivarPoly):
+            return other
+        return BivarPoly({(0,) * len(next(iter(self.coeffs), (0, 0))): other})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -267,9 +269,8 @@ class BivarPoly:
         if not self.coeffs:
             return "0"
         def monomial(mono: tuple[int, ...]) -> str:
-            return "*".join(
-                x if e == 1 else f"{x}^{e}" for x, e in zip("ab", mono) if e
-            )
+            names = ("a", "b", *(f"x{i}" for i in range(3, len(mono) + 1)))
+            return "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, mono) if e)
 
         terms = []
         for mono in sorted(self.coeffs, key=lambda m: (sum(m), [-e for e in m])):

@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 
 from .errors import DomainError, InvalidTableauError, MalformedDocumentError
 from .eulerian_poly import BivarPoly
@@ -81,14 +82,22 @@ _DAGGER_SWAP = {
 }
 
 
+def _integer(field: str, x) -> int:
+    """x as a Python int (NumPy integers included), else ValueError naming the field."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class Tableau:
     """Immutable staircase tableau: a size and a sparse cell assignment.
 
     ``cells`` is kept as a canonically sorted tuple of (row, col, symbol)
     so tableaux hash and compare by value.  Construction only checks basic
-    well-formedness (positive coordinates, no duplicate box); rule checks
-    live in :func:`validate`.
+    well-formedness (integer size and coordinates, positive coordinates, no
+    duplicate box); rule checks live in :func:`validate`.
 
     The samplers build through the private ``_sorted``, which skips these
     checks: their cells are valid by construction (the tests validate
@@ -101,10 +110,17 @@ class Tableau:
     cells: tuple[tuple[int, int, Symbol], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"tableau size must be >= 0, got {self.n}")
+        n = self.n
+        if type(n) is not int:
+            n = _integer("n", n)
+            object.__setattr__(self, "n", n)
+        if n < 0:
+            raise ValueError(f"tableau size must be >= 0, got {n}")
         seen = set()
+        exact = True   # every coordinate is already a Python int
         for row, col, sym in self.cells:
+            if type(row) is not int or type(col) is not int:
+                row, col, exact = _integer("cell row", row), _integer("cell col", col), False
             if row < 1 or col < 1:
                 raise ValueError(f"cell coordinates must be >= 1, got ({row}, {col})")
             if not isinstance(sym, Symbol):
@@ -112,7 +128,8 @@ class Tableau:
             if (row, col) in seen:
                 raise ValueError(f"duplicate cell ({row}, {col})")
             seen.add((row, col))
-        object.__setattr__(self, "cells", tuple(sorted(self.cells)))
+        cells = self.cells if exact else ((index(r), index(c), s) for r, c, s in self.cells)
+        object.__setattr__(self, "cells", tuple(sorted(cells)))
 
     @classmethod
     def _sorted(cls, n: int, cells: list[tuple[int, int, Symbol]]) -> "Tableau":

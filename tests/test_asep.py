@@ -1,11 +1,13 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from staircase_tableaux import Symbol, Tableau
+from staircase_tableaux import Symbol, Tableau, validate
 from staircase_tableaux.asep import (
+    FilledTableau,
     fill_uq,
     render_filled,
     serialize_filled,
@@ -13,7 +15,7 @@ from staircase_tableaux.asep import (
     z_full,
 )
 from staircase_tableaux.enumeration import enumerate_four, partition_function
-from staircase_tableaux.errors import ParameterError, StaircaseError
+from staircase_tableaux.errors import InvalidTableauError, ParameterError, StaircaseError
 from staircase_tableaux.sampling import sample_four
 
 A, B, G, D = Symbol.ALPHA, Symbol.BETA, Symbol.GAMMA, Symbol.DELTA
@@ -145,8 +147,8 @@ def _two_pass_labels(t):
 _DRAW_WEIGHTS = [(F(2), F(3, 7), F(1, 3), F(5)), (F(1), F(1), F(1), F(1)), (F(1, 2), F(4), F(3), F(0))]
 
 
-def _draws(sizes, seeds=range(3)):
-    return [sample_four(n, *w, seed) for n in sizes for w in _DRAW_WEIGHTS for seed in seeds]
+def _draws(sizes):
+    return [sample_four(n, *w, seed) for n in sizes for w in _DRAW_WEIGHTS for seed in range(3)]
 
 
 @pytest.mark.parametrize("n", [10, 40, 120])
@@ -171,3 +173,41 @@ def test_filling_outputs_are_pinned():
         filled = fill_uq(t)
         h.update(repr((filled.labels, wtx(t), render_filled(filled))).encode())
     assert h.hexdigest()[:16] == "2565d2c0f6b2af70"
+
+
+def _every_filling(n):
+    """Every assignment of empty/alpha/beta/gamma/delta to the boxes of the
+    size-n staircase, then each box just outside it (i + j = n + 2) filled
+    in turn beside the all-alpha-diagonal tableau."""
+    boxes = [(i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i)]
+    for choice in itertools.product((None, A, B, G, D), repeat=len(boxes)):
+        yield Tableau.of(n, [(i, j, s) for (i, j), s in zip(boxes, choice) if s])
+    diagonal = [(i, n + 1 - i, A) for i in range(1, n + 1)]
+    for i in range(1, n + 2):
+        for s in (A, B, G, D):
+            yield Tableau.of(n, diagonal + [(i, n + 2 - i, s)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_fill_raises_exactly_when_validate_rejects(n):
+    for t in _every_filling(n):
+        if validate(t):
+            with pytest.raises(InvalidTableauError):
+                fill_uq(t)
+            with pytest.raises(InvalidTableauError):
+                wtx(t)
+        else:
+            fill_uq(t)
+            wtx(t)
+
+
+@pytest.mark.parametrize("cells", [
+    [(1, 2, A), (2, 1, A), (1, 5, B)],   # box (1, 5) lies outside the staircase
+    [(1, 1, B), (2, 1, A), (1, 2, A)],   # rule (iv): the beta at (1, 1) is above an alpha
+    [(1, 1, A), (1, 2, B), (2, 1, B)],   # rule (iii): the alpha at (1, 1) is left of a beta
+], ids=["shape", "iv", "iii"])
+def test_fill_rejects_broken_rules(cells):
+    t = Tableau.of(2, cells)
+    for f in (fill_uq, wtx, lambda t: render_filled(FilledTableau(t, ()))):
+        with pytest.raises(InvalidTableauError):
+            f(t)

@@ -269,6 +269,24 @@ def test_bivar_poly_str_ordering():
     assert str(p) == "2 + a + b + 3*a^2*b"
 
 
+@pytest.mark.parametrize("coeffs, text", [
+    ({(0, 0, 3): 2}, "2*x3^3"),
+    ({(1, 2, 3): 1}, "a*b^2*x3^3"),
+    ({(0, 0, 0, 0, 1, 2): 3, (1, 1, 0, 0, 0, 0): -1}, "-a*b + 3*x5*x6^2"),
+    ({(0, 0, 0): F(1, 2), (0, 1, 1): 1}, "1/2 + b*x3"),
+])
+def test_bivar_poly_str_prints_every_exponent(coeffs, text):
+    assert str(BivarPoly(coeffs)) == text
+
+
+def test_bivar_poly_constants_take_the_monomial_length():
+    gamma = BivarPoly({(0, 0, 1, 0): 1})
+    assert (gamma * 2).coeffs == (2 * gamma).coeffs == {(0, 0, 1, 0): 2}
+    assert (gamma + 1).coeffs == (1 + gamma).coeffs == {(0, 0, 1, 0): 1, (0, 0, 0, 0): 1}
+    assert (BivarPoly() + 3).coeffs == {(0, 0): 3}
+    assert (BivarPoly({(1, 0): 1}) * 3 + 1).coeffs == {(1, 0): 3, (0, 0): 1}
+
+
 @given(
     st.sampled_from(RATIONALS),
     st.sampled_from(RATIONALS),

@@ -197,6 +197,25 @@ def test_duplicate_cell_rejected():
         Tableau.of(2, [(1, 1, A), (1, 1, B), (1, 2, A), (2, 1, B)])
 
 
+@pytest.mark.parametrize("n, cells, field", [
+    (2.5, [], "n"),
+    ("2", [], "n"),
+    (2, [(1.5, 1, A)], "cell row"),
+    (2, [(1, 2, A), (2, F(1), A)], "cell col"),
+])
+def test_non_integer_size_or_coordinate_rejected(n, cells, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        Tableau.of(n, cells)
+
+
+def test_numpy_integers_build_equal_tableaux():
+    numpy = pytest.importorskip("numpy")
+    t = Tableau.of(numpy.int64(2), [(numpy.int32(1), numpy.int64(2), A), (2, numpy.uint8(1), B)])
+    plain = Tableau.of(2, [(1, 2, A), (2, 1, B)])
+    assert t == plain and hash(t) == hash(plain)
+    assert serialize(t) == serialize(plain)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symbol_count_bounds(n):
     for t in enumerate_ab(n):
