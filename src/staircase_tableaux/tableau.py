@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import index
 
 from .errors import DomainError, InvalidTableauError, MalformedDocumentError
-from .eulerian_poly import BivarPoly
+from .eulerian_poly import BivarPoly, _as_n
 
 __all__ = [
     "Symbol",
@@ -82,14 +82,6 @@ _DAGGER_SWAP = {
 }
 
 
-def _integer(field: str, x) -> int:
-    """x as a Python int (NumPy integers included), else ValueError naming the field."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{field} must be an integer, got {x!r}") from None
-
-
 @dataclass(frozen=True)
 class Tableau:
     """Immutable staircase tableau: a size and a sparse cell assignment.
@@ -112,7 +104,7 @@ class Tableau:
     def __post_init__(self) -> None:
         n = self.n
         if type(n) is not int:
-            n = _integer("n", n)
+            n = _as_n(n, name="n", error=ValueError)
             object.__setattr__(self, "n", n)
         if n < 0:
             raise ValueError(f"tableau size must be >= 0, got {n}")
@@ -120,7 +112,8 @@ class Tableau:
         exact = True   # every coordinate is already a Python int
         for row, col, sym in self.cells:
             if type(row) is not int or type(col) is not int:
-                row, col, exact = _integer("cell row", row), _integer("cell col", col), False
+                row, col = _as_n(row, 1, "cell row", ValueError), _as_n(col, 1, "cell col", ValueError)
+                exact = False
             if row < 1 or col < 1:
                 raise ValueError(f"cell coordinates must be >= 1, got ({row}, {col})")
             if not isinstance(sym, Symbol):
