@@ -6,9 +6,9 @@ any other takes u if the nearest symbol below it is an alpha or delta, q if
 a beta or gamma.  One sweep labels every box, from the bottom row up and
 right to left along each row.  It carries the nearest symbol to the right
 (a beta or delta can only lead its row) and each column's nearest symbol
-below, which exists because a column's bottom box is diagonal.  On the way
-it checks the shape and rules (ii)-(iv), and raises InvalidTableauError at
-the first broken one.
+below, which exists because a column's bottom box is diagonal.  The sweep
+labels only what ``tableau.validate`` accepts: any other tableau raises
+InvalidTableauError naming every rule it breaks, as ``parse`` does.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .enumeration import enumerate_four
-from .errors import InvalidTableauError
 from .eulerian_poly import BivarPoly, _finite
-from .tableau import Symbol, Tableau, to_document
+from .tableau import Symbol, Tableau, _require_valid, to_document
 
 __all__ = ["FilledTableau", "fill_uq", "wtx", "z_full", "render_filled", "serialize_filled"]
 
@@ -33,28 +32,20 @@ _COL_LABEL = {Symbol.ALPHA: "u", Symbol.DELTA: "u", Symbol.BETA: "q", Symbol.GAM
 def _filled_rows(t: Tableau) -> list[list[Symbol | str]]:
     """Every box of a valid tableau, top row first, as its symbol or its
     u/q label; raises InvalidTableauError if t breaks a rule."""
+    _require_valid(t)
     n = t.n
     rows: list[list] = [[None] * (n - i) for i in range(n)]
     for r, c, s in t.cells:
-        if r + c > n + 1:
-            raise InvalidTableauError(f"box ({r}, {c}) outside the size-{n} staircase")
         rows[r - 1][c - 1] = s
     below: list[Symbol | None] = [None] * n   # per column, the nearest symbol below
-    for r in range(n, 0, -1):
-        row = rows[r - 1]
-        if row[-1] is None:
-            raise InvalidTableauError(f"diagonal box ({r}, {n + 1 - r}) is empty")
+    for row in reversed(rows):
         right = None   # nearest symbol right of the current box
-        for c in range(n - r, -1, -1):
+        for c in range(len(row) - 1, -1, -1):
             s = row[c]
             if s is None:
                 row[c] = _ROW_LABEL.get(right) or _COL_LABEL[below[c]]
-                continue
-            if right is not None and right.row_type:
-                raise InvalidTableauError(f"box ({r}, {c + 1}) left of a {right.value} is filled")
-            if below[c] is not None and below[c].column_type:
-                raise InvalidTableauError(f"box ({r}, {c + 1}) above a {below[c].value} is filled")
-            below[c] = right = s
+            else:
+                below[c] = right = s
     return rows
 
 

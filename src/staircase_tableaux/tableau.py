@@ -56,20 +56,19 @@ class Symbol(enum.Enum):
             return NotImplemented
         return _RANK[self] < _RANK[other]
 
-    @property
-    def column_type(self) -> bool:
-        """Alpha/Gamma: forces empty boxes above it in its column."""
-        return self in (Symbol.ALPHA, Symbol.GAMMA)
-
-    @property
-    def row_type(self) -> bool:
-        """Beta/Delta: forces empty boxes left of it in its row."""
-        return self in (Symbol.BETA, Symbol.DELTA)
+    # set on each member below, once the enum is built
+    column_type: bool   # Alpha/Gamma: forces empty boxes above it in its column
+    row_type: bool      # Beta/Delta: forces empty boxes left of it in its row
 
     @property
     def letter(self) -> str:
         return _LETTER[self]
 
+
+for _s in Symbol:
+    _s.column_type = _s in (Symbol.ALPHA, Symbol.GAMMA)
+    _s.row_type = _s in (Symbol.BETA, Symbol.DELTA)
+del _s
 
 _RANK = {s: i for i, s in enumerate(Symbol)}  # alpha < beta < gamma < delta
 _LETTER = {Symbol.ALPHA: "a", Symbol.BETA: "b", Symbol.GAMMA: "g", Symbol.DELTA: "d"}
@@ -150,9 +149,6 @@ class Tableau:
     def symbol_at(self, row: int, col: int) -> Symbol | None:
         return self.cell_map.get((row, col))
 
-    def in_shape(self, row: int, col: int) -> bool:
-        return 1 <= row and 1 <= col and row + col <= self.n + 1
-
     def row_width(self, row: int) -> int:
         return self.n + 1 - row
 
@@ -188,32 +184,40 @@ def validate(t: Tableau) -> list[Violation]:
 
     Structural problems (cells outside the staircase shape) are reported
     first, then rule (ii) for every empty diagonal box, then one record per
-    symbol breaking rule (iii) or (iv).
+    symbol breaking rule (iii) or (iv).  One pass over the sorted cells:
+    a row's first cell is its leftmost and a column's first its topmost.
     """
-    out: list[Violation] = []
-    for row, col, _sym in t.cells:
-        if not t.in_shape(row, col):
-            out.append(Violation("shape", (row, col), f"box ({row}, {col}) outside the size-{t.n} staircase"))
-    if out:
+    n = t.n
+    shape: list[Violation] = []
+    rules: list[Violation] = []
+    diagonal = set()   # rows whose diagonal box is filled
+    top: dict[int, int] = {}   # per column, the row of its topmost cell
+    last_row = left = 0   # the current row and its leftmost column
+    for row, col, sym in t.cells:
+        if row + col > n + 1:
+            shape.append(Violation("shape", (row, col), f"box ({row}, {col}) outside the size-{n} staircase"))
+        if row != last_row:
+            last_row, left = row, col
+        if row + col == n + 1:
+            diagonal.add(row)
+        above = top.setdefault(col, row)
+        if sym.row_type and left < col:
+            rules.append(Violation("iii", (row, col), f"box ({row}, {left}) left of {sym.value} at ({row}, {col}) is filled"))
+        if sym.column_type and above < row:
+            rules.append(Violation("iv", (row, col), f"box ({above}, {col}) above {sym.value} at ({row}, {col}) is filled"))
+    if shape:
         # Rule checks assume in-shape cells; report the structural failure alone.
-        return out
-    cm = t.cell_map
-    for i in range(1, t.n + 1):
-        j = t.n + 1 - i
-        if (i, j) not in cm:
-            out.append(Violation("ii", (i, j), f"diagonal box ({i}, {j}) is empty"))
-    for (row, col), sym in sorted(cm.items()):
-        if sym.row_type:
-            for col2 in range(1, col):
-                if (row, col2) in cm:
-                    out.append(Violation("iii", (row, col), f"box ({row}, {col2}) left of {sym.value} at ({row}, {col}) is filled"))
-                    break
-        if sym.column_type:
-            for row2 in range(1, row):
-                if (row2, col) in cm:
-                    out.append(Violation("iv", (row, col), f"box ({row2}, {col}) above {sym.value} at ({row}, {col}) is filled"))
-                    break
-    return out
+        return shape
+    empty = [Violation("ii", (i, n + 1 - i), f"diagonal box ({i}, {n + 1 - i}) is empty")
+             for i in range(1, n + 1) if i not in diagonal]
+    return empty + rules
+
+
+def _require_valid(t: Tableau) -> None:
+    """Raise InvalidTableauError naming every rule t breaks."""
+    violations = validate(t)
+    if violations:
+        raise InvalidTableauError("; ".join(v.message for v in violations))
 
 
 def counts(t: Tableau) -> SymbolCounts:
@@ -300,13 +304,14 @@ def serialize(t: Tableau) -> bytes:
     return json.dumps(to_document(t), separators=(",", ":"), sort_keys=True).encode()
 
 
-def from_document(doc: dict, check: bool = True) -> Tableau:
+def from_document(doc: dict) -> Tableau:
     try:
         n = doc["n"]
         raw_cells = doc["cells"]
     except (TypeError, KeyError) as exc:
         raise MalformedDocumentError(f"missing field in tableau document: {exc}") from exc
-    if not isinstance(n, int) or not isinstance(raw_cells, list):
+    # type(x) is int: JSON true/false must not pass for 1/0
+    if type(n) is not int or not isinstance(raw_cells, list):
         raise MalformedDocumentError("'n' must be an integer and 'cells' a list")
     cells = []
     for entry in raw_cells:
@@ -314,7 +319,7 @@ def from_document(doc: dict, check: bool = True) -> Tableau:
             row, col, sym = entry["row"], entry["col"], entry["sym"]
         except (TypeError, KeyError) as exc:
             raise MalformedDocumentError(f"bad cell entry {entry!r}") from exc
-        if not isinstance(row, int) or not isinstance(col, int):
+        if type(row) is not int or type(col) is not int:
             raise MalformedDocumentError(f"cell coordinates must be integers: {entry!r}")
         try:
             symbol = Symbol(sym)
@@ -325,16 +330,11 @@ def from_document(doc: dict, check: bool = True) -> Tableau:
         t = Tableau(n, tuple(cells))
     except ValueError as exc:
         raise MalformedDocumentError(str(exc)) from exc
-    if check:
-        violations = validate(t)
-        if violations:
-            raise InvalidTableauError(
-                "; ".join(v.message for v in violations)
-            )
+    _require_valid(t)
     return t
 
 
-def parse(data: bytes | str, check: bool = True) -> Tableau:
+def parse(data: bytes | str) -> Tableau:
     """Inverse of :func:`serialize`.
 
     Raises :class:`MalformedDocumentError` for documents that are not valid
@@ -347,4 +347,4 @@ def parse(data: bytes | str, check: bool = True) -> Tableau:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from exc
-    return from_document(doc, check=check)
+    return from_document(doc)

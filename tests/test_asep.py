@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from staircase_tableaux import Symbol, Tableau, validate
+from staircase_tableaux import Symbol, Tableau, parse, serialize, validate
 from staircase_tableaux.asep import (
     FilledTableau,
     fill_uq,
@@ -211,3 +211,15 @@ def test_fill_rejects_broken_rules(cells):
     for f in (fill_uq, wtx, lambda t: render_filled(FilledTableau(t, ()))):
         with pytest.raises(InvalidTableauError):
             f(t)
+
+
+def test_fill_and_parse_report_a_broken_rule_alike():
+    for t in _every_filling(2):
+        if not validate(t):
+            continue
+        with pytest.raises(InvalidTableauError) as parsed:
+            parse(serialize(t))
+        for f in (fill_uq, wtx):
+            with pytest.raises(InvalidTableauError) as filled:
+                f(t)
+            assert filled.value.args == parsed.value.args

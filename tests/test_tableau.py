@@ -195,6 +195,16 @@ def test_parse_rejects_invalid_tableau():
         parse(b'{"n": 1, "cells": []}')   # empty diagonal
 
 
+@pytest.mark.parametrize("doc, message", [
+    (b'{"n": true, "cells": [{"row": true, "col": 1, "sym": "alpha"}]}', "'n' must be an integer"),
+    (b'{"n": 1, "cells": [{"row": true, "col": 1, "sym": "alpha"}]}', "cell coordinates must be integers"),
+    (b'{"n": 1, "cells": [{"row": 1, "col": false, "sym": "alpha"}]}', "cell coordinates must be integers"),
+], ids=["n", "row", "col"])
+def test_parse_rejects_json_booleans(doc, message):
+    with pytest.raises(MalformedDocumentError, match=message):
+        parse(doc)
+
+
 def test_duplicate_cell_rejected():
     with pytest.raises(ValueError):
         Tableau.of(2, [(1, 1, A), (1, 1, B), (1, 2, A), (2, 1, B)])
