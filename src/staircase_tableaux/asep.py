@@ -7,8 +7,9 @@ a beta or gamma.  One sweep labels every box, from the bottom row up and
 right to left along each row.  It carries the nearest symbol to the right
 (a beta or delta can only lead its row) and each column's nearest symbol
 below, which exists because a column's bottom box is diagonal.  The sweep
-labels only what ``tableau.validate`` accepts: any other tableau raises
-InvalidTableauError naming every rule it breaks, as ``parse`` does.
+only labels: ``fill_uq``, ``wtx`` and ``render_filled`` first raise
+InvalidTableauError, as ``parse`` does, on what ``tableau.validate``
+rejects; ``z_full`` sweeps the certified ``enumerate_four`` stream as is.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ _COL_LABEL = {Symbol.ALPHA: "u", Symbol.DELTA: "u", Symbol.BETA: "q", Symbol.GAM
 
 def _filled_rows(t: Tableau) -> list[list[Symbol | str]]:
     """Every box of a valid tableau, top row first, as its symbol or its
-    u/q label; raises InvalidTableauError if t breaks a rule."""
-    _require_valid(t)
+    u/q label; t is not checked."""
     n = t.n
     rows: list[list] = [[None] * (n - i) for i in range(n)]
     for r, c, s in t.cells:
@@ -60,18 +60,10 @@ class FilledTableau:
     def n(self) -> int:
         return self.base.n
 
-    def label_map(self) -> dict[tuple[int, int], str]:
-        return {(r, c): lab for r, c, lab in self.labels}
-
-    def u_count(self) -> int:
-        return sum(1 for *_ , lab in self.labels if lab == "u")
-
-    def q_count(self) -> int:
-        return sum(1 for *_, lab in self.labels if lab == "q")
-
 
 def fill_uq(t: Tableau) -> FilledTableau:
     """Label every empty box of a valid tableau with u or q."""
+    _require_valid(t)
     labels = tuple(
         (r, c, x)
         for r, row in enumerate(_filled_rows(t), 1)
@@ -84,6 +76,11 @@ def fill_uq(t: Tableau) -> FilledTableau:
 def wtx(t: Tableau) -> tuple[int, int, int, int, int, int]:
     """Exponent vector (N_alpha, N_beta, N_gamma, N_delta, N_u, N_q) of the
     filled weight monomial; the total degree is always n(n+1)/2."""
+    _require_valid(t)
+    return _wtx(t)
+
+
+def _wtx(t: Tableau) -> tuple[int, int, int, int, int, int]:
     tally = Counter(chain.from_iterable(_filled_rows(t)))
     return (tally[Symbol.ALPHA], tally[Symbol.BETA], tally[Symbol.GAMMA],
             tally[Symbol.DELTA], tally["u"], tally["q"])
@@ -96,12 +93,13 @@ def z_full(n: int, alpha, beta, gamma, delta, q, u,
     enumeration are tallied, then each distinct monomial is evaluated once."""
     alpha, beta, gamma, delta, q, u = map(_finite, ("alpha", "beta", "gamma", "delta", "q", "u"),
                                           (alpha, beta, gamma, delta, q, u))
-    return BivarPoly(Counter(map(wtx, enumerate_four(n, allow_large)))).evaluate(
+    return BivarPoly(Counter(map(_wtx, enumerate_four(n, allow_large)))).evaluate(
         alpha, beta, gamma, delta, u, q)
 
 
 def render_filled(f: FilledTableau) -> str:
     """Like the plain text rendering, with u/q letters in labelled boxes."""
+    _require_valid(f.base)
     return "\n".join(
         "".join(x if type(x) is str else x.letter for x in row)
         for row in _filled_rows(f.base)

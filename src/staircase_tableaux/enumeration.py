@@ -3,7 +3,8 @@
 This is the ground-truth oracle for everything else in the package: the
 generators are constructive (valid by construction, each tableau exactly
 once) and every sum tallies the integer exponent vectors of a stream,
-then weighs each distinct vector once.
+then weighs each distinct vector once.  The streams skip the tableau
+checks; ``enumerate_naive`` keeps them and certifies the streams.
 
 The alpha/beta generator grows a tableau one column at a time, left to
 right in construction order: extending a size m-1 tableau to size m means
@@ -14,8 +15,8 @@ prepending a column of m boxes and filling it one of three ways
         currently indexed by alpha;
   (iii) as (ii) but with the topmost added symbol an alpha.
 
-Growing columns are prepended, so internally the column added at step m is
-addressed as -m and shifted to 1..n at the end; rows never move.
+Growing columns are prepended, so the column added at step m is written
+at its final index n + 1 - m; rows never move.
 """
 
 from __future__ import annotations
@@ -70,12 +71,12 @@ def _check_cap(n: int, cap: int, override: bool) -> int:
 
 def _grow(cells: list[tuple[int, int, Symbol]], alpha_rows: list[int],
           size: int, target: int) -> Iterator[list[tuple[int, int, Symbol]]]:
-    """Depth-first column extension; yields cell lists in negative columns."""
+    """Depth-first column extension; yields a fresh cell list per tableau."""
     if size == target:
         yield cells
         return
     m = size + 1
-    col = -m
+    col = target + 1 - m
     # case (i): single alpha in the bottom box
     yield from _grow(cells + [(m, col, Symbol.ALPHA)], alpha_rows + [m], m, target)
     # case (ii): bottom beta plus betas in a subset of alpha-indexed rows
@@ -105,7 +106,7 @@ def enumerate_ab(n: int, allow_large: bool = False) -> Iterator[Tableau]:
     """
     n = _check_cap(n, AB_CAP, allow_large)
     for cells in _grow([], [], 0, n):
-        yield Tableau(n, tuple((r, c + n + 1, s) for r, c, s in cells))
+        yield Tableau._sorted(n, cells)
 
 
 def enumerate_four(n: int, allow_large: bool = False) -> Iterator[Tableau]:
@@ -114,19 +115,19 @@ def enumerate_four(n: int, allow_large: bool = False) -> Iterator[Tableau]:
     all possible subsets.  There are 4^n n! of them."""
     n = _check_cap(n, FOUR_CAP, allow_large)
     for base in enumerate_ab(n, allow_large=True):
-        spots = list(base.cells)
         options = [
             ((r, c, s), (r, c, Symbol.GAMMA if s is Symbol.ALPHA else Symbol.DELTA))
-            for (r, c, s) in spots
+            for (r, c, s) in base.cells
         ]
         for choice in itertools.product(*options):
-            yield Tableau(n, choice)
+            yield Tableau._sorted(n, list(choice))
 
 
 def enumerate_naive(n: int, four: bool = False) -> Iterator[Tableau]:
     """Independent certification generator: fill every box with one of the
     allowed symbols or leave it empty, keep what validates.  Exponential in
     n(n+1)/2, so restricted to n <= 3."""
+    n = _as_n(n, error=ParameterError)
     if not 1 <= n <= 3:
         raise CapExceededError("naive enumeration is restricted to 1 <= n <= 3")
     boxes = [(i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i)]
@@ -162,8 +163,7 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
     tableaux maximizing the corresponding symbol count (uniformly over the
     maximizers when both are infinite).
     """
-    stats = [(t, weight_exponents(t)[:2]) for t in enumerate_ab(n, allow_large)]
-    tally = Counter(e for _, e in stats)
+    n = _check_cap(n, AB_CAP, allow_large)
     # an infinite weight counts as 1 on the maximisers of its symbol count; beta = 0
     # beside alpha = inf leaves the all-alpha diagonal (0**0 == 1, zeros dropped)
     inf_a, inf_b = alpha == math.inf, beta == math.inf
@@ -171,6 +171,8 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
     beta = 1 if inf_b else _finite("beta", beta)
     if alpha == 0 and beta == 0:
         raise ParameterError("need alpha, beta not both zero")
+    stats = [(t, weight_exponents(t)[:2]) for t in enumerate_ab(n, allow_large)]
+    tally = Counter(e for _, e in stats)
     best = max(inf_a * na + inf_b * nb for na, nb in tally)
     weights = {(na, nb): alpha ** na * beta ** nb for na, nb in tally
                if inf_a * na + inf_b * nb == best}

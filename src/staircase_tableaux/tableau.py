@@ -90,11 +90,11 @@ class Tableau:
     well-formedness (integer size and coordinates, positive coordinates, no
     duplicate box); rule checks live in :func:`validate`.
 
-    The samplers build through the private ``_sorted``, which skips these
-    checks: their cells are valid by construction (the tests validate
-    every regime's draws), and at small n the checks were about 15% of a
-    draw.  Everything else, parsing and enumeration included, goes through
-    the public constructor and keeps every check.
+    Input from outside the package is checked where it enters: here, in
+    :meth:`of` and in :func:`parse`, which also checks the rules.  What the
+    package builds from its own checked data (draws, enumeration streams,
+    :func:`subtableau`, :func:`dagger`) goes through the unchecked private
+    ``_sorted``; the tests compare each with its public construction.
     """
 
     n: int
@@ -125,8 +125,8 @@ class Tableau:
 
     @classmethod
     def _sorted(cls, n: int, cells: list[tuple[int, int, Symbol]]) -> "Tableau":
-        """The sampler's constructor: sorts ``cells`` in place and checks
-        nothing, so its caller must pass cells that form a valid tableau."""
+        """The package's own constructor: sorts ``cells``, a fresh list, in
+        place and checks nothing, so its caller vouches for them."""
         cells.sort()
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
@@ -262,12 +262,11 @@ def weight(t: Tableau, alpha, beta, gamma=0, delta=0) -> Fraction:
 def subtableau(t: Tableau, i: int, j: int) -> Tableau:
     """Subtableau with (i, j) as its top-left box: drop the first i-1 rows
     and j-1 columns and re-index.  Result has size n - i - j + 2."""
-    if i < 1 or j < 1 or i + j > t.n + 1:
+    i, j = _as_n(i, 1, "i"), _as_n(j, 1, "j")
+    if i + j > t.n + 1:
         raise DomainError(f"box ({i}, {j}) is outside the size-{t.n} staircase")
-    kept = tuple(
-        (r - i + 1, c - j + 1, s) for r, c, s in t.cells if r >= i and c >= j
-    )
-    return Tableau(t.n - i - j + 2, kept)
+    return Tableau._sorted(t.n - i - j + 2, [
+        (r - i + 1, c - j + 1, s) for r, c, s in t.cells if r >= i and c >= j])
 
 
 def dagger(t: Tableau) -> Tableau:
@@ -275,7 +274,7 @@ def dagger(t: Tableau) -> Tableau:
 
     An involution: dagger(dagger(t)) == t.
     """
-    return Tableau(t.n, tuple((c, r, _DAGGER_SWAP[s]) for r, c, s in t.cells))
+    return Tableau._sorted(t.n, [(c, r, _DAGGER_SWAP[s]) for r, c, s in t.cells])
 
 
 def render_text(t: Tableau) -> str:
@@ -337,14 +336,14 @@ def from_document(doc: dict) -> Tableau:
 def parse(data: bytes | str) -> Tableau:
     """Inverse of :func:`serialize`.
 
-    Raises :class:`MalformedDocumentError` for documents that are not valid
+    Raises :class:`MalformedDocumentError` for documents that are not UTF-8
     JSON or miss fields, and :class:`InvalidTableauError` for well-formed
     documents describing rule-breaking tableaux.
     """
-    if isinstance(data, bytes):
-        data = data.decode()
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode() if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise MalformedDocumentError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from exc
     return from_document(doc)

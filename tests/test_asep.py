@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -21,9 +22,15 @@ from staircase_tableaux.sampling import sample_four
 A, B, G, D = Symbol.ALPHA, Symbol.BETA, Symbol.GAMMA, Symbol.DELTA
 
 
+def _label_counts(filled):
+    """(number of u labels, number of q labels) of a filled tableau."""
+    tally = Counter(lab for *_, lab in filled.labels)
+    return tally["u"], tally["q"]
+
+
 def test_showcase_filling(showcase8):
     filled = fill_uq(showcase8)
-    assert filled.u_count() == 13 and filled.q_count() == 10
+    assert _label_counts(filled) == (13, 10)
     assert wtx(showcase8) == (5, 2, 3, 3, 13, 10)
     assert render_filled(filled) == "\n".join([
         "uauuuqqg",
@@ -41,8 +48,9 @@ def test_all_alpha_diagonal_fills_u():
     n = 4
     t = Tableau.of(n, [(i, n + 1 - i, A) for i in range(1, n + 1)])
     filled = fill_uq(t)
-    assert filled.q_count() == 0
-    assert filled.u_count() == n * (n + 1) // 2 - n
+    n_u, n_q = _label_counts(filled)
+    assert n_q == 0
+    assert n_u == n * (n + 1) // 2 - n
 
 
 def test_size1_no_labels():
@@ -64,8 +72,8 @@ def test_row_pass_precedes_column_pass():
         (6, 3, D), (7, 2, B), (8, 1, A),
     ])
     filled = fill_uq(t)
-    assert filled.label_map()[(4, 2)] == "q"
-    assert filled.label_map()[(3, 2)] == "u"   # nearest symbol below is a delta
+    assert (4, 2, "q") in filled.labels
+    assert (3, 2, "u") in filled.labels   # nearest symbol below is a delta
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -232,6 +232,15 @@ def test_asep_roundtrip(tmp_path, capsys, showcase8):
     assert code == 0 and out.splitlines()[0] == "uauuuqqg"
 
 
+@pytest.mark.parametrize("action", ["fill", "weight"])
+def test_asep_rejects_non_utf8_input(tmp_path, capsys, action):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "asep", action, "--input", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: not UTF-8")
+
+
 def test_asep_z_full(capsys):
     code, out, _ = run_cli(capsys, "asep", "z-full", "--n", "3", "--alpha", "1",
                            "--beta", "1", "--gamma", "1", "--delta", "1",

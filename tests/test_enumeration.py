@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from staircase_tableaux import Symbol, Tableau, counts, validate
+from staircase_tableaux import Symbol, Tableau, counts, dagger, enumeration, subtableau, validate
 from staircase_tableaux.asep import z_full
 from staircase_tableaux.enumeration import (
     enumerate_ab,
@@ -50,6 +50,33 @@ def test_matches_naive_generator(n):
 def test_naive_generator_capped():
     with pytest.raises(CapExceededError):
         list(enumerate_naive(4))
+
+
+@pytest.mark.parametrize("n", [2.5, "2", None])
+def test_naive_generator_rejects_non_integer_size(n):
+    with pytest.raises(ParameterError, match="^n must be an integer"):
+        list(enumerate_naive(n))
+
+
+def _assert_public_value(t):
+    """t, built unchecked, is the very value the public constructor makes."""
+    public = Tableau(t.n, t.cells)
+    assert t == public and hash(t) == hash(public)
+    assert isinstance(t.cells, tuple) and list(t.cells) == sorted(t.cells)
+    assert validate(t) == []
+
+
+def test_streams_and_their_transforms_equal_their_public_construction():
+    # enumeration, subtableau and dagger build without the public
+    # constructor's checks; every result must be what the public one makes
+    stream = [t for n in range(6) for t in enumerate_ab(n)]
+    stream += [t for n in range(4) for t in enumerate_four(n)]
+    for t in stream:
+        _assert_public_value(t)
+        _assert_public_value(dagger(t))
+        for i in range(1, t.n + 1):
+            for j in range(1, t.n + 2 - i):
+                _assert_public_value(subtableau(t, i, j))
 
 
 def test_cap_guard_and_override():
@@ -226,6 +253,22 @@ def test_law_ab_weight_grid_is_pinned(alpha, beta, digest):
 def test_law_ab_rejects_both_zero():
     with pytest.raises(ParameterError):
         law_ab(2, 0, 0)
+
+
+def test_law_ab_checks_its_arguments_before_enumerating(monkeypatch):
+    def enumerate_ab(*args, **kwargs):
+        raise AssertionError("law_ab enumerated before checking its arguments")
+
+    monkeypatch.setattr(enumeration, "enumerate_ab", enumerate_ab)
+    with pytest.raises(ParameterError, match="^alpha must be"):
+        law_ab(8, -1, 1)
+    with pytest.raises(ParameterError, match="not both zero"):
+        law_ab(8, 0, 0)
+    # the cap is checked first, as before
+    with pytest.raises(CapExceededError):
+        law_ab(9, -1, 1)
+    with pytest.raises(ParameterError, match="^n must be an integer"):
+        law_ab(2.5, -1, 1)
 
 
 @pytest.mark.parametrize("call, name", [

@@ -120,6 +120,13 @@ def test_subtableau_out_of_range(showcase8):
         subtableau(showcase8, 4, 6)
 
 
+@pytest.mark.parametrize("bad", [1.5, "1", None, 0])
+@pytest.mark.parametrize("name", ["i", "j"])
+def test_subtableau_index_follows_the_integer_rule(showcase8, name, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        subtableau(showcase8, **{"i": 1, "j": 1, name: bad})
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_subtableau_always_valid(n):
     for t in enumerate_ab(n):
@@ -188,6 +195,13 @@ def test_parse_rejects_malformed():
         parse(b'{"n": 1}')
     with pytest.raises(MalformedDocumentError):
         parse(b'{"n": 1, "cells": [{"row": 1, "col": 1, "sym": "epsilon"}]}')
+
+
+def test_parse_rejects_non_utf8_bytes():
+    with pytest.raises(MalformedDocumentError, match="not UTF-8"):
+        parse(b"\xff")
+    with pytest.raises(MalformedDocumentError, match="not UTF-8"):
+        parse(b'{"n": 1, "cells": [{"row": 1, "col": 1, "sym": "\xe9"}]}')
 
 
 def test_parse_rejects_invalid_tableau():
