@@ -35,3 +35,62 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _records():
+    """One instance of every record class, each built by the package's own calls."""
+    from fractions import Fraction as F
+
+    from staircase_tableaux import acceptance, asep, distributions as D, eulerian_poly as E
+    from staircase_tableaux import sampling as S, tableau as T
+
+    alpha, beta = T.Symbol.ALPHA, T.Symbol.BETA
+    broken = T.Tableau(3, ((1, 1, beta), (1, 3, alpha), (2, 2, alpha), (3, 1, alpha)))
+    draw = S.sample_four(6, F(2), F(3, 7), F(1, 3), F(5), 11)
+    params = S.Params(F(1, 2), 3, F(1, 3))
+    law = D.dist_N_pairs(4, F(2, 3), F(5, 2))
+    (check,) = acceptance.run("quick", [12])
+    return [
+        (*T.validate(broken), "rule"),
+        (T.counts(draw), "n_alpha"),
+        (S.tableau_stats(S.sample_ab(7, params, 5)), "diagonal_word"),
+        (S.urn_sample(12, F(1, 2), 2, 9), "path"),
+        (draw, "cells"),
+        (D.dist_A(6, F(1, 2), F(3)), "weights"),
+        (D.bernoulli_decomposition(5, F(2, 3), F(5, 2)), "p"),
+        (law, "pairs"),
+        (law.pairs[1], "p10"),
+        (D.subtableau_law_check(4, 1, F(1, 2), 2, 1), "equal"),
+        (D.clt_diagnostics(12, F(1, 2), F(3)), "sd"),
+        (D.n_alpha_growth_check([3, 5], F(1, 2), F(3))[1], "cov"),
+        (D.chi_square_gof({0: F(1, 3), 1: F(2, 3)}, {0: 3, 1: 5}), "p_value"),
+        (type(check)(check.index, check.name, check.passed, check.detail, 0.0), "seconds"),
+        (asep.fill_uq(draw), "labels"),
+        (E.v_triangle(4, F(1, 2), F(3)), "rows"),
+        (E.c_table(4, F(2, 3)), "b"),
+        (params, "rho"),
+        (S.sample_batch(3, S.Params(1, 1), 7, 25), None),   # mutable
+    ]
+
+
+def test_records_are_pinned():
+    # SHA-256 prefix recorded while the records were dataclasses: repr, ==,
+    # hash, pickle and immutability must survive any change of their base
+    import hashlib
+    import pickle
+
+    records, twins = _records(), _records()
+    flat = [(r, f) for *rs, f in records for r in rs]
+    assert len({type(r) for r, _ in flat}) == 19
+    h = hashlib.sha256()
+    for (r, field), (twin, _) in zip(flat, [(t, f) for *ts, f in twins for t in ts]):
+        h.update(repr(r).encode())
+        assert r is not twin and r == twin and pickle.loads(pickle.dumps(r)) == twin
+        if field is None:   # BatchSummary is mutable, so unhashable
+            with pytest.raises(TypeError):
+                hash(r)
+            continue
+        assert hash(r) == hash(twin)
+        with pytest.raises(AttributeError):
+            setattr(r, field, getattr(twin, field))
+    assert h.hexdigest()[:16] == "7cf57b9fcf86c521"
