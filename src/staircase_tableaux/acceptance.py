@@ -16,8 +16,8 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import NamedTuple
 
 from . import asep, distributions as dist, enumeration as enum_, eulerian_poly as eul
 from . import sampling, tableau as tb
@@ -456,8 +456,7 @@ CRITERIA = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     index: int
     name: str
     passed: bool

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .enumeration import enumerate_four
 from .eulerian_poly import BivarPoly, _finite
@@ -49,8 +49,7 @@ def _filled_rows(t: Tableau) -> list[list[Symbol | str]]:
     return rows
 
 
-@dataclass(frozen=True)
-class FilledTableau:
+class FilledTableau(NamedTuple):
     """A tableau together with the unique u/q labels of its empty boxes."""
 
     base: Tableau

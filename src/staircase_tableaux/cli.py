@@ -25,13 +25,11 @@ including the STAIRCASE_TABLEAUX_CAP override, live in ``enumeration``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
@@ -138,15 +136,19 @@ def emit(views: Views, args) -> None:
     text = _float_text if getattr(args, "float", False) else str
     lines = (_line(item, text) for item in views[fmt])
     if args.output:
+        import tempfile   # only --output needs it: a cold start skips its import
         directory = os.path.dirname(os.path.abspath(args.output))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".staircase-")
         try:
-            with os.fdopen(fd, "w") as fh:
-                _write_lines(fh, lines)
-            os.replace(tmp, args.output)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".staircase-")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    _write_lines(fh, lines)
+                os.replace(tmp, args.output)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise ParameterError(f"{args.output}: {exc.strerror}") from exc
     else:
         _write_lines(sys.stdout, lines)
 
@@ -334,8 +336,11 @@ def cmd_triangle(args) -> Views:
 
 def _read_tableau(args) -> tableau.Tableau:
     if args.input and args.input != "-":
-        with open(args.input, "rb") as fh:
-            data = fh.read()
+        try:
+            with open(args.input, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ParameterError(f"{args.input}: {exc.strerror}") from exc
     else:
         data = sys.stdin.buffer.read()
     return tableau.parse(data)
@@ -371,7 +376,7 @@ def cmd_verify(args) -> tuple[Views, int]:
     text = [f"[{'PASS' if r.passed else 'FAIL'}] {r.index:2d} {r.name:<{width}}  "
             f"({r.seconds:.1f}s)  {r.detail}" for r in results]
     text.append(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
-    views = {"text": text, "json": [dataclasses.asdict(r) for r in results]}
+    views = {"text": text, "json": [r._asdict() for r in results]}
     return views, EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 

@@ -9,11 +9,11 @@ CLT/LLT diagnostics and chi-square p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import _as_ab, _as_n, _fractions, _invert, scaled_row, scaled_rows
+from .eulerian_poly import _as_ab, _as_n, _fractions, _invert, _Record, scaled_row, scaled_rows
 
 __all__ = [
     "DiscreteDist",
@@ -39,28 +39,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
+class DiscreteDist(_Record):
     """Finitely supported exact law on consecutive integers as integer
     weights over one denominator: P(offset + i) = weights[i] / total, total =
     sum(weights).  Zero ends are trimmed and the weights divided by their gcd,
     so equal laws compare equal.  Values are handed out as Fractions."""
 
-    offset: int
-    weights: tuple[int, ...]
-    total: int = field(init=False, repr=False, compare=False)
+    total: int   # sum(weights), kept out of repr and ==
+    _fields = ("offset", "weights")
 
-    def __post_init__(self):
-        w = self.weights
-        if any(x < 0 for x in w):
+    def __init__(self, offset: int, weights: tuple[int, ...]):
+        if any(x < 0 for x in weights):
             raise ValueError("negative weight")
-        nonzero = [i for i, x in enumerate(w) if x]
+        nonzero = [i for i, x in enumerate(weights) if x]
         if not nonzero:
             raise ValueError("empty distribution")
-        w = w[nonzero[0]:nonzero[-1] + 1]
+        w = weights[nonzero[0]:nonzero[-1] + 1]
         g = math.gcd(*w)
         w = tuple(x // g for x in w)
-        object.__setattr__(self, "offset", self.offset + nonzero[0])
+        object.__setattr__(self, "offset", offset + nonzero[0])
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "total", sum(w))
 
@@ -291,8 +288,7 @@ def _interlacing_roots(rows: list[list[int]]) -> list[tuple[Dyadic, Dyadic]]:
     return brackets
 
 
-@dataclass(frozen=True)
-class BernoulliDecomp:
+class BernoulliDecomp(NamedTuple):
     """A written as an independent Bernoulli sum: p[i] = 1/(1 + xi[i]) from
     the located roots -xi[i] of the pgf (xi = inf encodes a padded p = 0,
     xi = 0 a deterministic success).  Each xi is the midpoint of a
@@ -367,22 +363,21 @@ def bernoulli_decomposition(n: int, a, b) -> BernoulliDecomp:
 # Joint symbol counts
 
 
-@dataclass(frozen=True)
-class PairDist:
+class PairDist(_Record):
     """Law of one step pair (I_i, J_i): (0,0) is impossible, the rest are
     p10, p01, p11."""
 
-    p10: Fraction
-    p01: Fraction
-    p11: Fraction
+    _fields = ("p10", "p01", "p11")
 
-    def __post_init__(self):
-        if self.p10 + self.p01 + self.p11 != 1:
+    def __init__(self, p10: Fraction, p01: Fraction, p11: Fraction):
+        if p10 + p01 + p11 != 1:
             raise ValueError("pair probabilities must sum to 1")
+        object.__setattr__(self, "p10", p10)
+        object.__setattr__(self, "p01", p01)
+        object.__setattr__(self, "p11", p11)
 
 
-@dataclass(frozen=True)
-class NPairLaw:
+class NPairLaw(NamedTuple):
     """(N_alpha, N_beta) as a sum of n independent pairs, with exact
     marginal parameters and moments."""
 
@@ -535,8 +530,7 @@ def diag_cov(n: int, a, b, j: int, k: int) -> Fraction:
 # Subtableau law
 
 
-@dataclass(frozen=True)
-class SubtableauComparison:
+class SubtableauComparison(NamedTuple):
     n: int
     i: int
     j: int
@@ -586,8 +580,7 @@ def subtableau_law_check(n: int, a, b, i: int, j: int,
 # Finite-n limit diagnostics
 
 
-@dataclass(frozen=True)
-class CLTDiagnostics:
+class CLTDiagnostics(NamedTuple):
     n: int
     mean: float
     sd: float
@@ -619,8 +612,7 @@ def clt_diagnostics(n: int, a, b) -> CLTDiagnostics:
                           llt_max_residual=resid * math.sqrt(n))
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     n: int
     mean_alpha: Fraction
     var_alpha: Fraction
@@ -666,8 +658,7 @@ def n_alpha_growth_check(n_list, a, b) -> list[GrowthRow]:
 # Goodness of fit
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(NamedTuple):
     statistic: float
     df: int
     p_value: float

@@ -61,6 +61,7 @@ def _check_cap(n: int, cap: int, override: bool) -> int:
             cap = int(env)
         except ValueError as exc:
             raise ParameterError(f"bad STAIRCASE_TABLEAUX_CAP: {env!r}") from exc
+        cap = _as_n(cap, 0, "STAIRCASE_TABLEAUX_CAP", ParameterError)
     if n > cap and not override:
         raise CapExceededError(
             f"n={n} exceeds the enumeration cap {cap}; pass allow_large=True "

@@ -17,10 +17,10 @@ type-B Eulerian numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from operator import add, index
+from operator import add, attrgetter, index
+from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
 
@@ -87,6 +87,33 @@ def _as_n(n, least: int = 0, name: str = "n", error: type = DomainError) -> int:
     return n
 
 
+class _Record:
+    """Base of the value classes that check or derive their fields: repr,
+    == and hash read the ``_fields`` in order, and assignment raises, so
+    ``__init__`` sets each field with object.__setattr__."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        # the fields' values as one tuple (every record has two or more fields)
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def rising_factorial(x, n: int) -> Fraction:
     """x^{rise n} = x (x+1) ... (x+n-1); empty product for n = 0."""
     n = _as_n(n)
@@ -139,8 +166,7 @@ def _fractions(row, den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in row)
 
 
-@dataclass(frozen=True)
-class EulerTriangle:
+class EulerTriangle(NamedTuple):
     """Exact table of v_{a,b}(n, k) for 0 <= k <= n <= n_max, kept as the
     integer rows of the recursion: v(n, k) = rows[n][k] / d**n, with d the
     common denominator of a and b.  Values are handed out as Fractions."""
@@ -356,8 +382,7 @@ def p_at_one(n: int, a, b) -> tuple[Fraction, Fraction, Fraction]:
     return p0, p1, p2
 
 
-@dataclass(frozen=True)
-class CTable:
+class CTable(NamedTuple):
     """Exact table of the connection coefficients c_{n,l}:
     c_{0,0} = 1 and c_{n+1,l} = (l + b) c_{n,l} + c_{n,l-1}, kept as integer
     rows: c_{n,l} = rows[n][l] / d**(n-l), with b = B/d in lowest terms, so

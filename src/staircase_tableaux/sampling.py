@@ -56,12 +56,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .enumeration import AB_CAP
-from .eulerian_poly import _as_n, _finite, _fraction, _invert
+from .eulerian_poly import _as_n, _finite, _fraction, _invert, _Record
 from .rng import SplitMix64, bernoulli, bernoulli_ratio, derive_seed, first_passage
 from .tableau import Symbol, Tableau, counts
 
@@ -102,24 +102,21 @@ def _over_one_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     return xn * (d // xd), yn * (d // yd), d
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(_Record):
     """Inverse weights a = 1/alpha, b = 1/beta, each in [0, inf], plus the
     tie-break probability rho used only in the a = b = 0 final step and in
     the a = b = inf diagonal coin."""
 
-    a: Fraction | float
-    b: Fraction | float
-    rho: Fraction = Fraction(1, 2)
     # (A, B, d) with a = A/d and b = B/d, the sampler's integer form; None
     # when either weight is infinite
-    _scaled: tuple[int, int, int] | None = field(init=False, repr=False, compare=False)
+    _scaled: tuple[int, int, int] | None
+    _fields = ("a", "b", "rho")
 
-    def __post_init__(self):
-        a, b = _as_param("a", self.a), _as_param("b", self.b)
+    def __init__(self, a: Fraction | float, b: Fraction | float, rho: Fraction = Fraction(1, 2)):
+        a, b = _as_param("a", a), _as_param("b", b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rho", _as_param("rho", self.rho, 1))
+        object.__setattr__(self, "rho", _as_param("rho", rho, 1))
         object.__setattr__(self, "_scaled",
                            None if INF in (a, b) else _over_one_denominator(a, b))
 
@@ -236,8 +233,7 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int,
     return Tableau._sorted(n, cells)
 
 
-@dataclass(frozen=True)
-class UrnResult:
+class UrnResult(NamedTuple):
     added_white: int
     added_black: int
     path: tuple[int, ...]  # added-white count after each draw
@@ -266,8 +262,7 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     return UrnResult(white_added, n - white_added, tuple(path))
 
 
-@dataclass(frozen=True)
-class TableauStats:
+class TableauStats(NamedTuple):
     diagonal_alpha: int
     diagonal_beta: int
     n_alpha: int
@@ -283,19 +278,24 @@ def tableau_stats(t: Tableau) -> TableauStats:
                         c.alpha_indexed_rows, word)
 
 
-@dataclass
-class BatchSummary:
+class BatchSummary(_Record):
     """Empirical summary of a sample batch, one ``add`` per draw.
 
     ``tableau_counts`` records whole tableaux only for sizes up to
     ``enumeration.AB_CAP``, the sizes an enumeration oracle can check;
     beyond it the Counter would grow with the number of samples."""
 
-    count: int = 0
-    sum_diag_alpha: int = 0
-    sum_diag_alpha_sq: int = 0
-    diag_alpha_counts: Counter = field(default_factory=Counter)
-    tableau_counts: Counter = field(default_factory=Counter)
+    _fields = ("count", "sum_diag_alpha", "sum_diag_alpha_sq", "diag_alpha_counts",
+               "tableau_counts")
+    # mutable, so unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, count: int = 0, sum_diag_alpha: int = 0, sum_diag_alpha_sq: int = 0,
+                 diag_alpha_counts: Counter | None = None, tableau_counts: Counter | None = None):
+        self.count, self.sum_diag_alpha, self.sum_diag_alpha_sq = (
+            count, sum_diag_alpha, sum_diag_alpha_sq)
+        self.diag_alpha_counts = Counter() if diag_alpha_counts is None else diag_alpha_counts
+        self.tableau_counts = Counter() if tableau_counts is None else tableau_counts
 
     def add(self, t: Tableau) -> None:
         diagonal, ALPHA = t.n + 1, Symbol.ALPHA

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import index
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidTableauError, MalformedDocumentError
-from .eulerian_poly import BivarPoly, _as_n
+from .eulerian_poly import BivarPoly, _as_n, _Record
 
 __all__ = [
     "Symbol",
@@ -81,8 +81,7 @@ _DAGGER_SWAP = {
 }
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Record):
     """Immutable staircase tableau: a size and a sparse cell assignment.
 
     ``cells`` is kept as a canonically sorted tuple of (row, col, symbol)
@@ -97,19 +96,16 @@ class Tableau:
     ``_sorted``; the tests compare each with its public construction.
     """
 
-    n: int
-    cells: tuple[tuple[int, int, Symbol], ...]
+    _fields = ("n", "cells")
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, cells: tuple[tuple[int, int, Symbol], ...]) -> None:
         if type(n) is not int:
             n = _as_n(n, name="n", error=ValueError)
-            object.__setattr__(self, "n", n)
         if n < 0:
             raise ValueError(f"tableau size must be >= 0, got {n}")
         seen = set()
         exact = True   # every coordinate is already a Python int
-        for row, col, sym in self.cells:
+        for row, col, sym in cells:
             if type(row) is not int or type(col) is not int:
                 row, col = _as_n(row, 1, "cell row", ValueError), _as_n(col, 1, "cell col", ValueError)
                 exact = False
@@ -120,7 +116,9 @@ class Tableau:
             if (row, col) in seen:
                 raise ValueError(f"duplicate cell ({row}, {col})")
             seen.add((row, col))
-        cells = self.cells if exact else ((index(r), index(c), s) for r, c, s in self.cells)
+        if not exact:
+            cells = ((index(r), index(c), s) for r, c, s in cells)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "cells", tuple(sorted(cells)))
 
     @classmethod
@@ -157,8 +155,7 @@ class Tableau:
         return [self.symbol_at(i, self.n + 1 - i) for i in range(1, self.n + 1)]
 
 
-@dataclass(frozen=True)
-class SymbolCounts:
+class SymbolCounts(NamedTuple):
     n_alpha: int
     n_beta: int
     n_gamma: int
@@ -172,8 +169,7 @@ class SymbolCounts:
         return self.n_alpha + self.n_beta + self.n_gamma + self.n_delta
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str           # "shape", "ii", "iii" or "iv"
     box: tuple[int, int]
     message: str

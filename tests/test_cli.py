@@ -263,6 +263,23 @@ def test_output_file_atomic(tmp_path, capsys):
     assert target.read_text().startswith("k,probability")
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("asep", "weight", "--input", "{tmp}/missing.json"), "No such file or directory"),
+    (("asep", "fill", "--input", "{tmp}/dir"), "Is a directory"),
+    (("moments-a", "--n", "3", "--a", "1", "--b", "1", "--output", "{tmp}/missing/x.csv"),
+     "No such file or directory"),
+    (("moments-a", "--n", "3", "--a", "1", "--b", "1", "--output", "{tmp}/dir"),
+     "Is a directory"),
+], ids=["missing-input", "directory-input", "missing-output-dir", "directory-output"])
+def test_unusable_path_is_a_parameter_error(tmp_path, capsys, argv, reason):
+    (tmp_path / "dir").mkdir()
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PARAMETER and out == ""
+    assert err == f"error: {argv[-1]}: {reason}\n"
+    assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]   # no temp file left behind
+
+
 def test_verify_single_criterion(capsys):
     code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--only", "10")
     assert code == 0
@@ -322,6 +339,15 @@ def test_cap_env_covers_every_enumeration(capsys, monkeypatch):
     monkeypatch.setenv("STAIRCASE_TABLEAUX_CAP", "two")
     code, out, err = run_cli(capsys, *subcheck)
     assert code == cli.EXIT_PARAMETER and out == "" and "STAIRCASE_TABLEAUX_CAP" in err
+
+
+@pytest.mark.parametrize("cap", ["-5", "-1"])
+def test_negative_cap_env_is_a_parameter_error(capsys, monkeypatch, cap):
+    # a misconfigured cap is reported as such, not as a cap refusal
+    monkeypatch.setenv("STAIRCASE_TABLEAUX_CAP", cap)
+    code, out, err = run_cli(capsys, "enumerate", "--n", "0", "--count-only")
+    assert code == cli.EXIT_PARAMETER and out == ""
+    assert err == f"error: STAIRCASE_TABLEAUX_CAP must be >= 0, got {cap}\n"
 
 
 @pytest.mark.parametrize("argv", [

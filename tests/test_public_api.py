@@ -37,6 +37,18 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_no_unused_stdlib_module():
+    # every module the import loads is paid by each cold command; -S keeps
+    # the interpreter's site hooks from loading any of them first
+    src = str(Path(staircase_tableaux.__file__).resolve().parents[1])
+    code = ("import sys, staircase_tableaux.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'tempfile'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _records():
     """One instance of every record class, each built by the package's own calls."""
     from fractions import Fraction as F
