@@ -165,6 +165,27 @@ def _pgf_sign(weights, x: F) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _golden_roots():
+    """(exact pgf sign function, finite xi) for every xi on the golden grid;
+    the pgf carries the law's offset, so a root at 0 is a root of it."""
+    for n in (1, 2, 5, 16, 30):
+        for a, b in GOLDEN_AB:
+            if a == b == 0 and n < 2:
+                continue
+            d = dist_A(n, a, b)
+            weights = (0,) * d.offset + d.weights
+            for xi in bernoulli_decomposition(n, a, b).xi:
+                if not math.isinf(xi):
+                    yield (lambda x, w=weights: _pgf_sign(w, -x)), F(xi)
+
+
+def test_golden_roots_change_sign_within_2_to_minus_40():
+    # every reported xi is a root of the exact pgf to relative 2^-40
+    tol = F(1, 2**40)
+    for sign, xi in _golden_roots():
+        assert sign(xi) == 0 or sign(xi * (1 - tol)) * sign(xi * (1 + tol)) == -1, xi
+
+
 @given(RATIONAL_1_9, RATIONAL_1_9, st.integers(min_value=1, max_value=20))
 @settings(max_examples=30, deadline=None)
 def test_decomposition_roots_certified_independently(a, b, n):
