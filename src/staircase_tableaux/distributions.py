@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import _as_ab, _as_n, _fractions, _invert, _Record, scaled_row, scaled_rows
+from .eulerian_poly import _as_ab, _as_n, _fractions, _invert, _Record, scaled_row
 
 __all__ = [
     "DiscreteDist",
@@ -159,140 +160,112 @@ def moments_A(n: int, a, b) -> tuple[Fraction, Fraction]:
 # Bernoulli decomposition by real-root isolation
 
 
-Dyadic = tuple[int, int]   # (u, e) is u / 2^e in lowest terms, e >= 0
+def _sign_at(coeffs: list[int], u: int, s: int) -> int:
+    """Exact sign of sum_k coeffs[k] x^k at the dyadic x = u 2^s.
 
-
-def _dyadic(u: int, e: int) -> Dyadic:
-    """u / 2^e in lowest terms, zero as (0, 0): equal points are equal tuples."""
-    z = min((u & -u).bit_length() - 1, e) if u else e
-    return u >> z, e - z
-
-
-def _common(x: Dyadic, y: Dyadic) -> tuple[int, int, int]:
-    """(u, v, e) with x = u / 2^e and y = v / 2^e at the larger exponent e."""
-    (u, e), (v, f) = x, y
-    return u << max(f - e, 0), v << max(e - f, 0), max(e, f)
-
-
-def _sign_at(coeffs: list[int], x: Dyadic) -> int:
-    """Exact sign of sum_k coeffs[k] x^k at the dyadic x = u / 2^e.
-
-    Every ladder point is dyadic (the Vieta bound is a power of two;
-    midpoints and outward re-roundings keep a power-of-two denominator), so
-    the sign is that of the integer sum_k c_k u^k 2^(e(m-k)), by Horner."""
-    u, e = x
+    Every point the refinement tests is a cell midpoint of this form, so
+    the sign is that of an integer: the sum itself at the integer u 2^s
+    when s >= 0, else sum_k c_k u^k 2^(-s(m-k)), both by Horner."""
+    if s >= 0:
+        u, s = u << s, 0
     acc = sh = 0
     for c in reversed(coeffs):
         acc = acc * u + (c << sh)
-        sh += e
+        sh -= s
     return (acc > 0) - (acc < 0)
 
 
-def _bisect(coeffs: list[int], lo: Dyadic, hi: Dyadic,
-            s_lo: int) -> tuple[Dyadic, Dyadic]:
-    """Shrink a sign-changing bracket to relative width 1e-12; a midpoint
-    hitting the root exactly collapses the bracket to a point.
-
-    The returned endpoints are re-rounded outward to the coarsest dyadic
-    grid that keeps a quarter of the final width, so bit sizes do not
-    accumulate from rung to rung of the ladder."""
-    while True:
-        u, v, e = _common(lo, hi)
-        if (v - u) * 10**12 <= abs(u):
-            break
-        mid = _dyadic(u + v, e + 1)
-        s_mid = _sign_at(coeffs, mid)
-        if s_mid == 0:
-            return mid, mid
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    s = ((4 << e) // (v - u) + 1).bit_length()
-    lo2 = _dyadic((u << s) >> e, s)
-    hi2 = _dyadic(-((-v << s) >> e), s)
-    if lo2 != lo and _sign_at(coeffs, lo2) != s_lo:
-        lo2 = lo
-    if hi2 != hi and _sign_at(coeffs, hi2) != -s_lo:
-        hi2 = hi
-    return lo2, hi2
+def _taylor_shift(q: list[int]) -> list[int]:
+    """The coefficients of q(x + 1): m rounds of suffix sums."""
+    q = list(q)
+    for i in range(len(q) - 1):
+        q[i:] = list(accumulate(reversed(q[i:])))[::-1]
+    return q
 
 
-def _interlacing_roots(rows: list[list[int]]) -> list[tuple[Dyadic, Dyadic]]:
-    """Brackets for all roots of the top row's polynomial.
+def _variations(q: list[int]) -> int:
+    """Sign changes in the coefficients of (x + 1)^m q(1 / (x + 1)).
 
-    ``rows[m]`` holds the (all-positive) integer coefficients of the
-    degree-m polynomial; consecutive rows must have strictly interlaced
-    simple negative roots, which is what the triangle recursion guarantees.
-    Climbs the ladder degree by degree: the refined roots of row m-1
-    separate the roots of row m, every bracket is certified by an exact
-    sign change, and failures raise rather than guess.
+    By Descartes' rule this counts the roots of q in (0, 1) exactly when
+    every root of q is real; a count of 0 or 1 is exact always."""
+    signs = [c > 0 for c in _taylor_shift(q[::-1]) if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    Returned brackets are dyadic pairs sorted ascending (most negative
-    root first).
+
+def _isolate_roots(coeffs: list[int]) -> list[Fraction]:
+    """The roots -xi of p(x) = sum_k coeffs[k] x^k as the ascending xi > 0.
+
+    Vincent-Collins-Akritas bisection on q(t) = p(-2^L t), whose roots lie
+    in (0, 1): a cell with one sign variation holds exactly one root, one
+    with none holds no root, and any other is halved; a midpoint where q
+    vanishes is an exact root.  Exactly m roots must come out, which
+    proves them real and simple.  Each cell is then bisected, with exact
+    signs, down to the one cell of the fixed grid {k 2^(j-40)},
+    2^j <= xi < 2^(j+1), that holds its root, and that cell's midpoint is
+    reported, so the output depends on p alone.
+
+    Raises RootFindingError for a coefficient that is not positive, a
+    multiple root, or any count of roots other than the degree m.
     """
-    brackets: list[tuple[Dyadic, Dyadic]] = []
-    for m, (prev, coeffs) in enumerate(zip(rows, rows[1:]), start=1):
-        if any(c <= 0 for c in coeffs):
-            raise RootFindingError("ladder rows must have positive coefficients")
-        # Separation points between consecutive roots of row m.  Counted
-        # from the right, the r-th root of row m-1 lies strictly between
-        # the r-th and (r+1)-th roots of row m, where row m keeps the sign
-        # (-1)^r; narrow the old bracket until its midpoint shows it.
-        seps_rl: list[Dyadic] = []
-        for r, (plo, phi) in enumerate(reversed(brackets), start=1):
-            want = 1 if r % 2 == 0 else -1
-            sep = None
-            if plo == phi:
-                if _sign_at(coeffs, plo) != want:
-                    raise RootFindingError(
-                        f"interlacing violated at an exact root of degree {m - 1}"
-                    )
-                sep = plo
+    m = len(coeffs) - 1
+    if any(c <= 0 for c in coeffs):
+        raise RootFindingError("the polynomial must have positive coefficients")
+    # Vieta: the root magnitudes sum to c_{m-1}/c_m < 2^L
+    L = (coeffs[m - 1] // coeffs[m] + 2).bit_length()
+    # Mahler: the roots of a squarefree integer polynomial lie more than
+    # m^(-(m+2)/2) |p|_1^(1-m) >= 2^-sep_bits apart, so a cell this narrow
+    # that still shows two sign variations holds a multiple or non-real root
+    sep_bits = (m + 2) * m.bit_length() // 2 + 1 + (m - 1) * sum(coeffs).bit_length()
+    # (c, s, q): q is q(t) mapped onto (0, 1) from the cell c 2^s < xi < (c+1) 2^s,
+    # or None for an exact root at xi = c 2^s; popped in ascending xi
+    stack = [(0, L, [(-1) ** k * c << L * k for k, c in enumerate(coeffs)])]
+    found: list[Fraction | tuple[int, int]] = []
+    while stack:
+        c, s, q = stack.pop()
+        if q is None:
+            found.append(c * Fraction(2) ** s)
+            continue
+        count = _variations(q)
+        if count == 1:
+            found.append((c, s))
+        elif count > 1:
+            if s <= -sep_bits:
+                raise RootFindingError(f"a multiple or non-real root near {-c * Fraction(2) ** s}")
+            left = [x << (m - k) for k, x in enumerate(q)]   # 2^m q(t/2)
+            right = _taylor_shift(left)
+            stack.append((2 * c + 1, s - 1, right))
+            if right[0] == 0:
+                stack.append((2 * c + 1, s - 1, None))
+            stack.append((2 * c, s - 1, left))
+    if len(found) != m:
+        raise RootFindingError(f"found {len(found)} real roots, expected {m}")
+    xis = []
+    for r, root in enumerate(found):
+        if type(root) is tuple:
+            # all m roots are simple and r of them lie nearer zero, so p has
+            # the sign (-1)^r between this cell's near end and its root
+            c, s = root
+            while c >> 40 == 0:   # width 2^s > 2^-40 c 2^s
+                c, s = 2 * c, s - 1
+                sign = _sign_at(coeffs, -(c + 1), s)
+                if sign == 0:
+                    root = (c + 1) * Fraction(2) ** s
+                    break
+                if sign == (-1) ** r:
+                    c += 1
             else:
-                s_plo = _sign_at(prev, plo)
-                for _ in range(20000):
-                    u, v, e = _common(plo, phi)
-                    mid = _dyadic(u + v, e + 1)
-                    if _sign_at(coeffs, mid) == want:
-                        sep = mid
-                        break
-                    s_mid = _sign_at(prev, mid)
-                    if s_mid == 0:
-                        raise RootFindingError(
-                            f"interlacing violated at an exact root of degree {m - 1}"
-                        )
-                    if s_mid == s_plo:
-                        plo = mid
-                    else:
-                        phi = mid
-                if sep is None:
-                    raise RootFindingError(
-                        f"could not separate the roots of degree {m} near root {r}"
-                    )
-            seps_rl.append(sep)
-        # Outermost point strictly left of all roots: Vieta gives the sum
-        # of root magnitudes as c_{m-1}/c_m; round the bound up to a power
-        # of two so every later midpoint stays dyadic.
-        left = (-(1 << (coeffs[m - 1] // coeffs[m] + 2).bit_length()), 0)
-        ends = [left] + seps_rl[::-1] + [(0, 0)]
-        new_brackets: list[tuple[Dyadic, Dyadic]] = []
-        for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
-            s_lo, s_hi = _sign_at(coeffs, lo), _sign_at(coeffs, hi)
-            if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
-                raise RootFindingError(
-                    f"bracket {i} of degree {m} does not change sign"
-                )
-            new_brackets.append(_bisect(coeffs, lo, hi, s_lo))
-        brackets = new_brackets
-    return brackets
+                root = (2 * c + 1) * Fraction(2) ** (s - 1)
+        xis.append(root)
+    return xis
 
 
 class BernoulliDecomp(NamedTuple):
     """A written as an independent Bernoulli sum: p[i] = 1/(1 + xi[i]) from
     the located roots -xi[i] of the pgf (xi = inf encodes a padded p = 0,
-    xi = 0 a deterministic success).  Each xi is the midpoint of a
-    certified bracket of relative width at most 1e-12."""
+    xi = 0 a deterministic success).  Each xi is a certified root: the
+    midpoint of the one cell of the fixed grid k 2^(j-40), 2^j <= xi <
+    2^(j+1), that holds it (relative width at most 2^-40), or the root
+    itself when a midpoint hits it exactly."""
 
     n: int
     p: tuple[float, ...]
@@ -319,8 +292,10 @@ def bernoulli_decomposition(n: int, a, b) -> BernoulliDecomp:
     a = 0 contributes a root at 0 (p = 1); a = b = 0 decomposes the
     substitute polynomial x P_{n-2,1,1}(x) plus one padded zero.
 
-    Exact integer sign evaluation everywhere; raises RootFindingError if
-    any bracket fails to certify, never returns silently wrong roots.
+    The roots are isolated at the top degree only, with exact integer
+    arithmetic everywhere, and land on one fixed dyadic grid, so the
+    output depends on (n, a, b) alone.  Raises RootFindingError if any
+    root fails to certify, never returns silently wrong roots.
     """
     a, b = _as_ab(a, b)
     n = _as_n(n, 1)
@@ -341,18 +316,7 @@ def bernoulli_decomposition(n: int, a, b) -> BernoulliDecomp:
     else:
         core_a, core_b, degree = a, b, n
 
-    xi_exact: list[Fraction] = []
-    if degree > 0:
-        rows = [row for row, _ in scaled_rows(degree, core_a, core_b)]
-        brackets = _interlacing_roots(rows)
-        if len(brackets) != degree:
-            raise RootFindingError(
-                f"found {len(brackets)} roots, expected {degree}"
-            )
-        xi_exact = sorted(Fraction(-(u + v), 2 << e)
-                          for u, v, e in (_common(*br) for br in brackets))
-        if any(x < 0 for x in xi_exact):
-            raise RootFindingError("located a positive root")
+    xi_exact = _isolate_roots(scaled_row(degree, core_a, core_b)[0])
     core_p = [float(1 / (1 + x)) for x in xi_exact]
     p = prefix + core_p + suffix
     xi = [0.0] * len(prefix) + [float(x) for x in xi_exact] + [math.inf] * len(suffix)

@@ -11,7 +11,7 @@ from staircase_tableaux import counts
 from staircase_tableaux.distributions import (
     DiscreteDist,
     _chi2_sf,
-    _interlacing_roots,
+    _isolate_roots,
     bernoulli_decomposition,
     cell_prob,
     chi_square_gof,
@@ -145,9 +145,9 @@ GOLDEN_AB = [(F(1, 3), F(5)), (F(2, 3), F(7, 5)), (F(3), F(1, 7)), (F(5, 9), F(5
 
 
 def test_decomposition_golden_digest():
-    # SHA-256 over repr of every p and xi, recorded on the Fraction ladder
-    # before the root ladder moved to dyadic integers: any change to a
-    # bracket shows up here as a changed float
+    # SHA-256 over repr of every p and xi, recorded when every root moved
+    # onto the fixed 2^-40 dyadic grid: any change to a root shows up here
+    # as a changed float
     h = hashlib.sha256()
     for n in (1, 2, 5, 16, 30):
         for a, b in GOLDEN_AB:
@@ -155,7 +155,7 @@ def test_decomposition_golden_digest():
                 continue
             bd = bernoulli_decomposition(n, a, b)
             h.update(repr((n, a, b, bd.p, bd.xi)).encode())
-    assert h.hexdigest() == "d9948301f3a8e9858a1ce16fb579ecbc23b0e90d2ce254162f5ce2c9a8be7c07"
+    assert h.hexdigest() == "a236f11b278afcb7743aa87548c93d31c6ceb2b0c05f1e27e425fcf2ee89af82"
 
 
 def _pgf_sign(weights, x: F) -> int:
@@ -186,6 +186,21 @@ def test_golden_roots_change_sign_within_2_to_minus_40():
         assert sign(xi) == 0 or sign(xi * (1 - tol)) * sign(xi * (1 + tol)) == -1, xi
 
 
+def test_golden_roots_sit_on_the_canonical_grid():
+    # xi is an exact root, or (2k+1) 2^(j-41) with 2^j <= xi < 2^(j+1): the
+    # midpoint of a cell of the fixed grid k 2^(j-40), across which the pgf
+    # changes sign; so the output cannot depend on how the root was isolated
+    for sign, xi in _golden_roots():
+        if sign(xi) == 0:
+            continue
+        j = math.frexp(xi)[1] - 1
+        assert 2**j <= xi < 2 ** (j + 1)
+        k2 = xi / F(2) ** (j - 41)
+        assert k2.denominator == 1 and k2.numerator % 2 == 1, xi
+        half = F(2) ** (j - 41)
+        assert sign(xi - half) * sign(xi + half) == -1, xi
+
+
 @given(RATIONAL_1_9, RATIONAL_1_9, st.integers(min_value=1, max_value=20))
 @settings(max_examples=30, deadline=None)
 def test_decomposition_roots_certified_independently(a, b, n):
@@ -201,14 +216,17 @@ def test_decomposition_roots_certified_independently(a, b, n):
     assert all(x * (1 + tol) < y * (1 - tol) for x, y in zip(xis, xis[1:]))
 
 
-@pytest.mark.parametrize("rows", [
-    [[1], [1, 1], [1, 2, 1]],
-    [[1], [1, 1], [1, 1, 1]],
-    [[1], [1, 1], [1, 0, 1]],
-], ids=["double-root", "complex-pair", "zero-coefficient"])
-def test_interlacing_roots_failures_are_typed(rows):
+@pytest.mark.parametrize("coeffs", [
+    [1, 2, 1],
+    [1, 1, 1],
+    [1, 0, 1],
+    [1, 6, 9],
+], ids=["double-root", "complex-pair", "zero-coefficient", "non-dyadic-double-root"])
+def test_interlacing_roots_failures_are_typed(coeffs):
+    # (3x + 1)^2 has its double root at -1/3, which no midpoint hits: the
+    # halving depth limit must raise instead of looping
     with pytest.raises(RootFindingError):
-        _interlacing_roots(rows)
+        _isolate_roots(coeffs)
 
 
 def test_pairs_marginals_and_moments():
