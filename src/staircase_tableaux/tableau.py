@@ -18,7 +18,6 @@ import enum
 import json
 from fractions import Fraction
 from functools import cached_property
-from operator import index
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidTableauError, MalformedDocumentError
@@ -104,11 +103,10 @@ class Tableau(_Record):
         if n < 0:
             raise ValueError(f"tableau size must be >= 0, got {n}")
         seen = set()
-        exact = True   # every coordinate is already a Python int
+        checked = []   # one pass, so any iterable of cells will do
         for row, col, sym in cells:
             if type(row) is not int or type(col) is not int:
                 row, col = _as_n(row, 1, "cell row", ValueError), _as_n(col, 1, "cell col", ValueError)
-                exact = False
             if row < 1 or col < 1:
                 raise ValueError(f"cell coordinates must be >= 1, got ({row}, {col})")
             if not isinstance(sym, Symbol):
@@ -116,10 +114,10 @@ class Tableau(_Record):
             if (row, col) in seen:
                 raise ValueError(f"duplicate cell ({row}, {col})")
             seen.add((row, col))
-        if not exact:
-            cells = ((index(r), index(c), s) for r, c, s in cells)
+            checked.append((row, col, sym))
+        checked.sort()
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cells", tuple(sorted(cells)))
+        object.__setattr__(self, "cells", tuple(checked))
 
     @classmethod
     def _sorted(cls, n: int, cells: list[tuple[int, int, Symbol]]) -> "Tableau":

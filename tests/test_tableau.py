@@ -243,6 +243,17 @@ def test_numpy_integers_build_equal_tableaux():
     assert serialize(t) == serialize(plain)
 
 
+@pytest.mark.parametrize("once", [lambda cells: (c for c in cells), iter],
+                         ids=["generator", "iterator"])
+def test_single_pass_cells_build_the_same_tableau(once):
+    # the cells are read once: a second pass over a generator would see nothing
+    cells = [(2, 1, B), (1, 2, A), (1, 1, B)]
+    assert Tableau(2, once(cells)) == Tableau.of(2, cells)
+    assert Tableau(2, once(cells)).cells == ((1, 1, B), (1, 2, A), (2, 1, B))
+    with pytest.raises(ValueError, match=r"^duplicate cell \(1, 2\)$"):
+        Tableau(2, once([(1, 2, A), (1, 2, B)]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symbol_count_bounds(n):
     for t in enumerate_ab(n):
