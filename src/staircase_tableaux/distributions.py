@@ -651,8 +651,11 @@ def chi_square_gof(expected, observed) -> ChiSquareResult:
     """Pearson chi-square of observed counts against an exact law.
 
     ``expected`` maps outcomes to exact probabilities, ``observed`` maps
-    outcomes to counts; an observed outcome of probability zero yields an
-    infinite statistic."""
+    outcomes to counts, each an integer >= 0; an observed outcome of
+    probability zero yields an infinite statistic."""
+    for key, count in observed.items():
+        if type(count) is not int or count < 0:
+            _as_n(count, 0, f"the count of outcome {key!r}", ParameterError)
     total = sum(observed.values())
     if total <= 0:
         raise ParameterError("need at least one observation")

@@ -364,6 +364,19 @@ def test_chi_square_gof_helper():
     assert (res.statistic, res.df, res.p_value) == (0, 0, 1.0) and res.passes()
 
 
+@pytest.mark.parametrize("observed, message", [
+    ({0: -5, 1: 10}, "the count of outcome 0 must be >= 0, got -5"),
+    ({0: 2.5, 1: 2.5}, "the count of outcome 0 must be an integer, got 2.5"),
+    ({0: 3, "x": 2.0}, "the count of outcome 'x' must be an integer, got 2.0"),
+], ids=["negative", "half", "float"])
+def test_chi_square_gof_rejects_counts_that_are_not_integers(observed, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        chi_square_gof({0: F(1, 2), 1: F(1, 2)}, observed)
+    # NumPy integers are counts too
+    res = chi_square_gof({0: F(1, 2), 1: F(1, 2)}, {0: numpy.int64(3), 1: numpy.int64(5)})
+    assert res == chi_square_gof({0: F(1, 2), 1: F(1, 2)}, {0: 3, 1: 5})
+
+
 # (x, P(X > x)) per df, recorded from scipy 1.17.1: chi2.sf at x = chi2.ppf(q, df)
 # for q = 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9
 CHI2_SF_REFERENCE = {
