@@ -14,7 +14,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import _as_ab, _as_n, _fractions, _invert, _Record, scaled_row
+from .eulerian_poly import _ANY, _as_ab, _as_n, _fractions, _invert, _Record, scaled_row
 
 __all__ = [
     "DiscreteDist",
@@ -81,6 +81,7 @@ class DiscreteDist(_Record):
         return range(self.offset, self.offset + len(self.weights))
 
     def pmf(self, k: int) -> Fraction:
+        k = _as_n(k, _ANY, "k")
         if k in self.support():
             return Fraction(self.weights[k - self.offset], self.total)
         return Fraction(0)

@@ -76,6 +76,9 @@ def _invert(x):
     return math.inf if x == 0 else (Fraction(0) if x == math.inf else 1 / x)
 
 
+_ANY = -math.inf   # the least of an entry index, which may fall outside its table
+
+
 def _as_n(n, least: int = 0, name: str = "n", error: type = DomainError) -> int:
     """The shared size rule: n is an integer >= least, else ``error``."""
     try:
@@ -177,23 +180,27 @@ class EulerTriangle(NamedTuple):
     d: int
     rows: tuple[tuple[int, ...], ...]
 
-    def _row(self, n: int) -> tuple[int, ...]:
+    def _row(self, n: int) -> tuple[tuple[int, ...], int]:
+        """Row n and its denominator d**n."""
+        n = _as_n(n, _ANY)
         if n < 0 or n > self.n_max:
             raise DomainError(f"row {n} outside stored range 0..{self.n_max}")
-        return self.rows[n]
+        return self.rows[n], self.d ** n
 
     def v(self, n: int, k: int) -> Fraction:
         """v(n, k); zero outside the triangle."""
-        row = self._row(n)
-        if k < 0 or k > n:
+        row, den = self._row(n)
+        k = _as_n(k, _ANY, "k")
+        if k < 0 or k >= len(row):
             return Fraction(0)
-        return Fraction(row[k], self.d ** n)
+        return Fraction(row[k], den)
 
     def row(self, n: int) -> tuple[Fraction, ...]:
-        return _fractions(self._row(n), self.d ** n)
+        return _fractions(*self._row(n))
 
     def row_sum(self, n: int) -> Fraction:
-        return Fraction(sum(self._row(n)), self.d ** n)
+        row, den = self._row(n)
+        return Fraction(sum(row), den)
 
 
 def v_triangle(n_max: int, a, b) -> EulerTriangle:
@@ -321,7 +328,7 @@ _B = BivarPoly({(0, 1): 1})
 
 def v_symbolic(n: int, k: int) -> BivarPoly:
     """v(n, k) as a polynomial in a and b (zero outside 0 <= k <= n)."""
-    n = _as_n(n)
+    n, k = _as_n(n), _as_n(k, _ANY, "k")
     if k < 0 or k > n:
         return BivarPoly()
     for row in _rows(n, 1, _A, _B, one=BivarPoly.constant(1)):
@@ -349,6 +356,7 @@ def tilde_row(n: int) -> tuple[Fraction, ...]:
 
 def tilde_v(n: int, k: int) -> Fraction:
     row = tilde_row(n)   # DomainError for n < 2
+    k = _as_n(k, _ANY, "k")
     if k < 0 or k > n:
         return Fraction(0)
     return row[k]
@@ -394,6 +402,7 @@ class CTable(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
     def c(self, n: int, ell: int) -> Fraction:
+        n, ell = _as_n(n, _ANY), _as_n(ell, _ANY, "ell")
         if n < 0 or n > self.n_max:
             raise DomainError(f"row {n} outside stored range 0..{self.n_max}")
         if ell < 0 or ell > n:
@@ -420,7 +429,7 @@ def eulerian_row(n: int) -> list[int]:
 
 def eulerian(n: int, k: int) -> int:
     """Classical Eulerian number <n, k> (permutations of n with k descents)."""
-    n = _as_n(n)
+    n, k = _as_n(n), _as_n(k, _ANY, "k")
     if k < 0 or k > n:
         return 0
     return eulerian_row(n)[k]

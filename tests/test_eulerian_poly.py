@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux.errors import DomainError, ParameterError
+from staircase_tableaux.distributions import dist_A
 from staircase_tableaux.tableau import Symbol, Tableau, weight
 from staircase_tableaux.eulerian_poly import (
     BivarPoly,
@@ -367,3 +368,26 @@ def test_numpy_integer_arguments_evaluate_exactly(call, x):
     for junk, error in (("x", ValueError), (None, TypeError), (math.inf, OverflowError)):
         with pytest.raises(error):
             call(junk)
+
+
+@pytest.mark.parametrize("call, good, outside, name", [
+    (lambda k: eulerian(4, k), 1, 5, "k"),
+    (lambda k: v_symbolic(4, k), 1, -1, "k"),
+    (lambda k: tilde_v(4, k), 1, 5, "k"),
+    (lambda k: v_triangle(4, 1, 1).v(2, k), 1, 3, "k"),
+    (lambda n: v_triangle(4, 1, 1).v(n, 1), 2, None, "n"),
+    (lambda n: v_triangle(4, 1, 1).row(n), 1, None, "n"),
+    (lambda n: c_table(4, 1).c(n, 1), 2, None, "n"),
+    (lambda ell: c_table(4, 1).c(2, ell), 1, 3, "ell"),
+    (lambda k: dist_A(4, 1, 1).pmf(k), 1, 5, "k"),
+], ids=["eulerian", "v_symbolic", "tilde_v", "EulerTriangle.v-k", "EulerTriangle.v-n",
+        "EulerTriangle.row", "CTable.c-n", "CTable.c-ell", "DiscreteDist.pmf"])
+def test_entry_indices_follow_the_integer_rule(call, good, outside, name):
+    # a non-integer index is a DomainError; an integer outside the table or
+    # the support is a zero entry (or a DomainError for a missing row)
+    assert call(numpy.int64(good)) == call(good)
+    for junk in (1.5, 1.0, "1", None):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {junk!r}$"):
+            call(junk)
+    if outside is not None:
+        assert not call(outside)
