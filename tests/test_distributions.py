@@ -195,9 +195,9 @@ def test_golden_roots_sit_on_the_canonical_grid():
             continue
         j = math.frexp(xi)[1] - 1
         assert 2**j <= xi < 2 ** (j + 1)
-        k2 = xi / F(2) ** (j - 41)
-        assert k2.denominator == 1 and k2.numerator % 2 == 1, xi
         half = F(2) ** (j - 41)
+        odd = xi / half
+        assert odd.denominator == 1 and odd.numerator % 2 == 1, xi
         assert sign(xi - half) * sign(xi + half) == -1, xi
 
 
@@ -362,6 +362,8 @@ def test_chi_square_gof_helper():
         chi_square_gof(expected, Counter())
     res = chi_square_gof({0: F(1)}, Counter({0: 100}))   # one outcome: df = 0
     assert (res.statistic, res.df, res.p_value) == (0, 0, 1.0) and res.passes()
+    res = chi_square_gof(expected, {0: numpy.int64(3), 1: numpy.int64(5)})
+    assert res == chi_square_gof(expected, {0: 3, 1: 5})
 
 
 @pytest.mark.parametrize("observed, message", [
@@ -372,9 +374,6 @@ def test_chi_square_gof_helper():
 def test_chi_square_gof_rejects_counts_that_are_not_integers(observed, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         chi_square_gof({0: F(1, 2), 1: F(1, 2)}, observed)
-    # NumPy integers are counts too
-    res = chi_square_gof({0: F(1, 2), 1: F(1, 2)}, {0: numpy.int64(3), 1: numpy.int64(5)})
-    assert res == chi_square_gof({0: F(1, 2), 1: F(1, 2)}, {0: 3, 1: 5})
 
 
 # (x, P(X > x)) per df, recorded from scipy 1.17.1: chi2.sf at x = chi2.ppf(q, df)
