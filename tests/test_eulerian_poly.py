@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from staircase_tableaux.eulerian_poly import (
     p_eval,
     rising_factorial,
     scaled_row,
+    scaled_rows,
     tilde_p_eval,
     tilde_v,
     v_row,
@@ -326,6 +328,32 @@ def closed_form_v(n: int, k: int, a: F, b: F) -> F:
         rise = rise * (a + b + j) / (j + 1)
     return total
 
+
+# non-dyadic (a, b) and the a = 0, b = 0 and a = b = 0 edges
+DIGEST_AB = [(F(2, 3), F(7, 5)), (F(3, 7), F(5, 9)), (F(11, 3), F(1, 6)),
+             (F(0), F(5, 7)), (F(4, 9), F(0)), (F(0), F(0))]
+
+
+def test_rows_golden_digest():
+    # pins the integer rows bit for bit, up to the sizes the exact laws use,
+    # and the symbolic rows the same recursion builds over BivarPoly
+    h = hashlib.sha256()
+    for a, b in DIGEST_AB:
+        for n in (0, 1, 2, 16, 60, 175, 300, 400):
+            h.update(repr(scaled_row(n, a, b)).encode())
+    for n in range(9):
+        for k in range(-1, n + 2):
+            h.update(f"{n} {k} {v_symbolic(n, k)!r}\n".encode())
+    assert h.hexdigest() == "29b7f255d96103923193bdf8d6081c55505dcd2c38457c2349508b7cef817bda"
+
+
+
+@pytest.mark.parametrize("a, b", DIGEST_AB)
+def test_scaled_rows_yields_fresh_rows(a, b):
+    # callers hold each row while the generator goes on, so no row may be
+    # a buffer that a later step overwrites
+    held = list(scaled_rows(40, a, b))
+    assert held == [scaled_row(m, a, b) for m in range(41)]
 
 RATIONAL_OR_ZERO = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 12), st.integers(1, 12)))
 
