@@ -326,7 +326,7 @@ def cmd_triangle(args) -> Views:
         return {"csv": [header, *((args.row, k, v) for k, v in enumerate(row))]}
     n_max = 10 if args.n_max is None else args.n_max
     if args.symbolic:
-        rows = ([eulerian_poly.v_symbolic(n, k) for k in range(n + 1)] for n in range(n_max + 1))
+        rows = eulerian_poly._symbolic_rows(n_max)
     else:
         params = _resolve_params(args)
         rows = map(eulerian_poly.v_triangle(n_max, params.a, params.b).row, range(n_max + 1))

@@ -14,7 +14,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import _ANY, _as_ab, _as_n, _fractions, _invert, _Record, scaled_row
+from .eulerian_poly import (_ANY, _as_ab, _as_n, _finite, _fractions, _invert, _Record,
+                            scaled_row)
 
 __all__ = [
     "DiscreteDist",
@@ -651,9 +652,20 @@ def _chi2_sf(x: float, df: int) -> float:
 def chi_square_gof(expected, observed) -> ChiSquareResult:
     """Pearson chi-square of observed counts against an exact law.
 
-    ``expected`` maps outcomes to exact probabilities, ``observed`` maps
-    outcomes to counts, each an integer >= 0; an observed outcome of
-    probability zero yields an infinite statistic."""
+    ``expected`` maps outcomes to exact probabilities, each a rational in
+    [0, 1], that sum to exactly 1; ``observed`` maps outcomes to counts,
+    each an integer >= 0; an observed outcome of probability zero (or
+    outside ``expected``) yields an infinite statistic."""
+    law = []
+    for key, prob in expected.items():
+        if type(prob) is not Fraction or not 0 <= prob.numerator <= prob.denominator:
+            prob = _finite(f"the probability of outcome {key!r}", prob)
+            if prob > 1:
+                raise ParameterError(f"the probability of outcome {key!r} must be <= 1, got {prob}")
+        law.append((key, prob))
+    mass = sum(prob for _, prob in law)
+    if mass != 1:
+        raise ParameterError(f"the probabilities must sum to 1, got {mass}")
     for key, count in observed.items():
         if type(count) is not int or count < 0:
             _as_n(count, 0, f"the count of outcome {key!r}", ParameterError)
@@ -664,7 +676,7 @@ def chi_square_gof(expected, observed) -> ChiSquareResult:
     if extra:
         return ChiSquareResult(math.inf, max(len(expected) - 1, 1), 0.0, total)
     stat = 0.0
-    for key, prob in expected.items():
+    for key, prob in law:
         exp_count = float(prob) * total
         if exp_count == 0:
             if observed.get(key, 0):

@@ -7,7 +7,11 @@ two-term recursion is
 
 with v(n, k) = 0 outside 0 <= k <= n.  Internally rows are carried as big
 integers scaled by d^n, where d is the common denominator of a and b; this
-keeps row construction at n in the thousands cheap.
+keeps row construction at n in the thousands cheap.  The multipliers
+k d + a d and j d + b d are listed once, and each row is two products of
+slices of them with the previous row, summed entry by entry: three
+``map`` calls, so the interpreter runs no per-entry loop.  The same
+recursion over ``BivarPoly`` coefficients gives the symbolic triangle.
 
 Specializations: (a,b) = (1,0) gives the classical Eulerian triangle,
 (0,1) and (1,1) reindexed versions of it, and 2^n v_{1/2,1/2}(n,k) the
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from operator import add, attrgetter, index
+from operator import add, attrgetter, index, mul
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
@@ -69,6 +73,13 @@ def _as_ab(a, b) -> tuple[Fraction, Fraction]:
     # a = inf (weight alpha = 0) collapses every law to a point mass;
     # callers that support it handle that case before calling here
     return _finite("a", a), _finite("b", b)
+
+
+def _over_one_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(X, Y, d) with x = X/d and y = Y/d."""
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    d = math.lcm(xd, yd)
+    return xn * (d // xd), yn * (d // yd), d
 
 
 def _invert(x):
@@ -130,36 +141,42 @@ def rising_factorial(x, n: int) -> Fraction:
 def _rows(n_max: int, d, da, db, one=1):
     """Rows 0..n_max of the two-term recursion with k + a and n - k + b
     carried as k*d + da and (n-k)*d + db: ints scaled by d for the numeric
-    triangle, polynomials in a and b (d = 1) for the symbolic one."""
+    triangle, polynomials in a and b (d = 1) for the symbolic one.  Each row
+    is a fresh list, so callers may hold rows while the generator goes on."""
+    A = [k * d + da for k in range(n_max + 1)]
+    B = [j * d + db for j in range(n_max + 1)]
     row = [one]
     yield row
     for m in range(1, n_max + 1):
-        prev = row
-        row = [0] * (m + 1)
-        for k in range(m + 1):
-            acc = 0
-            if k < m:
-                acc += (k * d + da) * prev[k]
-            if k > 0:
-                acc += ((m - k) * d + db) * prev[k - 1]
-            row[k] = acc
+        # v(m, k) = A[k] v(m-1, k) + B[m-k] v(m-1, k-1), one C-level map per term
+        row = [A[0] * row[0],
+               *map(add, map(mul, A[1:m], row[1:]), map(mul, B[m - 1:0:-1], row[:-1])),
+               B[0] * row[-1]]
         yield row
+
+
+def _scaled(n_max: int, a, b):
+    """(a, b, d, rows): the checked weights, their common denominator d and
+    a generator of the integer rows 0..n_max, row n scaled by d**n."""
+    n_max = _as_n(n_max)
+    a, b = _as_ab(a, b)
+    da, db, d = _over_one_denominator(a, b)
+    return a, b, d, _rows(n_max, d, da, db)
 
 
 def scaled_rows(n_max: int, a, b):
     """Rows n = 0..n_max of the triangle as integers, one pass, O(n) memory:
     yields (row, d) with v(n, k) = row[k] / d**n and d the common
     denominator of a and b."""
-    n_max = _as_n(n_max)
-    a, b = _as_ab(a, b)
-    d = math.lcm(a.denominator, b.denominator)
-    return ((row, d) for row in _rows(n_max, d, int(a * d), int(b * d)))
+    *_, d, rows = _scaled(n_max, a, b)
+    return ((row, d) for row in rows)
 
 
 def scaled_row(n: int, a, b) -> tuple[list[int], int]:
     """Row n of the triangle as integers: returns (row, d) with
     v(n, k) = row[k] / d**n and d the common denominator of a and b."""
-    for row, d in scaled_rows(n, a, b):
+    *_, d, rows = _scaled(n, a, b)
+    for row in rows:
         pass
     return row, d
 
@@ -205,11 +222,9 @@ class EulerTriangle(NamedTuple):
 
 def v_triangle(n_max: int, a, b) -> EulerTriangle:
     """Full triangle up to n_max, built by the two-term recursion."""
-    rows = []
-    for row, d in scaled_rows(n_max, a, b):
-        rows.append(tuple(row))
-    a, b = _as_ab(a, b)
-    return EulerTriangle(a=a, b=b, n_max=n_max, d=d, rows=tuple(rows))
+    a, b, d, rows = _scaled(n_max, a, b)
+    rows = tuple(map(tuple, rows))
+    return EulerTriangle(a=a, b=b, n_max=len(rows) - 1, d=d, rows=rows)
 
 
 def v_row(n: int, a, b) -> tuple[Fraction, ...]:
@@ -326,12 +341,17 @@ _A = BivarPoly({(1, 0): 1})
 _B = BivarPoly({(0, 1): 1})
 
 
+def _symbolic_rows(n_max: int):
+    """Rows 0..n_max of the triangle as polynomials in a and b, one pass."""
+    return _rows(_as_n(n_max), 1, _A, _B, one=BivarPoly.constant(1))
+
+
 def v_symbolic(n: int, k: int) -> BivarPoly:
     """v(n, k) as a polynomial in a and b (zero outside 0 <= k <= n)."""
     n, k = _as_n(n), _as_n(k, _ANY, "k")
     if k < 0 or k > n:
         return BivarPoly()
-    for row in _rows(n, 1, _A, _B, one=BivarPoly.constant(1)):
+    for row in _symbolic_rows(n):
         pass
     return row[k]
 

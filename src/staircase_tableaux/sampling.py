@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 from .errors import ParameterError
 from .enumeration import AB_CAP
-from .eulerian_poly import _as_n, _finite, _fraction, _invert, _Record
+from .eulerian_poly import _as_n, _finite, _fraction, _invert, _over_one_denominator, _Record
 from .rng import SplitMix64, bernoulli, bernoulli_ratio, derive_seed, first_passage
 from .tableau import Symbol, Tableau, counts
 
@@ -93,13 +93,6 @@ def _as_param(name: str, x, top=INF) -> Fraction | float:
     if x.numerator < 0 or (top != INF and x.numerator > x.denominator * top):
         raise ParameterError(f"{name} must be {rule}, got {x}")
     return x
-
-
-def _over_one_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
-    """(X, Y, d) with x = X/d and y = Y/d."""
-    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-    d = math.lcm(xd, yd)
-    return xn * (d // xd), yn * (d // yd), d
 
 
 class Params(_Record):

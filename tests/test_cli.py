@@ -10,7 +10,7 @@ import pytest
 import staircase_tableaux
 from staircase_tableaux import cli, parse
 from staircase_tableaux.distributions import dist_A
-from staircase_tableaux.eulerian_poly import v_row
+from staircase_tableaux.eulerian_poly import v_row, v_symbolic
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +215,20 @@ def test_triangle_row(capsys):
 def test_triangle_symbolic(capsys):
     code, out, _ = run_cli(capsys, "triangle", "--n-max", "2", "--symbolic")
     assert code == 0 and "a + b + 2*a*b" in out
+
+
+def test_triangle_symbolic_matches_the_entries(capsys):
+    code, out, _ = run_cli(capsys, "triangle", "--n-max", "6", "--symbolic")
+    assert code == 0
+    table = "".join(f"{n},{k},{v_symbolic(n, k)}\n" for n in range(7) for k in range(n + 1))
+    assert out == "n,k,v\n" + table
+
+
+@pytest.mark.parametrize("flags", [("--a", "1", "--b", "1"), ("--symbolic",)],
+                         ids=["numeric", "symbolic"])
+def test_triangle_rejects_negative_n_max(capsys, flags):
+    code, out, err = run_cli(capsys, "triangle", "--n-max", "-1", *flags)
+    assert (code, out, err) == (3, "", "error: n must be >= 0, got -1\n")
 
 
 def test_asep_roundtrip(tmp_path, capsys, showcase8):

@@ -376,6 +376,31 @@ def test_chi_square_gof_rejects_counts_that_are_not_integers(observed, message):
         chi_square_gof({0: F(1, 2), 1: F(1, 2)}, observed)
 
 
+
+@pytest.mark.parametrize("expected, message", [
+    ({0: F(-1, 2), 1: F(3, 2)}, "the probability of outcome 0 must be >= 0, got -1/2"),
+    ({0: F(1, 2), 1: -0.5, 2: 1}, "the probability of outcome 1 must be >= 0, got -1/2"),
+    ({0: F(3, 2)}, "the probability of outcome 0 must be <= 1, got 3/2"),
+    ({0: F(7, 10), 1: F(7, 10)}, "the probabilities must sum to 1, got 7/5"),
+    ({0: F(1, 3), 1: F(1, 3)}, "the probabilities must sum to 1, got 2/3"),
+    ({}, "the probabilities must sum to 1, got 0"),
+    ({0: "x", 1: F(1)}, "the probability of outcome 0 must be a finite rational >= 0, got 'x'"),
+    ({0: F(1, 2), "y": math.nan}, "the probability of outcome 'y' must be a finite rational >= 0, got nan"),
+    ({0: math.inf}, "the probability of outcome 0 must be a finite rational >= 0, got inf"),
+], ids=["negative", "negative-float", "above-one", "sum-above", "sum-below", "empty", "text",
+        "nan", "inf"])
+def test_chi_square_gof_rejects_laws_that_are_not_probabilities(expected, message):
+    with pytest.raises(ParameterError) as exc:
+        chi_square_gof(expected, {0: 3, 1: 5})
+    assert str(exc.value) == message
+
+
+def test_chi_square_gof_reads_rationals_of_any_type():
+    exact = chi_square_gof({0: F(1, 4), 1: F(3, 4)}, {0: 3, 1: 5})
+    assert chi_square_gof({0: 0.25, 1: "3/4"}, {0: 3, 1: 5}) == exact
+    point = chi_square_gof({0: F(1), 1: F(0)}, {0: 3})
+    assert chi_square_gof({0: numpy.int64(1), 1: 0}, {0: 3}) == point
+
 # (x, P(X > x)) per df, recorded from scipy 1.17.1: chi2.sf at x = chi2.ppf(q, df)
 # for q = 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9
 CHI2_SF_REFERENCE = {

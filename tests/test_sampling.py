@@ -555,7 +555,8 @@ def pooled_chi_square(law, obs, min_expected=20):
         pool_of[t] = len(pools) - 1
         pools[-1] += law[t]
     if len(pools) > 1 and pools[-1] * total < min_expected:
-        pools[-2] += pools.pop()
+        last = pools.pop()   # pools[-2] += pools.pop() would add to the wrong pool
+        pools[-1] += last
         pool_of = {t: min(i, len(pools) - 1) for t, i in pool_of.items()}
     observed = Counter()
     for t, k in obs.items():
