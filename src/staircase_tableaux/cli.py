@@ -316,22 +316,20 @@ def cmd_urn(args) -> Views:
 
 
 def cmd_triangle(args) -> Views:
-    header = ("n", "k", "v")
+    n_max = 10 if args.n_max is None else args.n_max
     if args.symbolic:
         _unused(args, "triangle --symbolic", "a", "b", "alpha", "beta", "row", "float")
+        rows = enumerate(eulerian_poly._symbolic_rows(n_max))
     elif args.row is not None:
         _unused(args, "triangle --row", "n_max")
         params = _resolve_params(args)
-        row = eulerian_poly.v_row(args.row, params.a, params.b)
-        return {"csv": [header, *((args.row, k, v) for k, v in enumerate(row))]}
-    n_max = 10 if args.n_max is None else args.n_max
-    if args.symbolic:
-        rows = eulerian_poly._symbolic_rows(n_max)
+        rows = [(args.row, eulerian_poly.v_row(args.row, params.a, params.b))]
     else:
         params = _resolve_params(args)
-        rows = map(eulerian_poly.v_triangle(n_max, params.a, params.b).row, range(n_max + 1))
-    return {"csv": itertools.chain([header], (
-        (n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)))}
+        rows = enumerate(map(eulerian_poly.v_triangle(n_max, params.a, params.b).row,
+                             range(n_max + 1)))
+    return {"csv": itertools.chain([("n", "k", "v")], (
+        (n, k, v) for n, row in rows for k, v in enumerate(row)))}
 
 
 def _read_tableau(args) -> tableau.Tableau:

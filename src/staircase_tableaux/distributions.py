@@ -14,8 +14,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import (_ANY, _as_ab, _as_n, _finite, _fractions, _invert, _Record,
-                            scaled_row)
+from .eulerian_poly import _ANY, _as_ab, _as_n, _finite, _fractions, _invert, _Record, scaled_row
 
 __all__ = [
     "DiscreteDist",
@@ -652,19 +651,12 @@ def _chi2_sf(x: float, df: int) -> float:
 def chi_square_gof(expected, observed) -> ChiSquareResult:
     """Pearson chi-square of observed counts against an exact law.
 
-    ``expected`` maps outcomes to exact probabilities, each a rational in
-    [0, 1], that sum to exactly 1; ``observed`` maps outcomes to counts,
-    each an integer >= 0; an observed outcome of probability zero (or
-    outside ``expected``) yields an infinite statistic."""
-    law = []
-    for key, prob in expected.items():
-        if type(prob) is not Fraction or not 0 <= prob.numerator <= prob.denominator:
-            prob = _finite(f"the probability of outcome {key!r}", prob)
-            if prob > 1:
-                raise ParameterError(f"the probability of outcome {key!r} must be <= 1, got {prob}")
-        law.append((key, prob))
-    mass = sum(prob for _, prob in law)
-    if mass != 1:
+    ``expected`` maps outcomes to exact probabilities >= 0 that sum to 1,
+    ``observed`` maps outcomes to counts, each an integer >= 0; an observed
+    outcome of probability zero yields an infinite statistic."""
+    law = [(key, p if type(p) is Fraction and p.numerator >= 0
+            else _finite(f"the probability of outcome {key!r}", p)) for key, p in expected.items()]
+    if (mass := sum(prob for _, prob in law)) != 1:
         raise ParameterError(f"the probabilities must sum to 1, got {mass}")
     for key, count in observed.items():
         if type(count) is not int or count < 0:
@@ -672,8 +664,7 @@ def chi_square_gof(expected, observed) -> ChiSquareResult:
     total = sum(observed.values())
     if total <= 0:
         raise ParameterError("need at least one observation")
-    extra = set(observed) - set(expected)
-    if extra:
+    if observed.keys() - expected.keys():
         return ChiSquareResult(math.inf, max(len(expected) - 1, 1), 0.0, total)
     stat = 0.0
     for key, prob in law:

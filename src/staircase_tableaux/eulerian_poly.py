@@ -6,12 +6,9 @@ two-term recursion is
     v(n, k) = (k + a) v(n-1, k) + (n - k + b) v(n-1, k-1),   v(0, 0) = 1,
 
 with v(n, k) = 0 outside 0 <= k <= n.  Internally rows are carried as big
-integers scaled by d^n, where d is the common denominator of a and b; this
-keeps row construction at n in the thousands cheap.  The multipliers
-k d + a d and j d + b d are listed once, and each row is two products of
-slices of them with the previous row, summed entry by entry: three
-``map`` calls, so the interpreter runs no per-entry loop.  The same
-recursion over ``BivarPoly`` coefficients gives the symbolic triangle.
+integers scaled by d^n, where d is the common denominator of a and b, and
+each row is three ``map`` calls over the previous one, with no per-entry
+Python loop; this keeps row construction at n in the thousands cheap.
 
 Specializations: (a,b) = (1,0) gives the classical Eulerian triangle,
 (0,1) and (1,1) reindexed versions of it, and 2^n v_{1/2,1/2}(n,k) the
@@ -77,9 +74,8 @@ def _as_ab(a, b) -> tuple[Fraction, Fraction]:
 
 def _over_one_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     """(X, Y, d) with x = X/d and y = Y/d."""
-    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-    d = math.lcm(xd, yd)
-    return xn * (d // xd), yn * (d // yd), d
+    d = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
 
 
 def _invert(x):
@@ -139,44 +135,33 @@ def rising_factorial(x, n: int) -> Fraction:
 
 
 def _rows(n_max: int, d, da, db, one=1):
-    """Rows 0..n_max of the two-term recursion with k + a and n - k + b
-    carried as k*d + da and (n-k)*d + db: ints scaled by d for the numeric
+    """Rows 0..n_max of v(m, k) = A[k] v(m-1, k) + B[m-k] v(m-1, k-1) with
+    A[k] = k*d + da and B[j] = j*d + db: ints scaled by d for the numeric
     triangle, polynomials in a and b (d = 1) for the symbolic one.  Each row
-    is a fresh list, so callers may hold rows while the generator goes on."""
+    is a fresh list: callers hold rows while the generator goes on."""
     A = [k * d + da for k in range(n_max + 1)]
     B = [j * d + db for j in range(n_max + 1)]
     row = [one]
     yield row
     for m in range(1, n_max + 1):
-        # v(m, k) = A[k] v(m-1, k) + B[m-k] v(m-1, k-1), one C-level map per term
-        row = [A[0] * row[0],
-               *map(add, map(mul, A[1:m], row[1:]), map(mul, B[m - 1:0:-1], row[:-1])),
-               B[0] * row[-1]]
+        # the zeros pad v(m-1, m) and v(m-1, -1); map stops at the shorter list
+        row = list(map(add, map(mul, A, row + [0]), map(mul, B[m::-1], [0] + row)))
         yield row
-
-
-def _scaled(n_max: int, a, b):
-    """(a, b, d, rows): the checked weights, their common denominator d and
-    a generator of the integer rows 0..n_max, row n scaled by d**n."""
-    n_max = _as_n(n_max)
-    a, b = _as_ab(a, b)
-    da, db, d = _over_one_denominator(a, b)
-    return a, b, d, _rows(n_max, d, da, db)
 
 
 def scaled_rows(n_max: int, a, b):
     """Rows n = 0..n_max of the triangle as integers, one pass, O(n) memory:
     yields (row, d) with v(n, k) = row[k] / d**n and d the common
     denominator of a and b."""
-    *_, d, rows = _scaled(n_max, a, b)
-    return ((row, d) for row in rows)
+    n_max = _as_n(n_max)
+    da, db, d = _over_one_denominator(*_as_ab(a, b))
+    return ((row, d) for row in _rows(n_max, d, da, db))
 
 
 def scaled_row(n: int, a, b) -> tuple[list[int], int]:
     """Row n of the triangle as integers: returns (row, d) with
     v(n, k) = row[k] / d**n and d the common denominator of a and b."""
-    *_, d, rows = _scaled(n, a, b)
-    for row in rows:
+    for row, d in scaled_rows(n, a, b):
         pass
     return row, d
 
@@ -222,9 +207,10 @@ class EulerTriangle(NamedTuple):
 
 def v_triangle(n_max: int, a, b) -> EulerTriangle:
     """Full triangle up to n_max, built by the two-term recursion."""
-    a, b, d, rows = _scaled(n_max, a, b)
-    rows = tuple(map(tuple, rows))
-    return EulerTriangle(a=a, b=b, n_max=len(rows) - 1, d=d, rows=rows)
+    n_max = _as_n(n_max)
+    a, b = _as_ab(a, b)
+    da, db, d = _over_one_denominator(a, b)
+    return EulerTriangle(a, b, n_max, d, tuple(map(tuple, _rows(n_max, d, da, db))))
 
 
 def v_row(n: int, a, b) -> tuple[Fraction, ...]:

@@ -380,7 +380,7 @@ def test_chi_square_gof_rejects_counts_that_are_not_integers(observed, message):
 @pytest.mark.parametrize("expected, message", [
     ({0: F(-1, 2), 1: F(3, 2)}, "the probability of outcome 0 must be >= 0, got -1/2"),
     ({0: F(1, 2), 1: -0.5, 2: 1}, "the probability of outcome 1 must be >= 0, got -1/2"),
-    ({0: F(3, 2)}, "the probability of outcome 0 must be <= 1, got 3/2"),
+    ({0: F(3, 2)}, "the probabilities must sum to 1, got 3/2"),
     ({0: F(7, 10), 1: F(7, 10)}, "the probabilities must sum to 1, got 7/5"),
     ({0: F(1, 3), 1: F(1, 3)}, "the probabilities must sum to 1, got 2/3"),
     ({}, "the probabilities must sum to 1, got 0"),
