@@ -158,6 +158,17 @@ def test_decomposition_golden_digest():
     assert h.hexdigest() == "a236f11b278afcb7743aa87548c93d31c6ceb2b0c05f1e27e425fcf2ee89af82"
 
 
+def test_decomposition_edges_golden_digest():
+    # the a = 0, b = 0 and a = b = 0 edges at every n up to 40, where a root
+    # sits at 0 or a p = 0 is padded
+    edges = [(a, b) for x in (F(1), F(3, 7), F(5, 2)) for a, b in ((F(0), x), (x, F(0)))]
+    h = hashlib.sha256()
+    for n in range(1, 41):
+        for a, b in edges + [(F(0), F(0))] * (n >= 2):
+            h.update(repr((n, a, b, bernoulli_decomposition(n, a, b))).encode())
+    assert h.hexdigest() == "c856774391e90348381a4eba709ae4429a0b4e6971a0b1991a902960d9af9e67"
+
+
 def _pgf_sign(weights, x: F) -> int:
     acc = F(0)
     for w in reversed(weights):

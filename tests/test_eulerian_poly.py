@@ -347,6 +347,24 @@ def test_rows_golden_digest():
     assert h.hexdigest() == "29b7f255d96103923193bdf8d6081c55505dcd2c38457c2349508b7cef817bda"
 
 
+def test_c_table_golden_digest():
+    # pins the connection-coefficient rows bit for bit
+    h = hashlib.sha256()
+    for n in (0, 1, 2, 16, 60):
+        for b in (F(0), F(1), F(1, 2), F(7, 3), F(5, 9)):
+            h.update(repr(c_table(n, b)).encode())
+    assert h.hexdigest() == "4e33bc3b6c7bdba4954a40cdbdc4d017282f79119720d9b30f28cc6d18dbf6da"
+
+
+def test_v_triangle_golden_digest():
+    # pins the stored triangle, its d and every row, bit for bit
+    h = hashlib.sha256()
+    for a, b in DIGEST_AB:
+        for n in (0, 1, 16, 60):
+            h.update(repr(v_triangle(n, a, b)).encode())
+    assert h.hexdigest() == "daa0883727975eccc88946b8013daa5f97fd64b71d822cd6b48d80ab4c80169b"
+
+
 
 @pytest.mark.parametrize("a, b", DIGEST_AB)
 def test_scaled_rows_yields_fresh_rows(a, b):
