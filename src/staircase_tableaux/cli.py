@@ -44,6 +44,7 @@ from .errors import (
     ParameterError,
     RootFindingError,
 )
+from .eulerian_poly import _as_n
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,6 +69,14 @@ def parse_rational(text: str) -> Fraction | float:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"not a rational: {text!r}") from exc
+
+
+def _rational_flag(text: str) -> Fraction | float:
+    """parse_rational for argparse, which prints this error's message after the flag."""
+    try:
+        return parse_rational(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_params(args) -> sampling.Params:
@@ -319,15 +328,16 @@ def cmd_triangle(args) -> Views:
     n_max = 10 if args.n_max is None else args.n_max
     if args.symbolic:
         _unused(args, "triangle --symbolic", "a", "b", "alpha", "beta", "row", "float")
-        rows = enumerate(eulerian_poly._symbolic_rows(n_max))
+        rows = enumerate(eulerian_poly._symbolic_rows(_as_n(n_max, name="--n-max")))
     elif args.row is not None:
         _unused(args, "triangle --row", "n_max")
         params = _resolve_params(args)
-        rows = [(args.row, eulerian_poly.v_row(args.row, params.a, params.b))]
+        row = _as_n(args.row, name="--row")
+        rows = [(row, eulerian_poly.v_row(row, params.a, params.b))]
     else:
         params = _resolve_params(args)
-        rows = enumerate(map(eulerian_poly.v_triangle(n_max, params.a, params.b).row,
-                             range(n_max + 1)))
+        triangle = eulerian_poly.v_triangle(_as_n(n_max, name="--n-max"), params.a, params.b)
+        rows = enumerate(map(triangle.row, range(n_max + 1)))
     return {"csv": itertools.chain([("n", "k", "v")], (
         (n, k, v) for n, row in rows for k, v in enumerate(row)))}
 
@@ -383,7 +393,10 @@ def cmd_verify(args) -> tuple[Views, int]:
 
 
 def _columns(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
 def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
@@ -398,22 +411,22 @@ class Command(NamedTuple):
 
 
 N = _arg("--n", type=int, required=True)
-AB = (_arg("--a", type=parse_rational, help="inverse weight a = 1/alpha ('p/q' or 'inf')"),
-      _arg("--b", type=parse_rational, help="inverse weight b = 1/beta"),
-      _arg("--alpha", type=parse_rational, help="tableau weight alpha ('p/q' or 'inf')"),
-      _arg("--beta", type=parse_rational, help="tableau weight beta"))
-RHO = _arg("--rho", type=parse_rational, default=Fraction(1, 2),
+AB = (_arg("--a", type=_rational_flag, help="inverse weight a = 1/alpha ('p/q' or 'inf')"),
+      _arg("--b", type=_rational_flag, help="inverse weight b = 1/beta"),
+      _arg("--alpha", type=_rational_flag, help="tableau weight alpha ('p/q' or 'inf')"),
+      _arg("--beta", type=_rational_flag, help="tableau weight beta"))
+RHO = _arg("--rho", type=_rational_flag, default=Fraction(1, 2),
            help="tie-break probability in [0,1], default 1/2")
 FLOAT = _arg("--float", action="store_true", help="emit floats instead of exact rationals")
 SEED = _arg("--seed", type=int, default=0)
 SAMPLES = _arg("--samples", type=int, default=1)
 ALLOW_LARGE = _arg("--allow-large", action="store_true", help="override the enumeration cap")
 INPUT = _arg("--input", help="tableau JSON file ('-' or omitted for stdin)")
-ONE = {"type": parse_rational, "default": Fraction(1)}
+ONE = {"type": _rational_flag, "default": Fraction(1)}
 
 COMMANDS = {
     "sample": Command(cmd_sample, "draw random tableaux", ("text", "json", "csv"), (
-        N, *AB, _arg("--gamma", type=parse_rational), _arg("--delta", type=parse_rational),
+        N, *AB, _arg("--gamma", type=_rational_flag), _arg("--delta", type=_rational_flag),
         _arg("--four", action="store_true", help="four-symbol model"), RHO, SEED, SAMPLES)),
     "enumerate": Command(cmd_enumerate, "stream or count all tableaux of a size",
                          ("text", "json"), (
@@ -437,7 +450,7 @@ COMMANDS = {
         N, _arg("--i", type=int, required=True), _arg("--j", type=int, required=True),
         ALLOW_LARGE, *AB)),
     "urn": Command(cmd_urn, "simulate the opposite-colour urn", ("json", "csv"), (
-        N, _arg("--a", type=parse_rational), _arg("--b", type=parse_rational), SEED, SAMPLES)),
+        N, _arg("--a", type=_rational_flag), _arg("--b", type=_rational_flag), SEED, SAMPLES)),
     "triangle": Command(cmd_triangle, "exact generalized Eulerian triangle", ("csv",), (
         _arg("--n-max", type=int, help="largest row (default 10)"),
         _arg("--row", type=int, help="emit a single row"),

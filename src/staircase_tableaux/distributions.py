@@ -99,14 +99,6 @@ class DiscreteDist(_Record):
     def shifted(self, delta: int) -> "DiscreteDist":
         return DiscreteDist(self.offset + delta, self.weights)
 
-    def reversed_about(self, n: int) -> "DiscreteDist":
-        """Law of n - X when self is the law of X."""
-        hi = self.offset + len(self.weights) - 1
-        return DiscreteDist(n - hi, self.weights[::-1])
-
-    def is_log_concave(self) -> bool:
-        w = self.weights
-        return all(w[k] * w[k] >= w[k - 1] * w[k + 1] for k in range(1, len(w) - 1))
 
 
 def dist_A(n: int, a, b) -> DiscreteDist:
@@ -288,10 +280,10 @@ def bernoulli_decomposition(n: int, a, b) -> BernoulliDecomp:
     """Locate the roots of the pgf of A and return the Bernoulli
     parameters p_i = 1/(1 + xi_i).
 
-    Root structure (all real, simple, in (-inf, 0]): for a, b > 0 the pgf
-    has degree n; b = 0 drops the degree to n-1 and a zero p is appended;
-    a = 0 contributes a root at 0 (p = 1); a = b = 0 decomposes the
-    substitute polynomial x P_{n-2,1,1}(x) plus one padded zero.
+    Root structure (all real, simple, in (-inf, 0]): the pgf of A is x^offset
+    times the polynomial of the weights of ``dist_A``.  Each root at 0 gives
+    p = 1 (one for a = 0 and for a = b = 0), each root of the weights the next
+    p, and each degree short of n a padded p = 0 (one for b = 0 and a = b = 0).
 
     The roots are isolated at the top degree only, with exact integer
     arithmetic everywhere, and land on one fixed dyadic grid, so the
@@ -300,27 +292,11 @@ def bernoulli_decomposition(n: int, a, b) -> BernoulliDecomp:
     """
     a, b = _as_ab(a, b)
     n = _as_n(n, 1)
-    prefix: list[float] = []   # exact known p's (from factored-out roots)
-    suffix: list[float] = []   # padded zeros
-    if a == 0 and b == 0:
-        if n < 2:
-            raise DomainError("a = b = 0 needs n >= 2")
-        core_a, core_b, degree = Fraction(1), Fraction(1), n - 2
-        prefix = [1.0]
-        suffix = [0.0]
-    elif b == 0:
-        core_a, core_b, degree = a, Fraction(1), n - 1
-        suffix = [0.0]
-    elif a == 0:
-        core_a, core_b, degree = Fraction(1), b, n - 1
-        prefix = [1.0]
-    else:
-        core_a, core_b, degree = a, b, n
-
-    xi_exact = _isolate_roots(scaled_row(degree, core_a, core_b)[0])
-    core_p = [float(1 / (1 + x)) for x in xi_exact]
-    p = prefix + core_p + suffix
-    xi = [0.0] * len(prefix) + [float(x) for x in xi_exact] + [math.inf] * len(suffix)
+    law = dist_A(n, a, b)
+    xis = _isolate_roots(law.weights)
+    pad = n - law.offset - len(xis)
+    p = [1.0] * law.offset + [float(1 / (1 + x)) for x in xis] + [0.0] * pad
+    xi = [0.0] * law.offset + [float(x) for x in xis] + [math.inf] * pad
     return BernoulliDecomp(n=n, p=tuple(p), xi=tuple(xi))
 
 
@@ -355,10 +331,6 @@ class NPairLaw(NamedTuple):
     mean_beta: Fraction
     var_beta: Fraction
     cov: Fraction
-
-    def marginal_alpha_params(self) -> tuple[Fraction, ...]:
-        """Bernoulli parameters of the I_i."""
-        return tuple(pd.p10 + pd.p11 for pd in self.pairs)
 
     def _joint_weights(self) -> tuple[dict[tuple[int, int], int], int]:
         """Joint law of (N_alpha, N_beta) as integer weights over one total:

@@ -5,10 +5,10 @@ two-term recursion is
 
     v(n, k) = (k + a) v(n-1, k) + (n - k + b) v(n-1, k-1),   v(0, 0) = 1,
 
-with v(n, k) = 0 outside 0 <= k <= n.  Internally rows are carried as big
-integers scaled by d^n, where d is the common denominator of a and b, and
-each row is three ``map`` calls over the previous one, with no per-entry
-Python loop; this keeps row construction at n in the thousands cheap.
+with v(n, k) = 0 outside 0 <= k <= n.  Rows are carried as big integers
+scaled by d^n, d the common denominator of a and b, and each row is three
+``map`` calls over the previous one, cheap at n in the thousands.  The same
+code, with other multipliers, builds the symbolic rows and the c-table.
 
 Specializations: (a,b) = (1,0) gives the classical Eulerian triangle,
 (0,1) and (1,1) reindexed versions of it, and 2^n v_{1/2,1/2}(n,k) the
@@ -54,13 +54,19 @@ def _fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _finite(name: str, x) -> Fraction:
-    """The shared parameter rule: a weight is a finite rational >= 0."""
+def _rational(name: str, x, rule: str = "a finite rational") -> Fraction:
+    """x as a Fraction, or a ParameterError that names x and its rule."""
     if type(x) is not Fraction:
         try:
             x = _fraction(x)
         except (OverflowError, TypeError, ValueError) as exc:
-            raise ParameterError(f"{name} must be a finite rational >= 0, got {x!r}") from exc
+            raise ParameterError(f"{name} must be {rule}, got {x!r}") from exc
+    return x
+
+
+def _finite(name: str, x) -> Fraction:
+    """The shared parameter rule: a weight is a finite rational >= 0."""
+    x = _rational(name, x, "a finite rational >= 0")
     if x.numerator < 0:
         raise ParameterError(f"{name} must be >= 0, got {x}")
     return x
@@ -134,16 +140,13 @@ def rising_factorial(x, n: int) -> Fraction:
     return out
 
 
-def _rows(n_max: int, d, da, db, one=1):
-    """Rows 0..n_max of v(m, k) = A[k] v(m-1, k) + B[m-k] v(m-1, k-1) with
-    A[k] = k*d + da and B[j] = j*d + db: ints scaled by d for the numeric
-    triangle, polynomials in a and b (d = 1) for the symbolic one.  Each row
-    is a fresh list: callers hold rows while the generator goes on."""
-    A = [k * d + da for k in range(n_max + 1)]
-    B = [j * d + db for j in range(n_max + 1)]
+def _rows(A: list, B: list, one=1):
+    """Rows 0..len(A)-1 of v(m, k) = A[k] v(m-1, k) + B[m-k] v(m-1, k-1), over
+    ints or polynomials.  Each row is a fresh list: callers hold rows while
+    the generator goes on."""
     row = [one]
     yield row
-    for m in range(1, n_max + 1):
+    for m in range(1, len(A)):
         # the zeros pad v(m-1, m) and v(m-1, -1); map stops at the shorter list
         row = list(map(add, map(mul, A, row + [0]), map(mul, B[m::-1], [0] + row)))
         yield row
@@ -153,9 +156,9 @@ def scaled_rows(n_max: int, a, b):
     """Rows n = 0..n_max of the triangle as integers, one pass, O(n) memory:
     yields (row, d) with v(n, k) = row[k] / d**n and d the common
     denominator of a and b."""
-    n_max = _as_n(n_max)
+    steps = range(_as_n(n_max) + 1)
     da, db, d = _over_one_denominator(*_as_ab(a, b))
-    return ((row, d) for row in _rows(n_max, d, da, db))
+    return ((row, d) for row in _rows([k * d + da for k in steps], [j * d + db for j in steps]))
 
 
 def scaled_row(n: int, a, b) -> tuple[list[int], int]:
@@ -207,10 +210,8 @@ class EulerTriangle(NamedTuple):
 
 def v_triangle(n_max: int, a, b) -> EulerTriangle:
     """Full triangle up to n_max, built by the two-term recursion."""
-    n_max = _as_n(n_max)
-    a, b = _as_ab(a, b)
-    da, db, d = _over_one_denominator(a, b)
-    return EulerTriangle(a, b, n_max, d, tuple(map(tuple, _rows(n_max, d, da, db))))
+    rows, ds = zip(*((tuple(row), d) for row, d in scaled_rows(n_max, a, b)))
+    return EulerTriangle(*_as_ab(a, b), len(rows) - 1, ds[0], rows)
 
 
 def v_row(n: int, a, b) -> tuple[Fraction, ...]:
@@ -287,18 +288,6 @@ class BivarPoly:
         z = self.total()
         return BivarPoly({m: c / z for m, c in self.coeffs.items()})
 
-    def marginal(self, axis: int) -> "BivarPoly":
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for mono, c in self.coeffs.items():
-            key = (mono[axis],)
-            out[key] = out.get(key, 0) + c
-        return BivarPoly(out)
-
-    def total_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(sum(m) for m in self.coeffs)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -323,13 +312,11 @@ class BivarPoly:
     __repr__ = __str__
 
 
-_A = BivarPoly({(1, 0): 1})
-_B = BivarPoly({(0, 1): 1})
-
-
 def _symbolic_rows(n_max: int):
     """Rows 0..n_max of the triangle as polynomials in a and b, one pass."""
-    return _rows(_as_n(n_max), 1, _A, _B, one=BivarPoly.constant(1))
+    steps = range(_as_n(n_max) + 1)
+    a, b = BivarPoly({(1, 0): 1}), BivarPoly({(0, 1): 1})
+    return _rows([k + a for k in steps], [j + b for j in steps], one=BivarPoly.constant(1))
 
 
 def v_symbolic(n: int, k: int) -> BivarPoly:
@@ -344,7 +331,7 @@ def v_symbolic(n: int, k: int) -> BivarPoly:
 
 def p_eval(n: int, a, b, x) -> Fraction:
     """P_{n,a,b}(x) = sum_k v(n,k) x^k, exact."""
-    x = _fraction(x)
+    x = _rational("x", x)
     row, d = scaled_row(n, a, b)
     num = Fraction(0)
     for v in reversed(row):   # Horner on the integer row
@@ -371,7 +358,7 @@ def tilde_v(n: int, k: int) -> Fraction:
 def tilde_p_eval(n: int, x) -> Fraction:
     """tilde-P_{n,0,0}(x) = x * P_{n-2,1,1}(x), n >= 2."""
     n = _as_n(n, 2)
-    x = _fraction(x)
+    x = _rational("x", x)
     return x * p_eval(n - 2, 1, 1, x)
 
 
@@ -419,13 +406,8 @@ class CTable(NamedTuple):
 def c_table(n_max: int, b) -> CTable:
     n_max = _as_n(n_max, name="n_max")
     b = _finite("b", b)
-    B, d = b.numerator, b.denominator
-    rows = [(1,)]
-    for _ in range(n_max):
-        prev = rows[-1]
-        rows.append(tuple((ell * d + B) * same + lower for ell, (same, lower)
-                          in enumerate(zip(prev + (0,), (0,) + prev))))
-    return CTable(b=b, n_max=n_max, rows=tuple(rows))
+    rows = _rows([ell * b.denominator + b.numerator for ell in range(n_max + 1)], [1] * (n_max + 1))
+    return CTable(b=b, n_max=n_max, rows=tuple(map(tuple, rows)))
 
 
 def eulerian_row(n: int) -> list[int]:

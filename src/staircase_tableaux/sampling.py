@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 from .errors import ParameterError
 from .enumeration import AB_CAP
-from .eulerian_poly import _as_n, _finite, _fraction, _invert, _over_one_denominator, _Record
+from .eulerian_poly import _as_n, _finite, _invert, _over_one_denominator, _rational, _Record
 from .rng import SplitMix64, bernoulli, bernoulli_ratio, derive_seed, first_passage
 from .tableau import Symbol, Tableau, counts
 
@@ -86,10 +86,7 @@ def _as_param(name: str, x, top=INF) -> Fraction | float:
     if type(x) is not Fraction:
         if x == INF == top:
             return INF
-        try:
-            x = _fraction(x)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ParameterError(f"{name} must be {rule}, got {x!r}") from exc
+        x = _rational(name, x, rule)
     if x.numerator < 0 or (top != INF and x.numerator > x.denominator * top):
         raise ParameterError(f"{name} must be {rule}, got {x}")
     return x
@@ -299,13 +296,6 @@ class BatchSummary(_Record):
         self.diag_alpha_counts[a] += 1
         if t.n <= AB_CAP:
             self.tableau_counts[t.cells] += 1
-
-    def mean_diag_alpha(self) -> Fraction:
-        return Fraction(self.sum_diag_alpha, self.count)
-
-    def var_diag_alpha(self) -> Fraction:
-        m = self.mean_diag_alpha()
-        return Fraction(self.sum_diag_alpha_sq, self.count) - m * m
 
 
 def sample_batch(n: int, params: Params, seed: int, count: int) -> BatchSummary:

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidTableauError, MalformedDocumentError
-from .eulerian_poly import BivarPoly, _as_n, _Record
+from .eulerian_poly import BivarPoly, _as_n, _finite, _Record
 
 __all__ = [
     "Symbol",
@@ -145,9 +145,6 @@ class Tableau(_Record):
     def symbol_at(self, row: int, col: int) -> Symbol | None:
         return self.cell_map.get((row, col))
 
-    def row_width(self, row: int) -> int:
-        return self.n + 1 - row
-
     def diagonal(self) -> list[Symbol | None]:
         """Symbols in boxes (i, n+1-i), i = 1..n (NE to SW)."""
         return [self.symbol_at(i, self.n + 1 - i) for i in range(1, self.n + 1)]
@@ -250,7 +247,8 @@ def weight_exponents(t: Tableau) -> tuple[int, int, int, int]:
 
 def weight(t: Tableau, alpha, beta, gamma=0, delta=0) -> Fraction:
     """Weight alpha^Na * beta^Nb * gamma^Ng * delta^Nd, exact (0**0 == 1)."""
-    return BivarPoly({weight_exponents(t): 1}).evaluate(alpha, beta, gamma, delta)
+    weights = map(_finite, ("alpha", "beta", "gamma", "delta"), (alpha, beta, gamma, delta))
+    return BivarPoly({weight_exponents(t): 1}).evaluate(*weights)
 
 
 def subtableau(t: Tableau, i: int, j: int) -> Tableau:
@@ -276,7 +274,7 @@ def render_text(t: Tableau) -> str:
     lines = []
     for row in range(1, t.n + 1):
         line = []
-        for col in range(1, t.row_width(row) + 1):
+        for col in range(1, t.n + 2 - row):
             sym = t.symbol_at(row, col)
             line.append(sym.letter if sym else ".")
         lines.append("".join(line))

@@ -10,6 +10,7 @@ import pytest
 import staircase_tableaux
 from staircase_tableaux import cli, parse
 from staircase_tableaux.distributions import dist_A
+from staircase_tableaux.errors import ParameterError
 from staircase_tableaux.eulerian_poly import v_row, v_symbolic
 
 
@@ -224,11 +225,33 @@ def test_triangle_symbolic_matches_the_entries(capsys):
     assert out == "n,k,v\n" + table
 
 
-@pytest.mark.parametrize("flags", [("--a", "1", "--b", "1"), ("--symbolic",)],
-                         ids=["numeric", "symbolic"])
+@pytest.mark.parametrize("flags", [
+    ("--n-max", "-1", "--a", "1", "--b", "1"),
+    ("--n-max", "-1", "--symbolic"),
+    ("--row", "-1", "--a", "1", "--b", "1"),
+], ids=["numeric", "symbolic", "row"])
 def test_triangle_rejects_negative_n_max(capsys, flags):
-    code, out, err = run_cli(capsys, "triangle", "--n-max", "-1", *flags)
-    assert (code, out, err) == (3, "", "error: n must be >= 0, got -1\n")
+    code, out, err = run_cli(capsys, "triangle", *flags)
+    assert (code, out, err) == (3, "", f"error: {flags[0]} must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("dist-a", "--n", "3", "--a", "x", "--b", "1"), "argument --a: not a rational: 'x'"),
+    (("sample", "--n", "3", "--a", "1", "--b", "1", "--rho", "1/0"),
+     "argument --rho: not a rational: '1/0'"),
+    (("positions", "--n", "4", "--kind", "joint", "--positions", "a,b", "--a", "1", "--b", "1"),
+     "argument --positions: not comma-separated integers: 'a,b'"),
+], ids=["rational", "zero-denominator", "columns"])
+def test_flag_type_errors_name_the_rule(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.endswith(f"error: {message}\n")
+
+
+def test_parse_rational_raises_parameter_error():
+    with pytest.raises(ParameterError, match="not a rational: 'x'"):
+        cli.parse_rational("x")
 
 
 def test_asep_roundtrip(tmp_path, capsys, showcase8):

@@ -54,7 +54,11 @@ def test_discrete_dist_trims_and_checks():
     assert d.pmf(1) == F(1, 2) and d.pmf(5) == 0
     assert d.mean() == F(3, 2) and d.variance() == F(1, 4)
     assert d.shifted(2).support() == range(3, 5)
-    assert d.reversed_about(3).support() == range(1, 3)
+
+
+def law_of_n_minus(d: DiscreteDist, n: int) -> DiscreteDist:
+    """The law of n - X when d is the law of X."""
+    return DiscreteDist(n - d.support()[-1], d.weights[::-1])
 
 
 def test_dist_A_examples():
@@ -76,9 +80,10 @@ def test_dist_A_total_and_b_symmetry():
         for a, b in [(F(1), F(1)), (F(1, 2), F(3)), (F(0), F(1))]:
             d = dist_A(n, a, b)
             assert sum(d.probs) == 1
-            assert d.is_log_concave()
+            w = d.weights
+            assert all(w[k] * w[k] >= w[k - 1] * w[k + 1] for k in range(1, len(w) - 1))
             # law of B = n - A equals law of A with parameters swapped
-            assert d.reversed_about(n) == dist_A(n, b, a)
+            assert law_of_n_minus(d, n) == dist_A(n, b, a)
 
 
 def test_moments_examples():
@@ -247,7 +252,7 @@ def test_pairs_marginals_and_moments():
         den = a + b + i
         assert pd.p10 == b / den and pd.p01 == a / den and pd.p11 == F(i) / den
     assert law.mean_alpha == 5 - sum(a / (a + b + i) for i in range(5))
-    assert law.marginal_alpha_params() == tuple(1 - a / (a + b + i) for i in range(5))
+    assert tuple(pd.p10 + pd.p11 for pd in law.pairs) == tuple(1 - a / (a + b + i) for i in range(5))
 
 
 def test_pairs_zero_zero_rule():
@@ -577,7 +582,7 @@ RATIONAL_0_9 = st.builds(F, st.integers(0, 9), st.integers(1, 9))
 def test_dist_A_dagger_symmetry(a, b, n):
     # the dagger involution swaps alpha and beta, so B = n - A under (a, b)
     # has the law of A under (b, a)
-    assert dist_A(n, a, b).reversed_about(n) == dist_A(n, b, a)
+    assert law_of_n_minus(dist_A(n, a, b), n) == dist_A(n, b, a)
 
 
 @given(RATIONAL_0_9, RATIONAL_0_9, st.integers(min_value=2, max_value=40))

@@ -153,7 +153,7 @@ def test_v_symbolic_coeff_table():
 def test_v_symbolic_degree_and_sign(n):
     for k in range(n + 1):
         poly = v_symbolic(n, k)
-        assert poly.total_degree() == n
+        assert max(map(sum, poly.coeffs)) == n
         assert all(c > 0 for c in poly.coeffs.values())
 
 
@@ -402,18 +402,39 @@ def test_c_table_matches_closed_form(b, n_max):
 ALL_ALPHA_40 = Tableau(40, tuple((i, 41 - i, Symbol.ALPHA) for i in range(1, 41)))
 
 
-@pytest.mark.parametrize("call, x", [
-    (lambda x: weight(ALL_ALPHA_40, x, x), 10),
-    (lambda x: p_eval(30, 1, 1, x), 10),
-    (lambda x: tilde_p_eval(30, x), 10),
-    (lambda x: v_symbolic(3, 1).evaluate(x, x), 10 ** 10),
+RULE_ERRORS = (ParameterError,) * 3
+
+
+@pytest.mark.parametrize("call, x, errors", [
+    (lambda x: weight(ALL_ALPHA_40, x, x), 10, RULE_ERRORS),
+    (lambda x: p_eval(30, 1, 1, x), 10, RULE_ERRORS),
+    (lambda x: tilde_p_eval(30, x), 10, RULE_ERRORS),
+    (lambda x: v_symbolic(3, 1).evaluate(x, x), 10 ** 10, (ValueError, TypeError, OverflowError)),
 ], ids=["weight", "p_eval", "tilde_p_eval", "BivarPoly.evaluate"])
-def test_numpy_integer_arguments_evaluate_exactly(call, x):
+def test_numpy_integer_arguments_evaluate_exactly(call, x, errors):
     # a NumPy integer must not lend its fixed-width arithmetic to the result
     assert call(numpy.int64(x)) == call(x)
-    for junk, error in (("x", ValueError), (None, TypeError), (math.inf, OverflowError)):
+    for junk, error in zip(("x", None, math.inf), errors):
         with pytest.raises(error):
             call(junk)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: weight(Tableau(1, ((1, 1, Symbol.ALPHA),)), -1, 1), "alpha must be >= 0, got -1"),
+    (lambda: weight(ALL_ALPHA_40, 1, 1, "x"), "gamma must be a finite rational >= 0, got 'x'"),
+    (lambda: p_eval(3, 1, 1, "x"), "x must be a finite rational, got 'x'"),
+    (lambda: p_eval(3, 1, 1, math.inf), "x must be a finite rational, got inf"),
+    (lambda: tilde_p_eval(3, math.nan), "x must be a finite rational, got nan"),
+], ids=["negative-weight", "junk-weight", "junk-point", "infinite-point", "nan-point"])
+def test_weights_and_points_raise_parameter_errors(call, message):
+    # weight(t, -1, 1) once returned -1, and junk raised bare Python errors
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
+def test_negative_evaluation_points_are_valid():
+    assert p_eval(2, 1, 1, -1) == 1 - 4 + 1
+    assert tilde_p_eval(4, F(-1)) == 2
 
 
 @pytest.mark.parametrize("call, good, outside, name", [
