@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import asep, distributions as dist, enumeration as enum_, eulerian_poly as eul
 from . import sampling, tableau as tb
-from .rng import derive_seed
+from .rng import _derived_seeds
 
 __all__ = ["CheckResult", "run", "CRITERIA", "SHOWCASE_TABLEAU"]
 
@@ -227,8 +227,8 @@ def _sampler_chi2(n: int, al: F, be: F, samples: int, seed: int):
     law = enum_.law_ab(n, al, be)
     params = sampling.Params.from_alpha_beta(al, be)
     obs: Counter = Counter()
-    for i in range(samples):
-        obs[sampling.sample_ab(n, params, derive_seed(seed, i))] += 1
+    for s in _derived_seeds(seed, samples):
+        obs[sampling.sample_ab(n, params, s)] += 1
     return dist.chi_square_gof(law, obs)
 
 
@@ -267,8 +267,8 @@ def check_urn(level: str) -> str:
         a, b = 1 / al, 1 / be
         law = {k: dist.dist_A(4, a, b).pmf(k) for k in range(5)}
         obs: Counter = Counter()
-        for i in range(samples):
-            obs[sampling.urn_sample(4, a, b, derive_seed(URN_SEED, i)).added_white] += 1
+        for s in _derived_seeds(URN_SEED, samples):
+            obs[sampling.urn_sample(4, a, b, s).added_white] += 1
         res = dist.chi_square_gof(law, obs)
         assert res.passes(CHI2_SIGNIFICANCE), (al, be, res)
         details.append(f"p={res.p_value:.3f}")
@@ -426,8 +426,8 @@ def check_maximal(level: str) -> str:
     rho = F(1, 4)
     params = sampling.Params(0, 0, rho)
     hits = 0
-    for i in range(samples):
-        t = sampling.sample_ab(3, params, derive_seed(SAMPLER_SEED + 1, i))
+    for s in _derived_seeds(SAMPLER_SEED + 1, samples):
+        t = sampling.sample_ab(3, params, s)
         if t.symbol_at(1, 1) is tb.Symbol.ALPHA:
             hits += 1
     freq = hits / samples

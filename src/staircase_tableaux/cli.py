@@ -44,7 +44,8 @@ from .errors import (
     ParameterError,
     RootFindingError,
 )
-from .eulerian_poly import _as_n
+from .eulerian_poly import _as_n, _fractions
+from .rng import _derived_seeds
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -197,7 +198,7 @@ def cmd_sample(args) -> Views:
                 "json": _later(lambda: [tableau.serialize(draw(args.seed)).decode()])}
 
     def tableaux() -> Iterator[tableau.Tableau]:
-        return (draw(sampling.derive_seed(args.seed, i)) for i in range(args.samples))
+        return map(draw, _derived_seeds(args.seed, args.samples))
 
     def rows():
         draws = tableaux()
@@ -316,7 +317,7 @@ def cmd_urn(args) -> Views:
                 "csv": [("draw", "added_white"), *((k + 1, x) for k, x in enumerate(res.path))]}
 
     def tally() -> list[tuple[int, int]]:
-        seeds = (sampling.derive_seed(args.seed, i) for i in range(args.samples))
+        seeds = _derived_seeds(args.seed, args.samples)
         counts = Counter(sampling.urn_sample(args.n, a, b, s).added_white for s in seeds)
         return sorted(counts.items())
 
@@ -336,8 +337,9 @@ def cmd_triangle(args) -> Views:
         rows = [(row, eulerian_poly.v_row(row, params.a, params.b))]
     else:
         params = _resolve_params(args)
-        triangle = eulerian_poly.v_triangle(_as_n(n_max, name="--n-max"), params.a, params.b)
-        rows = enumerate(map(triangle.row, range(n_max + 1)))
+        # one row at a time: the whole triangle holds n_max^3 log n_max bits
+        scaled = eulerian_poly.scaled_rows(_as_n(n_max, name="--n-max"), params.a, params.b)
+        rows = ((n, _fractions(row, d ** n)) for n, (row, d) in enumerate(scaled))
     return {"csv": itertools.chain([("n", "k", "v")], (
         (n, k, v) for n, row in rows for k, v in enumerate(row)))}
 

@@ -220,6 +220,11 @@ def v_row(n: int, a, b) -> tuple[Fraction, ...]:
     return _fractions(row, d ** n)
 
 
+def _variables(count: int) -> tuple[str, ...]:
+    """The names of a polynomial's first ``count`` variables: a, b, x3, x4, ..."""
+    return ("a", "b", *(f"x{i}" for i in range(3, count + 1)))[:count]
+
+
 class BivarPoly:
     """Sparse polynomial over exponent tuples of any length, in a, b, x3, x4, ...
 
@@ -272,7 +277,7 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def evaluate(self, *values) -> Fraction:
-        vals = [_fraction(v) for v in values]
+        vals = [_rational(x, v) for x, v in zip(_variables(len(values)), values)]
         out = Fraction(0)
         for mono, c in self.coeffs.items():
             term = c
@@ -292,7 +297,7 @@ class BivarPoly:
         if not self.coeffs:
             return "0"
         def monomial(mono: tuple[int, ...]) -> str:
-            names = ("a", "b", *(f"x{i}" for i in range(3, len(mono) + 1)))
+            names = _variables(len(mono))
             return "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, mono) if e)
 
         terms = []

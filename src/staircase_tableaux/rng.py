@@ -19,20 +19,41 @@ Fraction per coin:
   0..steps with P(C >= i) = (w - i*d)/w, read off U as floor(U*w/d).
 
 Both cost about one chunk in expectation.
+
+``SplitMix64.take(k)`` returns the next k outputs, bit for bit those of k
+``next_u64`` calls, computed in blocks of up to 1024: output i mixes
+state + (i+1)·GOLDEN, so a block is one int with a 128-bit lane per output
+and each round of the mix runs on all lanes at once (a 64×64-bit product
+stays inside its lane).  The lane constants are built once at import and
+masked down for shorter blocks.  One ``to_bytes`` in the host's byte order
+and one ``memoryview`` cast read the low 64-bit word of each lane: word 2i
+of an L-lane block on a little-endian host, word 2(L−i)−1 on a big-endian
+one, so the outputs come in the same order on every host.  Below 4 chunks
+``take`` calls ``next_u64``, which is cheaper than a block.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 __all__ = ["SplitMix64", "derive_seed", "bernoulli", "bernoulli_ratio", "first_passage"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BLOCK = 1024
+_SCALAR_BELOW = 4
+# per 128-bit lane i < _BLOCK: 1, (i+1)·GOLDEN (under 2^75) and 2^64 - 1
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")
+_STEPS = int.from_bytes(b"".join([i.to_bytes(16, "little") for i in range(1, _BLOCK + 1)]),
+                        "little") * _GOLDEN
+_LOW = _ONES * _MASK
+_BYTE_ORDER = sys.byteorder
 
 
 class SplitMix64:
-    """SplitMix64 stream; next_u64 yields uniform 64-bit integers."""
+    """SplitMix64 stream; next_u64 yields uniform 64-bit integers, take(k)
+    the next k of them at once."""
 
     __slots__ = ("state",)
 
@@ -46,10 +67,39 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
+    def take(self, k: int) -> list[int]:
+        """The next k outputs, as k ``next_u64`` calls give them, leaving
+        the same state (see the module docstring)."""
+        if k < 0:
+            raise ValueError(f"need k >= 0 outputs, got {k}")
+        if k < _SCALAR_BELOW:
+            return [self.next_u64() for _ in range(k)]
+        out: list[int] = []
+        for start in range(0, k, _BLOCK):
+            lanes = min(_BLOCK, k - start)
+            top = (1 << 128 * lanes) - 1
+            low = _LOW & top
+            z = (self.state * (_ONES & top) + (_STEPS & top)) & low
+            z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+            z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+            # z >> 31 moves lane i+1 into lane i's high word, which is never read
+            words = memoryview((z ^ (z >> 31)).to_bytes(16 * lanes, _BYTE_ORDER)).cast("Q")
+            out += words[::2] if _BYTE_ORDER == "little" else words[::-2]
+            self.state = (self.state + lanes * _GOLDEN) & _MASK
+        return out
+
 
 def derive_seed(seed: int, index: int) -> int:
-    """Seed for sample ``index`` of a batch rooted at ``seed``."""
+    """Seed for sample ``index`` of a batch rooted at ``seed``: output
+    ``index`` of the stream SplitMix64(seed + GOLDEN)."""
     return SplitMix64((seed + (index + 1) * _GOLDEN) & _MASK).next_u64()
+
+
+def _derived_seeds(seed: int, count: int):
+    """derive_seed(seed, i) for i < count, one block of ``take`` at a time."""
+    stream = SplitMix64(seed + _GOLDEN)
+    for start in range(0, count, _BLOCK):
+        yield from stream.take(min(_BLOCK, count - start))
 
 
 def bernoulli_ratio(rng: SplitMix64, num: int, den: int) -> bool:

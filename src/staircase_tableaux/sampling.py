@@ -47,6 +47,14 @@ weight that is a Fraction.  So a draw does only exact coin flips and cell
 appends, and ``Tableau._sorted`` builds its one tableau without the
 public constructor's checks.
 
+The urn ``urn_sample`` flips the same integer coins, P(white) =
+(A + w d)/(A + B + k d) at draw k with w whites added, by
+``bernoulli_ratio``'s comparison inline on chunks read by index from blocks
+of ``SplitMix64.take``, min(1024, draws left) at a time; a coin with p = 0
+or 1 reads none, so each seed draws the path of one ``bernoulli_ratio`` per
+draw.  ``_draw_ab`` needs too few chunks per draw at small n for a block to
+pay, so it stays on ``next_u64``.
+
 Infinite parameters short-circuit: b = inf (beta = 0) gives the all-alpha
 diagonal, a = inf (alpha = 0) the all-beta diagonal, a = b = inf each
 diagonal box independently Alpha with probability rho.
@@ -62,7 +70,8 @@ from typing import NamedTuple
 from .errors import ParameterError
 from .enumeration import AB_CAP
 from .eulerian_poly import _as_n, _finite, _invert, _over_one_denominator, _rational, _Record
-from .rng import SplitMix64, bernoulli, bernoulli_ratio, derive_seed, first_passage
+from .rng import (_BLOCK, SplitMix64, _derived_seeds, bernoulli, bernoulli_ratio, derive_seed,
+                  first_passage)
 from .tableau import Symbol, Tableau, counts
 
 __all__ = [
@@ -243,11 +252,28 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     rng = SplitMix64(seed)
     white_added = 0
     path = []
+    chunks, j, end = (), 0, 0   # chunks left after the last draw go unused
     for k in range(n):
-        if A + B == 0 and k == 0:
+        # bernoulli_ratio(rng, num, den) inline: is the drawn ball white?
+        num, den = A + white_added * d, A + B + k * d
+        if 0 < num < den:
+            num <<= 64
+            while True:
+                if j == end:
+                    chunks = rng.take(min(_BLOCK, n - k))
+                    j, end = 0, len(chunks)
+                lo = chunks[j] * den
+                j += 1
+                if lo + den <= num:
+                    break
+                if lo >= num:
+                    white_added += 1   # black, drawn w.p. 1 - (a + white added)/(a + b + k)
+                    break
+                num = (num - lo) << 64
+        elif den == 0:   # a = b = 0; no block is taken yet at the first draw
             white_added += bernoulli_ratio(rng, 1, 2)
-        elif not bernoulli_ratio(rng, A + white_added * d, A + B + k * d):
-            white_added += 1  # black, drawn w.p. 1 - (a + white added)/(a + b + k)
+        elif num == 0:
+            white_added += 1
         path.append(white_added)
     return UrnResult(white_added, n - white_added, tuple(path))
 
@@ -304,6 +330,6 @@ def sample_batch(n: int, params: Params, seed: int, count: int) -> BatchSummary:
     n = _as_n(n, error=ParameterError)
     count = _as_n(count, 1, "count", ParameterError)
     out = BatchSummary()
-    for i in range(count):
-        out.add(sample_ab(n, params, derive_seed(seed, i)))
+    for s in _derived_seeds(seed, count):
+        out.add(sample_ab(n, params, s))
     return out

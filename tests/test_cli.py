@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,7 +12,9 @@ import staircase_tableaux
 from staircase_tableaux import cli, parse
 from staircase_tableaux.distributions import dist_A
 from staircase_tableaux.errors import ParameterError
-from staircase_tableaux.eulerian_poly import v_row, v_symbolic
+from staircase_tableaux.eulerian_poly import v_row, v_symbolic, v_triangle
+from staircase_tableaux.rng import derive_seed
+from staircase_tableaux.sampling import Params, sample_ab, urn_sample
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +103,20 @@ def test_sample_batch_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "index,A,B,n_alpha,n_beta,r,diagonal"
     assert len(lines) == 5
+
+
+def test_sample_and_urn_batches_use_the_derived_seeds(capsys):
+    # draw i of a batch is the draw at derive_seed(seed, i), past a block of seeds too
+    count, seeds = 1030, [derive_seed(9, i) for i in range(1030)]
+    code, out, _ = run_cli(capsys, "sample", "--n", "2", "--a", "1/2", "--b", "3",
+                           "--seed", "9", "--samples", str(count), "--format", "json")
+    params = Params(F(1, 2), F(3))
+    assert code == 0
+    assert [parse(line) for line in out.splitlines()] == [sample_ab(2, params, s) for s in seeds]
+    code, out, _ = run_cli(capsys, "urn", "--n", "6", "--a", "1/2", "--b", "3",
+                           "--seed", "9", "--samples", str(count), "--format", "json")
+    tally = Counter(urn_sample(6, F(1, 2), F(3), s).added_white for s in seeds)
+    assert code == 0 and json.loads(out) == {str(k): c for k, c in tally.items()}
 
 
 def test_sample_streams_rows(monkeypatch):
@@ -223,6 +240,18 @@ def test_triangle_symbolic_matches_the_entries(capsys):
     assert code == 0
     table = "".join(f"{n},{k},{v_symbolic(n, k)}\n" for n in range(7) for k in range(n + 1))
     assert out == "n,k,v\n" + table
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 60])
+@pytest.mark.parametrize("a, b", [("2/3", "7/5"), ("0", "7/5"), ("2/3", "0"), ("0", "0")],
+                         ids=["finite", "a=0", "b=0", "a=b=0"])
+def test_triangle_csv_is_the_stored_triangle(capsys, n_max, a, b):
+    # the command writes one row at a time; its csv is the stored triangle's
+    code, out, _ = run_cli(capsys, "triangle", "--n-max", str(n_max), "--a", a, "--b", b,
+                           "--format", "csv")
+    tri = v_triangle(n_max, F(a), F(b))
+    table = "".join(f"{n},{k},{v}\n" for n in range(n_max + 1) for k, v in enumerate(tri.row(n)))
+    assert (code, out) == (0, "n,k,v\n" + table)
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -16,9 +17,11 @@ from staircase_tableaux.enumeration import (
     law_ab,
     max_symbol_tableaux,
 )
+from staircase_tableaux import rng, sampling
 from staircase_tableaux.errors import ParameterError
 from staircase_tableaux.rng import (
     SplitMix64,
+    _derived_seeds,
     bernoulli,
     bernoulli_ratio,
     derive_seed,
@@ -30,6 +33,7 @@ from staircase_tableaux.sampling import (
     sample_ab,
     sample_batch,
     sample_four,
+    UrnResult,
     urn_sample,
 )
 
@@ -44,6 +48,39 @@ def test_splitmix_reference_values():
     g = SplitMix64(0x123456789ABCDEF)
     vals = {g.next_u64() for _ in range(1000)}
     assert len(vals) == 1000
+
+
+TAKE_SEEDS = [0, 5, 2**64 - 1, 2**64 - 10**6]   # the last two wrap within a block
+TAKE_SIZES = [0, 1, 2, 1023, 1024, 1025, 3000]
+
+
+@pytest.mark.parametrize("seed", TAKE_SEEDS)
+@pytest.mark.parametrize("k", TAKE_SIZES)
+def test_take_is_the_next_u64_loop(seed, k):
+    g, lanes = SplitMix64(seed), SplitMix64(seed)
+    assert lanes.take(k) == [g.next_u64() for _ in range(k)]
+    assert lanes.state == g.state
+    assert lanes.take(5) == [g.next_u64() for _ in range(5)]   # and the stream goes on
+
+
+def test_take_lane_path_of_the_other_byte_order(monkeypatch):
+    # the read-back of the byte order this host does not have: to_bytes in
+    # that order puts each lane's low word where a host of that order reads
+    # it, so here every output comes out in its place with its 8 bytes reversed
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(rng, "_BYTE_ORDER", other)
+    for seed in TAKE_SEEDS:
+        for k in (rng._SCALAR_BELOW, 1025, 3000):
+            g, lanes = SplitMix64(seed), SplitMix64(seed)
+            swapped = [int.from_bytes(u.to_bytes(8, "little"), "big") for u in lanes.take(k)]
+            assert swapped == [g.next_u64() for _ in range(k)]
+            assert lanes.state == g.state
+
+
+@pytest.mark.parametrize("count", [1, 3, 1024, 1025, 2100])
+def test_batch_seeds_in_blocks_are_derive_seed(count):
+    for seed in TAKE_SEEDS + [-3]:
+        assert list(_derived_seeds(seed, count)) == [derive_seed(seed, i) for i in range(count)]
 
 
 def test_exact_bernoulli_bounds():
@@ -79,6 +116,8 @@ def test_exact_coins_reject_bad_arguments():
     for w, d, steps in [(5, 0, 1), (5, 1, -1), (5, 2, 3)]:
         with pytest.raises(ValueError):
             first_passage(g, w, d, steps)
+    with pytest.raises(ValueError, match="^need k >= 0 outputs, got -1$"):
+        g.take(-1)
 
 
 class Chunks:
@@ -526,6 +565,91 @@ def test_urn_golden_path():
     assert urn_sample(30, F(2, 3), F(5, 7), 12345).path == (
         0, 0, 0, 1, 2, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 8, 9, 9,
         10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10)
+
+
+def per_coin_urn(n, a, b, stream):
+    """The reference urn: one ``bernoulli_ratio`` coin per draw, read from
+    ``stream`` chunk by chunk; urn_sample must draw the same path."""
+    a, b = F(a), F(b)
+    d = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    white_added, path = 0, []
+    for k in range(n):
+        if A + B == 0 and k == 0:
+            white_added += bernoulli_ratio(stream, 1, 2)
+        elif not bernoulli_ratio(stream, A + white_added * d, A + B + k * d):
+            white_added += 1
+        path.append(white_added)
+    return UrnResult(white_added, n - white_added, tuple(path))
+
+
+weights = st.fractions(min_value=0, max_value=20, max_denominator=50)
+
+
+@given(n=st.integers(0, 300), a=weights, b=weights, seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_urn_equals_the_per_coin_reference(n, a, b, seed):
+    assert urn_sample(n, a, b, seed) == per_coin_urn(n, a, b, SplitMix64(seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("a, b", [(F(0), F(5, 7)), (F(2, 3), F(0)), (F(0), F(0)),
+                                  (F(2**63 + 12345, 3), F(7, 2**61 + 1))],
+                         ids=["a=0", "b=0", "a=b=0", "huge-denominators"])
+def test_urn_equals_the_per_coin_reference_at_block_edges(n, a, b):
+    for seed in (5, 2**64 - 1):
+        assert urn_sample(n, a, b, seed) == per_coin_urn(n, a, b, SplitMix64(seed))
+
+
+class Scripted(SplitMix64):
+    """SplitMix64 that hands out the given chunks first, through next_u64
+    and take alike, and counts every chunk it hands out."""
+
+    def __init__(self, seed, first):
+        super().__init__(seed)
+        self.first, self.handed = list(first), 0
+
+    def next_u64(self):
+        self.handed += 1
+        return self.first.pop(0) if self.first else super().next_u64()
+
+    def take(self, k):
+        head, self.first = self.first[:k], self.first[k:]
+        self.handed += k
+        return head + super().take(k - len(head))
+
+
+def straddling_chunks(num, den, depth):
+    """``depth`` chunks that each leave the coin U < num/den undecided: every
+    one is the next base-2^64 digit of num/den itself."""
+    chunks = []
+    for _ in range(depth):
+        u, num = divmod(num << 64, den)
+        chunks.append(u)
+    return chunks
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 1025])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_urn_multi_chunk_coins_with_huge_denominators(monkeypatch, n, depth):
+    # the first coin is P(white) = a/(a + b); its first `depth` chunks are
+    # the digits of a/(a + b), so it needs one chunk more, and at n <= depth
+    # the urn must refill its block in the middle of that coin
+    a, b = F(2**63 + 12345, 3), F(7, 2**61 + 1)
+    first = straddling_chunks(a.numerator * b.denominator,
+                              a.numerator * b.denominator + b.numerator * a.denominator, depth)
+    reference = Scripted(11, first)
+    want = per_coin_urn(n, a, b, reference)
+    assert reference.handed > n   # the reference coin did take several chunks
+    streams = []
+
+    def scripted(seed):
+        streams.append(Scripted(seed, first))
+        return streams[-1]
+
+    monkeypatch.setattr(sampling, "SplitMix64", scripted)
+    assert urn_sample(n, a, b, 11) == want
+    assert streams[0].handed > n   # so did the urn: it took a block more than n draws need
 
 
 def test_urn_empty_start():
