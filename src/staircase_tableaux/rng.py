@@ -21,15 +21,8 @@ Fraction per coin:
 Both cost about one chunk in expectation.
 
 ``SplitMix64.take(k)`` returns the next k outputs, bit for bit those of k
-``next_u64`` calls, computed in blocks of up to 1024: output i mixes
-state + (i+1)·GOLDEN, so a block is one int with a 128-bit lane per output
-and each round of the mix runs on all lanes at once (a 64×64-bit product
-stays inside its lane).  The lane constants are built once at import and
-masked down for shorter blocks.  One ``to_bytes`` in the host's byte order
-and one ``memoryview`` cast read the low 64-bit word of each lane: word 2i
-of an L-lane block on a little-endian host, word 2(L−i)−1 on a big-endian
-one, so the outputs come in the same order on every host.  Below 4 chunks
-``take`` calls ``next_u64``, which is cheaper than a block.
+``next_u64`` calls, and leaves the same state; their order does not
+depend on the host's byte order.
 """
 
 from __future__ import annotations
@@ -42,12 +35,21 @@ __all__ = ["SplitMix64", "derive_seed", "bernoulli", "bernoulli_ratio", "first_p
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 1024
-_SCALAR_BELOW = 4
-# per 128-bit lane i < _BLOCK: 1, (i+1)·GOLDEN (under 2^75) and 2^64 - 1
-_ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")
-_STEPS = int.from_bytes(b"".join([i.to_bytes(16, "little") for i in range(1, _BLOCK + 1)]),
-                        "little") * _GOLDEN
-_LOW = _ONES * _MASK
+
+
+def _lanes() -> tuple[int, int]:
+    """1 and (i+1)·GOLDEN (under 2^75) in each 128-bit lane i < _BLOCK, a
+    power of 2, built by doubling."""
+    ones = steps = lanes = 1
+    while lanes < _BLOCK:
+        steps |= (steps + lanes * ones) << 128 * lanes
+        ones |= ones << 128 * lanes
+        lanes *= 2
+    return ones, steps * _GOLDEN
+
+
+_ONES, _STEPS = _lanes()
+_LOW = _ONES * _MASK   # 2^64 - 1 per lane
 _BYTE_ORDER = sys.byteorder
 
 
@@ -69,20 +71,22 @@ class SplitMix64:
 
     def take(self, k: int) -> list[int]:
         """The next k outputs, as k ``next_u64`` calls give them, leaving
-        the same state (see the module docstring)."""
+        the same state."""
         if k < 0:
             raise ValueError(f"need k >= 0 outputs, got {k}")
-        if k < _SCALAR_BELOW:
-            return [self.next_u64() for _ in range(k)]
         out: list[int] = []
         for start in range(0, k, _BLOCK):
+            # lane i of one int mixes state + (i+1)·GOLDEN; each 64×64-bit
+            # product stays inside its 128-bit lane
             lanes = min(_BLOCK, k - start)
             top = (1 << 128 * lanes) - 1
             low = _LOW & top
             z = (self.state * (_ONES & top) + (_STEPS & top)) & low
             z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
             z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
-            # z >> 31 moves lane i+1 into lane i's high word, which is never read
+            # z >> 31 moves lane i+1 into lane i's high word, which is never
+            # read: lane i's low word is word 2i of a little-endian host's
+            # bytes, word 2(lanes - i) - 1 of a big-endian one's
             words = memoryview((z ^ (z >> 31)).to_bytes(16 * lanes, _BYTE_ORDER)).cast("Q")
             out += words[::2] if _BYTE_ORDER == "little" else words[::-2]
             self.state = (self.state + lanes * _GOLDEN) & _MASK

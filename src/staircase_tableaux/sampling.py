@@ -48,12 +48,9 @@ appends, and ``Tableau._sorted`` builds its one tableau without the
 public constructor's checks.
 
 The urn ``urn_sample`` flips the same integer coins, P(white) =
-(A + w d)/(A + B + k d) at draw k with w whites added, by
-``bernoulli_ratio``'s comparison inline on chunks read by index from blocks
-of ``SplitMix64.take``, min(1024, draws left) at a time; a coin with p = 0
-or 1 reads none, so each seed draws the path of one ``bernoulli_ratio`` per
-draw.  ``_draw_ab`` needs too few chunks per draw at small n for a block to
-pay, so it stays on ``next_u64``.
+(A + w d)/(A + B + k d) at draw k with w whites added, on chunks of
+``SplitMix64.take``; each seed draws the path that one ``bernoulli_ratio``
+per draw gives.
 
 Infinite parameters short-circuit: b = inf (beta = 0) gives the all-alpha
 diagonal, a = inf (alpha = 0) the all-beta diagonal, a = b = inf each
