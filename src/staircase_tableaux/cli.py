@@ -36,14 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import acceptance, asep, distributions, enumeration, eulerian_poly, sampling, tableau
-from .errors import (
-    CapExceededError,
-    DomainError,
-    MalformedDocumentError,
-    InvalidTableauError,
-    ParameterError,
-    RootFindingError,
-)
+from .errors import CapExceededError, DomainError, ParameterError, RootFindingError, StaircaseError
 from .eulerian_poly import _as_n, _fractions
 from .rng import _derived_seeds
 
@@ -53,6 +46,7 @@ EXIT_PARAMETER = 3
 EXIT_CAP = 4
 EXIT_NUMERICAL = 5
 EXIT_VERIFY = 6
+_EXIT_FOR = {CapExceededError: EXIT_CAP, RootFindingError: EXIT_NUMERICAL}
 
 Views = dict[str, Iterable]
 
@@ -98,7 +92,7 @@ def _resolve_params(args) -> sampling.Params:
 
 def _unused(args, context: str, *dests: str) -> None:
     """Refuse flags that the rest of the invocation would ignore."""
-    given = [d for d in dests if getattr(args, d) is not None and getattr(args, d) is not False]
+    given = [d for d in dests if (v := getattr(args, d, None)) is not None and v is not False]
     if given:
         flags = ", ".join("--" + d.replace("_", "-") for d in given)
         raise UsageError(f"{context} does not use {flags}")
@@ -178,15 +172,14 @@ def _write_lines(fh, lines: Iterable[str]) -> None:
 
 def cmd_sample(args) -> Views:
     if args.four:
-        _unused(args, "sample --four", "a", "b")
+        _unused(args, "sample --four", "a", "b", "rho")
         if args.alpha is None or args.beta is None:
             raise ParameterError("--four needs --alpha and --beta (plus optional --gamma/--delta)")
         gamma = args.gamma if args.gamma is not None else Fraction(0)
         delta = args.delta if args.delta is not None else Fraction(0)
 
         def draw(seed: int) -> tableau.Tableau:
-            return sampling.sample_four(args.n, args.alpha, args.beta, gamma, delta, seed,
-                                        args.rho)
+            return sampling.sample_four(args.n, args.alpha, args.beta, gamma, delta, seed)
     else:
         _unused(args, "sample without --four", "gamma", "delta")
         params = _resolve_params(args)
@@ -308,8 +301,7 @@ def cmd_subcheck(args) -> tuple[Views, int]:
 
 
 def cmd_urn(args) -> Views:
-    a = args.a if args.a is not None else Fraction(1)
-    b = args.b if args.b is not None else Fraction(1)
+    a, b = args.a, args.b
     if args.samples == 1:
         res = sampling.urn_sample(args.n, a, b, args.seed)
         return {"json": [{"added_white": res.added_white, "added_black": res.added_black,
@@ -417,7 +409,7 @@ AB = (_arg("--a", type=_rational_flag, help="inverse weight a = 1/alpha ('p/q' o
       _arg("--b", type=_rational_flag, help="inverse weight b = 1/beta"),
       _arg("--alpha", type=_rational_flag, help="tableau weight alpha ('p/q' or 'inf')"),
       _arg("--beta", type=_rational_flag, help="tableau weight beta"))
-RHO = _arg("--rho", type=_rational_flag, default=Fraction(1, 2),
+RHO = _arg("--rho", type=_rational_flag, default=argparse.SUPPRESS,
            help="tie-break probability in [0,1], default 1/2")
 FLOAT = _arg("--float", action="store_true", help="emit floats instead of exact rationals")
 SEED = _arg("--seed", type=int, default=0)
@@ -452,7 +444,7 @@ COMMANDS = {
         N, _arg("--i", type=int, required=True), _arg("--j", type=int, required=True),
         ALLOW_LARGE, *AB)),
     "urn": Command(cmd_urn, "simulate the opposite-colour urn", ("json", "csv"), (
-        N, _arg("--a", type=_rational_flag), _arg("--b", type=_rational_flag), SEED, SAMPLES)),
+        N, _arg("--a", **ONE), _arg("--b", **ONE), SEED, SAMPLES)),
     "triangle": Command(cmd_triangle, "exact generalized Eulerian triangle", ("csv",), (
         _arg("--n-max", type=int, help="largest row (default 10)"),
         _arg("--row", type=int, help="emit a single row"),
@@ -516,15 +508,9 @@ def main(argv=None) -> int:
         return status
     except UsageError as exc:
         args.parser.error(str(exc))
-    except (ParameterError, DomainError, MalformedDocumentError, InvalidTableauError) as exc:
+    except StaircaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except RootFindingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _EXIT_FOR.get(type(exc), EXIT_PARAMETER)
     finally:
         if old_limit is not None:
             sys.set_int_max_str_digits(old_limit)

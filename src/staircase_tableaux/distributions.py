@@ -630,9 +630,9 @@ def chi_square_gof(expected, observed) -> ChiSquareResult:
             else _finite(f"the probability of outcome {key!r}", p)) for key, p in expected.items()]
     if (mass := sum(prob for _, prob in law)) != 1:
         raise ParameterError(f"the probabilities must sum to 1, got {mass}")
-    for key, count in observed.items():
-        if type(count) is not int or count < 0:
-            _as_n(count, 0, f"the count of outcome {key!r}", ParameterError)
+    observed = {key: count if type(count) is int and count >= 0
+                else _as_n(count, 0, f"the count of outcome {key!r}", ParameterError)
+                for key, count in observed.items()}
     total = sum(observed.values())
     if total <= 0:
         raise ParameterError("need at least one observation")

@@ -1,9 +1,10 @@
 """Deterministic, portable randomness for the samplers.
 
 The generator is SplitMix64 (Steele, Lea & Flood's mix function): pure
-64-bit integer arithmetic, identical output on every platform.  A batch
-derives one independent seed per sample index from (seed, index), so each
-draw of a batch is reproducible on its own.
+64-bit integer arithmetic, identical output on every platform.  A seed is
+any integer, taken mod 2^64.  A batch derives one independent seed per
+sample index from (seed, index), so each draw of a batch is reproducible
+on its own.
 
 Every coin is exact.  A uniform U in [0,1) is revealed lazily, one 64-bit
 chunk of its binary expansion at a time, and compared against a rational
@@ -30,6 +31,9 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+from .errors import ParameterError
+from .eulerian_poly import _ANY, _as_n
+
 __all__ = ["SplitMix64", "derive_seed", "bernoulli", "bernoulli_ratio", "first_passage"]
 
 _MASK = (1 << 64) - 1
@@ -53,6 +57,11 @@ _LOW = _ONES * _MASK   # 2^64 - 1 per lane
 _BYTE_ORDER = sys.byteorder
 
 
+def _as_seed(x, name: str = "seed") -> int:
+    """Any integer x mod 2^64; else a ParameterError naming x."""
+    return _as_n(x, _ANY, name, ParameterError) & _MASK
+
+
 class SplitMix64:
     """SplitMix64 stream; next_u64 yields uniform 64-bit integers, take(k)
     the next k of them at once."""
@@ -60,7 +69,7 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = (seed if type(seed) is int else _as_seed(seed)) & _MASK
 
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK
@@ -96,12 +105,14 @@ class SplitMix64:
 def derive_seed(seed: int, index: int) -> int:
     """Seed for sample ``index`` of a batch rooted at ``seed``: output
     ``index`` of the stream SplitMix64(seed + GOLDEN)."""
+    if type(seed) is not int or type(index) is not int:
+        seed, index = _as_seed(seed), _as_seed(index, "index")
     return SplitMix64((seed + (index + 1) * _GOLDEN) & _MASK).next_u64()
 
 
 def _derived_seeds(seed: int, count: int):
     """derive_seed(seed, i) for i < count, one block of ``take`` at a time."""
-    stream = SplitMix64(seed + _GOLDEN)
+    stream = SplitMix64(_as_seed(seed) + _GOLDEN)
     for start in range(0, count, _BLOCK):
         yield from stream.take(min(_BLOCK, count - start))
 

@@ -138,9 +138,9 @@ def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     """One exact draw of the weighted random alpha/beta tableau of size n,
     in O(n) expected time."""
     n = _as_n(n, error=ParameterError)
+    rng = SplitMix64(seed)
     if n == 0:
         return Tableau(0, ())
-    rng = SplitMix64(seed)
     if params._scaled is not None:
         return Tableau._sorted(n, _draw_ab(n, *params._scaled, params.rho, rng))
     if params.a == params.b == INF:
@@ -193,8 +193,7 @@ def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> 
     return cells
 
 
-def sample_four(n: int, alpha, beta, gamma, delta, seed: int,
-                rho=Fraction(1, 2)) -> Tableau:
+def sample_four(n: int, alpha, beta, gamma, delta, seed: int) -> Tableau:
     """Four-symbol draw: sample with effective weights (alpha+gamma,
     beta+delta), then independently relabel each Alpha to Gamma with
     probability gamma/(alpha+gamma) and each Beta to Delta with
@@ -209,10 +208,9 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int,
     y_num, y_den = bn * dd + dn * bd, bd * dd
     if x_num == 0 or y_num == 0:
         raise ParameterError("need alpha + gamma > 0 and beta + delta > 0")
-    rho = _as_param("rho", rho, 1)
     n = _as_n(n, error=ParameterError)
-    # a = 1/x and b = 1/y over the one denominator x_num * y_num
-    base = _draw_ab(n, x_den * y_num, y_den * x_num, x_num * y_num, rho,
+    # a = 1/x, b = 1/y over x_num * y_num; A = x_den * y_num > 0 skips the rho tie
+    base = _draw_ab(n, x_den * y_num, y_den * x_num, x_num * y_num, Fraction(1, 2),
                     SplitMix64(derive_seed(seed, 0)))
     base.sort()  # the relabel coins are flipped in sorted cell order
     rng = SplitMix64(derive_seed(seed, 1))
@@ -303,12 +301,9 @@ class BatchSummary(_Record):
     # mutable, so unhashable
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __init__(self, count: int = 0, sum_diag_alpha: int = 0, sum_diag_alpha_sq: int = 0,
-                 diag_alpha_counts: Counter | None = None, tableau_counts: Counter | None = None):
-        self.count, self.sum_diag_alpha, self.sum_diag_alpha_sq = (
-            count, sum_diag_alpha, sum_diag_alpha_sq)
-        self.diag_alpha_counts = Counter() if diag_alpha_counts is None else diag_alpha_counts
-        self.tableau_counts = Counter() if tableau_counts is None else tableau_counts
+    def __init__(self):
+        self.count = self.sum_diag_alpha = self.sum_diag_alpha_sq = 0
+        self.diag_alpha_counts, self.tableau_counts = Counter(), Counter()
 
     def add(self, t: Tableau) -> None:
         diagonal, ALPHA = t.n + 1, Symbol.ALPHA

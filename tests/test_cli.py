@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import staircase_tableaux
-from staircase_tableaux import cli, parse
+from staircase_tableaux import cli, parse, sampling
 from staircase_tableaux.distributions import dist_A
 from staircase_tableaux.errors import ParameterError
 from staircase_tableaux.eulerian_poly import v_row, v_symbolic, v_triangle
@@ -148,6 +148,20 @@ def test_sample_parameter_error_leaves_stdout_empty(capsys):
                              "--beta", "1", "--samples", "5", "--format", "csv")
     assert code == 3 and out == ""
     assert "alpha + gamma" in err
+
+
+@pytest.mark.parametrize("rho, letter", [("0", "b"), ("1", "a")])
+def test_sample_rho_breaks_the_a_b_zero_tie(capsys, rho, letter):
+    # --rho 0 is given, not the default: the tie at a = b = 0 reads it
+    code, out, _ = run_cli(capsys, "sample", "--n", "1", "--a", "0", "--b", "0", "--rho", rho,
+                           "--samples", "20", "--format", "csv")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    params = Params(0, 0, F(rho))
+    assert code == 0 and len(rows) == 20
+    for i, row in enumerate(rows):
+        assert row[-1] == letter
+        want = sampling.tableau_stats(sample_ab(1, params, derive_seed(0, i)))
+        assert row == [str(i), *map(str, want)]
 
 
 def test_sample_four(capsys):
@@ -505,6 +519,7 @@ AB = ("--a", "1", "--b", "1")
     ("asep", "z-full", "--n", "2", "--input", "-"),
     ("sample", "--n", "3", *AB, "--gamma", "1"),
     ("sample", "--n", "3", "--four", "--alpha", "1", "--beta", "1", "--a", "1"),
+    ("sample", "--n", "3", "--four", "--alpha", "1", "--beta", "1", "--rho", "1/3"),
     ("triangle", "--n-max", "2", "--symbolic", *AB),
     ("triangle", "--n-max", "2", "--symbolic", "--row", "2"),
     ("triangle", "--row", "2", "--n-max", "3", *AB),

@@ -380,6 +380,8 @@ def test_chi_square_gof_helper():
     assert (res.statistic, res.df, res.p_value) == (0, 0, 1.0) and res.passes()
     res = chi_square_gof(expected, {0: numpy.int64(3), 1: numpy.int64(5)})
     assert res == chi_square_gof(expected, {0: 3, 1: 5})
+    # the record holds the checked ints, not the NumPy scalars
+    assert type(res.total) is int and type(res.statistic) is float
 
 
 @pytest.mark.parametrize("observed, message", [
