@@ -259,6 +259,31 @@ def test_golden_stream():
     assert h.hexdigest() == GOLDEN_STREAM
 
 
+GOLDEN_LARGE = "7ccd74d8120a88a52432e374929c8c57bac2fc9b500ee431780f53fad7b0b66a"
+
+
+def test_golden_stream_large():
+    # test_golden_stream stops at n = 40; this digest pins the coins of
+    # large draws, where the sampler may read its chunks in blocks: sample_ab
+    # in the finite, a = 0, b = 0 and rho-tie regimes, sample_four with
+    # relabel coins that read chunks and ones that are certain, and a batch
+    h = hashlib.sha256()
+    regimes = [Params(F(1, 3), F(5, 7)), Params(F(0), F(2, 3)), Params(F(5, 3), F(0)),
+               Params(F(0), F(0), F(1, 4))]
+    for k, params in enumerate(regimes):
+        for n in (64, 400):
+            for i in range(3):
+                h.update(serialize(sample_ab(n, params, derive_seed(3000 + k, 1000 * n + i))))
+    for weights in [(F(2), F(3, 7), F(1, 3), F(5)), (F(1, 2), 0, 0, 3)]:
+        for n in (64, 400):
+            for i in range(3):
+                h.update(serialize(sample_four(n, *weights, derive_seed(4000 + n, i))))
+    s = sample_batch(64, Params(F(7, 3), F(3, 5)), 5000, 20)
+    h.update(repr((s.count, s.sum_diag_alpha, s.sum_diag_alpha_sq,
+                   sorted(s.diag_alpha_counts.items()))).encode())
+    assert h.hexdigest() == GOLDEN_LARGE
+
+
 def test_sample_determinism():
     params = Params.from_alpha_beta(2, 2)
     t1 = sample_ab(6, params, 99)
