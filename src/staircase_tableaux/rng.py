@@ -29,10 +29,10 @@ depend on the host's byte order.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
+from itertools import chain
 
 from .errors import ParameterError
-from .eulerian_poly import _ANY, _as_n
+from .eulerian_poly import _ANY, _as_n, _rational
 
 __all__ = ["SplitMix64", "derive_seed", "bernoulli", "bernoulli_ratio", "first_passage"]
 
@@ -81,8 +81,9 @@ class SplitMix64:
     def take(self, k: int) -> list[int]:
         """The next k outputs, as k ``next_u64`` calls give them, leaving
         the same state."""
+        k = _as_n(k, _ANY, "k", ParameterError)
         if k < 0:
-            raise ValueError(f"need k >= 0 outputs, got {k}")
+            raise ParameterError(f"need k >= 0 outputs, got {k}")
         out: list[int] = []
         for start in range(0, k, _BLOCK):
             # lane i of one int mixes state + (i+1)·GOLDEN; each 64×64-bit
@@ -117,6 +118,46 @@ def _derived_seeds(seed: int, count: int):
         yield from stream.take(min(_BLOCK, count - start))
 
 
+def _chunks(rng: SplitMix64, k: int):
+    """A zero-argument source of rng's outputs in ``next_u64`` order, computed
+    by ``take`` in blocks of k >= 1, 2k, 4k, ... outputs up to _BLOCK.  A
+    draw that owns rng drops the unread rest of its last block."""
+    def blocks(k):
+        while True:
+            yield rng.take(k)
+            k = min(2 * k, _BLOCK)
+    return chain.from_iterable(blocks(k)).__next__   # no Python frame per output
+
+
+def _coin(chunk, num: int, den: int) -> bool:
+    """U < num/den for integers 0 <= num <= den, den > 0, reading U's
+    base-2^64 digits from ``chunk()`` (see ``bernoulli_ratio``)."""
+    if not 0 < num < den:
+        return num == den
+    while True:
+        num <<= 64
+        lo = chunk() * den
+        if lo + den <= num:
+            return True
+        if lo >= num:
+            return False
+        num -= lo
+
+
+def _passage(chunk, w: int, d: int, steps: int) -> int:
+    """min(steps, floor(U * w / d)) reading U's digits from ``chunk()``
+    (see ``first_passage``)."""
+    if steps == 0:
+        return 0
+    den = d << 64
+    c, r = divmod(chunk() * w, den)
+    while c < steps and r + w > den:
+        den <<= 64
+        carry, r = divmod((r << 64) + chunk() * w, den)
+        c += carry
+    return min(c, steps)
+
+
 def bernoulli_ratio(rng: SplitMix64, num: int, den: int) -> bool:
     """Exact Bernoulli(num/den) draw for integers 0 <= num <= den, den > 0.
 
@@ -126,51 +167,40 @@ def bernoulli_ratio(rng: SplitMix64, num: int, den: int) -> bool:
     ratio need not be reduced: scaling num and den by k scales every
     comparison by k, so the decisions and the chunks consumed depend only
     on the value num/den.  Terminates after ~1 chunk in expectation; p = 0
-    and p = 1 consume none.
+    and p = 1 consume none.  Other arguments raise a ParameterError.
     """
-    if not 0 < num < den:
-        if den <= 0 or num < 0 or num > den:
-            raise ValueError(f"probability {num}/{den} outside [0, 1]")
-        return num == den
-    while True:
-        u = rng.next_u64()
-        num <<= 64
-        lo = u * den
-        if lo + den <= num:
-            return True
-        if lo >= num:
-            return False
-        num -= lo
+    num, den = _as_n(num, 0, "num", ParameterError), _as_n(den, 1, "den", ParameterError)
+    if num > den:
+        raise ParameterError(f"need num <= den, got {num}/{den}")
+    return _coin(rng.next_u64, num, den)
 
 
-def bernoulli(rng: SplitMix64, p: Fraction) -> bool:
-    """Exact Bernoulli(p) draw for rational p in [0, 1]: ``bernoulli_ratio``
-    on p's numerator and denominator."""
-    return bernoulli_ratio(rng, p.numerator, p.denominator)
+def bernoulli(rng: SplitMix64, p) -> bool:
+    """Exact Bernoulli(p) draw for any rational p in [0, 1], read exactly
+    (0.1 is the double nearest 1/10): ``bernoulli_ratio`` on p's numerator
+    and denominator."""
+    p = _rational("p", p, "a rational in [0, 1]")
+    if not 0 <= p.numerator <= p.denominator:
+        raise ParameterError(f"p must be a rational in [0, 1], got {p}")
+    return _coin(rng.next_u64, p.numerator, p.denominator)
 
 
 def first_passage(rng: SplitMix64, w: int, d: int, steps: int) -> int:
     """Exact draw of C in 0..steps with P(C >= i) = (w - i*d) / w.
 
-    Integers with d > 0, steps >= 0 and w >= steps * d.  C is
-    min(steps, floor(U * w / d)) for a uniform U in [0,1) whose base-2^64
-    digits are revealed one chunk at a time: after k chunks U is known to
-    lie in an interval of width 2^-64k, whose image under U * w / d is
-    c + [r, r + w) / (d * 2^64k).  The answer is c as soon as that
-    interval holds no integer boundary (r + w <= d * 2^64k) or c reaches
-    steps.  The first chunk decides unless its interval holds one of the
-    points U = i*d/w, i = 1..steps, which has probability at most
-    steps / 2^64.  steps = 0 consumes no chunk; C = steps has probability
-    0 when w = steps * d.
+    Integers with d > 0, steps >= 0 and w >= steps * d; others raise a
+    ParameterError.  C is min(steps, floor(U * w / d)) for a uniform U in
+    [0,1) whose base-2^64 digits are revealed one chunk at a time: after k
+    chunks U is known to lie in an interval of width 2^-64k, whose image
+    under U * w / d is c + [r, r + w) / (d * 2^64k).  The answer is c as
+    soon as that interval holds no integer boundary (r + w <= d * 2^64k)
+    or c reaches steps.  The first chunk decides unless its interval holds
+    one of the points U = i*d/w, i = 1..steps, which has probability at
+    most steps / 2^64.  steps = 0 consumes no chunk; C = steps has
+    probability 0 when w = steps * d.
     """
-    if d <= 0 or steps < 0 or w < steps * d:
-        raise ValueError(f"need d > 0 and w >= steps * d >= 0, got w={w}, d={d}, steps={steps}")
-    if steps == 0:
-        return 0
-    den = d << 64
-    c, r = divmod(rng.next_u64() * w, den)
-    while c < steps and r + w > den:
-        den <<= 64
-        carry, r = divmod((r << 64) + rng.next_u64() * w, den)
-        c += carry
-    return min(c, steps)
+    d, steps = _as_n(d, 1, "d", ParameterError), _as_n(steps, 0, "steps", ParameterError)
+    w = _as_n(w, _ANY, "w", ParameterError)
+    if w < steps * d:
+        raise ParameterError(f"need w >= steps * d, got w={w}, d={d}, steps={steps}")
+    return _passage(rng.next_u64, w, d, steps)

@@ -67,8 +67,7 @@ from typing import NamedTuple
 from .errors import ParameterError
 from .enumeration import AB_CAP
 from .eulerian_poly import _as_n, _finite, _invert, _over_one_denominator, _rational, _Record
-from .rng import (_BLOCK, SplitMix64, _derived_seeds, bernoulli, bernoulli_ratio, derive_seed,
-                  first_passage)
+from .rng import _BLOCK, SplitMix64, _chunks, _coin, _derived_seeds, _passage, derive_seed
 from .tableau import Symbol, Tableau, counts
 
 __all__ = [
@@ -84,6 +83,10 @@ __all__ = [
 ]
 
 INF = math.inf
+# a draw that can flip this many exact coins or more reads its chunks from
+# take blocks, a smaller one from next_u64 calls, whichever was faster per
+# draw on a sweep of n = 1..400 (CHANGES.md)
+_BLOCKS_FROM = 32
 
 
 def _as_param(name: str, x, top=INF) -> Fraction | float:
@@ -138,18 +141,29 @@ def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     """One exact draw of the weighted random alpha/beta tableau of size n,
     in O(n) expected time."""
     n = _as_n(n, error=ParameterError)
+    if not isinstance(params, Params):
+        raise ParameterError(f"params must be a Params, got {params!r}")
     rng = SplitMix64(seed)
     if n == 0:
         return Tableau(0, ())
     if params._scaled is not None:
         return Tableau._sorted(n, _draw_ab(n, *params._scaled, params.rho, rng))
     if params.a == params.b == INF:
+        rho = params.rho
         return _diagonal_tableau(
-            n, lambda i: Symbol.ALPHA if bernoulli(rng, params.rho) else Symbol.BETA
+            n, lambda i: Symbol.ALPHA if _coin(rng.next_u64, rho.numerator, rho.denominator)
+            else Symbol.BETA
         )
     if params.b == INF:
         return _diagonal_tableau(n, lambda i: Symbol.ALPHA)
     return _diagonal_tableau(n, lambda i: Symbol.BETA)
+
+
+def _source(rng: SplitMix64, coins: int):
+    """The chunk source of a draw that flips up to ``coins`` exact coins:
+    ``next_u64`` below _BLOCKS_FROM coins, else ``take`` blocks whose first
+    holds one chunk per coin."""
+    return rng.next_u64 if coins < _BLOCKS_FROM else _chunks(rng, coins)
 
 
 def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> list:
@@ -157,39 +171,35 @@ def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> 
     (in lowest terms or not): exact coins and cell appends only (see the
     module docstring)."""
     ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
+    chunk = _source(rng, 2 * n)   # n sigma coins, under n first-passage draws
     cells: list[tuple[int, int, Symbol]] = []
     marked_at: dict[int, list[int]] = {}  # step -> rows whose next mark falls there
-
-    def schedule(row: int, s: int) -> None:
-        """File ``row``, alpha-indexed after step s, under its next mark step."""
-        steps = n - s
-        c = first_passage(rng, B + steps * d, d, steps)
-        if c < steps:
-            marked_at.setdefault(s + c + 1, []).append(row)
-
     for m in range(1, n + 1):
         col = n + 1 - m
         b_m = B + (n - m) * d
         if A == 0 and b_m == 0:
             # a = b = 0 at the last step: both case weights vanish at the
             # same rate; the surviving ratio is rho (Friedman-urn tie).
-            alpha = bernoulli(rng, rho)
+            alpha = _coin(chunk, rho.numerator, rho.denominator)
         else:
-            alpha = bernoulli_ratio(rng, b_m, A + b_m)
+            alpha = _coin(chunk, b_m, A + b_m)
         sigma = ALPHA if alpha else BETA
         marks = marked_at.pop(m, None)
         if marks is None:
             cells.append((m, col, sigma))
-            if alpha:
-                schedule(m, m)
+            top = m
         else:
             marks.sort()
             top = marks[0]
             cells.append((m, col, BETA))
             cells.append((top, col, sigma))
             cells.extend((r, col, BETA) for r in marks[1:])
-            if alpha:
-                schedule(top, m)
+        if alpha:
+            # file the top row, alpha-indexed after step m, under its next
+            # mark step; w = B + (n - m) d is b_m
+            c = _passage(chunk, b_m, d, n - m)
+            if c < n - m:
+                marked_at.setdefault(m + c + 1, []).append(top)
     return cells
 
 
@@ -213,15 +223,15 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int) -> Tableau:
     base = _draw_ab(n, x_den * y_num, y_den * x_num, x_num * y_num, Fraction(1, 2),
                     SplitMix64(derive_seed(seed, 0)))
     base.sort()  # the relabel coins are flipped in sorted cell order
-    rng = SplitMix64(derive_seed(seed, 1))
+    chunk = _source(SplitMix64(derive_seed(seed, 1)), len(base))
     # gamma/x and delta/y as unreduced integer ratios
     g_num, g_den = gn * x_den, gd * x_num
     d_num, d_den = dn * y_den, dd * y_num
     cells = []
     for r, c, s in base:
-        if s is Symbol.ALPHA and bernoulli_ratio(rng, g_num, g_den):
+        if s is Symbol.ALPHA and _coin(chunk, g_num, g_den):
             s = Symbol.GAMMA
-        elif s is Symbol.BETA and bernoulli_ratio(rng, d_num, d_den):
+        elif s is Symbol.BETA and _coin(chunk, d_num, d_den):
             s = Symbol.DELTA
         cells.append((r, c, s))
     return Tableau._sorted(n, cells)
@@ -266,7 +276,7 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
                     break
                 num = (num - lo) << 64
         elif den == 0:   # a = b = 0; no block is taken yet at the first draw
-            white_added += bernoulli_ratio(rng, 1, 2)
+            white_added += _coin(rng.next_u64, 1, 2)
         elif num == 0:
             white_added += 1
         path.append(white_added)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import warnings
 from collections import Counter
@@ -151,6 +152,41 @@ def test_exact_coins_reject_bad_arguments():
             first_passage(g, w, d, steps)
     with pytest.raises(ValueError, match="^need k >= 0 outputs, got -1$"):
         g.take(-1)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda g: bernoulli(g, F(3, 2)), r"^p must be a rational in \[0, 1\], got 3/2$"),
+    (lambda g: bernoulli(g, -0.5), r"^p must be a rational in \[0, 1\], got -1/2$"),
+    (lambda g: bernoulli(g, "x"), r"^p must be a rational in \[0, 1\], got 'x'$"),
+    (lambda g: bernoulli(g, math.inf), r"^p must be a rational in \[0, 1\], got inf$"),
+    (lambda g: bernoulli_ratio(g, 1.5, 2), r"^num must be an integer, got 1\.5$"),
+    (lambda g: bernoulli_ratio(g, -1, 2), r"^num must be >= 0, got -1$"),
+    (lambda g: bernoulli_ratio(g, 1, 0), r"^den must be >= 1, got 0$"),
+    (lambda g: bernoulli_ratio(g, 3, 2), r"^need num <= den, got 3/2$"),
+    (lambda g: first_passage(g, 1, 0, 1), r"^d must be >= 1, got 0$"),
+    (lambda g: first_passage(g, 5, 1, -1), r"^steps must be >= 0, got -1$"),
+    (lambda g: first_passage(g, 5.0, 1, 1), r"^w must be an integer, got 5\.0$"),
+    (lambda g: first_passage(g, 5, 2, 3), r"^need w >= steps \* d, got w=5, d=2, steps=3$"),
+    (lambda g: g.take(-1), r"^need k >= 0 outputs, got -1$"),
+    (lambda g: g.take(2.0), r"^k must be an integer, got 2\.0$"),
+])
+def test_public_coins_raise_named_parameter_errors(call, match):
+    g = SplitMix64(1)
+    with pytest.raises(ParameterError, match=match):
+        call(g)
+    assert g.state == SplitMix64(1).state   # and read no chunk
+
+
+def test_public_coins_read_any_rational_and_integer_exactly():
+    # p is read exactly as the weights are: 0.5 is 1/2 and 0.1 is the
+    # double nearest 1/10, not 1/10
+    for p, exact in [(0.5, F(1, 2)), (0.1, F(0.1)), ("2/3", F(2, 3)), (numpy.float64(0.25), F(1, 4))]:
+        g1, g2 = SplitMix64(8), SplitMix64(8)
+        assert [bernoulli(g1, p) for _ in range(50)] == [bernoulli(g2, exact) for _ in range(50)]
+    g1, g2 = SplitMix64(8), SplitMix64(8)
+    assert (bernoulli_ratio(g1, numpy.int64(1), numpy.int64(3)), first_passage(g1, *map(numpy.int32, (9, 2, 4)))) \
+        == (bernoulli_ratio(g2, 1, 3), first_passage(g2, 9, 2, 4))
+    assert g1.take(numpy.int64(3)) == g2.take(3)
 
 
 class Chunks:
@@ -426,6 +462,17 @@ def test_sample_four_equals_doubled_ab_model():
     assert chi_square_gof(law, obs).p_value > 1e-3
 
 
+@pytest.mark.parametrize("call", [
+    lambda params: sample_ab(4, params, 0),
+    lambda params: sample_ab(0, params, 0),
+    lambda params: sample_batch(4, params, 0, 10),
+], ids=["sample_ab", "sample_ab-n=0", "sample_batch"])
+@pytest.mark.parametrize("params", [(1, 1), None, F(1)], ids=["tuple", "None", "Fraction"])
+def test_params_that_is_not_a_params_is_a_named_parameter_error(call, params):
+    with pytest.raises(ParameterError, match=f"^params must be a Params, got {re.escape(repr(params))}$"):
+        call(params)
+
+
 def test_sample_four_rejects_bad_params():
     with pytest.raises(ParameterError):
         sample_four(2, 0, 1, 0, 1, seed=1)
@@ -653,11 +700,11 @@ def test_urn_equals_the_per_coin_reference_at_block_edges(n, a, b):
 
 class Scripted(SplitMix64):
     """SplitMix64 that hands out the given chunks first, through next_u64
-    and take alike, and counts every chunk it hands out."""
+    and take alike, and counts every chunk it hands out and every take."""
 
     def __init__(self, seed, first):
         super().__init__(seed)
-        self.first, self.handed = list(first), 0
+        self.first, self.handed, self.takes = list(first), 0, 0
 
     def next_u64(self):
         self.handed += 1
@@ -666,6 +713,7 @@ class Scripted(SplitMix64):
     def take(self, k):
         head, self.first = self.first[:k], self.first[k:]
         self.handed += k
+        self.takes += 1
         return head + super().take(k - len(head))
 
 
@@ -700,6 +748,77 @@ def test_urn_multi_chunk_coins_with_huge_denominators(monkeypatch, n, depth):
     monkeypatch.setattr(sampling, "SplitMix64", scripted)
     assert urn_sample(n, a, b, 11) == want
     assert streams[0].handed > n   # so did the urn: it took a block more than n draws need
+
+
+def scripted_streams(monkeypatch, scripts):
+    """Make the sampler's i-th SplitMix64 a Scripted stream that hands out
+    scripts[i] first; returns the list of streams made so far."""
+    streams = []
+
+    def make(seed):
+        script = scripts[len(streams)] if len(streams) < len(scripts) else ()
+        streams.append(Scripted(seed, script))
+        return streams[-1]
+
+    monkeypatch.setattr(sampling, "SplitMix64", make)
+    return streams
+
+
+WIDE = Params(F(1, 3), F(5, 7))   # A = 7, B = 15, d = 21: no coin of it is dyadic
+
+
+def sigma_script(n, depth):
+    # the step-1 sigma coin b_1/(A + b_1) with b_1 = B + (n - 1) d, undecided
+    # for `depth` chunks
+    (A, B, d), b_1 = WIDE._scaled, WIDE._scaled[1] + (n - 1) * WIDE._scaled[2]
+    return [straddling_chunks(b_1, A + b_1, depth)]
+
+
+def passage_script(n, depth):
+    # chunk 0 makes the step-1 sigma coin Alpha; the first-passage draw of row
+    # 1 (w = b_1, steps = n - 1) then sits on its boundary U = d/w
+    A, B, d = WIDE._scaled
+    return [[0] + straddling_chunks(d, B + (n - 1) * d, depth)]
+
+
+def relabel_script(n, depth):
+    # the base draw reads plain chunks; the first relabel coin, 2/7 for
+    # either symbol at weights (1, 1, 2/5, 2/5), is undecided for `depth`
+    # chunks (2/7 repeats every third chunk, so a dropped chunk shows)
+    return [[], straddling_chunks(2, 7, depth)]
+
+
+SCRIPTED_DRAWS = {
+    "sigma": (sigma_script, lambda n: sample_ab(n, WIDE, 17)),
+    "passage": (passage_script, lambda n: sample_ab(n, WIDE, 17)),
+    "relabel": (relabel_script, lambda n: sample_four(n, 1, 1, F(2, 5), F(2, 5), 17)),
+}
+
+
+@pytest.mark.parametrize("coin", SCRIPTED_DRAWS)
+@pytest.mark.parametrize("size", ["below", "at", "above"])
+@pytest.mark.parametrize("depth", ["short", "past-the-first-block"])
+def test_block_fed_draws_equal_next_u64_fed_on_multi_chunk_coins(monkeypatch, coin, size, depth):
+    # a draw's chunks come from next_u64 or from take blocks by its coin
+    # count; either way it reads the same chunks in the same order.  The
+    # scripted coin reads depth + 1 chunks, and past the first block (which
+    # holds at most 2n chunks) a refill falls inside it.  Random seeds never
+    # reach these paths: a coin reads a second chunk with probability ~2^-60
+    script, draw = SCRIPTED_DRAWS[coin]
+    n = {"below": sampling._BLOCKS_FROM // 2 - 1, "at": sampling._BLOCKS_FROM // 2,
+         "above": sampling._BLOCKS_FROM}[size]
+    depth = {"short": 2, "past-the-first-block": 2 * n + 3}[depth]
+    monkeypatch.setattr(sampling, "_BLOCKS_FROM", math.inf)
+    reference = scripted_streams(monkeypatch, script(n, depth))
+    want = draw(n)
+    assert reference[-1].handed > depth   # the scripted coin did read them all
+    monkeypatch.undo()
+    fed = scripted_streams(monkeypatch, script(n, depth))
+    assert draw(n) == want
+    # the scripted stream read blocks exactly when its draw has enough coins
+    coins = 2 * n if coin != "relabel" else len(want.cells)
+    assert reference[-1].takes == 0
+    assert (fed[-1].takes > 0) == (coins >= sampling._BLOCKS_FROM)
 
 
 def test_urn_empty_start():
