@@ -15,11 +15,16 @@ numerators and denominators, so the samplers never build a reduced
 Fraction per coin:
 
 - ``bernoulli_ratio(rng, num, den)``: U < num/den.  ``bernoulli(rng, p)``
-  is the same draw for a Fraction p.
+  is the same draw for any rational p in [0, 1].
 - ``first_passage(rng, w, d, steps)``: the first-passage time C in
   0..steps with P(C >= i) = (w - i*d)/w, read off U as floor(U*w/d).
 
-Both cost about one chunk in expectation.
+Both cost about one chunk in expectation.  Each checks its arguments
+(a ParameterError names the one that breaks its rule) and runs one
+private loop, ``_coin`` or ``_passage``, which reads its chunks from any
+zero-argument source.  The samplers call those loops directly on
+``_chunks(rng, coins)``: ``next_u64`` for a draw of fewer than 32 coins,
+else the same outputs computed in ``take`` blocks.
 
 ``SplitMix64.take(k)`` returns the next k outputs, bit for bit those of k
 ``next_u64`` calls, and leaves the same state; their order does not
@@ -39,6 +44,9 @@ __all__ = ["SplitMix64", "derive_seed", "bernoulli", "bernoulli_ratio", "first_p
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 1024
+# below this many coins a draw's chunks come cheaper from next_u64 calls than
+# from a take block: the sweep of n = 1..400 in CHANGES.md
+_BLOCKS_FROM = 32
 
 
 def _lanes() -> tuple[int, int]:
@@ -118,15 +126,19 @@ def _derived_seeds(seed: int, count: int):
         yield from stream.take(min(_BLOCK, count - start))
 
 
-def _chunks(rng: SplitMix64, k: int):
-    """A zero-argument source of rng's outputs in ``next_u64`` order, computed
-    by ``take`` in blocks of k >= 1, 2k, 4k, ... outputs up to _BLOCK.  A
-    draw that owns rng drops the unread rest of its last block."""
+def _chunks(rng: SplitMix64, coins: int):
+    """A zero-argument source of rng's outputs, in ``next_u64`` order, for a
+    draw of up to ``coins`` coins: ``next_u64`` itself below _BLOCKS_FROM
+    coins, else ``take`` blocks of ``coins`` outputs, then twice as many each
+    time up to _BLOCK.  A draw that owns rng drops the rest of its last block."""
+    if coins < _BLOCKS_FROM:
+        return rng.next_u64
+
     def blocks(k):
         while True:
             yield rng.take(k)
             k = min(2 * k, _BLOCK)
-    return chain.from_iterable(blocks(k)).__next__   # no Python frame per output
+    return chain.from_iterable(blocks(coins)).__next__   # no Python frame per output
 
 
 def _coin(chunk, num: int, den: int) -> bool:

@@ -47,10 +47,20 @@ weight that is a Fraction.  So a draw does only exact coin flips and cell
 appends, and ``Tableau._sorted`` builds its one tableau without the
 public constructor's checks.
 
+A draw reads its chunks by the number of coins it can flip: ``_draw_ab``
+flips at most 2n (n sigma coins, fewer than n first-passage draws) and the
+relabel pass of ``sample_four`` one per cell.  From 32 coins on
+(``rng._chunks``) it reads the outputs of ``SplitMix64.take`` blocks, the
+first holding one chunk per coin; below, where a block costs more than the
+``next_u64`` calls it replaces, it calls ``next_u64``.  Either way it reads
+the same chunks in the same order, so every draw is the same per seed; a
+draw owns its generator, so the unread rest of a block is dropped.
+
 The urn ``urn_sample`` flips the same integer coins, P(white) =
 (A + w d)/(A + B + k d) at draw k with w whites added, on chunks of
 ``SplitMix64.take``; each seed draws the path that one ``bernoulli_ratio``
-per draw gives.
+per draw gives.  It keeps the comparison inline and its own block buffer,
+which measured faster per urn draw than calling the shared coin loop.
 
 Infinite parameters short-circuit: b = inf (beta = 0) gives the all-alpha
 diagonal, a = inf (alpha = 0) the all-beta diagonal, a = b = inf each
@@ -83,10 +93,6 @@ __all__ = [
 ]
 
 INF = math.inf
-# a draw that can flip this many exact coins or more reads its chunks from
-# take blocks, a smaller one from next_u64 calls, whichever was faster per
-# draw on a sweep of n = 1..400 (CHANGES.md)
-_BLOCKS_FROM = 32
 
 
 def _as_param(name: str, x, top=INF) -> Fraction | float:
@@ -149,21 +155,13 @@ def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     if params._scaled is not None:
         return Tableau._sorted(n, _draw_ab(n, *params._scaled, params.rho, rng))
     if params.a == params.b == INF:
-        rho = params.rho
+        rho = params.rho.as_integer_ratio()
         return _diagonal_tableau(
-            n, lambda i: Symbol.ALPHA if _coin(rng.next_u64, rho.numerator, rho.denominator)
-            else Symbol.BETA
+            n, lambda i: Symbol.ALPHA if _coin(rng.next_u64, *rho) else Symbol.BETA
         )
     if params.b == INF:
         return _diagonal_tableau(n, lambda i: Symbol.ALPHA)
     return _diagonal_tableau(n, lambda i: Symbol.BETA)
-
-
-def _source(rng: SplitMix64, coins: int):
-    """The chunk source of a draw that flips up to ``coins`` exact coins:
-    ``next_u64`` below _BLOCKS_FROM coins, else ``take`` blocks whose first
-    holds one chunk per coin."""
-    return rng.next_u64 if coins < _BLOCKS_FROM else _chunks(rng, coins)
 
 
 def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> list:
@@ -171,7 +169,7 @@ def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> 
     (in lowest terms or not): exact coins and cell appends only (see the
     module docstring)."""
     ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
-    chunk = _source(rng, 2 * n)   # n sigma coins, under n first-passage draws
+    chunk = _chunks(rng, 2 * n)   # n sigma coins, under n first-passage draws
     cells: list[tuple[int, int, Symbol]] = []
     marked_at: dict[int, list[int]] = {}  # step -> rows whose next mark falls there
     for m in range(1, n + 1):
@@ -223,7 +221,7 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int) -> Tableau:
     base = _draw_ab(n, x_den * y_num, y_den * x_num, x_num * y_num, Fraction(1, 2),
                     SplitMix64(derive_seed(seed, 0)))
     base.sort()  # the relabel coins are flipped in sorted cell order
-    chunk = _source(SplitMix64(derive_seed(seed, 1)), len(base))
+    chunk = _chunks(SplitMix64(derive_seed(seed, 1)), len(base))
     # gamma/x and delta/y as unreduced integer ratios
     g_num, g_den = gn * x_den, gd * x_num
     d_num, d_den = dn * y_den, dd * y_num

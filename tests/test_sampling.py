@@ -180,13 +180,15 @@ def test_public_coins_raise_named_parameter_errors(call, match):
 def test_public_coins_read_any_rational_and_integer_exactly():
     # p is read exactly as the weights are: 0.5 is 1/2 and 0.1 is the
     # double nearest 1/10, not 1/10
-    for p, exact in [(0.5, F(1, 2)), (0.1, F(0.1)), ("2/3", F(2, 3)), (numpy.float64(0.25), F(1, 4))]:
+    for p, exact in [(0.5, F(1, 2)), (0.1, F(0.1)), ("2/3", F(2, 3)),
+                     (numpy.float64(0.25), F(1, 4))]:
         g1, g2 = SplitMix64(8), SplitMix64(8)
         assert [bernoulli(g1, p) for _ in range(50)] == [bernoulli(g2, exact) for _ in range(50)]
     g1, g2 = SplitMix64(8), SplitMix64(8)
-    assert (bernoulli_ratio(g1, numpy.int64(1), numpy.int64(3)), first_passage(g1, *map(numpy.int32, (9, 2, 4)))) \
-        == (bernoulli_ratio(g2, 1, 3), first_passage(g2, 9, 2, 4))
-    assert g1.take(numpy.int64(3)) == g2.take(3)
+    i64, i32 = numpy.int64, numpy.int32
+    assert bernoulli_ratio(g1, i64(1), i64(3)) == bernoulli_ratio(g2, 1, 3)
+    assert first_passage(g1, i32(9), i32(2), i32(4)) == first_passage(g2, 9, 2, 4)
+    assert g1.take(i64(3)) == g2.take(3)
 
 
 class Chunks:
@@ -469,7 +471,8 @@ def test_sample_four_equals_doubled_ab_model():
 ], ids=["sample_ab", "sample_ab-n=0", "sample_batch"])
 @pytest.mark.parametrize("params", [(1, 1), None, F(1)], ids=["tuple", "None", "Fraction"])
 def test_params_that_is_not_a_params_is_a_named_parameter_error(call, params):
-    with pytest.raises(ParameterError, match=f"^params must be a Params, got {re.escape(repr(params))}$"):
+    want = f"^params must be a Params, got {re.escape(repr(params))}$"
+    with pytest.raises(ParameterError, match=want):
         call(params)
 
 
@@ -767,25 +770,30 @@ def scripted_streams(monkeypatch, scripts):
 WIDE = Params(F(1, 3), F(5, 7))   # A = 7, B = 15, d = 21: no coin of it is dyadic
 
 
+# Each script gives the chunks the sampler's streams hand out first and
+# the public coins that read the last stream's script as the draw does.
+
 def sigma_script(n, depth):
-    # the step-1 sigma coin b_1/(A + b_1) with b_1 = B + (n - 1) d, undecided
-    # for `depth` chunks
-    (A, B, d), b_1 = WIDE._scaled, WIDE._scaled[1] + (n - 1) * WIDE._scaled[2]
-    return [straddling_chunks(b_1, A + b_1, depth)]
+    # the step-1 sigma coin b_1/(A + b_1), undecided for `depth` chunks
+    A, B, d = WIDE._scaled
+    b_1 = B + (n - 1) * d
+    return [straddling_chunks(b_1, A + b_1, depth)], lambda g: bernoulli_ratio(g, b_1, A + b_1)
 
 
 def passage_script(n, depth):
-    # chunk 0 makes the step-1 sigma coin Alpha; the first-passage draw of row
-    # 1 (w = b_1, steps = n - 1) then sits on its boundary U = d/w
+    # chunk 0 makes the step-1 sigma coin Alpha; the first-passage draw of
+    # row 1 then sits on its boundary U = d/w for `depth` chunks
     A, B, d = WIDE._scaled
-    return [[0] + straddling_chunks(d, B + (n - 1) * d, depth)]
+    b_1 = B + (n - 1) * d
+    return ([[0] + straddling_chunks(d, b_1, depth)],
+            lambda g: bernoulli_ratio(g, b_1, A + b_1) and first_passage(g, b_1, d, n - 1))
 
 
 def relabel_script(n, depth):
     # the base draw reads plain chunks; the first relabel coin, 2/7 for
     # either symbol at weights (1, 1, 2/5, 2/5), is undecided for `depth`
     # chunks (2/7 repeats every third chunk, so a dropped chunk shows)
-    return [[], straddling_chunks(2, 7, depth)]
+    return [[], straddling_chunks(2, 7, depth)], lambda g: bernoulli_ratio(g, 2, 7)
 
 
 SCRIPTED_DRAWS = {
@@ -805,20 +813,22 @@ def test_block_fed_draws_equal_next_u64_fed_on_multi_chunk_coins(monkeypatch, co
     # holds at most 2n chunks) a refill falls inside it.  Random seeds never
     # reach these paths: a coin reads a second chunk with probability ~2^-60
     script, draw = SCRIPTED_DRAWS[coin]
-    n = {"below": sampling._BLOCKS_FROM // 2 - 1, "at": sampling._BLOCKS_FROM // 2,
-         "above": sampling._BLOCKS_FROM}[size]
-    depth = {"short": 2, "past-the-first-block": 2 * n + 3}[depth]
-    monkeypatch.setattr(sampling, "_BLOCKS_FROM", math.inf)
-    reference = scripted_streams(monkeypatch, script(n, depth))
+    n = {"below": rng._BLOCKS_FROM // 2 - 1, "at": rng._BLOCKS_FROM // 2,
+         "above": rng._BLOCKS_FROM}[size]
+    scripts, read = script(n, {"short": 2, "past-the-first-block": 2 * n + 3}[depth])
+    g = Chunks(scripts[-1])
+    read(g)
+    assert len(g.used) == len(scripts[-1]) + 1   # every scripted chunk and one more
+    monkeypatch.setattr(rng, "_BLOCKS_FROM", math.inf)
+    reference = scripted_streams(monkeypatch, scripts)
     want = draw(n)
-    assert reference[-1].handed > depth   # the scripted coin did read them all
     monkeypatch.undo()
-    fed = scripted_streams(monkeypatch, script(n, depth))
+    fed = scripted_streams(monkeypatch, scripts)
     assert draw(n) == want
     # the scripted stream read blocks exactly when its draw has enough coins
     coins = 2 * n if coin != "relabel" else len(want.cells)
     assert reference[-1].takes == 0
-    assert (fed[-1].takes > 0) == (coins >= sampling._BLOCKS_FROM)
+    assert (fed[-1].takes > 0) == (coins >= rng._BLOCKS_FROM)
 
 
 def test_urn_empty_start():
