@@ -667,6 +667,22 @@ def test_urn_golden_path():
         10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10)
 
 
+GOLDEN_URN_LARGE = "4cb16afff462d530098e1e786cfa299667d0014f81ceea9fcf363f4ea5e61fd2"
+
+
+def test_urn_golden_paths_large():
+    # test_urn_golden_path stops at n = 30; this digest pins long paths, past
+    # one and two blocks of chunks, in every start: both weights positive,
+    # a = 0, b = 0, the a = b = 0 tie, and huge denominators
+    h = hashlib.sha256()
+    for n in (3, 33, 1025, 2049, 20000):
+        for a, b in [(F(1), F(1)), (F(1, 3), F(5)), (F(0), F(5, 7)), (F(2, 3), F(0)),
+                     (F(0), F(0)), (F(2**63 + 12345, 3), F(7, 2**61 + 1))]:
+            for seed in (7, 2**64 - 3):
+                h.update(repr(urn_sample(n, a, b, seed).path).encode())
+    assert h.hexdigest() == GOLDEN_URN_LARGE
+
+
 def per_coin_urn(n, a, b, stream):
     """The reference urn: one ``bernoulli_ratio`` coin per draw, read from
     ``stream`` chunk by chunk; urn_sample must draw the same path."""
