@@ -24,7 +24,8 @@ Both cost about one chunk in expectation.  Each checks its arguments
 private loop, ``_coin`` or ``_passage``, which reads its chunks from any
 zero-argument source.  The samplers call those loops directly on
 ``_chunks(rng, coins)``: ``next_u64`` for a draw of fewer than 32 coins,
-else the same outputs computed in ``take`` blocks.
+else the same outputs read from ``_blocks``, the one stream of ``take``
+blocks, which the urn reads at every size.
 
 ``SplitMix64.take(k)`` returns the next k outputs, bit for bit those of k
 ``next_u64`` calls, and leaves the same state; their order does not
@@ -34,7 +35,7 @@ depend on the host's byte order.
 from __future__ import annotations
 
 import sys
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import ParameterError
 from .eulerian_poly import _ANY, _as_n, _rational
@@ -89,17 +90,21 @@ class SplitMix64:
     def take(self, k: int) -> list[int]:
         """The next k outputs, as k ``next_u64`` calls give them, leaving
         the same state."""
-        k = _as_n(k, _ANY, "k", ParameterError)
+        if type(k) is not int:
+            k = _as_n(k, _ANY, "k", ParameterError)
         if k < 0:
             raise ParameterError(f"need k >= 0 outputs, got {k}")
         out: list[int] = []
-        for start in range(0, k, _BLOCK):
+        while k > 0:
             # lane i of one int mixes state + (i+1)·GOLDEN; each 64×64-bit
-            # product stays inside its 128-bit lane
-            lanes = min(_BLOCK, k - start)
-            top = (1 << 128 * lanes) - 1
-            low = _LOW & top
-            z = (self.state * (_ONES & top) + (_STEPS & top)) & low
+            # product stays inside its 128-bit lane; a full block needs no mask
+            if k >= _BLOCK:
+                lanes, ones, steps, low = _BLOCK, _ONES, _STEPS, _LOW
+            else:
+                lanes, top = k, (1 << 128 * k) - 1
+                ones, steps, low = _ONES & top, _STEPS & top, _LOW & top
+            k -= lanes
+            z = (self.state * ones + steps) & low
             z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
             z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
             # z >> 31 moves lane i+1 into lane i's high word, which is never
@@ -126,19 +131,21 @@ def _derived_seeds(seed: int, count: int):
         yield from stream.take(min(_BLOCK, count - start))
 
 
-def _chunks(rng: SplitMix64, coins: int):
-    """A zero-argument source of rng's outputs, in ``next_u64`` order, for a
-    draw of up to ``coins`` coins: ``next_u64`` itself below _BLOCKS_FROM
-    coins, else ``take`` blocks of ``coins`` outputs, then twice as many each
-    time up to _BLOCK.  A draw that owns rng drops the rest of its last block."""
-    if coins < _BLOCKS_FROM:
-        return rng.next_u64
+def _blocks(rng: SplitMix64, first: int):
+    """An endless iterator over rng's outputs, in ``next_u64`` order, read in
+    ``take`` blocks: the first of min(first, _BLOCK) outputs, then _BLOCK at a
+    time, with no Python frame per output or per block.  A draw that owns rng
+    drops the rest of its last block."""
+    take = rng.take
+    return chain(take(first if first < _BLOCK else _BLOCK),
+                 chain.from_iterable(map(take, repeat(_BLOCK))))
 
-    def blocks(k):
-        while True:
-            yield rng.take(k)
-            k = min(2 * k, _BLOCK)
-    return chain.from_iterable(blocks(coins)).__next__   # no Python frame per output
+
+def _chunks(rng: SplitMix64, coins: int):
+    """A zero-argument source of rng's outputs for a draw of up to ``coins``
+    coins: ``next_u64`` itself below _BLOCKS_FROM coins, else the next
+    output of ``_blocks(rng, coins)``."""
+    return rng.next_u64 if coins < _BLOCKS_FROM else _blocks(rng, coins).__next__
 
 
 def _coin(chunk, num: int, den: int) -> bool:
@@ -167,7 +174,7 @@ def _passage(chunk, w: int, d: int, steps: int) -> int:
         den <<= 64
         carry, r = divmod((r << 64) + chunk() * w, den)
         c += carry
-    return min(c, steps)
+    return c if c < steps else steps
 
 
 def bernoulli_ratio(rng: SplitMix64, num: int, den: int) -> bool:

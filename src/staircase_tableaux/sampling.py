@@ -57,10 +57,16 @@ the same chunks in the same order, so every draw is the same per seed; a
 draw owns its generator, so the unread rest of a block is dropped.
 
 The urn ``urn_sample`` flips the same integer coins, P(white) =
-(A + w d)/(A + B + k d) at draw k with w whites added, on chunks of
-``SplitMix64.take``; each seed draws the path that one ``bernoulli_ratio``
-per draw gives.  It keeps the comparison inline and its own block buffer,
-which measured faster per urn draw than calling the shared coin loop.
+(A + w d)/(A + B + k d) at draw k with w whites added; each seed draws the
+path that one ``bernoulli_ratio`` per draw gives.  Only draw 0 with a = 0
+or b = 0 (and draw 1 at a = b = 0, after the tie) can be certain; those
+draws run alone, the tie on ``next_u64``.  Every later draw reads
+``rng._blocks`` at any n: one chunk per draw reads each block to its end,
+so no block is wasted.  The loop zips the denominators with that stream and
+keeps (A + w d)·2^64 as a running sum, so the first chunk u decides the
+draw by one product u·den; only when u·den < (A + w d)·2^64 < u·den + den
+(chance at most 2^-64) does the shared ``_coin`` read on, from the same
+stream.
 
 Infinite parameters short-circuit: b = inf (beta = 0) gives the all-alpha
 diagonal, a = inf (alpha = 0) the all-beta diagonal, a = b = inf each
@@ -77,7 +83,7 @@ from typing import NamedTuple
 from .errors import ParameterError
 from .enumeration import AB_CAP
 from .eulerian_poly import _as_n, _finite, _invert, _over_one_denominator, _rational, _Record
-from .rng import _BLOCK, SplitMix64, _chunks, _coin, _derived_seeds, _passage, derive_seed
+from .rng import SplitMix64, _blocks, _chunks, _coin, _derived_seeds, _passage, derive_seed
 from .tableau import Symbol, Tableau, counts
 
 __all__ = [
@@ -187,11 +193,12 @@ def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> 
             cells.append((m, col, sigma))
             top = m
         else:
-            marks.sort()
+            if len(marks) > 1:   # cells are sorted later; one mark needs no sort
+                marks.sort()
+                cells.extend((r, col, BETA) for r in marks[1:])
             top = marks[0]
             cells.append((m, col, BETA))
             cells.append((top, col, sigma))
-            cells.extend((r, col, BETA) for r in marks[1:])
         if alpha:
             # file the top row, alpha-indexed after step m, under its next
             # mark step; w = B + (n - m) d is b_m
@@ -225,12 +232,13 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int) -> Tableau:
     # gamma/x and delta/y as unreduced integer ratios
     g_num, g_den = gn * x_den, gd * x_num
     d_num, d_den = dn * y_den, dd * y_num
+    ALPHA, BETA, GAMMA, DELTA = Symbol.ALPHA, Symbol.BETA, Symbol.GAMMA, Symbol.DELTA
     cells = []
     for r, c, s in base:
-        if s is Symbol.ALPHA and _coin(chunk, g_num, g_den):
-            s = Symbol.GAMMA
-        elif s is Symbol.BETA and _coin(chunk, d_num, d_den):
-            s = Symbol.DELTA
+        if s is ALPHA and _coin(chunk, g_num, g_den):
+            s = GAMMA
+        elif s is BETA and _coin(chunk, d_num, d_den):
+            s = DELTA
         cells.append((r, c, s))
     return Tableau._sorted(n, cells)
 
@@ -255,27 +263,24 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     rng = SplitMix64(seed)
     white_added = 0
     path = []
-    chunks, j, end = (), 0, 0   # chunks left after the last draw go unused
-    for k in range(n):
-        # bernoulli_ratio(rng, num, den) inline: is the drawn ball white?
-        num, den = A + white_added * d, A + B + k * d
-        if 0 < num < den:
-            num <<= 64
-            while True:
-                if j == end:
-                    chunks = rng.take(min(_BLOCK, n - k))
-                    j, end = 0, len(chunks)
-                lo = chunks[j] * den
-                j += 1
-                if lo + den <= num:
-                    break
-                if lo >= num:
-                    white_added += 1   # black, drawn w.p. 1 - (a + white added)/(a + b + k)
-                    break
-                num = (num - lo) << 64
-        elif den == 0:   # a = b = 0; no block is taken yet at the first draw
+    # with a = 0 or b = 0 draw 0 is certain, or at a = b = 0 the tie with
+    # draw 1 certain; every later draw has 0 < P(white) < 1
+    k0 = 0 if A and B else min(n, 1 if A or B else 2)
+    for k in range(k0):
+        if A + B + k * d == 0:
             white_added += _coin(rng.next_u64, 1, 2)
-        elif num == 0:
+        elif A + white_added * d == 0:
+            white_added += 1
+        path.append(white_added)
+    # _coin inline with num kept times 2^64: the first chunk u decides the
+    # draw unless u·den < num < u·den + den, and then _coin reads on.  The
+    # range comes first in zip, so no chunk is read past the last draw
+    num, step = (A + white_added * d) << 64, d << 64
+    stream = _blocks(rng, n - k0)
+    for den, u in zip(range(A + B + k0 * d, A + B + n * d, d), stream):
+        lo = u * den
+        if lo >= num or (lo + den > num and not _coin(stream.__next__, num - lo, den)):
+            num += step   # black drawn, w.p. 1 - (a + white added)/(a + b + k)
             white_added += 1
         path.append(white_added)
     return UrnResult(white_added, n - white_added, tuple(path))

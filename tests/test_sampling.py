@@ -783,6 +783,34 @@ def scripted_streams(monkeypatch, scripts):
     return streams
 
 
+# (a, b, k, n): draw k of n opens; draw 2 of the a = b = 0 urn is the dyadic
+# coin 1/2, which no chunk leaves open, so that urn opens at draw 3 instead
+OPEN_DRAWS = {f"{name}-k={k}" + ("-last-of-block" if k == n - 1 else ""): (a, b, k, n)
+              for name, a, b, ks in [("finite", F(1, 3), F(5), (2, 5)),
+                                     ("a=0", F(0), F(5, 7), (2, 5)), ("a=b=0", F(0), F(0), (3, 5))]
+              for k, n in [(ks[0], 40), (ks[1], 40), (ks[1], ks[1] + 1)]}
+
+
+@pytest.mark.parametrize("a, b, k, n", OPEN_DRAWS.values(), ids=OPEN_DRAWS.keys())
+@pytest.mark.parametrize("depth", [2, 3])
+def test_urn_open_chunk_at_a_later_draw(monkeypatch, a, b, k, n, depth):
+    # chunks of 0 draw white, so w stays what draws 0 and 1 leave it (1 after
+    # a certain black at a = 0, or after the a = b = 0 tie); draw k's first
+    # `depth` chunks are the digits of its P(white), so it reads one chunk
+    # more.  At k = n - 1 its first chunk is the last of the urn's first block,
+    # so the coin reads on in the refill
+    d = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    w = 1 if A == 0 else 0
+    script = [0] * (k - w) + straddling_chunks(A + w * d, A + B + k * d, depth)
+    reference = Scripted(23, script)
+    want = per_coin_urn(n, a, b, reference)
+    assert want.path[k - 1] == w and reference.handed == n - w + depth
+    streams = scripted_streams(monkeypatch, [script])
+    assert urn_sample(n, a, b, 23) == want
+    assert streams[0].takes == 2   # the first block holds one chunk per draw, then a refill
+
+
 WIDE = Params(F(1, 3), F(5, 7))   # A = 7, B = 15, d = 21: no coin of it is dyadic
 
 
