@@ -51,22 +51,20 @@ A draw reads its chunks by the number of coins it can flip: ``_draw_ab``
 flips at most 2n (n sigma coins, fewer than n first-passage draws) and the
 relabel pass of ``sample_four`` one per cell.  From 32 coins on
 (``rng._chunks``) it reads the outputs of ``SplitMix64.take`` blocks, the
-first holding one chunk per coin; below, where a block costs more than the
+first holding one chunk per coin up to 1024; below, where a block costs more than the
 ``next_u64`` calls it replaces, it calls ``next_u64``.  Either way it reads
 the same chunks in the same order, so every draw is the same per seed; a
 draw owns its generator, so the unread rest of a block is dropped.
 
 The urn ``urn_sample`` flips the same integer coins, P(white) =
 (A + w d)/(A + B + k d) at draw k with w whites added; each seed draws the
-path that one ``bernoulli_ratio`` per draw gives.  Only draw 0 with a = 0
-or b = 0 (and draw 1 at a = b = 0, after the tie) can be certain; those
-draws run alone, the tie on ``next_u64``.  Every later draw reads
-``rng._blocks`` at any n: one chunk per draw reads each block to its end,
-so no block is wasted.  The loop zips the denominators with that stream and
-keeps (A + w d)·2^64 as a running sum, so the first chunk u decides the
-draw by one product u·den; only when u·den < (A + w d)·2^64 < u·den + den
-(chance at most 2^-64) does the shared ``_coin`` read on, from the same
-stream.
+path that one ``bernoulli_ratio`` per draw gives.  The draws that can be
+certain (draw 0 with a = 0 or b = 0, draw 1 after the a = b = 0 tie) run
+alone; every other draw reads ``rng._blocks`` at any n, one chunk per draw,
+so each block is read to its end.  The loop keeps (A + w d)·2^64 as a
+running sum, so the first chunk u decides the draw by one product u·den;
+only when u·den < (A + w d)·2^64 < u·den + den (chance at most 2^-64) does
+the shared ``_coin`` read on, from the same stream.
 
 Infinite parameters short-circuit: b = inf (beta = 0) gives the all-alpha
 diagonal, a = inf (alpha = 0) the all-beta diagonal, a = b = inf each
@@ -265,13 +263,15 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     path = []
     # with a = 0 or b = 0 draw 0 is certain, or at a = b = 0 the tie with
     # draw 1 certain; every later draw has 0 < P(white) < 1
-    k0 = 0 if A and B else min(n, 1 if A or B else 2)
-    for k in range(k0):
-        if A + B + k * d == 0:
-            white_added += _coin(rng.next_u64, 1, 2)
-        elif A + white_added * d == 0:
-            white_added += 1
-        path.append(white_added)
+    k0 = 0
+    if not (A and B):
+        k0 = min(n, 1 if A or B else 2)
+        for k in range(k0):
+            if A + B + k * d == 0:
+                white_added += _coin(rng.next_u64, 1, 2)
+            elif A + white_added * d == 0:
+                white_added += 1
+            path.append(white_added)
     # _coin inline with num kept times 2^64: the first chunk u decides the
     # draw unless u·den < num < u·den + den, and then _coin reads on.  The
     # range comes first in zip, so no chunk is read past the last draw
