@@ -51,10 +51,11 @@ A draw reads its chunks by the number of coins it can flip: ``_draw_ab``
 flips at most 2n (n sigma coins, fewer than n first-passage draws) and the
 relabel pass of ``sample_four`` one per cell.  From 32 coins on
 (``rng._chunks``) it reads the outputs of ``SplitMix64.take`` blocks, the
-first holding one chunk per coin up to 1024; below, where a block costs more than the
-``next_u64`` calls it replaces, it calls ``next_u64``.  Either way it reads
-the same chunks in the same order, so every draw is the same per seed; a
-draw owns its generator, so the unread rest of a block is dropped.
+first holding one chunk per coin up to 1024; below, where a block costs
+more than the ``next_u64`` calls it replaces, it calls ``next_u64``.
+Either way it reads the same chunks in the same order, so every draw is
+the same per seed; a draw owns its generator, so the unread rest of a block
+is dropped.
 
 The urn ``urn_sample`` flips the same integer coins, P(white) =
 (A + w d)/(A + B + k d) at draw k with w whites added; each seed draws the

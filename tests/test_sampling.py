@@ -783,19 +783,26 @@ def scripted_streams(monkeypatch, scripts):
     return streams
 
 
-# (a, b, k, n): draw k of n opens; draw 2 of the a = b = 0 urn is the dyadic
-# coin 1/2, which no chunk leaves open, so that urn opens at draw 3 instead
-OPEN_DRAWS = {f"{name}-k={k}" + ("-last-of-block" if k == n - 1 else ""): (a, b, k, n)
-              for name, a, b, ks in [("finite", F(1, 3), F(5), (2, 5)),
-                                     ("a=0", F(0), F(5, 7), (2, 5)), ("a=b=0", F(0), F(0), (3, 5))]
-              for k, n in [(ks[0], 40), (ks[1], 40), (ks[1], ks[1] + 1)]}
+# (a, b, k, n): draw k of n opens.  Draw 2 of the a = b = 0 urn is the
+# dyadic coin 1/2, which no chunk leaves open, so that urn opens at draw 3
+OPEN_DRAWS = {
+    "finite-k=2": (F(1, 3), F(5), 2, 40),
+    "finite-k=5": (F(1, 3), F(5), 5, 40),
+    "finite-k=5-last-of-block": (F(1, 3), F(5), 5, 6),
+    "a=0-k=2": (F(0), F(5, 7), 2, 40),
+    "a=0-k=5": (F(0), F(5, 7), 5, 40),
+    "a=0-k=5-last-of-block": (F(0), F(5, 7), 5, 6),
+    "a=b=0-k=3": (F(0), F(0), 3, 40),
+    "a=b=0-k=5": (F(0), F(0), 5, 40),
+    "a=b=0-k=5-last-of-block": (F(0), F(0), 5, 6),
+}
 
 
 @pytest.mark.parametrize("a, b, k, n", OPEN_DRAWS.values(), ids=OPEN_DRAWS.keys())
 @pytest.mark.parametrize("depth", [2, 3])
 def test_urn_open_chunk_at_a_later_draw(monkeypatch, a, b, k, n, depth):
-    # chunks of 0 draw white, so w stays what draws 0 and 1 leave it (1 after
-    # a certain black at a = 0, or after the a = b = 0 tie); draw k's first
+    # chunks of 0 draw white, so w stays what draws 0 and 1 leave it: 1 after
+    # a certain black at a = 0 or the a = b = 0 tie's chunk of 0; draw k's first
     # `depth` chunks are the digits of its P(white), so it reads one chunk
     # more.  At k = n - 1 its first chunk is the last of the urn's first block,
     # so the coin reads on in the refill
