@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import Symbol, Tableau, counts, serialize, validate
-from staircase_tableaux.distributions import chi_square_gof, dist_A
+from staircase_tableaux.distributions import (
+    cell_prob,
+    chi_square_gof,
+    dist_A,
+    dist_N_pairs,
+    joint_diag_alpha,
+    n_alpha_growth_check,
+)
 from staircase_tableaux.enumeration import (
     AB_CAP,
     enumerate_ab,
@@ -79,7 +86,7 @@ def test_take_lane_path_of_the_other_byte_order(monkeypatch):
             assert lanes.state == g.state
 
 
-@pytest.mark.parametrize("count", [1, 3, 1024, 1025, 2100])
+@pytest.mark.parametrize("count", [0, 1, 3, 1024, 1025, 2100, 3001])
 def test_batch_seeds_in_blocks_are_derive_seed(count):
     for seed in TAKE_SEEDS + [-3]:
         assert list(_derived_seeds(seed, count)) == [derive_seed(seed, i) for i in range(count)]
@@ -320,6 +327,45 @@ def test_golden_stream_large():
     h.update(repr((s.count, s.sum_diag_alpha, s.sum_diag_alpha_sq,
                    sorted(s.diag_alpha_counts.items()))).encode())
     assert h.hexdigest() == GOLDEN_LARGE
+
+
+GOLDEN_EDGES = "8ae9980677c540310efd4216f94c692704925295aa388d705bde7032f904ebe1"
+
+
+def _repr_or_error(f, *args) -> str:
+    try:
+        return repr(f(*args))
+    except ValueError as e:
+        return repr(e)
+
+
+def test_weight_edges_are_pinned():
+    # the outputs where a weight is infinite or zero, or a = b = 0 ties: the
+    # diagonal draws at a or b = inf, the pair laws and growth sums, and
+    # every off-diagonal box and diagonal product up to n = 7, with their
+    # errors.  Recorded before these edges were folded into the general rules
+    h = hashlib.sha256()
+    regimes = [Params(INF, INF, rho) for rho in (F(0), F(1, 4), F(1))]
+    regimes += [Params(INF, INF), Params(INF, F(2, 3)), Params(F(3, 7), INF),
+                Params(INF, F(0)), Params(F(0), INF)]
+    for params in regimes:
+        for n in range(30):
+            for seed in range(25):
+                h.update(repr(sample_ab(n, params, seed)).encode())
+    points = [(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(2, 3), F(5, 2))]
+    for a, b in points:
+        for n in range(25):
+            law = dist_N_pairs(n, a, b)
+            h.update(repr((law, sorted(law.joint_law().items()), law.alpha_law())).encode())
+        if (a, b) != (0, 0):
+            h.update(repr(n_alpha_growth_check([1, 2, 3, 7, 7, 40, 100], a, b)).encode())
+        for n in range(8):
+            for i in range(1, n):
+                for j in range(1, n + 1 - i):
+                    h.update(_repr_or_error(cell_prob, n, a, b, i, j).encode())
+            for js in [(), (1,), (1, n), tuple(range(1, n + 1))]:
+                h.update(_repr_or_error(joint_diag_alpha, n, a, b, js).encode())
+    assert h.hexdigest() == GOLDEN_EDGES
 
 
 def test_sample_determinism():
