@@ -99,10 +99,7 @@ def check_counting(level: str) -> str:
     for n in range(1, n_ab + 1):
         split = Counter(tb.counts(t).n_alpha for t in enum_.max_symbol_tableaux(n))
         want = math.factorial(n - 1)
-        if n == 1:
-            assert split == Counter({1: 1, 0: 1}), split
-        else:
-            assert split == Counter({n: want, n - 1: want}), f"max split at n={n}: {split}"
+        assert split == Counter({n: want, n - 1: want}), f"max split at n={n}: {split}"
     return f"(n+1)! to n={n_ab}, 4^n n! to n={n_four}, 2(n-1)! split to n={n_ab}"
 
 

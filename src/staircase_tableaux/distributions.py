@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count, islice
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, RootFindingError
@@ -361,6 +361,14 @@ class NPairLaw(NamedTuple):
         return DiscreteDist(0, weights)
 
 
+def _pair_steps(a: Fraction, b: Fraction):
+    """(qa, qb) = (a, b)/(a+b+i) for i = 0, 1, ...: the chances that step
+    pair i leaves out its alpha or its beta, (1/2, 1/2) at a = b = i = 0."""
+    for i in count():
+        den = a + b + i
+        yield (a / den, b / den) if den else (Fraction(1, 2), Fraction(1, 2))
+
+
 def dist_N_pairs(n: int, a, b) -> NPairLaw:
     """The n independent pair laws driving (N_alpha, N_beta):
 
@@ -372,15 +380,8 @@ def dist_N_pairs(n: int, a, b) -> NPairLaw:
     n = _as_n(n)
     pairs = []
     mean_a = var_a = mean_b = var_b = cov = Fraction(0)
-    for i in range(n):
-        den = a + b + i
-        if den == 0:
-            pd = PairDist(Fraction(1, 2), Fraction(1, 2), Fraction(0))
-            qa = qb = Fraction(1, 2)   # leave-out probabilities a/(a+b+i), b/(a+b+i)
-        else:
-            pd = PairDist(b / den, a / den, Fraction(i) / den)
-            qa, qb = a / den, b / den
-        pairs.append(pd)
+    for qa, qb in islice(_pair_steps(a, b), n):
+        pairs.append(PairDist(qb, qa, 1 - qa - qb))
         mean_a += 1 - qa
         var_a += qa * (1 - qa)
         mean_b += 1 - qb
@@ -424,10 +425,8 @@ def cell_prob(n: int, a, b, i: int, j: int) -> tuple[Fraction, Fraction, Fractio
         )
     d1 = i + j + a + b - 1
     d2 = i + j + a + b - 2
-    if d2 == 0:
-        if a == 0 and b == 0 and i == 1 and j == 1:
-            return Fraction(1, 2), Fraction(1, 2), 1 / d1
-        raise DomainError("undefined parameters for this box")
+    if d2 == 0:   # only at a = b = 0, i = j = 1
+        return Fraction(1, 2), Fraction(1, 2), 1 / d1
     return (j - 1 + b) / (d1 * d2), (i - 1 + a) / (d1 * d2), 1 / d1
 
 
@@ -437,8 +436,6 @@ def joint_diag_alpha(n: int, a, b, positions) -> Fraction:
     a, b = _as_ab(a, b)
     n = _as_n(n)
     js = [_as_n(j, 1, "each position") for j in positions]
-    if not js:
-        return Fraction(1)
     if any(j > n for j in js) or any(x >= y for x, y in zip(js, js[1:])):
         raise DomainError(f"positions must be strictly increasing within 1..{n}")
     out = Fraction(1)
@@ -569,15 +566,13 @@ def n_alpha_growth_check(n_list, a, b) -> list[GrowthRow]:
         raise ParameterError("growth check needs (a, b) != (0, 0)")
     out = []
     mean_drop = var_sum = cov_sum = Fraction(0)
-    i = 0
+    steps, i = _pair_steps(a, b), 0
     for n in targets:
-        while i < n:
-            den = a + b + i
-            qa, qb = a / den, b / den
+        for qa, qb in islice(steps, n - i):
             mean_drop += qa
             var_sum += qa * (1 - qa)
             cov_sum -= qa * qb
-            i += 1
+        i = n
         mean_alpha = n - mean_drop
         log_n = math.log(n)
         out.append(GrowthRow(

@@ -25,7 +25,7 @@ private loop, ``_coin`` or ``_passage``, which reads its chunks from any
 zero-argument source.  The samplers call those loops directly on
 ``_chunks(rng, coins)``: ``next_u64`` for a draw of fewer than 32 coins,
 else the same outputs read from ``_blocks``, the one stream of ``take``
-blocks, which the urn reads at every size.
+blocks, which the urn and the batch seeds read at every size.
 
 ``SplitMix64.take(k)`` returns the next k outputs, bit for bit those of k
 ``next_u64`` calls, and leaves the same state; their order does not
@@ -35,7 +35,7 @@ depend on the host's byte order.
 from __future__ import annotations
 
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .errors import ParameterError
 from .eulerian_poly import _ANY, _as_n, _rational
@@ -125,10 +125,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def _derived_seeds(seed: int, count: int):
-    """derive_seed(seed, i) for i < count, one block of ``take`` at a time."""
-    stream = SplitMix64(_as_seed(seed) + _GOLDEN)
-    for start in range(0, count, _BLOCK):
-        yield from stream.take(min(_BLOCK, count - start))
+    """derive_seed(seed, i) for i < count, read from ``_blocks``."""
+    return islice(_blocks(SplitMix64(_as_seed(seed) + _GOLDEN), count), count)
 
 
 def _blocks(rng: SplitMix64, first: int):

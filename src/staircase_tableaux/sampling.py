@@ -48,11 +48,12 @@ appends, and ``Tableau._sorted`` builds its one tableau without the
 public constructor's checks.
 
 A draw reads its chunks by the number of coins it can flip: ``_draw_ab``
-flips at most 2n (n sigma coins, fewer than n first-passage draws) and the
-relabel pass of ``sample_four`` one per cell.  From 32 coins on
-(``rng._chunks``) it reads the outputs of ``SplitMix64.take`` blocks, the
-first holding one chunk per coin up to 1024; below, where a block costs
-more than the ``next_u64`` calls it replaces, it calls ``next_u64``.
+flips at most 2n (n sigma coins, fewer than n first-passage draws), the
+relabel pass of ``sample_four`` one per cell, the a = b = inf draw one per
+diagonal box.  From 32 coins on (``rng._chunks``) it reads the outputs of
+``SplitMix64.take`` blocks, the first holding one chunk per coin up to
+1024; below, where a block costs more than the ``next_u64`` calls it
+replaces, it calls ``next_u64``.
 Either way it reads the same chunks in the same order, so every draw is
 the same per seed; a draw owns its generator, so the unread rest of a block
 is dropped.
@@ -67,9 +68,9 @@ running sum, so the first chunk u decides the draw by one product u·den;
 only when u·den < (A + w d)·2^64 < u·den + den (chance at most 2^-64) does
 the shared ``_coin`` read on, from the same stream.
 
-Infinite parameters short-circuit: b = inf (beta = 0) gives the all-alpha
-diagonal, a = inf (alpha = 0) the all-beta diagonal, a = b = inf each
-diagonal box independently Alpha with probability rho.
+An infinite weight leaves only the diagonal, by one rule: each diagonal box
+independently holds Alpha with probability rho (a = b = inf), 1 (b = inf,
+beta = 0) or 0 (a = inf, alpha = 0); a certain box flips no coin.
 """
 
 from __future__ import annotations
@@ -144,10 +145,6 @@ class Params(_Record):
         return _invert(self.b)
 
 
-def _diagonal_tableau(n: int, symbol_for_row) -> Tableau:
-    return Tableau._sorted(n, [(i, n + 1 - i, symbol_for_row(i)) for i in range(1, n + 1)])
-
-
 def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     """One exact draw of the weighted random alpha/beta tableau of size n,
     in O(n) expected time."""
@@ -155,18 +152,15 @@ def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     if not isinstance(params, Params):
         raise ParameterError(f"params must be a Params, got {params!r}")
     rng = SplitMix64(seed)
-    if n == 0:
-        return Tableau(0, ())
     if params._scaled is not None:
         return Tableau._sorted(n, _draw_ab(n, *params._scaled, params.rho, rng))
-    if params.a == params.b == INF:
-        rho = params.rho.as_integer_ratio()
-        return _diagonal_tableau(
-            n, lambda i: Symbol.ALPHA if _coin(rng.next_u64, *rho) else Symbol.BETA
-        )
-    if params.b == INF:
-        return _diagonal_tableau(n, lambda i: Symbol.ALPHA)
-    return _diagonal_tableau(n, lambda i: Symbol.BETA)
+    ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
+    if params.a == params.b:   # both inf: a rho coin per diagonal box
+        chunk, (num, den) = _chunks(rng, n), params.rho.as_integer_ratio()
+        syms = [ALPHA if _coin(chunk, num, den) else BETA for _ in range(n)]
+    else:   # b = inf (beta = 0): all alpha; a = inf (alpha = 0): all beta
+        syms = [ALPHA if params.b == INF else BETA] * n
+    return Tableau._sorted(n, list(zip(range(1, n + 1), range(n, 0, -1), syms)))
 
 
 def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> list:
