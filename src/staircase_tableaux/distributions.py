@@ -50,11 +50,12 @@ class DiscreteDist(_Record):
     _fields = ("offset", "weights")
 
     def __init__(self, offset: int, weights: tuple[int, ...]):
-        if any(x < 0 for x in weights):
-            raise ValueError("negative weight")
+        offset = _as_n(offset, _ANY, "offset")
+        weights = [x if type(x) is int and x >= 0 else _as_n(x, 0, "each weight", ParameterError)
+                   for x in weights]
         nonzero = [i for i, x in enumerate(weights) if x]
         if not nonzero:
-            raise ValueError("empty distribution")
+            raise ParameterError("weights must hold a weight > 0")
         w = weights[nonzero[0]:nonzero[-1] + 1]
         g = math.gcd(*w)
         w = tuple(x // g for x in w)
@@ -65,11 +66,13 @@ class DiscreteDist(_Record):
     @classmethod
     def from_map(cls, pm: dict[int, Fraction]) -> "DiscreteDist":
         """The law with exact probabilities pm[k], which must sum to 1."""
-        lo, hi = min(pm), max(pm)
+        pm = {_as_n(k, _ANY, "each outcome"): _finite(f"the probability of outcome {k!r}", p)
+              for k, p in pm.items()}
+        lo, hi = min(pm, default=0), max(pm, default=0)
         den = math.lcm(*(p.denominator for p in pm.values()))
         weights = [int(pm.get(k, 0) * den) for k in range(lo, hi + 1)]
-        if sum(weights) != den:
-            raise ValueError(f"probabilities sum to {Fraction(sum(weights), den)}, not 1")
+        if (mass := Fraction(sum(weights), den)) != 1:
+            raise ParameterError(f"the probabilities must sum to 1, got {mass}")
         return cls(lo, weights)
 
     @property
@@ -97,7 +100,7 @@ class DiscreteDist(_Record):
         return Fraction(self.total * s2 - s1 * s1, self.total ** 2)
 
     def shifted(self, delta: int) -> "DiscreteDist":
-        return DiscreteDist(self.offset + delta, self.weights)
+        return DiscreteDist(self.offset + _as_n(delta, _ANY, "delta"), self.weights)
 
 
 

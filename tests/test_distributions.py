@@ -86,6 +86,56 @@ def test_dist_A_total_and_b_symmetry():
             assert law_of_n_minus(d, n) == dist_A(n, b, a)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dist_A(3, 1, 1).shifted(0.5), DomainError, "delta must be an integer, got 0.5"),
+    (lambda: DiscreteDist(0.5, (1,)), DomainError, "offset must be an integer, got 0.5"),
+    (lambda: DiscreteDist(0, (1.5,)), ParameterError, "each weight must be an integer, got 1.5"),
+    (lambda: DiscreteDist(0, (1, F(1, 2))), ParameterError,
+     "each weight must be an integer, got Fraction(1, 2)"),
+    (lambda: DiscreteDist(0, (1, -1, 2)), ParameterError, "each weight must be >= 0, got -1"),
+    (lambda: DiscreteDist(0, ()), ParameterError, "weights must hold a weight > 0"),
+    (lambda: DiscreteDist(3, [0, 0]), ParameterError, "weights must hold a weight > 0"),
+    (lambda: DiscreteDist.from_map({}), ParameterError, "the probabilities must sum to 1, got 0"),
+    (lambda: DiscreteDist.from_map({0: F(1, 2), 1: F(1, 3)}), ParameterError,
+     "the probabilities must sum to 1, got 5/6"),
+    (lambda: DiscreteDist.from_map({0: F(3, 2), 1: -0.5}), ParameterError,
+     "the probability of outcome 1 must be >= 0, got -1/2"),
+    (lambda: DiscreteDist.from_map({0: "x"}), ParameterError,
+     "the probability of outcome 0 must be a finite rational >= 0, got 'x'"),
+    (lambda: DiscreteDist.from_map({0.5: F(1)}), DomainError,
+     "each outcome must be an integer, got 0.5"),
+], ids=["shifted-float", "offset-float", "weight-float", "weight-fraction", "weight-negative",
+        "empty", "all-zero", "from_map-empty", "from_map-sum", "from_map-negative",
+        "from_map-text", "from_map-outcome"])
+def test_discrete_dist_arguments_raise_named_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_discrete_dist_reads_integer_and_rational_spellings():
+    assert DiscreteDist.from_map({0: 0.5, 1: 0.5}) == DiscreteDist(0, (1, 1))
+    law = DiscreteDist(numpy.int64(2), [0, numpy.int64(4), True, 0])
+    assert repr(law) == "DiscreteDist(offset=3, weights=(4, 1))"
+    assert law.shifted(numpy.int64(-3)) == DiscreteDist(0, (4, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: diag_cov(2, 0, 0, 1, 2),
+    lambda: joint_diag_alpha(2, 0, 0, (1, 2)),
+    lambda: moments_A(1, 0, 0),
+], ids=["diag_cov", "joint_diag_alpha", "moments_A"])
+def test_zero_denominators_at_a_b_0_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_chi_square_gof_observed_outcome_of_probability_zero():
+    res = chi_square_gof({0: F(1), 1: F(0)}, {1: 3})
+    assert math.isinf(res.statistic) and res.p_value == 0
+    assert (res.df, res.total) == (1, 3)
+
+
 def test_moments_examples():
     mean, var = moments_A(10, F(1, 2), F(1, 2))
     assert (mean, var) == (5, F(11, 12))
