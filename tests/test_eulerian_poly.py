@@ -247,6 +247,16 @@ def test_c_table():
                 assert ct.c(n, n - 1) == F(n, 2) * (n + 2 * b - 1)
 
 
+def test_p_at_one_at_n_0():
+    for a, b in [(F(0), F(0)), (F(2), F(3, 7))]:
+        assert p_at_one(0, a, b) == (1, 0, 0)
+
+
+def test_c_table_row_outside_stored_range():
+    with pytest.raises(DomainError, match=r"^row 5 outside stored range 0\.\.4$"):
+        c_table(4, F(2, 3)).c(5, 0)
+
+
 def test_c_table_rejects_negative():
     with pytest.raises(ParameterError):
         c_table(5, -1)
