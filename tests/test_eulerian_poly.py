@@ -224,6 +224,7 @@ def test_p_at_one_examples():
     assert p_at_one(2, 1, 1) == (6, 6, 2)
     _, p1, _ = p_at_one(1, F(1, 2), F(7, 3))
     assert p1 == F(7, 3)   # P'(1) = b at n = 1
+    assert p_at_one(0, F(2), F(3, 7)) == p_at_one(0, 0, 0) == (1, 0, 0)
     for a, b in [(F(1, 2), F(1, 2)), (F(2), F(3, 7)), (F(0), F(1))]:
         for n in (3, 10, 25):
             row = v_row(n, a, b)
@@ -245,16 +246,8 @@ def test_c_table():
             assert ct.c(n, n) == 1
             if n:
                 assert ct.c(n, n - 1) == F(n, 2) * (n + 2 * b - 1)
-
-
-def test_p_at_one_at_n_0():
-    for a, b in [(F(0), F(0)), (F(2), F(3, 7))]:
-        assert p_at_one(0, a, b) == (1, 0, 0)
-
-
-def test_c_table_row_outside_stored_range():
-    with pytest.raises(DomainError, match=r"^row 5 outside stored range 0\.\.4$"):
-        c_table(4, F(2, 3)).c(5, 0)
+    with pytest.raises(DomainError, match=r"^row 51 outside stored range 0\.\.50$"):
+        ct.c(51, 0)
 
 
 def test_c_table_rejects_negative():

@@ -893,10 +893,17 @@ def relabel_script(n, depth):
     return [[], straddling_chunks(2, 7, depth)], lambda g: bernoulli_ratio(g, 2, 7)
 
 
+def rho_script(n, depth):
+    # both weights infinite: the first box's rho coin 2/7, undecided for
+    # `depth` chunks
+    return [straddling_chunks(2, 7, depth)], lambda g: bernoulli_ratio(g, 2, 7)
+
+
 SCRIPTED_DRAWS = {
     "sigma": (sigma_script, lambda n: sample_ab(n, WIDE, 17)),
     "passage": (passage_script, lambda n: sample_ab(n, WIDE, 17)),
     "relabel": (relabel_script, lambda n: sample_four(n, 1, 1, F(2, 5), F(2, 5), 17)),
+    "rho": (rho_script, lambda n: sample_ab(n, Params(INF, INF, F(2, 7)), 17)),
 }
 
 
@@ -923,7 +930,7 @@ def test_block_fed_draws_equal_next_u64_fed_on_multi_chunk_coins(monkeypatch, co
     fed = scripted_streams(monkeypatch, scripts)
     assert draw(n) == want
     # the scripted stream read blocks exactly when its draw has enough coins
-    coins = 2 * n if coin != "relabel" else len(want.cells)
+    coins = {"relabel": len(want.cells), "rho": n}.get(coin, 2 * n)
     assert reference[-1].takes == 0
     assert (fed[-1].takes > 0) == (coins >= rng._BLOCKS_FROM)
 
