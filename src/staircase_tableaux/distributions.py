@@ -367,9 +367,10 @@ class NPairLaw(NamedTuple):
 def _pair_steps(a: Fraction, b: Fraction):
     """(qa, qb) = (a, b)/(a+b+i) for i = 0, 1, ...: the chances that step
     pair i leaves out its alpha or its beta, (1/2, 1/2) at a = b = i = 0."""
-    for i in count():
-        den = a + b + i
-        yield (a / den, b / den) if den else (Fraction(1, 2), Fraction(1, 2))
+    if a + b == 0:
+        yield Fraction(1, 2), Fraction(1, 2)
+    for den in count(a + b or 1):
+        yield a / den, b / den
 
 
 def dist_N_pairs(n: int, a, b) -> NPairLaw:
