@@ -221,12 +221,9 @@ def check_gf_identities(level: str) -> str:
 
 
 def _sampler_chi2(n: int, al: F, be: F, samples: int, seed: int):
-    law = enum_.law_ab(n, al, be)
+    law = {t.cells: p for t, p in enum_.law_ab(n, al, be).items()}
     params = sampling.Params.from_alpha_beta(al, be)
-    obs: Counter = Counter()
-    for s in _derived_seeds(seed, samples):
-        obs[sampling.sample_ab(n, params, s)] += 1
-    return dist.chi_square_gof(law, obs)
+    return dist.chi_square_gof(law, sampling.sample_batch(n, params, seed, samples).tableau_counts)
 
 
 def check_sampler_exactness(level: str) -> str:
@@ -422,11 +419,8 @@ def check_maximal(level: str) -> str:
     samples = 100_000 if level == "desk" else 20_000
     rho = F(1, 4)
     params = sampling.Params(0, 0, rho)
-    hits = 0
-    for s in _derived_seeds(SAMPLER_SEED + 1, samples):
-        t = sampling.sample_ab(3, params, s)
-        if t.symbol_at(1, 1) is tb.Symbol.ALPHA:
-            hits += 1
+    draws = sampling.sample_batch(3, params, SAMPLER_SEED + 1, samples).tableau_counts
+    hits = sum(m for cells, m in draws.items() if (1, 1, tb.Symbol.ALPHA) in cells)
     freq = hits / samples
     sigma = math.sqrt(float(rho * (1 - rho)) / samples)
     assert abs(freq - float(rho)) <= 3 * sigma, (freq, float(rho), sigma)

@@ -180,18 +180,22 @@ def cmd_sample(args) -> Views:
 
         def draw(seed: int) -> tableau.Tableau:
             return sampling.sample_four(args.n, args.alpha, args.beta, gamma, delta, seed)
+
+        def tableaux() -> Iterator[tableau.Tableau]:
+            return map(draw, _derived_seeds(args.seed, args.samples))
     else:
         _unused(args, "sample without --four", "gamma", "delta")
         params = _resolve_params(args)
 
         def draw(seed: int) -> tableau.Tableau:
             return sampling.sample_ab(args.n, params, seed)
+
+        def tableaux() -> Iterator[tableau.Tableau]:
+            draws = sampling._batch(args.n, params, args.seed, args.samples)
+            return (tableau.Tableau._sorted(args.n, cells) for cells in draws)
     if args.samples == 1:
         return {"text": _later(lambda: [tableau.render_text(draw(args.seed))]),
                 "json": _later(lambda: [tableau.serialize(draw(args.seed)).decode()])}
-
-    def tableaux() -> Iterator[tableau.Tableau]:
-        return map(draw, _derived_seeds(args.seed, args.samples))
 
     def rows():
         draws = tableaux()

@@ -314,8 +314,9 @@ class PairDist(_Record):
     _fields = ("p10", "p01", "p11")
 
     def __init__(self, p10: Fraction, p01: Fraction, p11: Fraction):
-        if p10 + p01 + p11 != 1:
-            raise ValueError("pair probabilities must sum to 1")
+        p10, p01, p11 = (_finite(name, p) for name, p in zip(self._fields, (p10, p01, p11)))
+        if (mass := p10 + p01 + p11) != 1:
+            raise ParameterError(f"the pair probabilities must sum to 1, got {mass}")
         object.__setattr__(self, "p10", p10)
         object.__setattr__(self, "p01", p01)
         object.__setattr__(self, "p11", p11)

@@ -30,12 +30,23 @@ blocks, which the urn and the batch seeds read at every size.
 ``SplitMix64.take(k)`` returns the next k outputs, bit for bit those of k
 ``next_u64`` calls, and leaves the same state; their order does not
 depend on the host's byte order.
+
+A batch of draws reads ``_draw_chunks(seed, count, coins)``: for draw i,
+a source of exactly the chunks ``_chunks`` gives it at derive_seed(seed,
+i).  Below _BLOCKS_FROM coins, where each draw would call ``next_u64``,
+the lanes of ``take`` run over the generators rather than over the steps
+of one: lane i of a group of up to _BLOCK seeds holds seed i, and round r
+mixes output r of every draw in the group at once.  A draw that reads
+past its ``coins`` outputs, which a random seed almost never does, goes
+on with ``next_u64`` from there.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from itertools import chain, islice, repeat
+from operator import attrgetter
 
 from .errors import ParameterError
 from .eulerian_poly import _ANY, _as_n, _rational
@@ -64,6 +75,7 @@ def _lanes() -> tuple[int, int]:
 _ONES, _STEPS = _lanes()
 _LOW = _ONES * _MASK   # 2^64 - 1 per lane
 _BYTE_ORDER = sys.byteorder
+_NEXT = attrgetter("__next__")
 
 
 def _as_seed(x, name: str = "seed") -> int:
@@ -104,16 +116,21 @@ class SplitMix64:
                 lanes, top = k, (1 << 128 * k) - 1
                 ones, steps, low = _ONES & top, _STEPS & top, _LOW & top
             k -= lanes
-            z = (self.state * ones + steps) & low
-            z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
-            z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
-            # z >> 31 moves lane i+1 into lane i's high word, which is never
-            # read: lane i's low word is word 2i of a little-endian host's
-            # bytes, word 2(lanes - i) - 1 of a big-endian one's
-            words = memoryview((z ^ (z >> 31)).to_bytes(16 * lanes, _BYTE_ORDER)).cast("Q")
-            out += words[::2] if _BYTE_ORDER == "little" else words[::-2]
+            out += _mixed((self.state * ones + steps) & low, lanes, low)
             self.state = (self.state + lanes * _GOLDEN) & _MASK
         return out
+
+
+def _mixed(z: int, lanes: int, low: int):
+    """The SplitMix64 output of the state in each 128-bit lane i < lanes of
+    z, in lane order; ``low`` is 2^64 - 1 in each lane."""
+    z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    # z >> 31 moves lane i+1 into lane i's high word, which is never read:
+    # lane i's low word is word 2i of a little-endian host's bytes, word
+    # 2(lanes - i) - 1 of a big-endian one's
+    words = memoryview((z ^ (z >> 31)).to_bytes(16 * lanes, _BYTE_ORDER)).cast("Q")
+    return words[::2] if _BYTE_ORDER == "little" else words[::-2]
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -144,6 +161,38 @@ def _chunks(rng: SplitMix64, coins: int):
     coins: ``next_u64`` itself below _BLOCKS_FROM coins, else the next
     output of ``_blocks(rng, coins)``."""
     return rng.next_u64 if coins < _BLOCKS_FROM else _blocks(rng, coins).__next__
+
+
+def _draw_chunks(seed: int, count: int, coins: int):
+    """For i < count, a source of the chunks that ``_chunks`` gives a draw
+    of up to ``coins`` coins at derive_seed(seed, i), output for output."""
+    seeds = _derived_seeds(seed, count)
+    if coins >= _BLOCKS_FROM:
+        return (_chunks(SplitMix64(s), coins) for s in seeds)
+    groups = iter(lambda: list(islice(seeds, _BLOCK)), [])
+    return chain.from_iterable(map(_expanded, groups, repeat(coins)))
+
+
+def _expanded(seeds: list[int], coins: int):
+    """``_draw_chunks`` for one group of seeds: round r is output r of every
+    seed's stream, mixed from the lanes' states s + r·GOLDEN."""
+    lanes = len(seeds)
+    top = (1 << 128 * lanes) - 1
+    step, low = _GOLDEN * _ONES & top, _LOW & top
+    words = array("Q", bytes(16 * lanes))
+    words[::2 if _BYTE_ORDER == "little" else -2] = array("Q", seeds)
+    state, rounds = int.from_bytes(words, _BYTE_ORDER), []
+    for _ in range(coins):
+        state = (state + step) & low
+        rounds.append(_mixed(state, lanes, low))
+    heads = zip(*rounds) if rounds else repeat(())
+    return map(_NEXT, map(chain, heads, map(_tail, seeds, repeat(coins))))
+
+
+def _tail(seed: int, skip: int):
+    """SplitMix64(seed)'s outputs after the first ``skip``, its stream
+    built only when a draw reads past its expanded outputs."""
+    yield from iter(SplitMix64(seed + skip * _GOLDEN).next_u64, None)
 
 
 def _coin(chunk, num: int, den: int) -> bool:

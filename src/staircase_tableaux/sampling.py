@@ -38,7 +38,7 @@ P(C >= i) = (w - i d)/w with w = B + (n - s) d (C = n - s: never marked).
 All coin flips are exact (see ``rng``), so the output law is exactly the
 target (audited against the enumeration oracle by chi-square in the tests).
 The one integer core ``_draw_ab`` serves ``sample_ab``, ``sample_four`` and
-``sample_batch``.  Parameters are normalised once per call, not once per
+every batch.  Parameters are normalised once per call, not once per
 draw, on integers: ``Params`` keeps (A, B, d) from construction,
 ``urn_sample`` puts (a, b) over one denominator, and ``sample_four`` forms
 alpha + gamma and beta + delta unreduced (each coin depends on the value
@@ -57,6 +57,15 @@ replaces, it calls ``next_u64``.
 Either way it reads the same chunks in the same order, so every draw is
 the same per seed; a draw owns its generator, so the unread rest of a block
 is dropped.
+
+A batch draws through ``_batch``, which yields each draw's sorted cells
+for every weight regime: draw i is ``sample_ab`` at derive_seed(seed, i),
+its chunks read from ``rng._draw_chunks``, which expands the first chunks
+of a whole group of seeds at once instead of calling ``next_u64`` per
+chunk.  ``sample_batch`` counts the draws' cells and sums the diagonal
+alphas once per distinct tableau; above ``AB_CAP``, where it keeps no
+tableaux, it counts each draw's diagonal alphas.  The CLI's ``sample``
+and the sampler criteria of the acceptance suite draw through it too.
 
 The urn ``urn_sample`` flips the same integer coins, P(white) =
 (A + w d)/(A + B + k d) at draw k with w whites added; each seed draws the
@@ -83,7 +92,7 @@ from typing import NamedTuple
 from .errors import ParameterError
 from .enumeration import AB_CAP
 from .eulerian_poly import _as_n, _finite, _invert, _over_one_denominator, _rational, _Record
-from .rng import SplitMix64, _blocks, _chunks, _coin, _derived_seeds, _passage, derive_seed
+from .rng import SplitMix64, _blocks, _chunks, _coin, _draw_chunks, _passage, derive_seed
 from .tableau import Symbol, Tableau, counts
 
 __all__ = [
@@ -151,24 +160,33 @@ def sample_ab(n: int, params: Params, seed: int) -> Tableau:
     n = _as_n(n, error=ParameterError)
     if not isinstance(params, Params):
         raise ParameterError(f"params must be a Params, got {params!r}")
-    rng = SplitMix64(seed)
+    return Tableau._sorted(n, _draw(n, params, _chunks(SplitMix64(seed), _coins(n, params))))
+
+
+def _coins(n: int, params: Params) -> int:
+    """The most coins a draw flips: 2n at finite weights, a rho coin per
+    diagonal box at a = b = inf, none with one weight infinite."""
+    return 2 * n if params._scaled is not None else n if params.a == params.b else 0
+
+
+def _draw(n: int, params: Params, chunk) -> list:
+    """The cells, unsorted, of one draw reading its chunks from ``chunk()``."""
     if params._scaled is not None:
-        return Tableau._sorted(n, _draw_ab(n, *params._scaled, params.rho, rng))
+        return _draw_ab(n, *params._scaled, params.rho, chunk)
     ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
     if params.a == params.b:   # both inf: a rho coin per diagonal box
-        chunk, (num, den) = _chunks(rng, n), params.rho.as_integer_ratio()
+        num, den = params.rho.as_integer_ratio()
         syms = [ALPHA if _coin(chunk, num, den) else BETA for _ in range(n)]
     else:   # b = inf (beta = 0): all alpha; a = inf (alpha = 0): all beta
         syms = [ALPHA if params.b == INF else BETA] * n
-    return Tableau._sorted(n, list(zip(range(1, n + 1), range(n, 0, -1), syms)))
+    return list(zip(range(1, n + 1), range(n, 0, -1), syms))
 
 
-def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, rng: SplitMix64) -> list:
+def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, chunk) -> list:
     """The cells, unsorted, of the finite-weight draw at a = A/d, b = B/d
-    (in lowest terms or not): exact coins and cell appends only (see the
-    module docstring)."""
+    (in lowest terms or not), flipping at most 2n coins on ``chunk()``:
+    exact coins and cell appends only (see the module docstring)."""
     ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
-    chunk = _chunks(rng, 2 * n)   # n sigma coins, under n first-passage draws
     cells: list[tuple[int, int, Symbol]] = []
     marked_at: dict[int, list[int]] = {}  # step -> rows whose next mark falls there
     for m in range(1, n + 1):
@@ -219,7 +237,7 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int) -> Tableau:
     n = _as_n(n, error=ParameterError)
     # a = 1/x, b = 1/y over x_num * y_num; A = x_den * y_num > 0 skips the rho tie
     base = _draw_ab(n, x_den * y_num, y_den * x_num, x_num * y_num, Fraction(1, 2),
-                    SplitMix64(derive_seed(seed, 0)))
+                    _chunks(SplitMix64(derive_seed(seed, 0)), 2 * n))
     base.sort()  # the relabel coins are flipped in sorted cell order
     chunk = _chunks(SplitMix64(derive_seed(seed, 1)), len(base))
     # gamma/x and delta/y as unreduced integer ratios
@@ -267,17 +285,18 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
             elif A + white_added * d == 0:
                 white_added += 1
             path.append(white_added)
-    # _coin inline with num kept times 2^64: the first chunk u decides the
-    # draw unless u·den < num < u·den + den, and then _coin reads on.  The
-    # range comes first in zip, so no chunk is read past the last draw
-    num, step = (A + white_added * d) << 64, d << 64
-    stream = _blocks(rng, n - k0)
-    for den, u in zip(range(A + B + k0 * d, A + B + n * d, d), stream):
-        lo = u * den
-        if lo >= num or (lo + den > num and not _coin(stream.__next__, num - lo, den)):
-            num += step   # black drawn, w.p. 1 - (a + white added)/(a + b + k)
-            white_added += 1
-        path.append(white_added)
+    if n > k0:
+        # _coin inline with num kept times 2^64: the first chunk u decides the
+        # draw unless u·den < num < u·den + den, and then _coin reads on.  The
+        # range comes first in zip, so no chunk is read past the last draw
+        num, step = (A + white_added * d) << 64, d << 64
+        stream = _blocks(rng, n - k0)
+        for den, u in zip(range(A + B + k0 * d, A + B + n * d, d), stream):
+            lo = u * den
+            if lo >= num or (lo + den > num and not _coin(stream.__next__, num - lo, den)):
+                num += step   # black drawn, w.p. 1 - (a + white added)/(a + b + k)
+                white_added += 1
+            path.append(white_added)
     return UrnResult(white_added, n - white_added, tuple(path))
 
 
@@ -314,22 +333,49 @@ class BatchSummary(_Record):
         self.diag_alpha_counts, self.tableau_counts = Counter(), Counter()
 
     def add(self, t: Tableau) -> None:
-        diagonal, ALPHA = t.n + 1, Symbol.ALPHA
-        a = sum(1 for r, c, s in t.cells if s is ALPHA and r + c == diagonal)
-        self.count += 1
-        self.sum_diag_alpha += a
-        self.sum_diag_alpha_sq += a ** 2
-        self.diag_alpha_counts[a] += 1
+        self._tally(_diagonal_alphas(t.n, t.cells), 1)
         if t.n <= AB_CAP:
             self.tableau_counts[t.cells] += 1
+
+    def _tally(self, a: int, m: int) -> None:
+        """Count m draws with a diagonal alphas."""
+        self.count += m
+        self.sum_diag_alpha += a * m
+        self.sum_diag_alpha_sq += a * a * m
+        self.diag_alpha_counts[a] += m
+
+
+def _diagonal_alphas(n: int, cells) -> int:
+    diagonal, ALPHA = n + 1, Symbol.ALPHA
+    return sum(1 for r, c, s in cells if s is ALPHA and r + c == diagonal)
+
+
+def _batch(n: int, params: Params, seed: int, count: int):
+    """The sorted cells of each draw of a batch, draw i those of
+    sample_ab(n, params, derive_seed(seed, i)), its chunks read from
+    ``rng._draw_chunks``."""
+    n = _as_n(n, error=ParameterError)
+    if not isinstance(params, Params):
+        raise ParameterError(f"params must be a Params, got {params!r}")
+    for chunk in _draw_chunks(seed, count, _coins(n, params)):
+        cells = _draw(n, params, chunk)
+        cells.sort()
+        yield cells
 
 
 def sample_batch(n: int, params: Params, seed: int, count: int) -> BatchSummary:
     """Summary of ``count`` independent draws; sample i uses the derived
-    seed (seed, i)."""
+    seed (seed, i).  Each distinct tableau, or above AB_CAP each distinct
+    diagonal alpha count, is summed once."""
     n = _as_n(n, error=ParameterError)
     count = _as_n(count, 1, "count", ParameterError)
     out = BatchSummary()
-    for s in _derived_seeds(seed, count):
-        out.add(sample_ab(n, params, s))
+    draws = _batch(n, params, seed, count)
+    if n <= AB_CAP:
+        out.tableau_counts.update(map(tuple, draws))
+        tally = [(_diagonal_alphas(n, cells), m) for cells, m in out.tableau_counts.items()]
+    else:
+        tally = Counter(_diagonal_alphas(n, cells) for cells in draws).items()
+    for a, m in tally:
+        out._tally(a, m)
     return out

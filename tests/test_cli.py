@@ -128,13 +128,13 @@ def test_sample_streams_rows(monkeypatch):
     buf = io.StringIO()
     monkeypatch.setattr(sys, "stdout", buf)
     lines_at_draw = []
-    real = sampling.sample_ab
+    real = sampling._draw   # each draw of a seeded batch, whatever its weights
 
     def spy(*args):
         lines_at_draw.append(buf.getvalue().count("\n"))
         return real(*args)
 
-    monkeypatch.setattr(sampling, "sample_ab", spy)
+    monkeypatch.setattr(sampling, "_draw", spy)
     assert cli.main(["sample", "--n", "3", "--a", "1", "--b", "1", "--seed", "5",
                      "--samples", "4", "--format", "csv"]) == 0
     # the first tableau is drawn before anything is written; every later one

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from staircase_tableaux import counts
 from staircase_tableaux.distributions import (
     DiscreteDist,
+    PairDist,
     _chi2_sf,
     _isolate_roots,
     bernoulli_decomposition,
@@ -297,6 +298,26 @@ def test_pairs_zero_zero_rule():
     assert law.pairs[1].p11 == 1 and law.pairs[2].p11 == 1
     joint = law.joint_law()
     assert joint == {(3, 2): F(1, 2), (2, 3): F(1, 2)}
+
+
+def test_pair_dist_reads_its_probabilities_exactly():
+    # a float is the double it spells, so 0.5 is exactly 1/2
+    pd = PairDist(0.5, numpy.int64(0), "1/2")
+    assert (pd.p10, pd.p01, pd.p11) == (F(1, 2), 0, F(1, 2))
+    assert all(type(p) is F for p in (pd.p10, pd.p01, pd.p11))
+
+
+@pytest.mark.parametrize("probs, message", [
+    ((-1, 1, 1), "p10 must be >= 0, got -1"),
+    ((F(1, 2), F(-1, 2), 1), "p01 must be >= 0, got -1/2"),
+    ((0, 1, math.inf), "p11 must be a finite rational >= 0, got inf"),
+    ((0, 1, "x"), "p11 must be a finite rational >= 0, got 'x'"),
+    ((F(1, 3), F(1, 3), F(1, 2)), "the pair probabilities must sum to 1, got 7/6"),
+    ((0.1, 0.2, 0.7), "the pair probabilities must sum to 1, got .*"),
+], ids=["negative-p10", "negative-p01", "infinite", "junk", "sum-7/6", "floats-off-by-2^-55"])
+def test_pair_dist_rejects_bad_probabilities(probs, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        PairDist(*probs)
 
 
 def test_pairs_eoo1_harmonic_representation():

@@ -31,6 +31,7 @@ from staircase_tableaux.errors import ParameterError
 from staircase_tableaux.rng import (
     SplitMix64,
     _derived_seeds,
+    _draw_chunks,
     bernoulli,
     bernoulli_ratio,
     derive_seed,
@@ -90,6 +91,33 @@ def test_take_lane_path_of_the_other_byte_order(monkeypatch):
 def test_batch_seeds_in_blocks_are_derive_seed(count):
     for seed in TAKE_SEEDS + [-3]:
         assert list(_derived_seeds(seed, count)) == [derive_seed(seed, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("coins", [0, 1, 8, rng._BLOCKS_FROM - 1, rng._BLOCKS_FROM, 40])
+def test_batch_chunk_sources_are_each_draws_stream(coins):
+    # draw i's source hands out SplitMix64(derive_seed(seed, i))'s outputs
+    # in order, past the `coins` outputs expanded for the whole group too;
+    # 1030 draws cross a group of _BLOCK seeds
+    for seed in (5, 2**64 - 1):
+        sources = list(_draw_chunks(seed, 1030, coins))
+        assert len(sources) == 1030
+        for i, chunk in enumerate(sources):
+            g = SplitMix64(derive_seed(seed, i))
+            assert [chunk() for _ in range(coins + 5)] == [g.next_u64() for _ in range(coins + 5)]
+
+
+def test_batch_chunk_sources_of_the_other_byte_order(monkeypatch):
+    # as in test_take_lane_path_of_the_other_byte_order, each seed and each
+    # expanded output is read back in its place with its 8 bytes reversed;
+    # the seeds, read from take blocks, come reversed too, so every lane
+    # holds its own seed and each expanded output is draw i's, reversed
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(rng, "_BYTE_ORDER", other)
+    for coins in (1, 8):
+        for i, chunk in enumerate(_draw_chunks(9, 1030, coins)):
+            g = SplitMix64(derive_seed(9, i))
+            swapped = [int.from_bytes(chunk().to_bytes(8, "little"), "big") for _ in range(coins)]
+            assert swapped == [g.next_u64() for _ in range(coins)]
 
 
 SEED_CALLS = {
@@ -1031,6 +1059,29 @@ def test_batch_summary():
     for i in range(2000, 5000):
         extended.add(sample_ab(10, params, derive_seed(321, i)))
     assert extended == s
+
+
+# the weight regimes of test_golden_stream
+BATCH_REGIMES = {
+    "finite": Params(F(1, 3), F(5, 7)), "finite-a>b": Params(F(7, 3), F(3, 5)),
+    "a=0": Params(F(0), F(2, 3)), "b=0": Params(F(5, 3), F(0)),
+    "a=inf": Params(INF, F(2, 3)), "b=inf": Params(F(3, 7), INF),
+    "a=b=inf": Params(INF, INF, F(1, 4)), "rho-tie": Params(F(0), F(0), F(1, 4)),
+    "rho-tie-1/2": Params(F(0), F(0)),
+}
+
+
+@pytest.mark.parametrize("params", BATCH_REGIMES.values(), ids=BATCH_REGIMES.keys())
+def test_batch_is_the_fold_of_its_draws(params):
+    # a batch draws from one expansion of its seeds and tallies each
+    # distinct tableau once; it must equal one BatchSummary.add per draw.
+    # 1030 draws cross a group of 1024 seeds; finite-weight draws read
+    # blocks at n = 16 and 17, and n > AB_CAP tallies diagonal counts only
+    for n in range(18):
+        want = sampling.BatchSummary()
+        for i in range(1030):
+            want.add(sample_ab(n, params, derive_seed(61 + n, i)))
+        assert sample_batch(n, params, 61 + n, 1030) == want, n
 
 
 @pytest.mark.parametrize("n, params", [
