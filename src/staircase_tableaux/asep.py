@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .enumeration import enumerate_four
 from .eulerian_poly import BivarPoly, _finite
-from .tableau import Symbol, Tableau, _require_valid, to_document
+from .tableau import Symbol, Tableau, _boxes, _require_valid, to_document
 
 __all__ = ["FilledTableau", "fill_uq", "wtx", "z_full", "render_filled", "serialize_filled"]
 
@@ -32,12 +32,9 @@ _COL_LABEL = {Symbol.ALPHA: "u", Symbol.DELTA: "u", Symbol.BETA: "q", Symbol.GAM
 
 def _filled_rows(t: Tableau) -> list[list[Symbol | str]]:
     """Every box of a valid tableau, top row first, as its symbol or its
-    u/q label; t is not checked."""
-    n = t.n
-    rows: list[list] = [[None] * (n - i) for i in range(n)]
-    for r, c, s in t.cells:
-        rows[r - 1][c - 1] = s
-    below: list[Symbol | None] = [None] * n   # per column, the nearest symbol below
+    u/q label; only t's shape is checked, by ``_boxes``."""
+    rows: list[list] = _boxes(t)
+    below: list[Symbol | None] = [None] * t.n   # per column, the nearest symbol below
     for row in reversed(rows):
         right = None   # nearest symbol right of the current box
         for c in range(len(row) - 1, -1, -1):

@@ -624,8 +624,9 @@ def chi_square_gof(expected, observed) -> ChiSquareResult:
     """Pearson chi-square of observed counts against an exact law.
 
     ``expected`` maps outcomes to exact probabilities >= 0 that sum to 1,
-    ``observed`` maps outcomes to counts, each an integer >= 0; an observed
-    outcome of probability zero yields an infinite statistic."""
+    ``observed`` maps outcomes to counts, each an integer >= 0.  An outcome
+    counted at least once that the law omits or gives probability 0 yields
+    ChiSquareResult(inf, max(len(expected) - 1, 1), 0.0, total)."""
     law = [(key, p if type(p) is Fraction and p.numerator >= 0
             else _finite(f"the probability of outcome {key!r}", p)) for key, p in expected.items()]
     if (mass := sum(prob for _, prob in law)) != 1:
@@ -636,16 +637,13 @@ def chi_square_gof(expected, observed) -> ChiSquareResult:
     total = sum(observed.values())
     if total <= 0:
         raise ParameterError("need at least one observation")
-    if observed.keys() - expected.keys():
+    exp_counts = {key: float(prob) * total for key, prob in law}
+    if any(count and not exp_counts.get(key) for key, count in observed.items()):
         return ChiSquareResult(math.inf, max(len(expected) - 1, 1), 0.0, total)
     stat = 0.0
-    for key, prob in law:
-        exp_count = float(prob) * total
-        if exp_count == 0:
-            if observed.get(key, 0):
-                return ChiSquareResult(math.inf, len(expected) - 1, 0.0, total)
-            continue
-        diff = observed.get(key, 0) - exp_count
-        stat += diff * diff / exp_count
+    for key, exp_count in exp_counts.items():
+        if exp_count:
+            diff = observed.get(key, 0) - exp_count
+            stat += diff * diff / exp_count
     df = len(expected) - 1
     return ChiSquareResult(stat, df, _chi2_sf(stat, df), total)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from operator import add, attrgetter, index, mul
 from typing import NamedTuple
@@ -267,6 +268,10 @@ class BivarPoly:
 
     def __mul__(self, other) -> "BivarPoly":
         other = self._lift(other)
+        if len(widths := set(map(len, chain(self.coeffs, other.coeffs)))) > 1:
+            # map stops at the shorter monomial: pad self's, then other's in the swapped call
+            width = max(widths)
+            return other * BivarPoly({m + (0,) * (width - len(m)): c for m, c in self.coeffs.items()})
         out: dict[tuple[int, ...], int | Fraction] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
@@ -277,6 +282,8 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def evaluate(self, *values) -> Fraction:
+        if len(values) < (need := max(map(len, self.coeffs), default=0)):
+            raise ParameterError(f"the polynomial needs {need} values, one per variable, got {len(values)}")
         vals = [_rational(x, v) for x, v in zip(_variables(len(values)), values)]
         out = Fraction(0)
         for mono, c in self.coeffs.items():

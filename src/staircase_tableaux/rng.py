@@ -59,22 +59,21 @@ _BLOCK = 1024
 # below this many coins a draw's chunks come cheaper from next_u64 calls than
 # from a take block: the sweep of n = 1..400 in CHANGES.md
 _BLOCKS_FROM = 32
-
-
-def _lanes() -> tuple[int, int]:
-    """1 and (i+1)·GOLDEN (under 2^75) in each 128-bit lane i < _BLOCK, a
-    power of 2, built by doubling."""
-    ones = steps = lanes = 1
-    while lanes < _BLOCK:
-        steps |= (steps + lanes * ones) << 128 * lanes
-        ones |= ones << 128 * lanes
-        lanes *= 2
-    return ones, steps * _GOLDEN
-
-
-_ONES, _STEPS = _lanes()
-_LOW = _ONES * _MASK   # 2^64 - 1 per lane
 _BYTE_ORDER = sys.byteorder
+
+
+def _lane_int(values) -> int:
+    """The int whose 128-bit lane i holds values[i], each under 2^64."""
+    words = array("Q", bytes(16 * len(values)))
+    # lane i's low word is word 2i of a little-endian host's bytes, word
+    # 2(len(values) - i) - 1 of a big-endian one's
+    words[::2 if _BYTE_ORDER == "little" else -2] = array("Q", values)
+    return int.from_bytes(words, _BYTE_ORDER)
+
+
+_ONES = _lane_int([1] * _BLOCK)
+_STEPS = _lane_int(range(1, _BLOCK + 1)) * _GOLDEN   # (i+1)·GOLDEN, under 2^75
+_LOW = _ONES * _MASK   # 2^64 - 1 per lane
 _NEXT = attrgetter("__next__")
 
 
@@ -126,9 +125,8 @@ def _mixed(z: int, lanes: int, low: int):
     z, in lane order; ``low`` is 2^64 - 1 in each lane."""
     z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
     z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
-    # z >> 31 moves lane i+1 into lane i's high word, which is never read:
-    # lane i's low word is word 2i of a little-endian host's bytes, word
-    # 2(lanes - i) - 1 of a big-endian one's
+    # z >> 31 moves lane i+1 into lane i's high word, which is never read;
+    # each lane's low word sits where ``_lane_int`` puts it
     words = memoryview((z ^ (z >> 31)).to_bytes(16 * lanes, _BYTE_ORDER)).cast("Q")
     return words[::2] if _BYTE_ORDER == "little" else words[::-2]
 
@@ -179,9 +177,7 @@ def _expanded(seeds: list[int], coins: int):
     lanes = len(seeds)
     top = (1 << 128 * lanes) - 1
     step, low = _GOLDEN * _ONES & top, _LOW & top
-    words = array("Q", bytes(16 * lanes))
-    words[::2 if _BYTE_ORDER == "little" else -2] = array("Q", seeds)
-    state, rounds = int.from_bytes(words, _BYTE_ORDER), []
+    state, rounds = _lane_int(seeds), []
     for _ in range(coins):
         state = (state + step) & low
         rounds.append(_mixed(state, lanes, low))

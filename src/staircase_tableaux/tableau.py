@@ -53,31 +53,22 @@ class Symbol(enum.Enum):
     def __lt__(self, other: "Symbol") -> bool:
         if not isinstance(other, Symbol):
             return NotImplemented
-        return _RANK[self] < _RANK[other]
+        return self._rank < other._rank
 
     # set on each member below, once the enum is built
     column_type: bool   # Alpha/Gamma: forces empty boxes above it in its column
     row_type: bool      # Beta/Delta: forces empty boxes left of it in its row
-
-    @property
-    def letter(self) -> str:
-        return _LETTER[self]
+    letter: str         # a, b, g, d
 
 
-for _s in Symbol:
+# _rank orders alpha < beta < gamma < delta; _swap is the dagger's alpha <-> beta, gamma <-> delta
+for _rank, _s in enumerate(Symbol):
+    _s._rank, _s.letter, _s._swap = _rank, "abgd"[_rank], list(Symbol)[_rank ^ 1]
     _s.column_type = _s in (Symbol.ALPHA, Symbol.GAMMA)
     _s.row_type = _s in (Symbol.BETA, Symbol.DELTA)
-del _s
+del _rank, _s
 
-_RANK = {s: i for i, s in enumerate(Symbol)}  # alpha < beta < gamma < delta
-_LETTER = {Symbol.ALPHA: "a", Symbol.BETA: "b", Symbol.GAMMA: "g", Symbol.DELTA: "d"}
-
-_DAGGER_SWAP = {
-    Symbol.ALPHA: Symbol.BETA,
-    Symbol.BETA: Symbol.ALPHA,
-    Symbol.GAMMA: Symbol.DELTA,
-    Symbol.DELTA: Symbol.GAMMA,
-}
+_NO_SYMBOLS = dict.fromkeys(Symbol, 0)
 
 
 class Tableau(_Record):
@@ -104,7 +95,11 @@ class Tableau(_Record):
             raise ValueError(f"tableau size must be >= 0, got {n}")
         seen = set()
         checked = []   # one pass, so any iterable of cells will do
-        for row, col, sym in cells:
+        for cell in cells:
+            try:
+                row, col, sym = cell
+            except (TypeError, ValueError):
+                raise ValueError(f"each cell must be a (row, col, symbol) triple, got {cell!r}") from None
             if type(row) is not int or type(col) is not int:
                 row, col = _as_n(row, 1, "cell row", ValueError), _as_n(col, 1, "cell col", ValueError)
             if row < 1 or col < 1:
@@ -133,10 +128,8 @@ class Tableau(_Record):
     def of(cls, n: int, cells) -> "Tableau":
         """Build from any iterable of (row, col, symbol) or a {(row, col): symbol} map."""
         if hasattr(cells, "items"):
-            triples = tuple((r, c, s) for (r, c), s in cells.items())
-        else:
-            triples = tuple(tuple(cell) for cell in cells)
-        return cls(n, triples)
+            cells = ((r, c, s) for (r, c), s in cells.items())
+        return cls(n, cells)
 
     @cached_property
     def cell_map(self) -> dict[tuple[int, int], Symbol]:
@@ -218,8 +211,7 @@ def counts(t: Tableau) -> SymbolCounts:
     alpha/beta tableau this forces alpha_indexed_rows = n - n_beta.  The
     cells are always sorted, so a row's first cell is its leftmost.
     """
-    tally = dict.fromkeys(_RANK, 0)
-    diagonal = dict(tally)
+    tally, diagonal = _NO_SYMBOLS.copy(), _NO_SYMBOLS.copy()
     r = last_row = 0
     for row, col, sym in t.cells:
         tally[sym] += 1
@@ -266,19 +258,25 @@ def dagger(t: Tableau) -> Tableau:
 
     An involution: dagger(dagger(t)) == t.
     """
-    return Tableau._sorted(t.n, [(c, r, _DAGGER_SWAP[s]) for r, c, s in t.cells])
+    return Tableau._sorted(t.n, [(c, r, s._swap) for r, c, s in t.cells])
+
+
+def _boxes(t: Tableau) -> list[list[Symbol | None]]:
+    """Every box of t's staircase, top row first, as its symbol or None; a
+    cell outside the staircase raises InvalidTableauError with validate's message."""
+    rows: list[list] = [[None] * (t.n - i) for i in range(t.n)]
+    try:
+        for r, c, s in t.cells:
+            rows[r - 1][c - 1] = s
+    except IndexError:
+        _require_valid(t)
+    return rows
 
 
 def render_text(t: Tableau) -> str:
-    """One line per row, row i holding n+1-i characters; '.' marks an empty box."""
-    lines = []
-    for row in range(1, t.n + 1):
-        line = []
-        for col in range(1, t.n + 2 - row):
-            sym = t.symbol_at(row, col)
-            line.append(sym.letter if sym else ".")
-        lines.append("".join(line))
-    return "\n".join(lines)
+    """One line per row, row i holding n+1-i characters; '.' marks an empty
+    box.  A cell outside the staircase raises InvalidTableauError."""
+    return "\n".join("".join("." if s is None else s.letter for s in row) for row in _boxes(t))
 
 
 def to_document(t: Tableau) -> dict:

@@ -49,6 +49,20 @@ def test_verify_fails_under_optimize_flag():
     assert "0/2 criteria passed" in proc.stdout and "python -O" in proc.stdout
 
 
+def test_failing_criterion_is_reported_in_process(monkeypatch, capsys):
+    # a criterion whose assert fires is reported failed, and the suite goes on
+    def broken(level):
+        raise AssertionError(f"law differs at level {level}")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "counting", broken), acceptance.CRITERIA[1]])
+    first, second = acceptance.run(level="quick")
+    assert (first.index, first.passed, first.detail) == (1, False, "FAILED: law differs at level quick")
+    assert (second.index, second.passed) == (2, True)
+    assert cli.main(["verify", "--level", "quick", "--only", "1"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "[FAIL]  1 counting" in out and "0/1 criteria passed" in out
+
+
 def test_chi_square_runs_without_scipy():
     proc = _python("-c", "\n".join([
         "import sys",

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import staircase_tableaux
-from staircase_tableaux import cli, parse, sampling
+from staircase_tableaux import Symbol, cli, enumerate_ab, parse, render_text, sampling, serialize
 from staircase_tableaux.distributions import dist_A
 from staircase_tableaux.errors import ParameterError
 from staircase_tableaux.eulerian_poly import v_row, v_symbolic, v_triangle
@@ -83,6 +84,14 @@ def test_enumerate_stream_parses(capsys):
     assert code == 0
     tableaux = [parse(line) for line in out.strip().splitlines()]
     assert len(tableaux) == 6
+
+
+def test_enumerate_text_parts_tableaux_by_blank_lines(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--format", "text")
+    assert code == 0
+    # one two-line block per tableau, one blank line between blocks
+    assert out == "\n\n".join(map(render_text, enumerate_ab(2))) + "\n"
+    assert [len(block.splitlines()) for block in out.split("\n\n")] == [2] * 6
 
 
 def test_sample_deterministic(capsys):
@@ -212,6 +221,36 @@ def test_positions(capsys):
     assert code == 0
 
 
+def test_positions_cell(capsys):
+    # alpha = beta = 1 weighs the six size-2 tableaux alike
+    code, out, _ = run_cli(capsys, "positions", "--n", "2", "--kind", "cell", "--i", "1",
+                           "--j", "1", "--alpha", "1", "--beta", "1", "--format", "json")
+    assert code == 0
+    at = Counter(t.symbol_at(1, 1) for t in enumerate_ab(2))
+    assert json.loads(out) == {"p_alpha": str(F(at[Symbol.ALPHA], 6)), "p_beta": str(F(at[Symbol.BETA], 6)),
+                               "p_filled": str(1 - F(at[None], 6))}
+
+
+AB_FOUR = "--four needs --alpha and --beta (plus optional --gamma/--delta)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("dist-a", "--n", "2", "--alpha", "1"), "--alpha and --beta must be given together"),
+    (("dist-a", "--n", "2", "--beta", "1"), "--alpha and --beta must be given together"),
+    (("dist-a", "--n", "2", "--a", "1"), "give parameters as --a/--b or --alpha/--beta"),
+    (("dist-a", "--n", "2"), "give parameters as --a/--b or --alpha/--beta"),
+    (("sample", "--n", "3", "--four"), AB_FOUR),
+    (("sample", "--n", "3", "--four", "--beta", "1"), AB_FOUR),
+    (("positions", "--n", "3", "--kind", "diag", "--a", "1", "--b", "1"), "--kind diag needs --i"),
+    (("positions", "--n", "3", "--kind", "cell", "--i", "1", "--a", "1", "--b", "1"),
+     "--kind cell needs --i and --j"),
+    (("positions", "--n", "3", "--kind", "joint", "--a", "1", "--b", "1"), "--kind joint needs --positions"),
+], ids=["alpha-only", "beta-only", "a-only", "no-parameters", "four-bare", "four-beta-only",
+        "diag", "cell", "joint"])
+def test_missing_flag_is_a_parameter_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (cli.EXIT_PARAMETER, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("i, j", [("3", "2"), ("0", "3"), ("2", "6")])
 def test_positions_cov_errors_name_the_flags(capsys, i, j):
     code, _, err = run_cli(capsys, "positions", "--n", "5", "--kind", "cov",
@@ -310,6 +349,13 @@ def test_asep_roundtrip(tmp_path, capsys, showcase8):
     code, out, _ = run_cli(capsys, "asep", "fill", "--input", str(path),
                            "--format", "text")
     assert code == 0 and out.splitlines()[0] == "uauuuqqg"
+
+
+@pytest.mark.parametrize("flags", [(), ("--input", "-")], ids=["no-input", "dash"])
+def test_asep_fill_reads_stdin(monkeypatch, capsys, showcase8, flags):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(serialize(showcase8))))
+    code, out, _ = run_cli(capsys, "asep", "fill", *flags, "--format", "text")
+    assert code == 0 and out.splitlines()[0] == "uauuuqqg" and len(out.splitlines()) == 8
 
 
 @pytest.mark.parametrize("action", ["fill", "weight"])
@@ -463,6 +509,15 @@ def test_zero_samples_prints_only_the_header(capsys):
     assert code == 0 and out == "index,A,B,n_alpha,n_beta,r,diagonal\n"
     code, out, _ = run_cli(capsys, "urn", "--n", "3", "--samples", "0")
     assert code == 0 and out == "added_white,count\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "3", "--a", "1", "--b", "1", "--samples", "0", "--format", "json"),
+    ("sample", "--n", "3", "--four", "--alpha", "1", "--beta", "1", "--samples", "0", "--format", "json"),
+    ("enumerate", "--n", "0", "--mode", "max", "--format", "text"),
+])
+def test_a_view_with_no_lines_writes_one_newline(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, "\n", "")
 
 
 AB = ("--a", "1", "--b", "1")

@@ -425,6 +425,8 @@ def test_growth_check():
     assert all(r.var_alpha == 0 for r in rows)
     with pytest.raises(ParameterError):
         n_alpha_growth_check([10], 0, 0)
+    with pytest.raises(DomainError, match="^n_list must hold integers >= 1$"):
+        n_alpha_growth_check([], 1, 1)
 
 
 def test_chi_square_gof_helper():
@@ -445,6 +447,18 @@ def test_chi_square_gof_helper():
     assert res == chi_square_gof(expected, {0: 3, 1: 5})
     # the record holds the checked ints, not the NumPy scalars
     assert type(res.total) is int and type(res.statistic) is float
+
+
+def test_chi_square_gof_impossible_outcome_is_one_rule():
+    # an outcome counted 0 times adds nothing, whether the law omits it or
+    # gives it probability 0; counted once, either way is impossible
+    half = {0: F(1, 2), 1: F(1, 2)}
+    assert chi_square_gof(half, {0: 5, 1: 5, 2: 0}) == (0.0, 1, 1.0, 10)
+    assert chi_square_gof({**half, 2: F(0)}, {0: 5, 1: 5, 2: 0}) == (0.0, 2, 1.0, 10)
+    impossible = (math.inf, 2, 0.0, 11)
+    assert chi_square_gof({**half, 2: F(0)}, {0: 5, 1: 5, 2: 1}) == impossible
+    assert chi_square_gof({**half, 3: F(0)}, {0: 5, 1: 5, 2: 1}) == impossible
+    assert chi_square_gof({0: F(1)}, {0: 4, 1: 1}) == (math.inf, 1, 0.0, 5)
 
 
 @pytest.mark.parametrize("observed, message", [

@@ -293,6 +293,18 @@ def test_bivar_poly_constants_take_the_monomial_length():
     assert (BivarPoly({(1, 0): 1}) * 3 + 1).coeffs == {(1, 0): 3, (0, 0): 1}
 
 
+@pytest.mark.parametrize("left, right, product", [
+    ({(0, 1): 1}, {(0, 0, 1): 1}, {(0, 1, 1): 1}),
+    ({(0, 0, 1): 1}, {(0, 1): 1}, {(0, 1, 1): 1}),
+    ({(1,): 2, (0, 0, 0, 1): 1}, {(0, 1): 3, (0, 0, 1): 1},
+     {(1, 1, 0, 0): 6, (1, 0, 1, 0): 2, (0, 1, 0, 1): 3, (0, 0, 1, 1): 1}),
+], ids=["b*x3", "x3*b", "mixed-both"])
+def test_bivar_poly_product_keeps_every_variable(left, right, product):
+    # the shorter exponent tuple is padded with zeros; none is cut short
+    assert (BivarPoly(left) * BivarPoly(right)).coeffs == product
+    assert (BivarPoly(right) * BivarPoly(left)).coeffs == product
+
+
 @given(
     st.sampled_from(RATIONALS),
     st.sampled_from(RATIONALS),
@@ -431,8 +443,9 @@ def test_numpy_integer_arguments_evaluate_exactly(call, x, errors):
     (lambda: v_symbolic(3, 1).evaluate(1, "x"), "b must be a finite rational, got 'x'"),
     (lambda: BivarPoly({(0, 0, 1): 1}).evaluate(1, 1, math.inf),
      "x3 must be a finite rational, got inf"),
+    (lambda: BivarPoly({(0, 0, 1): 1}).evaluate(5, 7), "the polynomial needs 3 values, one per variable, got 2"),
 ], ids=["negative-weight", "junk-weight", "junk-point", "infinite-point", "nan-point",
-        "junk-poly-value", "infinite-poly-value"])
+        "junk-poly-value", "infinite-poly-value", "missing-poly-value"])
 def test_weights_and_points_raise_parameter_errors(call, message):
     # weight(t, -1, 1) once returned -1, and junk raised bare Python errors
     with pytest.raises(ParameterError, match=f"^{message}$"):

@@ -176,6 +176,33 @@ def test_render_row_widths(showcase8):
     assert widths == [8, 7, 6, 5, 4, 3, 2, 1]
 
 
+def test_render_rejects_a_cell_outside_the_staircase():
+    for t, message in [
+        (Tableau(2, [(1, 5, A)]), "box (1, 5) outside the size-2 staircase"),
+        (Tableau(2, [(3, 1, B), (1, 2, A)]), "box (3, 1) outside the size-2 staircase"),
+        (Tableau(0, [(1, 1, G)]), "box (1, 1) outside the size-0 staircase"),
+    ]:
+        with pytest.raises(InvalidTableauError) as err:
+            render_text(t)
+        assert str(err.value) == message == validate(t)[0].message
+
+
+def test_render_shows_an_in_shape_tableau_that_breaks_a_rule():
+    # rules (ii)-(iv) are validate's business: empty diagonal, then a beta
+    # right of a filled box and an alpha below one
+    assert render_text(Tableau(3, [])) == "...\n..\n."
+    t = Tableau(3, [(1, 1, G), (1, 2, B), (2, 1, A), (3, 1, D)])
+    assert {v.rule for v in validate(t)} == {"ii", "iii", "iv"}
+    assert render_text(t) == "gb.\na.\nd"
+
+
+def test_symbol_letters_order_and_dagger():
+    assert [s.letter for s in Symbol] == ["a", "b", "g", "d"]
+    assert sorted([D, B, G, A]) == [A, B, G, D] and not B < A and G < D
+    t = Tableau(2, [(1, 1, A), (1, 2, G), (2, 1, B)])
+    assert dagger(t) == Tableau(2, [(1, 1, B), (2, 1, D), (1, 2, A)])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_serialize_round_trip(n):
     for t in enumerate_ab(n):
@@ -252,6 +279,34 @@ def test_single_pass_cells_build_the_same_tableau(once):
     assert Tableau(2, once(cells)).cells == ((1, 1, B), (1, 2, A), (2, 1, B))
     with pytest.raises(ValueError, match=r"^duplicate cell \(1, 2\)$"):
         Tableau(2, once([(1, 2, A), (1, 2, B)]))
+
+
+@pytest.mark.parametrize("n, cells, message", [
+    (-1, [], "tableau size must be >= 0, got -1"),
+    (2, [(0, 1, A)], "cell coordinates must be >= 1, got (0, 1)"),
+    (2, [(1, -2, A)], "cell coordinates must be >= 1, got (1, -2)"),
+    (2, [(1, 1, "alpha")], "cell (1, 1) holds 'alpha', not a Symbol"),
+    (1, [(1, 1)], "each cell must be a (row, col, symbol) triple, got (1, 1)"),
+    (1, [(1, 1, A, 0)], "each cell must be a (row, col, symbol) triple, got (1, 1, <Symbol.ALPHA: 'alpha'>, 0)"),
+    (1, [5], "each cell must be a (row, col, symbol) triple, got 5"),
+], ids=["negative-size", "row-0", "col-negative", "not-a-symbol", "pair", "quadruple", "int"])
+def test_malformed_size_or_cell_names_the_rule(n, cells, message):
+    for build in (Tableau, Tableau.of):
+        with pytest.raises(ValueError) as err:
+            build(n, cells)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    (b'{"n": 1, "cells": [{"row": 1, "col": 1}]}', "bad cell entry {'row': 1, 'col': 1}"),
+    (b'{"n": 1, "cells": [1]}', "bad cell entry 1"),
+    (b'{"n": 2, "cells": [{"row": 1, "col": 2, "sym": "alpha"}, {"row": 1, "col": 2, "sym": "beta"}]}',
+     "duplicate cell (1, 2)"),
+], ids=["missing-key", "not-an-object", "duplicate"])
+def test_parse_rejects_bad_cell_entries(doc, message):
+    with pytest.raises(MalformedDocumentError) as err:
+        parse(doc)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
