@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -600,6 +601,49 @@ def test_verify_json_report(capsys):
     assert set(record) == {"index", "name", "passed", "detail", "seconds"}
     assert record["index"] == 3 and record["name"] == "triangle" and record["passed"] is True
     assert isinstance(record["detail"], str) and record["seconds"] >= 0
+
+
+# every JSON view, with and without --float where the command offers it:
+# the digests were recorded before the emitter handed its JSON values to
+# the encoder's own walk, and must hold bit for bit after it
+_JSON_VIEWS = [
+    (("dist-a", "--n", "7", "--a", "2/3", "--b", "7/5"), "e3e8f885097c738b"),
+    (("dist-a", "--n", "7", "--a", "2/3", "--b", "7/5", "--float"), "302541bc992cfdf1"),
+    (("moments-a", "--n", "9", "--alpha", "3", "--beta", "1/2"), "f4451823da42827c"),
+    (("moments-a", "--n", "9", "--alpha", "3", "--beta", "1/2", "--float"), "5a42a6dd3ebdde10"),
+    (("pairs-n", "--n", "5", "--a", "1/3", "--b", "5/2"), "28962cca7e09a91d"),
+    (("pairs-n", "--n", "5", "--a", "1/3", "--b", "5/2", "--float"), "e7d2ff79bb59a693"),
+    (("positions", "--n", "6", "--kind", "cell", "--i", "2", "--j", "3", "--a", "1/2",
+      "--b", "3"), "80cfff7abe2b4680"),
+    (("positions", "--n", "6", "--kind", "cell", "--i", "2", "--j", "3", "--a", "1/2",
+      "--b", "3", "--float"), "7ae211086ce0281c"),
+    (("positions", "--n", "6", "--kind", "joint", "--positions", "1,3", "--a", "0",
+      "--b", "2/7"), "044d3d1c2e862023"),
+    (("positions", "--n", "6", "--kind", "cov", "--i", "2", "--j", "5", "--a", "4",
+      "--b", "1/9", "--float"), "06d8205b18d9a9b0"),
+    (("decompose", "--n", "6", "--a", "2/3", "--b", "5/2"), "db826b1a25ddd0b7"),
+    (("subcheck", "--n", "4", "--i", "2", "--j", "1", "--a", "1/2", "--b", "3"),
+     "bcfe622f8d1456a5"),
+    (("urn", "--n", "12", "--a", "1/2", "--b", "2", "--seed", "9"), "1bf29b19babcd380"),
+    (("urn", "--n", "12", "--a", "1/2", "--b", "2", "--seed", "9", "--samples", "40"),
+     "80ca41a7ef8ffe69"),
+    (("clt", "--n", "40", "--a", "1/2", "--b", "3"), "ef02d02b8c822555"),
+    (("sample", "--n", "6", "--a", "1/2", "--b", "3", "--seed", "5", "--samples", "4"),
+     "1f1e887177874dca"),
+    (("sample", "--n", "6", "--four", "--alpha", "2", "--beta", "3/7", "--gamma", "1/3",
+      "--seed", "11", "--samples", "3"), "b11578abfd04773d"),
+    (("sample", "--n", "5", "--four", "--alpha", "1", "--beta", "2", "--delta", "5",
+      "--seed", "4"), "04db2bfddb1ca914"),
+    (("enumerate", "--n", "2", "--mode", "four"), "01c189b2e22755de"),
+    (("enumerate", "--n", "4", "--count-only"), "97b912eb4a61df5f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _JSON_VIEWS, ids=[" ".join(a) for a, _ in _JSON_VIEWS])
+def test_json_views_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_readme_command_lines_parse():
