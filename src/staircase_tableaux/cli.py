@@ -9,9 +9,10 @@ first one, and formats every value by one rule:
 
 * a tuple is one csv row, a dict or list one JSON document (keys sorted),
   anything else is written on its own line;
-* a ``Fraction`` prints as the exact string "p/q", or under ``--float`` as
-  ``repr(float)``; a float prints as ``repr``; anything else prints as
-  ``str``, or stays as it is inside JSON.
+* one text rule prints a value: a ``Fraction`` as the exact string "p/q",
+  or under ``--float`` as ``repr(float)``; a float as ``repr``; anything
+  else as ``str``.  JSON values go through the ``json`` encoder, which
+  passes what JSON cannot hold (the Fractions) through the same rule.
 
 Identical invocations produce byte-identical output.  An invocation whose
 format or flags the command would not honour is a usage error and writes
@@ -111,19 +112,11 @@ def _float_text(x) -> str:
     return repr(float(x)) if type(x) is Fraction else str(x)
 
 
-def _json_value(x, text: Callable[[object], str]):
-    if isinstance(x, dict):
-        return {k: _json_value(v, text) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_value(v, text) for v in x]
-    return text(x) if type(x) is Fraction else x
-
-
 def _line(item, text: Callable[[object], str]) -> str:
     if isinstance(item, tuple):
         return ",".join(map(text, item))
     if isinstance(item, (dict, list)):
-        return json.dumps(_json_value(item, text), sort_keys=True)
+        return json.dumps(item, sort_keys=True, default=text)
     return text(item)
 
 
@@ -136,7 +129,6 @@ def emit(views: Views, args) -> None:
     if fmt not in views:
         raise UsageError(f"--format {fmt} is not available for this invocation; "
                          f"choose from {', '.join(views)}")
-    # str prints a Fraction as "p/q" and a float as its repr
     text = _float_text if getattr(args, "float", False) else str
     lines = (_line(item, text) for item in views[fmt])
     if args.output:
@@ -175,11 +167,10 @@ def cmd_sample(args) -> Views:
         _unused(args, "sample --four", "a", "b", "rho")
         if args.alpha is None or args.beta is None:
             raise ParameterError("--four needs --alpha and --beta (plus optional --gamma/--delta)")
-        gamma = args.gamma if args.gamma is not None else Fraction(0)
-        delta = args.delta if args.delta is not None else Fraction(0)
 
         def draw(seed: int) -> tableau.Tableau:
-            return sampling.sample_four(args.n, args.alpha, args.beta, gamma, delta, seed)
+            return sampling.sample_four(args.n, args.alpha, args.beta, args.gamma or 0,
+                                        args.delta or 0, seed)
 
         def tableaux() -> Iterator[tableau.Tableau]:
             return map(draw, _derived_seeds(args.seed, args.samples))
@@ -295,10 +286,9 @@ def cmd_subcheck(args) -> tuple[Views, int]:
     params = _resolve_params(args)
     rep = distributions.subtableau_law_check(args.n, params.a, params.b, args.i, args.j,
                                              allow_large=args.allow_large)
-    doc = {"n": rep.n, "i": rep.i, "j": rep.j, "sub_size": rep.sub_size,
-           "a_hat": rep.a_hat, "b_hat": rep.b_hat, "equal": rep.equal}
-    if rep.first_difference is not None:
-        t, lhs, rhs = rep.first_difference
+    doc = rep._asdict()
+    if (diff := doc.pop("first_difference")) is not None:
+        t, lhs, rhs = diff
         doc["first_difference"] = {"tableau": tableau.to_document(t),
                                    "induced": lhs, "direct": rhs}
     return {"json": [doc]}, EXIT_OK if rep.equal else EXIT_VERIFY
@@ -308,8 +298,7 @@ def cmd_urn(args) -> Views:
     a, b = args.a, args.b
     if args.samples == 1:
         res = sampling.urn_sample(args.n, a, b, args.seed)
-        return {"json": [{"added_white": res.added_white, "added_black": res.added_black,
-                          "path": res.path}],
+        return {"json": [res._asdict()],
                 "csv": [("draw", "added_white"), *((k + 1, x) for k, x in enumerate(res.path))]}
 
     def tally() -> list[tuple[int, int]]:
@@ -371,9 +360,7 @@ def cmd_asep_z_full(args) -> Views:
 
 def cmd_clt(args) -> Views:
     params = _resolve_params(args)
-    d = distributions.clt_diagnostics(args.n, params.a, params.b)
-    return {"json": [{"n": d.n, "mean": d.mean, "sd": d.sd, "ks_to_normal": d.ks_to_normal,
-                      "llt_max_residual": d.llt_max_residual}]}
+    return {"json": [distributions.clt_diagnostics(args.n, params.a, params.b)._asdict()]}
 
 
 def cmd_verify(args) -> tuple[Views, int]:

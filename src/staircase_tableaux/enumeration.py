@@ -127,10 +127,10 @@ def enumerate_four(n: int, allow_large: bool = False) -> Iterator[Tableau]:
 def enumerate_naive(n: int, four: bool = False) -> Iterator[Tableau]:
     """Independent certification generator: fill every box with one of the
     allowed symbols or leave it empty, keep what validates.  Exponential in
-    n(n+1)/2, so restricted to n <= 3."""
+    n(n+1)/2, so it covers n = 0..3 (size 0 is the one empty tableau)."""
     n = _as_n(n, error=ParameterError)
-    if not 1 <= n <= 3:
-        raise CapExceededError("naive enumeration is restricted to 1 <= n <= 3")
+    if n > 3:
+        raise CapExceededError("naive enumeration is restricted to n <= 3")
     boxes = [(i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i)]
     symbols: list[Symbol | None] = [None, Symbol.ALPHA, Symbol.BETA]
     if four:

@@ -230,9 +230,9 @@ class BivarPoly:
     """Sparse polynomial over exponent tuples of any length, in a, b, x3, x4, ...
 
     Stored as a mapping (i, j) -> exact coefficient of a^i b^j; zero
-    coefficients are dropped.  ``+`` and ``*`` also take plain numbers,
-    which act as constants of the same monomial length, so the triangle
-    recursion runs on it unchanged.
+    coefficients are dropped.  ``+``, ``*`` and ``==`` read a monomial padded
+    with zero exponents as the same one, and ``+`` and ``*`` take plain
+    numbers as constants, so the triangle recursion runs on it unchanged.
     """
 
     __slots__ = ("coeffs",)
@@ -244,37 +244,42 @@ class BivarPoly:
     def constant(cls, c) -> "BivarPoly":
         return cls({(0, 0): c})
 
-    def _lift(self, other) -> "BivarPoly":
-        if isinstance(other, BivarPoly):
-            return other
-        return BivarPoly({(0,) * len(next(iter(self.coeffs), (0, 0))): other})
+    def _aligned(self, other) -> tuple[dict, dict]:
+        """Both coefficient maps, every monomial padded with zeros to the longest, or to 2
+        when there are only constants (a plain number is one): uncopied when none needs
+        it, and monomials that padding makes equal add up."""
+        maps = self.coeffs, (other if isinstance(other, BivarPoly) else BivarPoly.constant(other)).coeffs
+        if len(widths := set(map(len, chain(*maps)))) < 2:
+            return maps
+        pad, padded = (0,) * max(widths), ({}, {})
+        for coeffs, out in zip(maps, padded):
+            for m, c in coeffs.items():
+                out[m + pad[len(m):]] = out.get(m + pad[len(m):], 0) + c
+        return padded
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BivarPoly) and self.coeffs == other.coeffs
+        return isinstance(other, BivarPoly) and not self + other * -1
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(self.total())   # padding changes no coefficient sum: == polynomials agree
 
     def __add__(self, other) -> "BivarPoly":
-        out = dict(self.coeffs)
-        for m, c in self._lift(other).coeffs.items():
+        mine, theirs = self._aligned(other)
+        out = dict(mine)
+        for m, c in theirs.items():
             out[m] = out.get(m, 0) + c
         return BivarPoly(out)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "BivarPoly":
-        other = self._lift(other)
-        if len(widths := set(map(len, chain(self.coeffs, other.coeffs)))) > 1:
-            # map stops at the shorter monomial: pad self's, then other's in the swapped call
-            width = max(widths)
-            return other * BivarPoly({m + (0,) * (width - len(m)): c for m, c in self.coeffs.items()})
+        mine, theirs = self._aligned(other)
         out: dict[tuple[int, ...], int | Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
+        for m1, c1 in mine.items():
+            for m2, c2 in theirs.items():
                 m = tuple(map(add, m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return BivarPoly(out)

@@ -126,9 +126,10 @@ class Tableau(_Record):
 
     @classmethod
     def of(cls, n: int, cells) -> "Tableau":
-        """Build from any iterable of (row, col, symbol) or a {(row, col): symbol} map."""
+        """Build from any iterable of (row, col, symbol) or a {(row, col): symbol} map,
+        whose tuple keys gain their symbol and whose other keys are paired with it."""
         if hasattr(cells, "items"):
-            cells = ((r, c, s) for (r, c), s in cells.items())
+            cells = (k + (s,) if isinstance(k, tuple) else (k, s) for k, s in cells.items())
         return cls(n, cells)
 
     @cached_property

@@ -30,7 +30,7 @@ def _label_counts(filled):
 
 def test_showcase_filling(showcase8):
     filled = fill_uq(showcase8)
-    assert _label_counts(filled) == (13, 10)
+    assert filled.n == 8 and _label_counts(filled) == (13, 10)
     assert wtx(showcase8) == (5, 2, 3, 3, 13, 10)
     assert render_filled(filled) == "\n".join([
         "uauuuqqg",

@@ -12,7 +12,7 @@ import pytest
 
 import staircase_tableaux
 from staircase_tableaux import Symbol, cli, enumerate_ab, parse, render_text, sampling, serialize
-from staircase_tableaux.distributions import dist_A
+from staircase_tableaux.distributions import dist_A, subtableau_law_check
 from staircase_tableaux.errors import ParameterError
 from staircase_tableaux.eulerian_poly import v_row, v_symbolic, v_triangle
 from staircase_tableaux.rng import derive_seed
@@ -265,6 +265,24 @@ def test_subcheck(capsys):
                            "--a", "1", "--b", "1")
     assert code == 0
     assert json.loads(out)["equal"] is True
+
+
+def test_subcheck_reports_the_first_difference(capsys, monkeypatch):
+    # a subtableau map that drops each subtableau's first cell breaks the identity
+    from staircase_tableaux import tableau
+    real = tableau.subtableau
+    monkeypatch.setattr(tableau, "subtableau", lambda t, i, j: tableau.Tableau(
+        real(t, i, j).n, real(t, i, j).cells[1:]))
+    rep = subtableau_law_check(3, 1, 1, 2, 1)
+    sub = tableau.Tableau(2, [(1, 1, Symbol.ALPHA), (1, 2, Symbol.ALPHA), (2, 1, Symbol.BETA)])
+    assert rep.equal is False and rep.first_difference == (sub, 0, F(1, 12))
+    code, out, _ = run_cli(capsys, "subcheck", "--n", "3", "--i", "2", "--j", "1",
+                           "--a", "1", "--b", "1")
+    assert code == cli.EXIT_VERIFY == 6
+    doc = json.loads(out)
+    assert doc["equal"] is False
+    assert doc["first_difference"] == {"tableau": json.loads(serialize(sub)),
+                                       "induced": "0", "direct": "1/12"}
 
 
 def test_urn(capsys):

@@ -39,7 +39,7 @@ def test_streams_valid_and_distinct(n):
         seen.add(t.cells)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_matches_naive_generator(n):
     assert sorted(t.cells for t in enumerate_ab(n)) == sorted(
         t.cells for t in enumerate_naive(n))
@@ -48,7 +48,9 @@ def test_matches_naive_generator(n):
 
 
 def test_naive_generator_capped():
-    with pytest.raises(CapExceededError):
+    # bounded from above only: size 0 is the one empty tableau
+    assert list(enumerate_naive(0)) == list(enumerate_naive(0, four=True)) == [Tableau(0, ())]
+    with pytest.raises(CapExceededError, match=r"^naive enumeration is restricted to n <= 3$"):
         list(enumerate_naive(4))
 
 

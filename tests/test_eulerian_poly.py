@@ -293,6 +293,16 @@ def test_bivar_poly_constants_take_the_monomial_length():
     assert (BivarPoly({(1, 0): 1}) * 3 + 1).coeffs == {(1, 0): 3, (0, 0): 1}
 
 
+def test_bivar_poly_reads_padded_monomials_as_one():
+    a, a3 = BivarPoly({(1, 0): 1}), BivarPoly({(1, 0, 0): 1})
+    assert str(a + a3) == "2*a" and (a + a3).coeffs == {(1, 0, 0): 2}
+    assert a == a3 and hash(a) == hash(a3) and a != BivarPoly({(0, 1): 1})
+    # two monomials of one polynomial that padding makes equal add up
+    twice = BivarPoly({(1, 0): 1, (1, 0, 0): 1})
+    assert str(twice * 1) == "2*a" and twice == 2 * a and hash(twice) == hash(2 * a)
+    assert BivarPoly({(1, 0): 1, (1, 0, 0): -1}) == BivarPoly() != a
+
+
 @pytest.mark.parametrize("left, right, product", [
     ({(0, 1): 1}, {(0, 0, 1): 1}, {(0, 1, 1): 1}),
     ({(0, 0, 1): 1}, {(0, 1): 1}, {(0, 1, 1): 1}),

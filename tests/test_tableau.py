@@ -199,6 +199,8 @@ def test_render_shows_an_in_shape_tableau_that_breaks_a_rule():
 def test_symbol_letters_order_and_dagger():
     assert [s.letter for s in Symbol] == ["a", "b", "g", "d"]
     assert sorted([D, B, G, A]) == [A, B, G, D] and not B < A and G < D
+    with pytest.raises(TypeError, match="not supported"):
+        A < "beta"
     t = Tableau(2, [(1, 1, A), (1, 2, G), (2, 1, B)])
     assert dagger(t) == Tableau(2, [(1, 1, B), (2, 1, D), (1, 2, A)])
 
@@ -295,6 +297,20 @@ def test_malformed_size_or_cell_names_the_rule(n, cells, message):
         with pytest.raises(ValueError) as err:
             build(n, cells)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({1: A}, "each cell must be a (row, col, symbol) triple, got (1, <Symbol.ALPHA: 'alpha'>)"),
+    ({(1,): A}, "each cell must be a (row, col, symbol) triple, got (1, <Symbol.ALPHA: 'alpha'>)"),
+    ({(1, 1, 1): A},
+     "each cell must be a (row, col, symbol) triple, got (1, 1, 1, <Symbol.ALPHA: 'alpha'>)"),
+], ids=["int", "one-tuple", "triple"])
+def test_mapping_keys_meet_the_cell_rule(cells, message):
+    # a tuple key gains its symbol, any other key is paired with it
+    with pytest.raises(ValueError) as err:
+        Tableau.of(1, cells)
+    assert str(err.value) == message
+    assert Tableau.of(2, {(2, 1): B, (1, 2): A}) == Tableau.of(2, [(1, 2, A), (2, 1, B)])
 
 
 @pytest.mark.parametrize("doc, message", [
