@@ -63,6 +63,18 @@ def test_failing_criterion_is_reported_in_process(monkeypatch, capsys):
     assert "[FAIL]  1 counting" in out and "0/1 criteria passed" in out
 
 
+def test_maximal_criterion_fails_on_a_broken_maximal_tableau(monkeypatch):
+    # criterion 15 must read the one-per-line structure off the cells: a
+    # corner alpha beside two more alphas in columns 1 and 2 breaks it
+    alpha = staircase_tableaux.Symbol.ALPHA
+    broken = staircase_tableaux.Tableau(2, [(1, 1, alpha), (1, 2, alpha), (2, 1, alpha)])
+    monkeypatch.setattr(staircase_tableaux.enumeration, "max_symbol_tableaux",
+                        lambda n: iter([broken]))
+    [result] = acceptance.run("quick", [15])
+    assert (result.index, result.passed) == (15, False)
+    assert result.detail.startswith("FAILED: ")
+
+
 def test_chi_square_runs_without_scipy():
     proc = _python("-c", "\n".join([
         "import sys",

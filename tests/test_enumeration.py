@@ -20,12 +20,12 @@ from staircase_tableaux.errors import CapExceededError, ParameterError
 from staircase_tableaux.eulerian_poly import BivarPoly, p_eval
 
 
-@pytest.mark.parametrize("n,count", [(1, 2), (2, 6), (3, 24), (4, 120), (6, 5040)])
+@pytest.mark.parametrize("n,count", [(1, 2), (2, 6), (3, 24), (4, 120), (6, 5040), (8, 362880)])
 def test_ab_counts(n, count):
     assert sum(1 for _ in enumerate_ab(n)) == count
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_four_counts(n):
     assert sum(1 for _ in enumerate_four(n)) == 4**n * math.factorial(n)
 
@@ -94,6 +94,20 @@ def test_stream_order_deterministic():
     first = [t.cells for t in enumerate_ab(4)]
     second = [t.cells for t in enumerate_ab(4)]
     assert first == second
+
+
+def test_stream_order_is_pinned():
+    # SHA-256 prefix over every tableau's cells, in stream order, of each
+    # enumeration stream: the column rules may be rewritten, but every
+    # stream must list the same tableaux in the same order
+    streams = [enumerate_ab(n) for n in range(8)]
+    streams += [enumerate_four(n) for n in range(5)]
+    streams += [max_symbol_tableaux(n) for n in range(1, 8)]
+    h = hashlib.sha256()
+    for stream in streams:
+        for t in stream:
+            h.update(repr(t.cells).encode())
+    assert h.hexdigest()[:16] == "ed4fdde255b4c0f0"
 
 
 def test_partition_function_examples():
