@@ -406,14 +406,9 @@ def check_maximal(level: str) -> str:
         for t in enum_.max_symbol_tableaux(n):
             top = t.symbol_at(1, 1)
             assert top is not None, f"box (1,1) empty in {t}"
-            rest = tb.Tableau(n, tuple(c for c in t.cells if (c[0], c[1]) != (1, 1)))
-            cols = Counter()
-            rows = Counter()
-            for r, c, s in rest.cells:
-                if s is tb.Symbol.ALPHA:
-                    cols[c] += 1
-                else:
-                    rows[r] += 1
+            rest = [(r, c, s) for r, c, s in t.cells if (r, c) != (1, 1)]
+            cols = Counter(c for _, c, s in rest if s is tb.Symbol.ALPHA)
+            rows = Counter(r for r, _, s in rest if s is not tb.Symbol.ALPHA)
             assert cols == Counter({c: 1 for c in range(2, n + 1)}), (n, t)
             assert rows == Counter({r: 1 for r in range(2, n + 1)}), (n, t)
     samples = 100_000 if level == "desk" else 20_000

@@ -13,7 +13,7 @@ prepending a column of m boxes and filling it one of three ways
   (i)   an alpha in the new bottom box and nothing else;
   (ii)  a beta in the bottom box plus betas in any subset of the rows
         currently indexed by alpha;
-  (iii) as (ii) but with the topmost added symbol an alpha.
+  (iii) as (ii) with a non-empty subset whose top row takes an alpha.
 
 Growing columns are prepended, so the column added at step m is written
 at its final index n + 1 - m; rows never move.
@@ -80,23 +80,17 @@ def _grow(cells: list[tuple[int, int, Symbol]], alpha_rows: list[int],
     col = target + 1 - m
     # case (i): single alpha in the bottom box
     yield from _grow(cells + [(m, col, Symbol.ALPHA)], alpha_rows + [m], m, target)
-    # case (ii): bottom beta plus betas in a subset of alpha-indexed rows
-    for k in range(len(alpha_rows) + 1):
-        for subset in itertools.combinations(alpha_rows, k):
-            new = cells + [(m, col, Symbol.BETA)]
-            new += [(r, col, Symbol.BETA) for r in subset]
-            remaining = [r for r in alpha_rows if r not in subset]
-            yield from _grow(new, remaining, m, target)
-    # case (iii): as (ii) but the topmost added symbol is an alpha
-    for k in range(1, len(alpha_rows) + 1):
-        for subset in itertools.combinations(alpha_rows, k):
-            top = min(subset)
-            new = cells + [(m, col, Symbol.BETA)]
-            new += [
-                (r, col, Symbol.ALPHA if r == top else Symbol.BETA) for r in subset
-            ]
-            remaining = [r for r in alpha_rows if r not in subset or r == top]
-            yield from _grow(new, remaining, m, target)
+    # case (ii), then case (iii): bottom beta plus betas in a subset of the
+    # alpha-indexed rows; in (iii) the subset's top row takes an alpha (rows
+    # start at 1, so top = 0 is the alpha-free case (ii))
+    for alpha_top in (False, True):
+        for k in range(alpha_top, len(alpha_rows) + 1):
+            for subset in itertools.combinations(alpha_rows, k):
+                top = min(subset) if alpha_top else 0
+                new = cells + [(m, col, Symbol.BETA)]
+                new += [(r, col, Symbol.ALPHA if r == top else Symbol.BETA) for r in subset]
+                remaining = [r for r in alpha_rows if r not in subset or r == top]
+                yield from _grow(new, remaining, m, target)
 
 
 def enumerate_ab(n: int, allow_large: bool = False) -> Iterator[Tableau]:
@@ -172,7 +166,7 @@ def law_ab(n: int, alpha, beta, allow_large: bool = False) -> dict[Tableau, Frac
     beta = 1 if inf_b else _finite("beta", beta)
     if alpha == 0 and beta == 0:
         raise ParameterError("need alpha, beta not both zero")
-    stats = [(t, weight_exponents(t)[:2]) for t in enumerate_ab(n, allow_large)]
+    stats = [(t, weight_exponents(t)[:2]) for t in enumerate_ab(n, allow_large=True)]
     tally = Counter(e for _, e in stats)
     best = max(inf_a * na + inf_b * nb for na, nb in tally)
     weights = {(na, nb): alpha ** na * beta ** nb for na, nb in tally
@@ -213,9 +207,7 @@ def joint_poly_N(n: int, alpha, beta, allow_large: bool = False) -> JointPoly:
 
 
 def max_symbol_tableaux(n: int, allow_large: bool = False) -> Iterator[Tableau]:
-    """The alpha/beta tableaux with the maximal 2n-1 symbols; there are
-    2(n-1)! of them, (n-1)! with n alphas and (n-1)! with n-1 alphas."""
-    for t in enumerate_ab(n, allow_large):
-        c = counts(t)
-        if c.n_alpha + c.n_beta == 2 * n - 1:
-            yield t
+    """The alpha/beta tableaux with the maximal 2n-1 symbols, read off the
+    cell count (every cell holds a symbol); there are 2(n-1)! of them,
+    (n-1)! with n alphas and (n-1)! with n-1 alphas."""
+    return (t for t in enumerate_ab(n, allow_large) if len(t.cells) == 2 * n - 1)
