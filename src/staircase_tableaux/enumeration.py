@@ -83,12 +83,12 @@ def _grow(cells: list[tuple[int, int, Symbol]], alpha_rows: list[int],
     # case (ii), then case (iii): bottom beta plus betas in a subset of the
     # alpha-indexed rows; in (iii) the subset's top row takes an alpha (rows
     # start at 1, so top = 0 is the alpha-free case (ii))
+    cells = cells + [(m, col, Symbol.BETA)]
     for alpha_top in (False, True):
         for k in range(alpha_top, len(alpha_rows) + 1):
             for subset in itertools.combinations(alpha_rows, k):
                 top = min(subset) if alpha_top else 0
-                new = cells + [(m, col, Symbol.BETA)]
-                new += [(r, col, Symbol.ALPHA if r == top else Symbol.BETA) for r in subset]
+                new = cells + [(r, col, Symbol.ALPHA if r == top else Symbol.BETA) for r in subset]
                 remaining = [r for r in alpha_rows if r not in subset or r == top]
                 yield from _grow(new, remaining, m, target)
 
@@ -207,7 +207,9 @@ def joint_poly_N(n: int, alpha, beta, allow_large: bool = False) -> JointPoly:
 
 
 def max_symbol_tableaux(n: int, allow_large: bool = False) -> Iterator[Tableau]:
-    """The alpha/beta tableaux with the maximal 2n-1 symbols, read off the
-    cell count (every cell holds a symbol); there are 2(n-1)! of them,
-    (n-1)! with n alphas and (n-1)! with n-1 alphas."""
-    return (t for t in enumerate_ab(n, allow_large) if len(t.cells) == 2 * n - 1)
+    """The alpha/beta tableaux with the maximal 2n-1 cells, each holding a
+    symbol; there are 2(n-1)! of them, (n-1)! with n alphas and (n-1)! with
+    n-1 alphas."""
+    for t in enumerate_ab(n, allow_large):
+        if len(t.cells) == 2 * n - 1:
+            yield t
