@@ -37,6 +37,37 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def _surface():
+    """For every module and every name in its sorted ``__all__``: the name's
+    category, each function's parameters as (name, kind, repr(default)) and
+    each record's ``_fields``.  Categories come from isinstance, not from
+    metaclass names, which differ between Python versions."""
+    import inspect
+
+    for module in MODULES:
+        mod = importlib.import_module(f"staircase_tableaux.{module}")
+        for name in sorted(getattr(mod, "__all__", ())):
+            obj = getattr(mod, name)
+            kind = "class" if isinstance(obj, type) else "function" if callable(obj) else "value"
+            params = () if kind != "function" else tuple(
+                (p.name, p.kind.name, repr(p.default))
+                for p in inspect.signature(obj).parameters.values())
+            fields = tuple(getattr(obj, "_fields", ())) if kind == "class" else ()
+            yield module, name, kind, params, fields
+
+
+def test_public_surface_is_pinned():
+    # SHA-256 prefix over every module's public names, their signatures and
+    # record fields: a renamed parameter, a changed default or a name that
+    # leaves an __all__ changes it
+    import hashlib
+
+    h = hashlib.sha256()
+    for row in _surface():
+        h.update(repr(row).encode() + b"\n")
+    assert h.hexdigest()[:16] == "1090d6ff0e1ae34e"
+
+
 def test_cli_import_loads_no_unused_stdlib_module():
     # every module the import loads is paid by each cold command; -S keeps
     # the interpreter's site hooks from loading any of them first
