@@ -21,75 +21,17 @@ staircase tableaux executable:
 - ``asep``: the deterministic u/q box filling and the six-variable
   generating function;
 - ``cli``: the ``staircase-tableaux`` command exposing all of the above.
+
+The package re-exports each of the six library modules' ``__all__``, so
+every public name they declare can be imported from here.
 """
 
-from .tableau import (
-    Symbol,
-    Tableau,
-    SymbolCounts,
-    Violation,
-    validate,
-    counts,
-    weight,
-    weight_exponents,
-    subtableau,
-    dagger,
-    render_text,
-    serialize,
-    parse,
-)
-from .eulerian_poly import (
-    rising_factorial,
-    EulerTriangle,
-    v_triangle,
-    v_row,
-    BivarPoly,
-    v_symbolic,
-    p_eval,
-    tilde_v,
-    tilde_p_eval,
-    p_at_one,
-    CTable,
-    c_table,
-    eulerian,
-)
-from .enumeration import (
-    enumerate_ab,
-    enumerate_four,
-    enumerate_naive,
-    partition_function,
-    law_ab,
-    JointPoly,
-    joint_poly_A_r,
-    joint_poly_N,
-    max_symbol_tableaux,
-)
-from .sampling import (
-    INF,
-    Params,
-    sample_ab,
-    sample_four,
-    urn_sample,
-    sample_batch,
-    BatchSummary,
-)
-from .distributions import (
-    DiscreteDist,
-    dist_A,
-    moments_A,
-    BernoulliDecomp,
-    bernoulli_decomposition,
-    dist_N_pairs,
-    diag_prob,
-    cell_prob,
-    joint_diag_alpha,
-    diag_cov,
-    subtableau_law_check,
-    clt_diagnostics,
-    n_alpha_growth_check,
-    chi_square_gof,
-)
-from .asep import FilledTableau, fill_uq, wtx, z_full, render_filled
+from .tableau import *
+from .eulerian_poly import *
+from .enumeration import *
+from .sampling import *
+from .distributions import *
+from .asep import *
 
 __version__ = "0.1.0"
 

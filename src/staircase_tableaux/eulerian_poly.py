@@ -73,6 +73,18 @@ def _finite(name: str, x) -> Fraction:
     return x
 
 
+def _as_param(name: str, x, top=math.inf) -> Fraction | float:
+    """``x`` as a Fraction in [0, top], or math.inf when top is inf."""
+    rule = "a rational >= 0 or inf" if top == math.inf else f"a rational in [0, {top}]"
+    if type(x) is not Fraction:
+        if x == math.inf == top:
+            return math.inf
+        x = _rational(name, x, rule)
+    if x.numerator < 0 or (top != math.inf and x.numerator > x.denominator * top):
+        raise ParameterError(f"{name} must be {rule}, got {x}")
+    return x
+
+
 def _as_ab(a, b) -> tuple[Fraction, Fraction]:
     # a = inf (weight alpha = 0) collapses every law to a point mass;
     # callers that support it handle that case before calling here

@@ -49,7 +49,7 @@ from itertools import chain, islice, repeat
 from operator import attrgetter
 
 from .errors import ParameterError
-from .eulerian_poly import _ANY, _as_n, _rational
+from .eulerian_poly import _ANY, _as_n, _as_param
 
 __all__ = ["SplitMix64", "derive_seed", "bernoulli", "bernoulli_ratio", "first_passage"]
 
@@ -241,9 +241,7 @@ def bernoulli(rng: SplitMix64, p) -> bool:
     """Exact Bernoulli(p) draw for any rational p in [0, 1], read exactly
     (0.1 is the double nearest 1/10): ``bernoulli_ratio`` on p's numerator
     and denominator."""
-    p = _rational("p", p, "a rational in [0, 1]")
-    if not 0 <= p.numerator <= p.denominator:
-        raise ParameterError(f"p must be a rational in [0, 1], got {p}")
+    p = _as_param("p", p, 1)
     return _coin(rng.next_u64, p.numerator, p.denominator)
 
 

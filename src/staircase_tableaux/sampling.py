@@ -62,17 +62,20 @@ A batch draws through ``_batch``, which yields each draw's sorted cells
 for every weight regime: draw i is ``sample_ab`` at derive_seed(seed, i),
 its chunks read from ``rng._draw_chunks``, which expands the first chunks
 of a whole group of seeds at once instead of calling ``next_u64`` per
-chunk.  ``sample_batch`` counts the draws' cells and sums the diagonal
-alphas once per distinct tableau; above ``AB_CAP``, where it keeps no
-tableaux, it counts each draw's diagonal alphas.  The CLI's ``sample``
+chunk.  ``sample_batch`` counts the draws' cells and then, once per
+distinct tableau, its diagonal alphas; above ``AB_CAP``, where it keeps no
+tableaux, it counts each draw's diagonal alphas.  A ``BatchSummary`` holds
+just those two Counters and reads its count and sums off the diagonal
+alpha counts, so they cannot drift apart.  The CLI's ``sample``
 and the sampler criteria of the acceptance suite draw through it too.
 
 The urn ``urn_sample`` flips the same integer coins, P(white) =
 (A + w d)/(A + B + k d) at draw k with w whites added; each seed draws the
 path that one ``bernoulli_ratio`` per draw gives.  The draws that can be
-certain (draw 0 with a = 0 or b = 0, draw 1 after the a = b = 0 tie) run
-alone; every other draw reads ``rng._blocks`` at any n, one chunk per draw,
-so each block is read to its end.  The loop keeps (A + w d)·2^64 as a
+certain (draw 0 with a = 0 or b = 0, draw 1 after the a = b = 0 tie) flip
+that coin on ``next_u64``, and a certain coin reads no chunk; every other
+draw reads ``rng._blocks`` at any n, one chunk per draw, so each block is
+read to its end.  The loop keeps (A + w d)·2^64 as a
 running sum, so the first chunk u decides the draw by one product u·den;
 only when u·den < (A + w d)·2^64 < u·den + den (chance at most 2^-64) does
 the shared ``_coin`` read on, from the same stream.
@@ -91,7 +94,7 @@ from typing import NamedTuple
 
 from .errors import ParameterError
 from .enumeration import AB_CAP
-from .eulerian_poly import _as_n, _finite, _invert, _over_one_denominator, _rational, _Record
+from .eulerian_poly import _as_n, _as_param, _finite, _invert, _over_one_denominator, _Record
 from .rng import SplitMix64, _blocks, _chunks, _coin, _draw_chunks, _passage, derive_seed
 from .tableau import Symbol, Tableau, counts
 
@@ -108,18 +111,6 @@ __all__ = [
 ]
 
 INF = math.inf
-
-
-def _as_param(name: str, x, top=INF) -> Fraction | float:
-    """``x`` as a Fraction in [0, top], or math.inf when top is inf."""
-    rule = "a rational >= 0 or inf" if top == INF else f"a rational in [0, {top}]"
-    if type(x) is not Fraction:
-        if x == INF == top:
-            return INF
-        x = _rational(name, x, rule)
-    if x.numerator < 0 or (top != INF and x.numerator > x.denominator * top):
-        raise ParameterError(f"{name} must be {rule}, got {x}")
-    return x
 
 
 class Params(_Record):
@@ -274,17 +265,14 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     rng = SplitMix64(seed)
     white_added = 0
     path = []
-    # with a = 0 or b = 0 draw 0 is certain, or at a = b = 0 the tie with
-    # draw 1 certain; every later draw has 0 < P(white) < 1
-    k0 = 0
-    if not (A and B):
-        k0 = min(n, 1 if A or B else 2)
-        for k in range(k0):
-            if A + B + k * d == 0:
-                white_added += _coin(rng.next_u64, 1, 2)
-            elif A + white_added * d == 0:
-                white_added += 1
-            path.append(white_added)
+    # with a = 0 or b = 0 draw 0 is certain, or at a = b = 0 the fair tie with
+    # draw 1 certain; a certain coin reads no chunk.  Every later draw has
+    # 0 < P(white) < 1
+    k0 = 0 if A and B else min(n, 1 if A or B else 2)
+    for k in range(k0):
+        den = A + B + k * d
+        white_added += _coin(rng.next_u64, B + (k - white_added) * d if den else 1, den or 2)
+        path.append(white_added)
     if n > k0:
         # _coin inline with num kept times 2^64: the first chunk u decides the
         # draw unless u·den < num < u·den + den, and then _coin reads on.  The
@@ -319,30 +307,35 @@ def tableau_stats(t: Tableau) -> TableauStats:
 class BatchSummary(_Record):
     """Empirical summary of a sample batch, one ``add`` per draw.
 
-    ``tableau_counts`` records whole tableaux only for sizes up to
-    ``enumeration.AB_CAP``, the sizes an enumeration oracle can check;
-    beyond it the Counter would grow with the number of samples."""
+    Its two Counters grow in place; ``count`` and the sums are read off
+    ``diag_alpha_counts``.  ``tableau_counts`` records whole tableaux only
+    for sizes up to ``enumeration.AB_CAP``, the sizes an enumeration oracle
+    can check; beyond it the Counter would grow with the number of samples."""
 
     _fields = ("count", "sum_diag_alpha", "sum_diag_alpha_sq", "diag_alpha_counts",
                "tableau_counts")
-    # mutable, so unhashable
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    __hash__ = None   # its Counters grow in place, so unhashable
 
     def __init__(self):
-        self.count = self.sum_diag_alpha = self.sum_diag_alpha_sq = 0
-        self.diag_alpha_counts, self.tableau_counts = Counter(), Counter()
+        object.__setattr__(self, "diag_alpha_counts", Counter())
+        object.__setattr__(self, "tableau_counts", Counter())
+
+    @property
+    def count(self) -> int:
+        return sum(self.diag_alpha_counts.values())
+
+    @property
+    def sum_diag_alpha(self) -> int:
+        return sum(a * m for a, m in self.diag_alpha_counts.items())
+
+    @property
+    def sum_diag_alpha_sq(self) -> int:
+        return sum(a * a * m for a, m in self.diag_alpha_counts.items())
 
     def add(self, t: Tableau) -> None:
-        self._tally(_diagonal_alphas(t.n, t.cells), 1)
+        self.diag_alpha_counts[_diagonal_alphas(t.n, t.cells)] += 1
         if t.n <= AB_CAP:
             self.tableau_counts[t.cells] += 1
-
-    def _tally(self, a: int, m: int) -> None:
-        """Count m draws with a diagonal alphas."""
-        self.count += m
-        self.sum_diag_alpha += a * m
-        self.sum_diag_alpha_sq += a * a * m
-        self.diag_alpha_counts[a] += m
 
 
 def _diagonal_alphas(n: int, cells) -> int:
@@ -373,9 +366,8 @@ def sample_batch(n: int, params: Params, seed: int, count: int) -> BatchSummary:
     draws = _batch(n, params, seed, count)
     if n <= AB_CAP:
         out.tableau_counts.update(map(tuple, draws))
-        tally = [(_diagonal_alphas(n, cells), m) for cells, m in out.tableau_counts.items()]
+        for cells, m in out.tableau_counts.items():
+            out.diag_alpha_counts[_diagonal_alphas(n, cells)] += m
     else:
-        tally = Counter(_diagonal_alphas(n, cells) for cells in draws).items()
-    for a, m in tally:
-        out._tally(a, m)
+        out.diag_alpha_counts.update(_diagonal_alphas(n, cells) for cells in draws)
     return out

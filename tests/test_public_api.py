@@ -20,6 +20,15 @@ def test_package_all_resolves():
         assert hasattr(staircase_tableaux, name), name
 
 
+def test_package_exports_every_library_name():
+    # the package re-exports the six library modules' __all__s; no two of
+    # them share a name, so none shadows another
+    library = ("tableau", "eulerian_poly", "enumeration", "sampling", "distributions", "asep")
+    names = [n for m in library for n in importlib.import_module(f"staircase_tableaux.{m}").__all__]
+    assert len(set(names)) == len(names)
+    assert set(names) <= set(staircase_tableaux.__all__)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_all_resolves(module):
     mod = importlib.import_module(f"staircase_tableaux.{module}")

@@ -971,6 +971,21 @@ def test_urn_empty_start():
         urn_sample(2, -1, 1, 0)
 
 
+@pytest.mark.parametrize("n, a, b, path", [(1, 0, 1, (1,)), (1, F(2, 3), 0, (0,)),
+                                           (2, 0, 0, None)])
+def test_urn_certain_draws_read_no_chunk(monkeypatch, n, a, b, path):
+    # the leading draws flip the kernel's own coin: a certain one reads no
+    # chunk, and the a = b = 0 tie one fair coin from next_u64
+    made = []
+    monkeypatch.setattr(sampling, "SplitMix64", lambda seed: made.append(Scripted(seed, [])) or made[-1])
+    for i in range(64):
+        seed = derive_seed(47, i)
+        res = urn_sample(n, a, b, seed)
+        reads = 1 if path is None else 0
+        assert (made[-1].handed, made[-1].takes) == (reads, 0)
+        assert res.path == (path or (bernoulli_ratio(SplitMix64(seed), 1, 2), 1))
+
+
 def test_large_draws_are_valid():
     for alpha, beta in [(F(1), F(1)), (F(3), F(1, 5))]:
         t = sample_ab(2000, Params.from_alpha_beta(alpha, beta), 2000)
@@ -1100,6 +1115,28 @@ def test_batch_diagonal_alpha_tallies_match_counts(n, params):
     assert s.diag_alpha_counts == want
     assert s.sum_diag_alpha == sum(k * c for k, c in want.items())
     assert s.sum_diag_alpha_sq == sum(k * k * c for k, c in want.items())
+
+
+def test_batch_summary_is_read_off_its_diagonal_counts():
+    # count and the sums are read off diag_alpha_counts, by add and by a
+    # batch alike, below AB_CAP and above it; no field can be reassigned
+    empty = sampling.BatchSummary()
+    assert (empty.count, empty.sum_diag_alpha, empty.sum_diag_alpha_sq) == (0, 0, 0)
+    for field in ("count", "diag_alpha_counts"):
+        with pytest.raises(AttributeError):
+            setattr(empty, field, getattr(empty, field))
+    params = Params(F(1, 3), F(5, 7))
+    for n in (4, AB_CAP + 2):
+        draws = [sample_ab(n, params, derive_seed(29, i)) for i in range(200)]
+        alphas = [counts(t).diagonal_alpha for t in draws]
+        added = sampling.BatchSummary()
+        for t in draws:
+            added.add(t)
+        for s in (added, sample_batch(n, params, 29, 200)):
+            assert s.diag_alpha_counts == Counter(alphas)
+            assert s.count == len(alphas) == sum(s.diag_alpha_counts.values())
+            assert s.sum_diag_alpha == sum(alphas)
+            assert s.sum_diag_alpha_sq == sum(x * x for x in alphas)
 
 
 def test_batch_variance_near_theory():
