@@ -207,9 +207,9 @@ def joint_poly_N(n: int, alpha, beta, allow_large: bool = False) -> JointPoly:
 
 
 def max_symbol_tableaux(n: int, allow_large: bool = False) -> Iterator[Tableau]:
-    """The alpha/beta tableaux with the maximal 2n-1 cells, each holding a
-    symbol; there are 2(n-1)! of them, (n-1)! with n alphas and (n-1)! with
-    n-1 alphas."""
+    """The alpha/beta tableaux with the most cells of their size, 2n-1, each
+    holding a symbol; 2(n-1)! of them from n = 1, (n-1)! with n alphas and
+    (n-1)! with n-1 alphas; at n = 0 the one empty tableau."""
     for t in enumerate_ab(n, allow_large):
-        if len(t.cells) == 2 * n - 1:
+        if len(t.cells) >= 2 * n - 1:
             yield t

@@ -80,6 +80,11 @@ def test_enumerate_count(capsys):
     assert code == 0 and out.strip() == "4"
 
 
+def test_enumerate_max_at_zero_counts_the_empty_tableau(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "0", "--mode", "max", "--count-only")
+    assert (code, out) == (0, "1\n")
+
+
 def test_enumerate_stream_parses(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--format", "json")
     assert code == 0

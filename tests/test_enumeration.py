@@ -177,6 +177,11 @@ def test_max_symbol_counts(n, count):
         assert c.n_alpha + c.n_beta == 2 * n - 1
 
 
+def test_max_symbol_tableaux_at_zero():
+    # the one size-0 tableau, the empty one, has the most cells of its size
+    assert list(max_symbol_tableaux(0)) == [Tableau(0, ())]
+
+
 def test_max_symbol_split_by_alpha():
     for n in (2, 3, 4, 5):
         split: dict[int, int] = {}
