@@ -75,10 +75,10 @@ path that one ``bernoulli_ratio`` per draw gives.  The draws that can be
 certain (draw 0 with a = 0 or b = 0, draw 1 after the a = b = 0 tie) flip
 that coin on ``next_u64``, and a certain coin reads no chunk; every other
 draw reads ``rng._blocks`` at any n, one chunk per draw, so each block is
-read to its end.  The loop keeps (A + w d)·2^64 as a
-running sum, so the first chunk u decides the draw by one product u·den;
-only when u·den < (A + w d)·2^64 < u·den + den (chance at most 2^-64) does
-the shared ``_coin`` read on, from the same stream.
+read to its end.  The loop keeps (A + w d)·2^64 as a running sum, so the
+first chunk u decides the draw by one product u·den; only when u·den <
+(A + w d)·2^64 < u·den + den (chance at most 2^-64) does the shared
+``_coin`` read on, from the same stream.
 
 An infinite weight leaves only the diagonal, by one rule: each diagonal box
 independently holds Alpha with probability rho (a = b = inf), 1 (b = inf,
@@ -265,9 +265,8 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     rng = SplitMix64(seed)
     white_added = 0
     path = []
-    # with a = 0 or b = 0 draw 0 is certain, or at a = b = 0 the fair tie with
-    # draw 1 certain; a certain coin reads no chunk.  Every later draw has
-    # 0 < P(white) < 1
+    # draw 0 is certain at a = 0 or b = 0, draw 1 after the a = b = 0 fair tie;
+    # a certain coin reads no chunk.  Every later draw has 0 < P(white) < 1
     k0 = 0 if A and B else min(n, 1 if A or B else 2)
     for k in range(k0):
         den = A + B + k * d
