@@ -269,17 +269,68 @@ def test_decomposition_roots_certified_independently(a, b, n):
     assert all(x * (1 + tol) < y * (1 - tol) for x, y in zip(xis, xis[1:]))
 
 
-@pytest.mark.parametrize("coeffs", [
-    [1, 2, 1],
-    [1, 1, 1],
-    [1, 0, 1],
-    [1, 6, 9],
-], ids=["double-root", "complex-pair", "zero-coefficient", "non-dyadic-double-root"])
-def test_interlacing_roots_failures_are_typed(coeffs):
+@pytest.mark.parametrize("coeffs, message", [
+    ([1, 2, 1], "found 1 real roots, expected 2"),
+    ([1, 1, 1], "found 0 real roots, expected 2"),
+    ([1, 0, 1], "the polynomial must have positive coefficients"),
+    ([1, 6, 9], "a multiple or non-real root near -341/1024"),
+    ([2, 1, 1], "found 0 real roots, expected 2"),
+    ([1, 2, 2], "found 0 real roots, expected 2"),
+    ([4, 4, 1], "found 1 real roots, expected 2"),
+], ids=["double-root", "complex-pair", "zero-coefficient", "non-dyadic-double-root",
+        "complex-pair-2-1-1", "complex-pair-1-2-2", "double-root-at-2"])
+def test_interlacing_roots_failures_are_typed(coeffs, message):
     # (3x + 1)^2 has its double root at -1/3, which no midpoint hits: the
     # halving depth limit must raise instead of looping
-    with pytest.raises(RootFindingError):
+    with pytest.raises(RootFindingError) as info:
         _isolate_roots(coeffs)
+    assert str(info.value) == message
+
+
+def _poly_with_roots(rs) -> list[int]:
+    """Integer coefficients, ascending, of a positive multiple of prod (x + r)."""
+    p = [F(1)]
+    for r in rs:
+        p = [r * x + y for x, y in zip(p + [0], [0] + p)]
+    den = math.lcm(*(c.denominator for c in p))
+    return [int(c * den) for c in p]
+
+
+def _on_grid_cell_of(xi: F, r: F) -> bool:
+    """xi is r, or the midpoint (2k+1) 2^(j-41), 2^j <= xi < 2^(j+1), of the
+    cell of the fixed grid k 2^(j-40) that holds r."""
+    if xi == r:
+        return True
+    j = math.frexp(xi)[1] - 1
+    half = F(2) ** (j - 41)
+    odd = xi / half
+    return (2**j <= xi < 2 ** (j + 1) and odd.denominator == 1
+            and odd.numerator % 2 == 1 and abs(xi - r) < half)
+
+
+@pytest.mark.parametrize("rs", [
+    [F(1, 2), F(3, 4), F(1), F(3)],
+    [F(1, 1024), F(1), F(1000)],
+], ids=["dyadic", "wide-dyadic"])
+def test_isolate_roots_finds_dyadic_roots_exactly(rs):
+    # every root is a cell midpoint of the search, so each comes out exact
+    assert _isolate_roots(_poly_with_roots(rs)) == rs
+
+
+def test_isolate_roots_puts_other_roots_on_the_grid():
+    xis = _isolate_roots(_poly_with_roots([F(1, 3), F(2, 7), F(5)]))
+    assert xis == [F(2513169434917, 2**43), F(2932031007403, 2**43), F(5)]
+    assert _on_grid_cell_of(xis[0], F(2, 7)) and _on_grid_cell_of(xis[1], F(1, 3))
+
+
+@given(st.sets(st.builds(F, st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_isolate_roots_of_random_root_sets(rs):
+    # close rationals such as 29/30 and 28/29 force deep subdivisions
+    rs = sorted(rs)
+    xis = _isolate_roots(_poly_with_roots(rs))
+    assert len(xis) == len(rs)
+    assert all(_on_grid_cell_of(xi, r) for xi, r in zip(xis, rs)), (rs, xis)
 
 
 def test_pairs_marginals_and_moments():
