@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import count, islice
+from operator import add
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, RootFindingError
@@ -171,34 +172,26 @@ def _sign_at(coeffs: list[int], u: int, s: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _taylor_shift(q: list[int]) -> list[int]:
-    """The coefficients of q(x + 1): m rounds of suffix sums."""
-    q = list(q)
-    for i in range(len(q) - 1):
-        q[i:] = list(accumulate(reversed(q[i:])))[::-1]
-    return q
-
-
-def _variations(q: list[int]) -> int:
-    """Sign changes in the coefficients of (x + 1)^m q(1 / (x + 1)).
-
-    By Descartes' rule this counts the roots of q in (0, 1) exactly when
-    every root of q is real; a count of 0 or 1 is exact always."""
-    signs = [c > 0 for c in _taylor_shift(q[::-1]) if c]
+def _variations(b: list[int]) -> int:
+    """Sign changes over the nonzero entries of b.  On a cell's Bernstein
+    coefficients this counts the roots of q in the cell exactly when every
+    root of q is real (Descartes); a count of 0 or 1 is exact always."""
+    signs = [c > 0 for c in b if c]
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _isolate_roots(coeffs: list[int]) -> list[Fraction]:
     """The roots -xi of p(x) = sum_k coeffs[k] x^k as the ascending xi > 0.
 
-    Vincent-Collins-Akritas bisection on q(t) = p(-2^L t), whose roots lie
-    in (0, 1): a cell with one sign variation holds exactly one root, one
-    with none holds no root, and any other is halved; a midpoint where q
-    vanishes is an exact root.  Exactly m roots must come out, which
-    proves them real and simple.  Each cell is then bisected, with exact
-    signs, down to the one cell of the fixed grid {k 2^(j-40)},
-    2^j <= xi < 2^(j+1), that holds its root, and that cell's midpoint is
-    reported, so the output depends on p alone.
+    Bernstein subdivision (Rouillier-Zimmermann) on q(t) = p(-2^L t), whose
+    roots lie in (0, 1): a cell whose Bernstein coefficients show one sign
+    variation holds exactly one root, one with none holds no root, and any
+    other is halved by de Casteljau at t = 1/2; a midpoint where q vanishes
+    is an exact root.  Exactly m roots must come out, which proves them
+    real and simple.  Each cell is then bisected, with exact signs, down to
+    the one cell of the fixed grid {k 2^(j-40)}, 2^j <= xi < 2^(j+1), that
+    holds its root, and that cell's midpoint is reported, so the output
+    depends on p alone.
 
     Raises RootFindingError for a coefficient that is not positive, a
     multiple root, or any count of roots other than the degree m.
@@ -212,23 +205,29 @@ def _isolate_roots(coeffs: list[int]) -> list[Fraction]:
     # m^(-(m+2)/2) |p|_1^(1-m) >= 2^-sep_bits apart, so a cell this narrow
     # that still shows two sign variations holds a multiple or non-real root
     sep_bits = (m + 2) * m.bit_length() // 2 + 1 + (m - 1) * sum(coeffs).bit_length()
-    # (c, s, q): q is q(t) mapped onto (0, 1) from the cell c 2^s < xi < (c+1) 2^s,
-    # or None for an exact root at xi = c 2^s; popped in ascending xi
-    stack = [(0, L, [(-1) ** k * c << L * k for k, c in enumerate(coeffs)])]
+    # (c, s, b): b is a positive multiple of the Bernstein coefficients of q on
+    # c 2^s < xi < (c+1) 2^s, or None for an exact root at xi = c 2^s; popped in
+    # ascending xi.  At the top m! b_i = sum_{k<=i} C(i, k) k! (m-k)! q_k
+    w = [math.factorial(m - k) * (-1) ** k * c << L * k for k, c in enumerate(coeffs)]
+    stack = [(0, L, [sum(math.perm(i, k) * w[k] for k in range(i + 1)) for i in range(m + 1)])]
     found: list[Fraction | tuple[int, int]] = []
     while stack:
-        c, s, q = stack.pop()
-        if q is None:
+        c, s, b = stack.pop()
+        if b is None:
             found.append(c * Fraction(2) ** s)
             continue
-        count = _variations(q)
+        count = _variations(b)
         if count == 1:
             found.append((c, s))
         elif count > 1:
             if s <= -sep_bits:
                 raise RootFindingError(f"a multiple or non-real root near {-c * Fraction(2) ** s}")
-            left = [x << (m - k) for k, x in enumerate(q)]   # 2^m q(t/2)
-            right = _taylor_shift(left)
+            left, right, row = [], [], b   # de Casteljau at t = 1/2, times 2^m
+            for k in range(m + 1):
+                left.append(row[0] << (m - k))
+                right.append(row[-1] << (m - k))
+                row = list(map(add, row, row[1:]))
+            right.reverse()
             stack.append((2 * c + 1, s - 1, right))
             if right[0] == 0:
                 stack.append((2 * c + 1, s - 1, None))
