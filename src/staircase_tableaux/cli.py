@@ -76,7 +76,8 @@ def _rational_flag(text: str) -> Fraction | float:
 
 
 def _resolve_params(args) -> sampling.Params:
-    """Exactly one of the two parameter conventions per invocation."""
+    """Exactly one of the two parameter conventions per invocation; only
+    sample takes a zero weight, as every exact law needs a and b finite."""
     has_ab = args.a is not None or args.b is not None
     has_greek = args.alpha is not None or args.beta is not None
     if has_ab and has_greek:
@@ -85,10 +86,16 @@ def _resolve_params(args) -> sampling.Params:
     if has_greek:
         if args.alpha is None or args.beta is None:
             raise ParameterError("--alpha and --beta must be given together")
-        return sampling.Params.from_alpha_beta(args.alpha, args.beta, rho)
-    if args.a is None or args.b is None:
+        params = sampling.Params.from_alpha_beta(args.alpha, args.beta, rho)
+    elif args.a is None or args.b is None:
         raise ParameterError("give parameters as --a/--b or --alpha/--beta")
-    return sampling.Params(args.a, args.b, rho)
+    else:
+        params = sampling.Params(args.a, args.b, rho)
+    for inverse, weight in ("a", "alpha"), ("b", "beta"):
+        if getattr(params, inverse) == math.inf and args.command != "sample":
+            raise ParameterError(f"--{weight} must be > 0, got 0" if has_greek
+                                 else f"--{inverse} must be finite, got inf")
+    return params
 
 
 def _unused(args, context: str, *dests: str) -> None:

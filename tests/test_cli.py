@@ -53,6 +53,31 @@ def test_parameter_error_exit_code(capsys):
     assert code == cli.EXIT_PARAMETER
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--alpha", "0", "--beta", "1"), "--alpha must be > 0, got 0"),
+    (("--alpha", "1", "--beta", "0"), "--beta must be > 0, got 0"),
+    (("--a", "inf", "--b", "1"), "--a must be finite, got inf"),
+    (("--a", "1", "--b", "inf"), "--b must be finite, got inf"),
+], ids=["alpha", "beta", "a", "b"])
+@pytest.mark.parametrize("command", [
+    ("dist-a", "--n", "3"), ("moments-a", "--n", "3"), ("decompose", "--n", "3"),
+    ("pairs-n", "--n", "3"), ("positions", "--n", "3", "--kind", "diag", "--i", "1"),
+    ("subcheck", "--n", "3", "--i", "1", "--j", "1"), ("triangle", "--n-max", "3"),
+    ("clt", "--n", "3"),
+], ids=lambda c: c[0])
+def test_exact_laws_name_the_zero_weight_flag(capsys, command, flags, message):
+    # only sample takes a zero weight; the others name the flag the user gave
+    code, out, err = run_cli(capsys, *command, *flags)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_zero_weights_stay_with_sample_and_infinite_weights_with_all(capsys):
+    assert run_cli(capsys, "moments-a", "--n", "3", "--alpha", "inf", "--beta", "1") == (
+        0, "mean,variance\n2,1/3\n", "")
+    assert run_cli(capsys, "sample", "--n", "3", "--alpha", "0", "--beta", "1") == (
+        0, "..b\n.b\nb\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ("dist-a", "--n", "-2", "--a", "1", "--b", "1"),
     ("triangle", "--n-max", "3", "--a", "inf", "--b", "1"),
