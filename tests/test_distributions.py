@@ -31,6 +31,7 @@ from staircase_tableaux.errors import DomainError, ParameterError, RootFindingEr
 from staircase_tableaux.eulerian_poly import (
     c_table,
     eulerian,
+    p_at_one,
     p_eval,
     rising_factorial,
     scaled_row,
@@ -141,6 +142,42 @@ def test_moments_match_law_on_range():
             d = dist_A(n, a, b)
             mean, var = moments_A(n, a, b)
             assert (mean, var) == (d.mean(), d.variance()), (a, b, n)
+
+
+PIN_AB = [F(0), F(1), F(1, 2), F(2, 3), F(7, 5), F(3), F(1, 7), F(5, 2)]
+
+
+def _outcome(f, *args) -> str:
+    try:
+        return repr(f(*args))
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_exact_law_singular_points_are_pinned():
+    # SHA-256 over the repr, or the error type and message, of moments_A,
+    # p_at_one and diag_prob on a grid that holds every singular point of
+    # their closed forms: n = 0, 1 at a + b in {1, 2}, a = b = 0 at n = 0, 1,
+    # 2, and i = 0, n + 1.  Of diag_prob(1, 0, 0, 1) only the type is pinned.
+    h = hashlib.sha256()
+    for n in range(25):
+        for a in PIN_AB:
+            for b in PIN_AB:
+                h.update(_outcome(moments_A, n, a, b).encode())
+                h.update(_outcome(p_at_one, n, a, b).encode())
+                for i in range(n + 2):
+                    if (n, a, b, i) == (1, 0, 0, 1):
+                        with pytest.raises(DomainError):
+                            diag_prob(n, a, b, i)
+                        continue
+                    h.update(_outcome(diag_prob, n, a, b, i).encode())
+    # malformed arguments, some with two faults: the first check's error wins
+    for n, a, b, i in [(-1, 1, 1, 1), (F(5, 2), 1, 1, 1), (3, -1, 1, 9),
+                       (1, 0, 0, 5), (2, 1, "x", 0)]:
+        for f, args in ((moments_A, (n, a, b)), (p_at_one, (n, a, b)),
+                        (diag_prob, (n, a, b, i))):
+            h.update(_outcome(f, *args).encode())
+    assert h.hexdigest()[:16] == "4bd558f1514bcaa9"
 
 
 def test_decomposition_n2():
