@@ -13,6 +13,7 @@ staircase tableaux executable:
   polynomials, c-table and classical specializations;
 - ``enumeration``: brute-force generation of all tableaux of small size,
   exact partition functions and joint generating polynomials;
+- ``rng``: the portable SplitMix64 stream, batch seeds and exact coins;
 - ``sampling``: exact sequential sampler for the weighted laws, the
   four-symbol extension, and the equivalent Friedman urn;
 - ``distributions``: exact laws and moments of the diagonal count A and
@@ -20,6 +21,7 @@ staircase tableaux executable:
   position formulas, and finite-n limit diagnostics;
 - ``asep``: the deterministic u/q box filling and the six-variable
   generating function;
+- ``errors``: the typed errors, each a subclass of ``StaircaseError``;
 - ``cli``: the ``staircase-tableaux`` command exposing all of the above.
 
 The package re-exports each of the six library modules' ``__all__``, so

@@ -259,7 +259,7 @@ def check_urn(level: str) -> str:
     details = []
     for al, be in [(F(1), F(1)), (F(2), F(1)), (F(2), F(2))]:
         a, b = 1 / al, 1 / be
-        law = {k: dist.dist_A(4, a, b).pmf(k) for k in range(5)}
+        law = dict(zip(range(5), map(dist.dist_A(4, a, b).pmf, range(5))))
         obs: Counter = Counter()
         for s in _derived_seeds(URN_SEED, samples):
             obs[sampling.urn_sample(4, a, b, s).added_white] += 1
@@ -272,18 +272,17 @@ def check_urn(level: str) -> str:
 def check_decomposition(level: str) -> str:
     n_root = 30 if level == "desk" else 12
     for a, b in GRID_INV:
-        bd = dist.bernoulli_decomposition(n_root, a, b)
+        for n in (10, n_root):   # the last pass leaves bd at n_root
+            bd = dist.bernoulli_decomposition(n, a, b)
+            rec = bd.reconstruction()
+            d = dist.dist_A(n, a, b)
+            tv = 0.5 * sum(abs(rec[k] - float(d.pmf(k))) for k in range(n + 1))
+            assert tv < 1e-9, (a, b, n, tv)
         assert len(bd.p) == n_root
         assert all(x >= 0 for x in bd.xi)
         assert all(x < y for x, y in zip(bd.xi, bd.xi[1:])), "roots must be simple"
         mean, _ = dist.moments_A(n_root, a, b)
         assert abs(sum(bd.p) - float(mean)) < 1e-9
-        for n in (10, n_root):
-            bd_n = dist.bernoulli_decomposition(n, a, b)
-            rec = bd_n.reconstruction()
-            d = dist.dist_A(n, a, b)
-            tv = 0.5 * sum(abs(rec[k] - float(d.pmf(k))) for k in range(n + 1))
-            assert tv < 1e-9, (a, b, n, tv)
     n_lc = 200 if level == "desk" else 60
     for a, b in GRID_ROWSUM:
         for m, (row, _) in enumerate(eul.scaled_rows(n_lc, a, b)):

@@ -128,21 +128,14 @@ def moments_A(n: int, a, b) -> tuple[Fraction, Fraction]:
         Var A = n [ (n-1)(n-2)(n+4a+4b-1) + 6(n-1)(a+b)^2 + 12ab(a+b-1) ]
                 / [ 12 (n+a+b-1)^2 (n+a+b-2) ].
 
-    The variance expression has removable singularities at n = 1 (when
-    a + b = 1) and at (n, a, b) = (2, 0, 0); those points are evaluated by
-    their limits, which is what the law itself gives.
+    At n < 2 and at (n, a, b) = (2, 0, 0), where the forms can be singular,
+    the moments are read off the law dist_A itself.
     """
     a, b = _as_ab(a, b)
     n = _as_n(n)
-    if a == 0 and b == 0 and n < 2:
-        raise DomainError("a = b = 0 needs n >= 2")
-    if n == 0:
-        return Fraction(0), Fraction(0)
-    if n == 1:
-        p_alpha = b / (a + b)
-        return p_alpha, p_alpha * (1 - p_alpha)
-    if a == 0 and b == 0 and n == 2:
-        return Fraction(1), Fraction(0)
+    if n < 2 or n == 2 and a == b == 0:
+        law = dist_A(n, a, b)
+        return law.mean(), law.variance()
     mean = Fraction(n) * (n + 2 * b - 1) / (2 * (n + a + b - 1))
     num = (
         (n - 1) * (n - 2) * (n + 4 * a + 4 * b - 1)
@@ -401,15 +394,12 @@ def dist_N_pairs(n: int, a, b) -> NPairLaw:
 
 def diag_prob(n: int, a, b, i: int) -> Fraction:
     """P(i-th diagonal box, counted from the NE, holds an alpha) =
-    (n - i + b) / (n + a + b - 1)."""
+    (n - i + b) / (n + a + b - 1), joint_diag_alpha at the one column n + 1 - i."""
     a, b = _as_ab(a, b)
     n, i = _as_n(n), _as_n(i, 1, "i")
     if i > n:
         raise DomainError(f"diagonal index must lie in 1..{n}, got {i}")
-    den = n + a + b - 1
-    if den == 0:
-        raise DomainError("undefined for n = 1 with a = b = 0")
-    return (n - i + b) / den
+    return joint_diag_alpha(n, a, b, (n + 1 - i,))
 
 
 def cell_prob(n: int, a, b, i: int, j: int) -> tuple[Fraction, Fraction, Fraction]:

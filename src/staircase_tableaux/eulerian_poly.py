@@ -397,18 +397,15 @@ def p_at_one(n: int, a, b) -> tuple[Fraction, Fraction, Fraction]:
         P(1)   = (a+b)^{rise n}
         P'(1)  = n (n + 2b - 1) / 2 * (a+b)^{rise n-1}
         P''(1) = n (n-1) (3n^2 + (12b - 11) n + 12b^2 - 24b + 10) / 12
-                 * (a+b)^{rise n-2}
-    """
+                 * (a+b)^{rise n-2},
+    with the rising powers at max(n-1, 0) and max(n-2, 0): at n < 2 the
+    factors n and n (n-1) make those terms 0."""
     a, b = _as_ab(a, b)
     s = a + b
     p0 = rising_factorial(s, n)
-    if n == 0:
-        return p0, Fraction(0), Fraction(0)
-    p1 = Fraction(n * (n + 2 * b - 1), 2) * rising_factorial(s, n - 1)
-    if n == 1:
-        return p0, p1, Fraction(0)
+    p1 = Fraction(n * (n + 2 * b - 1), 2) * rising_factorial(s, max(n - 1, 0))
     quad = 3 * n * n + (12 * b - 11) * n + 12 * b * b - 24 * b + 10
-    p2 = Fraction(n * (n - 1) * quad, 12) * rising_factorial(s, n - 2)
+    p2 = Fraction(n * (n - 1) * quad, 12) * rising_factorial(s, max(n - 2, 0))
     return p0, p1, p2
 
 

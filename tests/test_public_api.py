@@ -46,6 +46,14 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    # the line its comment promises: "exact: 5 and 11/12"
+    assert "5 11/12" in capsys.readouterr().out.splitlines()
+
+
 def _surface():
     """For every module and every name in its sorted ``__all__``: the name's
     category, each function's parameters as (name, kind, repr(default)) and
