@@ -9,6 +9,7 @@ CLT/LLT diagnostics and chi-square p-values.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import count, islice
 from operator import add
@@ -329,24 +330,23 @@ class NPairLaw(NamedTuple):
     cov: Fraction
 
     def _joint_weights(self) -> tuple[dict[tuple[int, int], int], int]:
-        """Joint law of (N_alpha, N_beta) as integer weights over one total:
-        each pair is put over its own denominator once, then convolved."""
-        law, total = {(0, 0): 1}, 1
-        for pd in self.pairs:
-            den = math.lcm(pd.p10.denominator, pd.p01.denominator, pd.p11.denominator)
-            steps = [(dx, dy, q.numerator * (den // q.denominator))
-                     for (dx, dy), q in (((1, 0), pd.p10), ((0, 1), pd.p01), ((1, 1), pd.p11))
-                     if q]
-            nxt: dict[tuple[int, int], int] = {}
-            for (x, y), w in law.items():
-                for dx, dy, q in steps:
-                    key = (x + dx, y + dy)
-                    nxt[key] = nxt.get(key, 0) + w * q
-            law, total = nxt, total * den
-        return law, total
+        """Joint law of (N_alpha, N_beta) as integer weights over one total, from
+        (n, a, b) with a = da/d, b = db/d.  An escape, a step that is not (1, 1),
+        is (0, 1) with chance a/(a+b) at every index: e escapes, v of them (0, 1),
+        weigh g_e C(e, v) da^v db^(e-v), g_e the y^e coefficient of prod_{i<n}
+        (i d + y), over prod_{i<n} (da + db + i d).  At a = b = 0 only step 0 escapes."""
+        n, a, b = self.n, self.a, self.b
+        d = math.lcm(a.denominator, b.denominator)
+        da, db, m = (int(a * d), int(b * d), n) if a or b else (1, 1, min(n, 1))
+        g = [1]
+        for i in range(m):
+            g = [i * d * x + y for x, y in zip(g + [0], [0] + g)]
+        law = {(n - v, n - e + v): w for e, ge in enumerate(g) for v in range(e + 1)
+               if (w := ge * math.comb(e, v) * da ** v * db ** (e - v))}
+        return law, math.prod(da + db + i * d for i in range(m))
 
     def joint_law(self) -> dict[tuple[int, int], Fraction]:
-        """Exact joint law of (N_alpha, N_beta) by convolving the pairs."""
+        """Exact joint law of (N_alpha, N_beta), read from the record's (n, a, b)."""
         law, total = self._joint_weights()
         return {key: Fraction(w, total) for key, w in law.items()}
 
@@ -429,6 +429,8 @@ def joint_diag_alpha(n: int, a, b, positions) -> Fraction:
     prod_k (j_k - k + b) / (n - k + a + b)."""
     a, b = _as_ab(a, b)
     n = _as_n(n)
+    if not isinstance(positions, Iterable):
+        raise ParameterError(f"positions must be an iterable of integers, got {positions!r}")
     js = [_as_n(j, 1, "each position") for j in positions]
     if any(j > n for j in js) or any(x >= y for x, y in zip(js, js[1:])):
         raise DomainError(f"positions must be strictly increasing within 1..{n}")
@@ -553,6 +555,8 @@ def n_alpha_growth_check(n_list, a, b) -> list[GrowthRow]:
     """Exact N_alpha moments against their a log n growth, for each n in
     n_list (sums are accumulated once up to max(n_list))."""
     a, b = _as_ab(a, b)
+    if not isinstance(n_list, Iterable):
+        raise ParameterError(f"n_list must be an iterable of integers, got {n_list!r}")
     targets = sorted({_as_n(n, 1) for n in n_list})
     if not targets:
         raise DomainError("n_list must hold integers >= 1")
@@ -616,6 +620,9 @@ def chi_square_gof(expected, observed) -> ChiSquareResult:
     ``observed`` maps outcomes to counts, each an integer >= 0.  An outcome
     counted at least once that the law omits or gives probability 0 yields
     ChiSquareResult(inf, max(len(expected) - 1, 1), 0.0, total)."""
+    for name, arg in (("expected", expected), ("observed", observed)):
+        if not isinstance(arg, Mapping):
+            raise ParameterError(f"{name} must be a mapping, got {arg!r}")
     law = [(key, p if type(p) is Fraction and p.numerator >= 0
             else _finite(f"the probability of outcome {key!r}", p)) for key, p in expected.items()]
     if (mass := sum(prob for _, prob in law)) != 1:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidTableauError, MalformedDocumentError
+from .errors import DomainError, InvalidTableauError, MalformedDocumentError, ParameterError
 from .eulerian_poly import BivarPoly, _as_n, _finite, _Record
 
 __all__ = [
@@ -327,10 +327,13 @@ def from_document(doc: dict) -> Tableau:
 def parse(data: bytes | str) -> Tableau:
     """Inverse of :func:`serialize`.
 
-    Raises :class:`MalformedDocumentError` for documents that are not UTF-8
-    JSON or miss fields, and :class:`InvalidTableauError` for well-formed
-    documents describing rule-breaking tableaux.
+    Raises :class:`ParameterError` for data that is neither bytes nor str,
+    :class:`MalformedDocumentError` for documents that are not UTF-8 JSON or
+    miss fields, and :class:`InvalidTableauError` for well-formed documents
+    describing rule-breaking tableaux.
     """
+    if not isinstance(data, (bytes, str)):
+        raise ParameterError(f"data must be bytes or str, got {data!r}")
     try:
         doc = json.loads(data.decode() if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:

@@ -1,5 +1,3 @@
-from fractions import Fraction as F
-
 import pytest
 
 from staircase_tableaux import Symbol, Tableau
@@ -18,8 +16,3 @@ def showcase8():
         (7, 2, Symbol.BETA),
         (8, 1, Symbol.ALPHA),
     ])
-
-
-@pytest.fixture(scope="session")
-def ab_weight_grid():
-    return [(F(1), F(1)), (F(2), F(1)), (F(2), F(2)), (F(1, 3), F(5))]

@@ -388,6 +388,37 @@ def test_pairs_zero_zero_rule():
     assert joint == {(3, 2): F(1, 2), (2, 3): F(1, 2)}
 
 
+def _convolved_joint_laws(pairs):
+    """The joint law of (N_alpha, N_beta) after each prefix of the pairs,
+    from the empty one on, by convolving the pair laws one at a time: each
+    pair over its own denominator, the running law as integer weights over
+    one total."""
+    law, total = {(0, 0): 1}, 1
+    yield {(0, 0): F(1)}
+    for pd in pairs:
+        den = math.lcm(pd.p10.denominator, pd.p01.denominator, pd.p11.denominator)
+        steps = [(dx, dy, q.numerator * (den // q.denominator))
+                 for (dx, dy), q in (((1, 0), pd.p10), ((0, 1), pd.p01), ((1, 1), pd.p11))
+                 if q]
+        nxt: dict[tuple[int, int], int] = {}
+        for (x, y), w in law.items():
+            for dx, dy, q in steps:
+                key = (x + dx, y + dy)
+                nxt[key] = nxt.get(key, 0) + w * q
+        law, total = nxt, total * den
+        yield {key: F(w, total) for key, w in law.items()}
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (F(1, 2), 1), (F(2, 3), F(7, 5)), (3, F(1, 7)),
+                                  (0, F(5, 3)), (F(5, 3), 0), (0, 0)],
+                         ids=["1,1", "1/2,1", "2/3,7/5", "3,1/7", "a=0", "b=0", "a=b=0"])
+def test_joint_weights_equal_the_convolution(a, b):
+    reference = _convolved_joint_laws(dist_N_pairs(60, a, b).pairs)
+    for n, expected in enumerate(reference):
+        weights, total = dist_N_pairs(n, a, b)._joint_weights()
+        assert {key: F(w, total) for key, w in weights.items()} == expected, n
+
+
 def test_pair_dist_reads_its_probabilities_exactly():
     # a float is the double it spells, so 0.5 is exactly 1/2
     pd = PairDist(0.5, numpy.int64(0), "1/2")
@@ -575,6 +606,18 @@ def test_chi_square_gof_rejects_counts_that_are_not_integers(observed, message):
 def test_chi_square_gof_rejects_laws_that_are_not_probabilities(expected, message):
     with pytest.raises(ParameterError) as exc:
         chi_square_gof(expected, {0: 3, 1: 5})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chi_square_gof([1], {0: 1}), "expected must be a mapping, got [1]"),
+    (lambda: chi_square_gof({0: 1}, [1]), "observed must be a mapping, got [1]"),
+    (lambda: joint_diag_alpha(3, 1, 1, 2), "positions must be an iterable of integers, got 2"),
+    (lambda: n_alpha_growth_check(5, 1, 1), "n_list must be an iterable of integers, got 5"),
+], ids=["chi-square-expected", "chi-square-observed", "joint-diag-positions", "growth-n-list"])
+def test_arguments_of_the_wrong_type_raise_named_errors(call, message):
+    with pytest.raises(ParameterError) as exc:
+        call()
     assert str(exc.value) == message
 
 

@@ -26,6 +26,7 @@ from staircase_tableaux.errors import (
     DomainError,
     InvalidTableauError,
     MalformedDocumentError,
+    ParameterError,
 )
 from test_asep import _every_filling
 
@@ -231,6 +232,13 @@ def test_parse_rejects_non_utf8_bytes():
         parse(b"\xff")
     with pytest.raises(MalformedDocumentError, match="not UTF-8"):
         parse(b'{"n": 1, "cells": [{"row": 1, "col": 1, "sym": "\xe9"}]}')
+
+
+@pytest.mark.parametrize("data", [None, 5], ids=["None", "int"])
+def test_parse_rejects_data_that_is_not_text(data):
+    with pytest.raises(ParameterError) as exc:
+        parse(data)
+    assert str(exc.value) == f"data must be bytes or str, got {data!r}"
 
 
 def test_parse_rejects_invalid_tableau():
