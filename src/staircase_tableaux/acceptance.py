@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from . import asep, distributions as dist, enumeration as enum_, eulerian_poly as eul
 from . import sampling, tableau as tb
+from .errors import ParameterError
 from .rng import _derived_seeds
 
 __all__ = ["CheckResult", "run", "CRITERIA", "SHOWCASE_TABLEAU"]
@@ -450,11 +451,21 @@ class CheckResult(NamedTuple):
 
 
 def run(level: str = "desk", indices=None) -> list[CheckResult]:
-    """Run the acceptance criteria (all, or the listed indices); under
-    ``python -O``, which strips their asserts, each is reported failed."""
+    """Run the acceptance criteria (all, or the listed indices) at level
+    "quick" or "desk"; under ``python -O``, which strips their asserts, each
+    is reported failed."""
+    if level not in ("quick", "desk"):
+        raise ParameterError(f"level must be 'quick' or 'desk', got {level!r}")
+    known = [index for index, _, _ in CRITERIA]
+    try:
+        wanted = set(known if indices is None else indices)
+    except TypeError:
+        wanted = None
+    if wanted is None or not wanted <= set(known):
+        raise ParameterError(f"indices must be None or criterion numbers from {known}, got {indices!r}")
     results = []
     for index, name, fn in CRITERIA:
-        if indices and index not in indices:
+        if wanted and index not in wanted:
             continue
         start = time.monotonic()
         try:

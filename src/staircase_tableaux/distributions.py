@@ -53,6 +53,8 @@ class DiscreteDist(_Record):
 
     def __init__(self, offset: int, weights: tuple[int, ...]):
         offset = _as_n(offset, _ANY, "offset")
+        if not isinstance(weights, Iterable):
+            raise ParameterError(f"weights must be an iterable of integers, got {weights!r}")
         weights = [x if type(x) is int and x >= 0 else _as_n(x, 0, "each weight", ParameterError)
                    for x in weights]
         nonzero = [i for i, x in enumerate(weights) if x]
@@ -61,13 +63,14 @@ class DiscreteDist(_Record):
         w = weights[nonzero[0]:nonzero[-1] + 1]
         g = math.gcd(*w)
         w = tuple(x // g for x in w)
-        object.__setattr__(self, "offset", offset + nonzero[0])
-        object.__setattr__(self, "weights", w)
+        super().__init__(offset + nonzero[0], w)
         object.__setattr__(self, "total", sum(w))
 
     @classmethod
     def from_map(cls, pm: dict[int, Fraction]) -> "DiscreteDist":
         """The law with exact probabilities pm[k], which must sum to 1."""
+        if not isinstance(pm, Mapping):
+            raise ParameterError(f"pm must be a mapping of outcomes to probabilities, got {pm!r}")
         pm = {_as_n(k, _ANY, "each outcome"): _finite(f"the probability of outcome {k!r}", p)
               for k, p in pm.items()}
         lo, hi = min(pm, default=0), max(pm, default=0)
@@ -310,24 +313,42 @@ class PairDist(_Record):
         p10, p01, p11 = (_finite(name, p) for name, p in zip(self._fields, (p10, p01, p11)))
         if (mass := p10 + p01 + p11) != 1:
             raise ParameterError(f"the pair probabilities must sum to 1, got {mass}")
-        object.__setattr__(self, "p10", p10)
-        object.__setattr__(self, "p01", p01)
-        object.__setattr__(self, "p11", p11)
+        super().__init__(p10, p01, p11)
 
 
-class NPairLaw(NamedTuple):
-    """(N_alpha, N_beta) as a sum of n independent pairs, with exact
-    marginal parameters and moments."""
+def _pair_steps(a: Fraction, b: Fraction):
+    """(qa, qb) = (a, b)/(a+b+i) for i = 0, 1, ...: the chances that step
+    pair i leaves out its alpha or its beta, (1/2, 1/2) at a = b = i = 0."""
+    if a + b == 0:
+        yield Fraction(1, 2), Fraction(1, 2)
+    for den in count(a + b or 1):
+        yield a / den, b / den
 
-    n: int
-    a: Fraction
-    b: Fraction
-    pairs: tuple[PairDist, ...]
-    mean_alpha: Fraction
-    var_alpha: Fraction
-    mean_beta: Fraction
-    var_beta: Fraction
-    cov: Fraction
+
+class NPairLaw(_Record):
+    """(N_alpha, N_beta) as a sum of n independent pairs, built from (n, a, b):
+    the n pair laws
+
+        P(1,0) = b/(a+b+i),  P(0,1) = a/(a+b+i),  P(1,1) = i/(a+b+i),
+
+    for i = 0..n-1, with the i = 0, a = b = 0 case read as (1/2, 1/2, 0),
+    and their exact marginal moments and covariance."""
+
+    _fields = ("n", "a", "b", "pairs", "mean_alpha", "var_alpha", "mean_beta", "var_beta", "cov")
+
+    def __init__(self, n: int, a, b) -> None:
+        a, b = _as_ab(a, b)
+        n = _as_n(n)
+        pairs = []
+        mean_a = var_a = mean_b = var_b = cov = Fraction(0)
+        for qa, qb in islice(_pair_steps(a, b), n):
+            pairs.append(PairDist(qb, qa, 1 - qa - qb))
+            mean_a += 1 - qa
+            var_a += qa * (1 - qa)
+            mean_b += 1 - qb
+            var_b += qb * (1 - qb)
+            cov -= qa * qb
+        super().__init__(n, a, b, tuple(pairs), mean_a, var_a, mean_b, var_b, cov)
 
     def _joint_weights(self) -> tuple[dict[tuple[int, int], int], int]:
         """Joint law of (N_alpha, N_beta) as integer weights over one total, from
@@ -357,35 +378,9 @@ class NPairLaw(NamedTuple):
         return DiscreteDist(0, weights)
 
 
-def _pair_steps(a: Fraction, b: Fraction):
-    """(qa, qb) = (a, b)/(a+b+i) for i = 0, 1, ...: the chances that step
-    pair i leaves out its alpha or its beta, (1/2, 1/2) at a = b = i = 0."""
-    if a + b == 0:
-        yield Fraction(1, 2), Fraction(1, 2)
-    for den in count(a + b or 1):
-        yield a / den, b / den
-
-
 def dist_N_pairs(n: int, a, b) -> NPairLaw:
-    """The n independent pair laws driving (N_alpha, N_beta):
-
-        P(1,0) = b/(a+b+i),  P(0,1) = a/(a+b+i),  P(1,1) = i/(a+b+i),
-
-    for i = 0..n-1, with the i = 0, a = b = 0 case read as (1/2, 1/2, 0).
-    """
-    a, b = _as_ab(a, b)
-    n = _as_n(n)
-    pairs = []
-    mean_a = var_a = mean_b = var_b = cov = Fraction(0)
-    for qa, qb in islice(_pair_steps(a, b), n):
-        pairs.append(PairDist(qb, qa, 1 - qa - qb))
-        mean_a += 1 - qa
-        var_a += qa * (1 - qa)
-        mean_b += 1 - qb
-        var_b += qb * (1 - qb)
-        cov -= qa * qb
-    return NPairLaw(n=n, a=a, b=b, pairs=tuple(pairs), mean_alpha=mean_a,
-                    var_alpha=var_a, mean_beta=mean_b, var_beta=var_b, cov=cov)
+    """The n independent pair laws driving (N_alpha, N_beta), as an NPairLaw."""
+    return NPairLaw(n, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from fractions import Fraction
 from itertools import chain
 from numbers import Rational
 from operator import add, attrgetter, index, mul
-from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
 
@@ -118,14 +117,20 @@ def _as_n(n, least: int = 0, name: str = "n", error: type = DomainError) -> int:
 
 class _Record:
     """Base of the value classes that check or derive their fields: repr,
-    == and hash read the ``_fields`` in order, and assignment raises, so
-    ``__init__`` sets each field with object.__setattr__."""
+    == and hash read the ``_fields`` in order, and assignment raises.  A
+    subclass's ``__init__`` takes what the record is built from and passes
+    the checked or derived fields, in order, to ``_Record.__init__``, the
+    one place fields are set."""
 
     _fields: tuple[str, ...]
 
     def __init_subclass__(cls) -> None:
         # the fields' values as one tuple (every record has two or more fields)
         cls._key = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values) -> None:
+        for field, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, field, value)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
@@ -187,16 +192,17 @@ def _fractions(row, den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in row)
 
 
-class EulerTriangle(NamedTuple):
-    """Exact table of v_{a,b}(n, k) for 0 <= k <= n <= n_max, kept as the
-    integer rows of the recursion: v(n, k) = rows[n][k] / d**n, with d the
-    common denominator of a and b.  Values are handed out as Fractions."""
+class EulerTriangle(_Record):
+    """Exact table of v_{a,b}(n, k) for 0 <= k <= n <= n_max, built from
+    (n_max, a, b) by the two-term recursion and kept as its integer rows:
+    v(n, k) = rows[n][k] / d**n, with d the common denominator of a and b.
+    Values are handed out as Fractions."""
 
-    a: Fraction
-    b: Fraction
-    n_max: int
-    d: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("a", "b", "n_max", "d", "rows")
+
+    def __init__(self, n_max: int, a, b) -> None:
+        rows, ds = zip(*((tuple(row), d) for row, d in scaled_rows(n_max, a, b)))
+        super().__init__(*_as_ab(a, b), len(rows) - 1, ds[0], rows)
 
     def _row(self, n: int) -> tuple[tuple[int, ...], int]:
         """Row n and its denominator d**n."""
@@ -223,8 +229,7 @@ class EulerTriangle(NamedTuple):
 
 def v_triangle(n_max: int, a, b) -> EulerTriangle:
     """Full triangle up to n_max, built by the two-term recursion."""
-    rows, ds = zip(*((tuple(row), d) for row, d in scaled_rows(n_max, a, b)))
-    return EulerTriangle(*_as_ab(a, b), len(rows) - 1, ds[0], rows)
+    return EulerTriangle(n_max, a, b)
 
 
 def v_row(n: int, a, b) -> tuple[Fraction, ...]:
@@ -409,16 +414,20 @@ def p_at_one(n: int, a, b) -> tuple[Fraction, Fraction, Fraction]:
     return p0, p1, p2
 
 
-class CTable(NamedTuple):
-    """Exact table of the connection coefficients c_{n,l}:
-    c_{0,0} = 1 and c_{n+1,l} = (l + b) c_{n,l} + c_{n,l-1}, kept as integer
-    rows: c_{n,l} = rows[n][l] / d**(n-l), with b = B/d in lowest terms, so
-    rows[n+1][l] = (l d + B) rows[n][l] + rows[n][l-1].  Values are handed
-    out as Fractions."""
+class CTable(_Record):
+    """Exact table of the connection coefficients c_{n,l} for 0 <= l <= n <=
+    n_max, built from (n_max, b): c_{0,0} = 1 and c_{n+1,l} = (l + b) c_{n,l}
+    + c_{n,l-1}, kept as integer rows: c_{n,l} = rows[n][l] / d**(n-l), with
+    b = B/d in lowest terms, so rows[n+1][l] = (l d + B) rows[n][l] +
+    rows[n][l-1].  Values are handed out as Fractions."""
 
-    b: Fraction
-    n_max: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("b", "n_max", "rows")
+
+    def __init__(self, n_max: int, b) -> None:
+        n_max = _as_n(n_max, name="n_max")
+        b = _finite("b", b)
+        rows = _rows([ell * b.denominator + b.numerator for ell in range(n_max + 1)], [1] * (n_max + 1))
+        super().__init__(b, n_max, tuple(map(tuple, rows)))
 
     def c(self, n: int, ell: int) -> Fraction:
         n, ell = _as_n(n, _ANY), _as_n(ell, _ANY, "ell")
@@ -430,10 +439,8 @@ class CTable(NamedTuple):
 
 
 def c_table(n_max: int, b) -> CTable:
-    n_max = _as_n(n_max, name="n_max")
-    b = _finite("b", b)
-    rows = _rows([ell * b.denominator + b.numerator for ell in range(n_max + 1)], [1] * (n_max + 1))
-    return CTable(b=b, n_max=n_max, rows=tuple(map(tuple, rows)))
+    """The connection coefficients c_{n,l} up to n_max, built by their recursion."""
+    return CTable(n_max, b)
 
 
 def eulerian_row(n: int) -> list[int]:

@@ -125,9 +125,7 @@ class Params(_Record):
 
     def __init__(self, a: Fraction | float, b: Fraction | float, rho: Fraction = Fraction(1, 2)):
         a, b = _as_param("a", a), _as_param("b", b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rho", _as_param("rho", rho, 1))
+        super().__init__(a, b, _as_param("rho", rho, 1))
         object.__setattr__(self, "_scaled",
                            None if INF in (a, b) else _over_one_denominator(a, b))
 

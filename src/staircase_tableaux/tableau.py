@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -93,6 +94,8 @@ class Tableau(_Record):
             n = _as_n(n, name="n", error=ValueError)
         if n < 0:
             raise ValueError(f"tableau size must be >= 0, got {n}")
+        if not isinstance(cells, Iterable):
+            raise ValueError(f"cells must be an iterable of (row, col, symbol) triples, got {cells!r}")
         seen = set()
         checked = []   # one pass, so any iterable of cells will do
         for cell in cells:
@@ -111,8 +114,7 @@ class Tableau(_Record):
             seen.add((row, col))
             checked.append((row, col, sym))
         checked.sort()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cells", tuple(checked))
+        super().__init__(n, tuple(checked))
 
     @classmethod
     def _sorted(cls, n: int, cells: list[tuple[int, int, Symbol]]) -> "Tableau":

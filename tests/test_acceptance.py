@@ -13,6 +13,7 @@ import pytest
 
 import staircase_tableaux
 from staircase_tableaux import acceptance, cli
+from staircase_tableaux.errors import ParameterError
 
 _RESULTS: dict[int, acceptance.CheckResult] = {}
 
@@ -61,6 +62,28 @@ def test_failing_criterion_is_reported_in_process(monkeypatch, capsys):
     assert cli.main(["verify", "--level", "quick", "--only", "1"]) == cli.EXIT_VERIFY
     out = capsys.readouterr().out
     assert "[FAIL]  1 counting" in out and "0/1 criteria passed" in out
+
+
+@pytest.mark.parametrize("level, indices, message", [
+    ("bogus", [3], "level must be 'quick' or 'desk', got 'bogus'"),
+    ("quick", [99], "indices must be None or criterion numbers from "
+                    "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15], got [99]"),
+    ("quick", 5, "indices must be None or criterion numbers from "
+                 "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15], got 5"),
+    ("quick", [[3]], "indices must be None or criterion numbers from "
+                     "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15], got [[3]]"),
+], ids=["level", "unknown-index", "not-iterable", "unhashable-index"])
+def test_run_rejects_an_unknown_level_or_index(level, indices, message):
+    with pytest.raises(ParameterError) as exc:
+        acceptance.run(level, indices)
+    assert str(exc.value) == message
+
+
+def test_run_reads_the_criterion_numbers_when_called(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:2])
+    with pytest.raises(ParameterError) as exc:
+        acceptance.run("quick", [3])
+    assert str(exc.value) == "indices must be None or criterion numbers from [1, 2], got [3]"
 
 
 def test_maximal_criterion_fails_on_a_broken_maximal_tableau(monkeypatch):

@@ -546,6 +546,11 @@ def test_growth_check():
         n_alpha_growth_check([10], 0, 0)
     with pytest.raises(DomainError, match="^n_list must hold integers >= 1$"):
         n_alpha_growth_check([], 1, 1)
+    # the running sums restate the pair law's moments: each row must match it
+    for a, b in [(F(2, 3), F(7, 5)), (0, 1), (1, 0), (3, F(1, 7))]:
+        for row in n_alpha_growth_check([1, 2, 7, 40], a, b):
+            law = dist_N_pairs(row.n, a, b)
+            assert (row.mean_alpha, row.var_alpha, row.cov) == (law.mean_alpha, law.var_alpha, law.cov)
 
 
 def test_chi_square_gof_helper():
@@ -614,7 +619,10 @@ def test_chi_square_gof_rejects_laws_that_are_not_probabilities(expected, messag
     (lambda: chi_square_gof({0: 1}, [1]), "observed must be a mapping, got [1]"),
     (lambda: joint_diag_alpha(3, 1, 1, 2), "positions must be an iterable of integers, got 2"),
     (lambda: n_alpha_growth_check(5, 1, 1), "n_list must be an iterable of integers, got 5"),
-], ids=["chi-square-expected", "chi-square-observed", "joint-diag-positions", "growth-n-list"])
+    (lambda: DiscreteDist.from_map([1]), "pm must be a mapping of outcomes to probabilities, got [1]"),
+    (lambda: DiscreteDist(0, 5), "weights must be an iterable of integers, got 5"),
+], ids=["chi-square-expected", "chi-square-observed", "joint-diag-positions", "growth-n-list",
+        "discrete-dist-from-map", "discrete-dist-weights"])
 def test_arguments_of_the_wrong_type_raise_named_errors(call, message):
     with pytest.raises(ParameterError) as exc:
         call()

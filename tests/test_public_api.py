@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,32 @@ def _records():
         (params, "rho"),
         (S.sample_batch(3, S.Params(1, 1), 7, 25), None),   # mutable
     ]
+
+
+@pytest.mark.parametrize("record, factory, params", [
+    ("EulerTriangle", "v_triangle", (4, Fraction(1, 2), 3)),
+    ("CTable", "c_table", (4, Fraction(2, 3))),
+    ("NPairLaw", "dist_N_pairs", (4, Fraction(2, 3), Fraction(5, 2))),
+])
+def test_records_whose_fields_agree_are_built_from_their_parameters(record, factory, params):
+    # the one way to build these records is from their factory's parameters,
+    # so no caller can make a record whose fields disagree
+    built = getattr(staircase_tableaux, factory)(*params)
+    assert getattr(staircase_tableaux, record)(*params) == built
+    assert not hasattr(built, "_replace")
+    for field in built._fields:
+        with pytest.raises(AttributeError):
+            setattr(built, field, getattr(built, field))
+    assert built != tuple(getattr(built, f) for f in built._fields)
+
+
+def test_record_parameters_meet_the_factory_rules():
+    from staircase_tableaux.errors import ParameterError
+
+    # a float weight is read exactly, as the factory reads it
+    assert staircase_tableaux.NPairLaw(2, 0.5, 1.0) == staircase_tableaux.dist_N_pairs(2, Fraction(1, 2), 1)
+    with pytest.raises(ParameterError):
+        staircase_tableaux.EulerTriangle(4, -1, 1)
 
 
 def test_records_are_pinned():

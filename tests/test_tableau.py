@@ -299,7 +299,10 @@ def test_single_pass_cells_build_the_same_tableau(once):
     (1, [(1, 1)], "each cell must be a (row, col, symbol) triple, got (1, 1)"),
     (1, [(1, 1, A, 0)], "each cell must be a (row, col, symbol) triple, got (1, 1, <Symbol.ALPHA: 'alpha'>, 0)"),
     (1, [5], "each cell must be a (row, col, symbol) triple, got 5"),
-], ids=["negative-size", "row-0", "col-negative", "not-a-symbol", "pair", "quadruple", "int"])
+    (2, None, "cells must be an iterable of (row, col, symbol) triples, got None"),
+    (2, 5, "cells must be an iterable of (row, col, symbol) triples, got 5"),
+], ids=["negative-size", "row-0", "col-negative", "not-a-symbol", "pair", "quadruple", "int",
+        "cells-none", "cells-int"])
 def test_malformed_size_or_cell_names_the_rule(n, cells, message):
     for build in (Tableau, Tableau.of):
         with pytest.raises(ValueError) as err:
