@@ -57,9 +57,12 @@ def test_readme_quick_start_runs(capsys):
 
 def _surface():
     """For every module and every name in its sorted ``__all__``: the name's
-    category, each function's parameters as (name, kind, repr(default)) and
-    each record's ``_fields``.  Categories come from isinstance, not from
-    metaclass names, which differ between Python versions."""
+    category, the parameters of each function and of each class whose own
+    ``__init__`` the package defines as (name, kind, repr(default)), and each
+    record's ``_fields``.  Categories come from isinstance, not from
+    metaclass names, which differ between Python versions; the Enum and the
+    NamedTuples, whose call signatures come from the standard library and
+    differ between Python versions, are pinned by their fields alone."""
     import inspect
 
     for module in MODULES:
@@ -67,23 +70,24 @@ def _surface():
         for name in sorted(getattr(mod, "__all__", ())):
             obj = getattr(mod, name)
             kind = "class" if isinstance(obj, type) else "function" if callable(obj) else "value"
-            params = () if kind != "function" else tuple(
+            call = obj if kind == "function" else vars(obj).get("__init__") if kind == "class" else None
+            params = () if call is None else tuple(
                 (p.name, p.kind.name, repr(p.default))
-                for p in inspect.signature(obj).parameters.values())
+                for p in inspect.signature(call).parameters.values())
             fields = tuple(getattr(obj, "_fields", ())) if kind == "class" else ()
             yield module, name, kind, params, fields
 
 
 def test_public_surface_is_pinned():
-    # SHA-256 prefix over every module's public names, their signatures and
-    # record fields: a renamed parameter, a changed default or a name that
-    # leaves an __all__ changes it
+    # SHA-256 prefix over every module's public names, the signatures of
+    # their functions and constructors and their record fields: a renamed
+    # parameter, a changed default or a name that leaves an __all__ changes it
     import hashlib
 
     h = hashlib.sha256()
     for row in _surface():
         h.update(repr(row).encode() + b"\n")
-    assert h.hexdigest()[:16] == "1090d6ff0e1ae34e"
+    assert h.hexdigest()[:16] == "712ea86f1e734d2b"
 
 
 def test_cli_import_loads_no_unused_stdlib_module():
