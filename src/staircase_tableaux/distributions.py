@@ -16,7 +16,8 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import _ANY, _as_ab, _as_n, _finite, _fractions, _invert, _Record, scaled_row
+from .eulerian_poly import (_ANY, _as_ab, _as_n, _finite, _fractions, _invert,
+                            _over_one_denominator, _Record, scaled_row)
 
 __all__ = [
     "DiscreteDist",
@@ -150,6 +151,17 @@ def moments_A(n: int, a, b) -> tuple[Fraction, Fraction]:
     return mean, var
 
 
+def _expand(factors) -> list:
+    """The coefficients of prod (c + e x) over the (c, e) in factors, lowest degree first."""
+    out = [1]
+    for c, e in factors:
+        y, prev, out = 0, out + [0], []
+        for x in prev:
+            out.append(c * x + e * y)
+            y = x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli decomposition by real-root isolation
 
@@ -264,15 +276,8 @@ class BernoulliDecomp(NamedTuple):
     xi: tuple[float, ...]
 
     def reconstruction(self) -> list[float]:
-        """Convolution of the Bernoulli(p_i) laws, as floats."""
-        dist = [1.0]
-        for p in self.p:
-            nxt = [0.0] * (len(dist) + 1)
-            for k, w in enumerate(dist):
-                nxt[k] += w * (1 - p)
-                nxt[k + 1] += w * p
-            dist = nxt
-        return dist
+        """Convolution of the Bernoulli(p_i) laws as floats: prod_i ((1 - p_i) + p_i x)."""
+        return _expand((1 - p, p) for p in self.p)
 
 
 def bernoulli_decomposition(n: int, a, b) -> BernoulliDecomp:
@@ -334,6 +339,7 @@ class NPairLaw(_Record):
     for i = 0..n-1, with the i = 0, a = b = 0 case read as (1/2, 1/2, 0),
     and their exact marginal moments and covariance."""
 
+    _scaled: tuple[int, int, int, int]   # (da, db, d, m): a = da/d, b = db/d, steps i >= m are (1, 1)
     _fields = ("n", "a", "b", "pairs", "mean_alpha", "var_alpha", "mean_beta", "var_beta", "cov")
 
     def __init__(self, n: int, a, b) -> None:
@@ -349,33 +355,25 @@ class NPairLaw(_Record):
             var_b += qb * (1 - qb)
             cov -= qa * qb
         super().__init__(n, a, b, tuple(pairs), mean_a, var_a, mean_b, var_b, cov)
-
-    def _joint_weights(self) -> tuple[dict[tuple[int, int], int], int]:
-        """Joint law of (N_alpha, N_beta) as integer weights over one total, from
-        (n, a, b) with a = da/d, b = db/d.  An escape, a step that is not (1, 1),
-        is (0, 1) with chance a/(a+b) at every index: e escapes, v of them (0, 1),
-        weigh g_e C(e, v) da^v db^(e-v), g_e the y^e coefficient of prod_{i<n}
-        (i d + y), over prod_{i<n} (da + db + i d).  At a = b = 0 only step 0 escapes."""
-        n, a, b = self.n, self.a, self.b
-        d = math.lcm(a.denominator, b.denominator)
-        da, db, m = (int(a * d), int(b * d), n) if a or b else (1, 1, min(n, 1))
-        g = [1]
-        for i in range(m):
-            g = [i * d * x + y for x, y in zip(g + [0], [0] + g)]
-        law = {(n - v, n - e + v): w for e, ge in enumerate(g) for v in range(e + 1)
-               if (w := ge * math.comb(e, v) * da ** v * db ** (e - v))}
-        return law, math.prod(da + db + i * d for i in range(m))
+        da, db, d = _over_one_denominator(a, b)
+        object.__setattr__(self, "_scaled", (da, db, d, n) if a or b else (1, 1, 1, min(n, 1)))
 
     def joint_law(self) -> dict[tuple[int, int], Fraction]:
-        """Exact joint law of (N_alpha, N_beta), read from the record's (n, a, b)."""
-        law, total = self._joint_weights()
-        return {key: Fraction(w, total) for key, w in law.items()}
+        """Exact joint law of (N_alpha, N_beta), read from the record's (n, a, b).
+        An escape, a step that is not (1, 1), is (0, 1) with chance a/(a+b): e
+        escapes, v of them (0, 1), weigh g_e C(e, v) da^v db^(e-v) over prod_{i<m}
+        (da + db + i d), g_e the y^e coefficient of the escapes' prod_{i<m} (i d + y)."""
+        n, (da, db, d, m) = self.n, self._scaled
+        total = math.prod(da + db + i * d for i in range(m))
+        return {(n - v, n - e + v): Fraction(w, total)
+                for e, ge in enumerate(_expand((i * d, 1) for i in range(m)))
+                for v in range(e + 1) if (w := ge * math.comb(e, v) * da ** v * db ** (e - v))}
 
     def alpha_law(self) -> DiscreteDist:
-        weights = [0] * (self.n + 1)
-        for (x, _y), w in self._joint_weights()[0].items():
-            weights[x] += w
-        return DiscreteDist(0, weights)
+        """Exact law of N_alpha: step i is (0, 1) with chance da/(da + db + i d), so
+        N_alpha - (n - m) weighs as the coefficients of prod_{i<m} (da + (i d + db) x)."""
+        n, (da, db, d, m) = self.n, self._scaled
+        return DiscreteDist(n - m, _expand((da, i * d + db) for i in range(m)))
 
 
 def dist_N_pairs(n: int, a, b) -> NPairLaw:

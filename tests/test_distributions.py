@@ -204,6 +204,19 @@ def test_decomposition_structure_edges():
         bernoulli_decomposition(0, 1, 1)
 
 
+def _convolved_bernoullis(ps):
+    """The law of a sum of independent Bernoulli(p) over the ps, as floats, by
+    adding each outcome's two branches into the next law one at a time."""
+    dist = [1.0]
+    for p in ps:
+        nxt = [0.0] * (len(dist) + 1)
+        for k, w in enumerate(dist):
+            nxt[k] += w * (1 - p)
+            nxt[k + 1] += w * p
+        dist = nxt
+    return dist
+
+
 @pytest.mark.parametrize("a,b", [(F(1), F(1)), (F(1, 2), F(1, 2)), (F(1, 3), F(5))])
 def test_decomposition_reconstruction(a, b):
     n = 18
@@ -211,6 +224,7 @@ def test_decomposition_reconstruction(a, b):
     assert all(x >= 0 for x in bd.xi)
     assert all(x < y for x, y in zip(bd.xi, bd.xi[1:]))
     rec = bd.reconstruction()
+    assert rec == _convolved_bernoullis(bd.p)
     d = dist_A(n, a, b)
     tv = 0.5 * sum(abs(rec[k] - float(d.pmf(k))) for k in range(n + 1))
     assert tv < 1e-9
@@ -415,8 +429,13 @@ def _convolved_joint_laws(pairs):
 def test_joint_weights_equal_the_convolution(a, b):
     reference = _convolved_joint_laws(dist_N_pairs(60, a, b).pairs)
     for n, expected in enumerate(reference):
-        weights, total = dist_N_pairs(n, a, b)._joint_weights()
-        assert {key: F(w, total) for key, w in weights.items()} == expected, n
+        law = dist_N_pairs(n, a, b)
+        assert law.joint_law() == expected, n
+        marginal: dict[int, F] = {}
+        for (x, _y), p in expected.items():
+            marginal[x] = marginal.get(x, F(0)) + p
+        alpha = law.alpha_law()
+        assert dict(zip(alpha.support(), alpha.probs)) == marginal, n
 
 
 def test_pair_dist_reads_its_probabilities_exactly():
