@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_snapshot", ROOT / "tools" / "bench_snapshot.py")
+_spec = importlib.util.spec_from_file_location("bench_snapshot",
+                                               ROOT / "tools" / "bench_snapshot.py")
 snapshot = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(snapshot)
 

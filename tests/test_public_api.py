@@ -57,12 +57,12 @@ def test_readme_quick_start_runs(capsys):
 
 def _surface():
     """For every module and every name in its sorted ``__all__``: the name's
-    category, the parameters of each function and of each class whose own
+    category, the parameters of each function and of each class whose
     ``__init__`` the package defines as (name, kind, repr(default)), and each
     record's ``_fields``.  Categories come from isinstance, not from
-    metaclass names, which differ between Python versions; the Enum and the
-    NamedTuples, whose call signatures come from the standard library and
-    differ between Python versions, are pinned by their fields alone."""
+    metaclass names, which differ between Python versions; so do the Enum's
+    and the NamedTuples' constructors, which come from the standard library,
+    and those classes are pinned by their fields alone."""
     import inspect
 
     for module in MODULES:
@@ -70,7 +70,9 @@ def _surface():
         for name in sorted(getattr(mod, "__all__", ())):
             obj = getattr(mod, name)
             kind = "class" if isinstance(obj, type) else "function" if callable(obj) else "value"
-            call = obj if kind == "function" else vars(obj).get("__init__") if kind == "class" else None
+            init = getattr(obj, "__init__", None)
+            own = kind == "class" and getattr(init, "__module__", "").startswith("staircase_tableaux")
+            call = obj if kind == "function" else init if own else None
             params = () if call is None else tuple(
                 (p.name, p.kind.name, repr(p.default))
                 for p in inspect.signature(call).parameters.values())

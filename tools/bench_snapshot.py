@@ -85,6 +85,9 @@ def main(argv=None) -> int:
     if args.seeds < 1 or args.seconds <= 0:
         p.error("--seeds must be >= 1 and --seconds > 0")
 
+    # read before the runs, so a checkout without git fails at once
+    sha = _git("rev-parse", "HEAD")
+    dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     names = [m["name"] for m in spec["end_to_end"]]
     workloads = {}
     for w in (w["name"] for w in spec["workloads"]):
@@ -107,8 +110,8 @@ def main(argv=None) -> int:
                           cwd=ROOT, env=env, capture_output=True, text=True)
     snapshot = {
         "label": args.label,
-        "git_sha": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "git_sha": sha,
+        "dirty": dirty,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "seeds": args.seeds,
