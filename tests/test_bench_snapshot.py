@@ -5,8 +5,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_snapshot",
                                                ROOT / "tools" / "bench_snapshot.py")
@@ -33,16 +31,6 @@ def test_summary_of_two_canned_runs():
             "ops_per_s": {"unit": "1/s", "q1": 61.0, "median": 62.0, "q3": 63.0},
             "op_p50_ms": {"unit": "ms", "q1": 14.75, "median": 15.0, "q3": 15.25}},
     }
-
-
-@pytest.mark.parametrize("values, expected", [
-    ([7.0], (7.0, 7.0, 7.0)),
-    ([4.0, 1.0, 3.0, 2.0, 5.0], (2.0, 3.0, 4.0)),
-    ([1.0, 2.0, 3.0, 4.0], (1.75, 2.5, 3.25)),
-])
-def test_quartiles_interpolate_between_order_statistics(values, expected):
-    q = snapshot.quartiles(values)
-    assert (q["q1"], q["median"], q["q3"]) == expected
 
 
 def test_criteria_read_off_the_verify_report():

@@ -1,14 +1,16 @@
 """Snapshot the benchmark and the desk acceptance timings into one file.
 
-    python3 tools/bench_snapshot.py --label L [--seeds K] [--seconds S]
+    python3 tools/bench_snapshot.py --label L
 
 Run from anywhere inside a source checkout.  For every workload that
-``BENCHMARK.json`` declares and each seed 1..K it runs
+``BENCHMARK.json`` declares and each seed 1..5 it runs
 
     python3 bench/run.py --workload W --seed s --seconds S --trace 0
 
-one run at a time, and reads the JSON object on the last line of its
-output.  Then it runs ``staircase-tableaux verify --level desk --format
+with S the ``run_seconds`` that ``BENCHMARK.json`` fixes, so that every
+snapshot can be read against its bounds.  The runs go one at a time, and
+it reads the JSON object on the last line of each run's output.  Then it
+runs ``staircase-tableaux verify --level desk --format
 json`` from ``src/``.  It writes ``BENCH_<L>.json`` at the root of the
 checkout: the git SHA, the Python version, the CPU count, ``correct`` per
 run, the median and quartiles of every end-to-end metric per workload,
@@ -22,24 +24,13 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def quartiles(values) -> dict[str, float]:
-    """q1, median and q3 of values, each interpolated between the two
-    nearest order statistics (statistics.quantiles' inclusive method)."""
-    xs = sorted(values)
-
-    def at(f: float) -> float:
-        pos = f * (len(xs) - 1)
-        i = int(pos)
-        return xs[i] + (xs[min(i + 1, len(xs) - 1)] - xs[i]) * (pos - i)
-
-    return {"q1": at(0.25), "median": at(0.5), "q3": at(0.75)}
+SEEDS = 5
 
 
 def last_json(stdout: str) -> dict:
@@ -54,7 +45,9 @@ def summarize(runs: list[tuple[int, dict]], metric_names) -> dict:
     metrics = {}
     for name in metric_names:
         values = [result["metrics"][name]["value"] for _, result in runs]
-        metrics[name] = {"unit": runs[0][1]["metrics"][name]["unit"], **quartiles(values)}
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        metrics[name] = {"unit": runs[0][1]["metrics"][name]["unit"],
+                         "q1": q1, "median": median, "q3": q3}
     return {
         "runs": [{"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
                   "failed": result["failed"]} for seed, result in runs],
@@ -78,12 +71,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
-    p.add_argument("--seeds", type=int, default=5, help="runs per workload, seeds 1..K")
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                   help="timed seconds per run")
     args = p.parse_args(argv)
-    if args.seeds < 1 or args.seconds <= 0:
-        p.error("--seeds must be >= 1 and --seconds > 0")
+    seconds = spec["run_seconds"]
 
     # read before the runs, so a checkout without git fails at once
     sha = _git("rev-parse", "HEAD")
@@ -92,9 +81,9 @@ def main(argv=None) -> int:
     workloads = {}
     for w in (w["name"] for w in spec["workloads"]):
         runs = []
-        for seed in range(1, args.seeds + 1):
+        for seed in range(1, SEEDS + 1):
             cmd = [sys.executable, "bench/run.py", "--workload", w, "--seed", str(seed),
-                   "--seconds", str(args.seconds), "--trace", "0"]
+                   "--seconds", str(seconds), "--trace", "0"]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
             if proc.returncode != 0:
                 print(proc.stdout + proc.stderr, file=sys.stderr)
@@ -114,8 +103,8 @@ def main(argv=None) -> int:
         "dirty": dirty,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seeds": SEEDS,
+        "seconds": seconds,
         "workloads": workloads,
         "verify_desk": {"exit_code": proc.returncode, "criteria": criteria(proc.stdout)},
     }
