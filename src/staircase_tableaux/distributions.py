@@ -321,42 +321,41 @@ class PairDist(_Record):
         super().__init__(p10, p01, p11)
 
 
-def _pair_steps(a: Fraction, b: Fraction):
-    """(qa, qb) = (a, b)/(a+b+i) for i = 0, 1, ...: the chances that step
-    pair i leaves out its alpha or its beta, (1/2, 1/2) at a = b = i = 0."""
-    if a + b == 0:
-        yield Fraction(1, 2), Fraction(1, 2)
-    for den in count(a + b or 1):
-        yield a / den, b / den
+def _harmonic_sums(da: int, db: int, d: int):
+    """The running (H1, H2) = (sum 1/s_i, sum 1/s_i^2) over s_i = da + db + i d,
+    i = 0, 1, ...: first the empty sums, then the sums after each step."""
+    h1 = h2 = Fraction(0)
+    yield h1, h2
+    for s in count(da + db, d):
+        h1 += Fraction(1, s)
+        h2 += Fraction(1, s * s)
+        yield h1, h2
 
 
 class NPairLaw(_Record):
-    """(N_alpha, N_beta) as a sum of n independent pairs, built from (n, a, b):
-    the n pair laws
+    """(N_alpha, N_beta) as a sum of n independent pairs, built from (n, a, b).
+    With a = da/d, b = db/d and s_i = da + db + i d, step i < m has the law
+    P(1,0) = db/s_i, P(0,1) = da/s_i, P(1,1) = i d/s_i, and steps i >= m are
+    (1, 1): m = n, but (da, db, d, m) = (1, 1, 1, min(n, 1)) at a = b = 0.
+    The exact moments are read off H1 = sum_{i<m} 1/s_i and H2 = sum_{i<m} 1/s_i^2:
 
-        P(1,0) = b/(a+b+i),  P(0,1) = a/(a+b+i),  P(1,1) = i/(a+b+i),
+        E N_alpha = n - da H1,  Var N_alpha = da H1 - da^2 H2,  Cov = -da db H2,
 
-    for i = 0..n-1, with the i = 0, a = b = 0 case read as (1/2, 1/2, 0),
-    and their exact marginal moments and covariance."""
+    and E N_beta, Var N_beta alike with db."""
 
-    _scaled: tuple[int, int, int, int]   # (da, db, d, m): a = da/d, b = db/d, steps i >= m are (1, 1)
+    _scaled: tuple[int, int, int, int]   # (da, db, d, m) as above
     _fields = ("n", "a", "b", "pairs", "mean_alpha", "var_alpha", "mean_beta", "var_beta", "cov")
 
     def __init__(self, n: int, a, b) -> None:
         a, b = _as_ab(a, b)
         n = _as_n(n)
-        pairs = []
-        mean_a = var_a = mean_b = var_b = cov = Fraction(0)
-        for qa, qb in islice(_pair_steps(a, b), n):
-            pairs.append(PairDist(qb, qa, 1 - qa - qb))
-            mean_a += 1 - qa
-            var_a += qa * (1 - qa)
-            mean_b += 1 - qb
-            var_b += qb * (1 - qb)
-            cov -= qa * qb
-        super().__init__(n, a, b, tuple(pairs), mean_a, var_a, mean_b, var_b, cov)
-        da, db, d = _over_one_denominator(a, b)
-        object.__setattr__(self, "_scaled", (da, db, d, n) if a or b else (1, 1, 1, min(n, 1)))
+        da, db, d, m = (*_over_one_denominator(a, b), n) if a or b else (1, 1, 1, min(n, 1))
+        h1, h2 = next(islice(_harmonic_sums(da, db, d), m, None))
+        pairs = [PairDist(Fraction(db, s), Fraction(da, s), Fraction(s - da - db, s))
+                 for s in range(da + db, da + db + m * d, d)] + [PairDist(0, 0, 1)] * (n - m)
+        super().__init__(n, a, b, tuple(pairs), n - da * h1, da * h1 - da * da * h2,
+                         n - db * h1, db * h1 - db * db * h2, -da * db * h2)
+        object.__setattr__(self, "_scaled", (da, db, d, m))
 
     def joint_law(self) -> dict[tuple[int, int], Fraction]:
         """Exact joint law of (N_alpha, N_beta), read from the record's (n, a, b).
@@ -546,7 +545,8 @@ class GrowthRow(NamedTuple):
 
 def n_alpha_growth_check(n_list, a, b) -> list[GrowthRow]:
     """Exact N_alpha moments against their a log n growth, for each n in
-    n_list (sums are accumulated once up to max(n_list))."""
+    n_list: NPairLaw's moments from the same running sums H1 and H2 of
+    _harmonic_sums, taken in one pass up to max(n_list)."""
     a, b = _as_ab(a, b)
     if not isinstance(n_list, Iterable):
         raise ParameterError(f"n_list must be an iterable of integers, got {n_list!r}")
@@ -555,24 +555,21 @@ def n_alpha_growth_check(n_list, a, b) -> list[GrowthRow]:
         raise DomainError("n_list must hold integers >= 1")
     if a == 0 and b == 0:
         raise ParameterError("growth check needs (a, b) != (0, 0)")
+    da, db, d = _over_one_denominator(a, b)
+    sums, taken = _harmonic_sums(da, db, d), 0
     out = []
-    mean_drop = var_sum = cov_sum = Fraction(0)
-    steps, i = _pair_steps(a, b), 0
     for n in targets:
-        for qa, qb in islice(steps, n - i):
-            mean_drop += qa
-            var_sum += qa * (1 - qa)
-            cov_sum -= qa * qb
-        i = n
-        mean_alpha = n - mean_drop
+        h1, h2 = next(islice(sums, n - taken, None))   # item n: the sums over steps i < n
+        taken = n + 1
+        mean_alpha, var_alpha = n - da * h1, da * h1 - da * da * h2
         log_n = math.log(n)
         out.append(GrowthRow(
             n=n,
             mean_alpha=mean_alpha,
-            var_alpha=var_sum,
-            cov=cov_sum,
+            var_alpha=var_alpha,
+            cov=-da * db * h2,
             mean_deviation=float(mean_alpha) - (n - float(a) * log_n),
-            var_deviation=float(var_sum) - float(a) * log_n,
+            var_deviation=float(var_alpha) - float(a) * log_n,
         ))
     return out
 

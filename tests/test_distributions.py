@@ -423,14 +423,33 @@ def _convolved_joint_laws(pairs):
         yield {key: F(w, total) for key, w in law.items()}
 
 
+def _summed_pair_moments(pairs):
+    """(E N_alpha, Var N_alpha, E N_beta, Var N_beta, Cov) after each prefix
+    of the pairs, from the empty one on, summed step by step: the alpha
+    indicator of a pair is 1 with chance p10 + p11, the beta one with chance
+    p01 + p11, and both are 1 with chance p11."""
+    mean_a = var_a = mean_b = var_b = cov = F(0)
+    yield mean_a, var_a, mean_b, var_b, cov
+    for pd in pairs:
+        pa, pb = pd.p10 + pd.p11, pd.p01 + pd.p11
+        mean_a += pa
+        var_a += pa * (1 - pa)
+        mean_b += pb
+        var_b += pb * (1 - pb)
+        cov += pd.p11 - pa * pb
+        yield mean_a, var_a, mean_b, var_b, cov
+
+
 @pytest.mark.parametrize("a, b", [(1, 1), (F(1, 2), 1), (F(2, 3), F(7, 5)), (3, F(1, 7)),
                                   (0, F(5, 3)), (F(5, 3), 0), (0, 0)],
                          ids=["1,1", "1/2,1", "2/3,7/5", "3,1/7", "a=0", "b=0", "a=b=0"])
 def test_joint_weights_equal_the_convolution(a, b):
-    reference = _convolved_joint_laws(dist_N_pairs(60, a, b).pairs)
-    for n, expected in enumerate(reference):
+    pairs = dist_N_pairs(60, a, b).pairs
+    reference = zip(_convolved_joint_laws(pairs), _summed_pair_moments(pairs))
+    for n, (expected, moments) in enumerate(reference):
         law = dist_N_pairs(n, a, b)
         assert law.joint_law() == expected, n
+        assert (law.mean_alpha, law.var_alpha, law.mean_beta, law.var_beta, law.cov) == moments, n
         marginal: dict[int, F] = {}
         for (x, _y), p in expected.items():
             marginal[x] = marginal.get(x, F(0)) + p
@@ -570,6 +589,16 @@ def test_growth_check():
         for row in n_alpha_growth_check([1, 2, 7, 40], a, b):
             law = dist_N_pairs(row.n, a, b)
             assert (row.mean_alpha, row.var_alpha, row.cov) == (law.mean_alpha, law.var_alpha, law.cov)
+    # and each row equals the step-by-step sums at its n, whatever the order
+    # and repeats of n_list
+    for a, b in [(F(2, 3), F(7, 5)), (0, 1), (1, 0), (1, 1)]:
+        reference = list(_summed_pair_moments(dist_N_pairs(200, a, b).pairs))
+        for n_list in ([40, 7, 1, 7, 2], range(1, 201)):
+            rows = n_alpha_growth_check(n_list, a, b)
+            assert [row.n for row in rows] == sorted(set(n_list))
+            for row in rows:
+                mean_a, var_a, _, _, cov = reference[row.n]
+                assert (row.mean_alpha, row.var_alpha, row.cov) == (mean_a, var_a, cov), (a, b, row.n)
 
 
 def test_chi_square_gof_helper():
