@@ -36,9 +36,10 @@ a source of exactly the chunks ``_chunks`` gives it at derive_seed(seed,
 i).  Below _BLOCKS_FROM coins, where each draw would call ``next_u64``,
 the lanes of ``take`` run over the generators rather than over the steps
 of one: lane i of a group of up to _BLOCK seeds holds seed i, and round r
-mixes output r of every draw in the group at once.  A draw that reads
-past its ``coins`` outputs, which a random seed almost never does, goes
-on with ``next_u64`` from there.
+mixes output r of every draw in the group at once (``_rounds``, which the
+batch walk of ``sampling`` reads too).  A draw that reads past its
+``coins`` outputs, which a random seed almost never does, goes on with
+``next_u64`` from there.
 """
 
 from __future__ import annotations
@@ -139,9 +140,20 @@ def derive_seed(seed: int, index: int) -> int:
     return SplitMix64((seed + (index + 1) * _GOLDEN) & _MASK).next_u64()
 
 
+def _seed_stream(seed: int) -> SplitMix64:
+    """SplitMix64(seed + GOLDEN), whose output i is derive_seed(seed, i)."""
+    return SplitMix64(_as_seed(seed) + _GOLDEN)
+
+
 def _derived_seeds(seed: int, count: int):
     """derive_seed(seed, i) for i < count, read from ``_blocks``."""
-    return islice(_blocks(SplitMix64(_as_seed(seed) + _GOLDEN), count), count)
+    return islice(_blocks(_seed_stream(seed), count), count)
+
+
+def _seed_groups(seed: int, count: int):
+    """derive_seed(seed, i) for i < count, in lists of up to _BLOCK seeds."""
+    seeds = _derived_seeds(seed, count)
+    return iter(lambda: list(islice(seeds, _BLOCK)), [])
 
 
 def _blocks(rng: SplitMix64, first: int):
@@ -164,16 +176,14 @@ def _chunks(rng: SplitMix64, coins: int):
 def _draw_chunks(seed: int, count: int, coins: int):
     """For i < count, a source of the chunks that ``_chunks`` gives a draw
     of up to ``coins`` coins at derive_seed(seed, i), output for output."""
-    seeds = _derived_seeds(seed, count)
     if coins >= _BLOCKS_FROM:
-        return (_chunks(SplitMix64(s), coins) for s in seeds)
-    groups = iter(lambda: list(islice(seeds, _BLOCK)), [])
-    return chain.from_iterable(map(_expanded, groups, repeat(coins)))
+        return (_chunks(SplitMix64(s), coins) for s in _derived_seeds(seed, count))
+    return chain.from_iterable(map(_expanded, _seed_groups(seed, count), repeat(coins)))
 
 
-def _expanded(seeds: list[int], coins: int):
-    """``_draw_chunks`` for one group of seeds: round r is output r of every
-    seed's stream, mixed from the lanes' states s + r·GOLDEN."""
+def _rounds(seeds: list[int], coins: int) -> list:
+    """The first ``coins`` outputs of each seed's stream, by round: round r
+    holds output r of every seed, mixed from the lanes' states s + r·GOLDEN."""
     lanes = len(seeds)
     top = (1 << 128 * lanes) - 1
     step, low = _GOLDEN * _ONES & top, _LOW & top
@@ -181,6 +191,13 @@ def _expanded(seeds: list[int], coins: int):
     for _ in range(coins):
         state = (state + step) & low
         rounds.append(_mixed(state, lanes, low))
+    return rounds
+
+
+def _expanded(seeds: list[int], coins: int):
+    """``_draw_chunks`` for one group of seeds: draw i reads column i of
+    ``_rounds``, then its ``_tail``."""
+    rounds = _rounds(seeds, coins)
     heads = zip(*rounds) if rounds else repeat(())
     return map(_NEXT, map(chain, heads, map(_tail, seeds, repeat(coins))))
 

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_snapshot",
                                                ROOT / "tools" / "bench_snapshot.py")
@@ -40,3 +42,20 @@ def test_criteria_read_off_the_verify_report():
     assert snapshot.criteria(report) == [
         {"index": 1, "name": "counting", "passed": True, "seconds": 0.5},
         {"index": 2, "name": "triangle", "passed": False, "seconds": 1.25}]
+
+
+def test_op_times_by_cycle_position_from_canned_reports(tmp_path):
+    # two runs of a 3-kind cycle; position i takes ops i, i + 3, ...
+    reports = []
+    for seed, durations in enumerate([[0.001, 0.010, 0.100, 0.003, 0.030, 0.300, 0.002],
+                                      [0.002, 0.020, 0.200, 0.004, 0.040, 0.400]]):
+        path = tmp_path / f"draws-small-seed{seed}-trace0.json"
+        path.write_text(json.dumps({"workload": "draws-small", "durations_s": durations}))
+        reports.append(path)
+    # run medians: (2, 20, 200) and (3, 30, 300) ms; their medians interpolate
+    assert snapshot.by_position(reports, 3) == pytest.approx([2.5, 25.0, 250.0])
+
+
+def test_cycle_lengths_are_read_off_the_workload_classes():
+    lengths = snapshot.cycle_lengths()
+    assert lengths == {"draws-small": 8, "draws-large": 8, "exact-laws": 4, "cli-cold": 10}

@@ -5,10 +5,11 @@ import sys
 import warnings
 from collections import Counter
 from fractions import Fraction as F
+from itertools import chain
 
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from staircase_tableaux import Symbol, Tableau, counts, serialize, validate
 from staircase_tableaux.distributions import (
@@ -1158,6 +1159,81 @@ def test_batch_summary_beyond_enumeration_cap():
     for i in range(100, 300):
         extended.add(sample_ab(n, params, derive_seed(83, i)))
     assert extended == s
+
+
+EDGE_WEIGHTS = st.sampled_from([F(0), F(1, 3), F(1), F(7, 2)])
+
+
+@given(n=st.integers(0, 5), a=EDGE_WEIGHTS, b=EDGE_WEIGHTS,
+       rho=st.fractions(0, 1, max_denominator=12), seed=st.integers(0, 2**64 - 1),
+       count=st.integers(1, 3000))
+@example(n=4, a=F(1), b=F(1), rho=F(1, 2), seed=5, count=3000)
+@example(n=3, a=F(0), b=F(0), rho=F(2, 7), seed=6, count=2100)
+@example(n=4, a=F(0), b=F(1, 3), rho=F(1, 2), seed=7, count=479)
+@example(n=5, a=F(7, 2), b=F(0), rho=F(1, 2), seed=8, count=3000)
+@settings(max_examples=30, deadline=None)
+def test_batch_equals_the_fold_of_per_seed_draws(n, a, b, rho, seed, count):
+    # up to 3000 draws reach both sides of the walk's rule (4·(n+1)! seeds
+    # per group) and cross the 1024-seed group boundary, at the a = 0 and
+    # b = 0 edges and the a = b = 0 tie at a random rho
+    params = Params(a, b, rho)
+    want = sampling.BatchSummary()
+    for i in range(count):
+        want.add(sample_ab(n, params, derive_seed(seed, i)))
+    assert sample_batch(n, params, seed, count) == want
+
+
+LAST = 2**64 - 1
+
+
+def walk_scripts():
+    """(n, params, round, chunks): the scripted columns hold ``chunks`` from
+    ``round`` on.  Each straddling run leaves its coin open; the chunk after
+    it, 0 or 2^64 - 1, then decides the coin one way or the other."""
+    A, B, d = WIDE._scaled
+    b_1 = B + 3 * d   # n = 4
+    sigma = straddling_chunks(b_1, A + b_1, 2)
+    mark = [0] + straddling_chunks(d, b_1, 2)   # chunk 0 draws Alpha at step 1
+    tie = straddling_chunks(2, 7, 2)   # a = b = 0 at n = 3 flips rho at round 2
+    return {
+        "sigma-inexact-then-alpha": (4, WIDE, 0, sigma + [0]),
+        "sigma-inexact-then-beta": (4, WIDE, 0, sigma + [LAST]),
+        "sigma-inexact-past-the-rounds": (4, WIDE, 0, straddling_chunks(b_1, A + b_1, 8)),
+        # b_1/(A + b_1) = 3/6 and the passage bounds 1/2 and 1 of (1, 0)
+        "sigma-exact": (3, Params(3, 1), 0, [2**63]),
+        "passage-exact": (3, Params(1, 0), 0, [0, 2**63]),
+        "passage-inexact-then-low": (4, WIDE, 0, mark + [0]),
+        "passage-inexact-then-high": (4, WIDE, 0, mark + [LAST]),
+        "rho-tie-exact": (3, Params(0, 0, F(1, 4)), 2, [2**62]),
+        "rho-tie-inexact-then-alpha": (3, Params(0, 0, F(2, 7)), 2, tie + [0]),
+        "rho-tie-inexact-then-beta": (3, Params(0, 0, F(2, 7)), 2, tie + [LAST]),
+    }
+
+
+@pytest.mark.parametrize("n, params, start, script", walk_scripts().values(),
+                         ids=walk_scripts().keys())
+def test_walk_on_scripted_columns_equals_each_draw(n, params, start, script):
+    # the walk splits each node's draws by one threshold per coin; a chunk on
+    # an inexact one leaves its coin open, and only _draw_ab on the draw's
+    # own column and tail may decide it.  Random seeds almost never reach
+    # that, so the columns of draws 0..7 are scripted alike: together they
+    # never make a lone node, which _draw_ab would redraw and so mend.  The
+    # past-the-rounds script straddles to the last round, so its coin reads
+    # on into each draw's tail
+    seeds = list(rng._derived_seeds(37, 300))
+    rounds = [r.tolist() for r in rng._rounds(seeds, 2 * n)]
+    column = [r[0] for r in rounds]
+    column[start:] = script
+    for r, u in zip(rounds, column):
+        r[:8] = [u] * 8
+    args = (n, *params._scaled, params.rho)
+    walked = Counter()
+    sampling._walk(*args, rounds, seeds, walked)
+    want = Counter()
+    for i, seed in enumerate(seeds):
+        chunk = chain([r[i] for r in rounds], rng._tail(seed, 2 * n)).__next__
+        want[tuple(sorted(sampling._draw_ab(*args, chunk)))] += 1
+    assert walked == want
 
 
 def rejection_sample_ab(law, seed: int) -> Tableau:

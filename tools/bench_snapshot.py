@@ -9,13 +9,16 @@ Run from anywhere inside a source checkout.  For every workload that
 
 with S the ``run_seconds`` that ``BENCHMARK.json`` fixes, so that every
 snapshot can be read against its bounds.  The runs go one at a time, and
-it reads the JSON object on the last line of each run's output.  Then it
-runs ``staircase-tableaux verify --level desk --format
-json`` from ``src/``.  It writes ``BENCH_<L>.json`` at the root of the
-checkout: the git SHA, the Python version, the CPU count, ``correct`` per
-run, the median and quartiles of every end-to-end metric per workload,
-and the seconds of each acceptance criterion.  Diff two such files, read
-against the bounds in ``BENCHMARK.json``, to see what a change moved.
+it reads the JSON object on the last line of each run's output and the
+op durations of the run's report in ``.bench_out/``.  Then it runs
+``staircase-tableaux verify --level desk --format json`` from ``src/``.
+It writes ``BENCH_<L>.json`` at the root of the checkout: the git SHA, the
+Python version, the CPU count, ``correct`` per run, the median and
+quartiles of every end-to-end metric per workload, the median op time at
+each position of the workload's cycle of op kinds, and the seconds of each
+acceptance criterion.  Diff two such files, read against the bounds in
+``BENCHMARK.json``, to see what a change moved; the per-position times
+show which kind of op moved.
 """
 
 from __future__ import annotations
@@ -55,6 +58,25 @@ def summarize(runs: list[tuple[int, dict]], metric_names) -> dict:
     }
 
 
+def by_position(reports, cycle: int) -> list[float]:
+    """The median op time in ms at each position of a cycle of ``cycle``
+    op kinds: over the runs' reports, the median of each run's median raw
+    (not speed-scaled) ``durations_s`` at that position."""
+    runs = [json.loads(Path(path).read_text())["durations_s"] for path in reports]
+    return [1e3 * statistics.median(statistics.median(d[i::cycle]) for d in runs)
+            for i in range(cycle)]
+
+
+def cycle_lengths() -> dict[str, int]:
+    """Each workload's cycle length, read off its class in bench/workloads.py."""
+    for path in (ROOT / "src", ROOT / "bench"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import workloads
+    return {c.name: c.cycle for c in vars(workloads).values()
+            if isinstance(c, type) and hasattr(c, "cycle")}
+
+
 def criteria(stdout: str) -> list[dict]:
     """Each criterion of a ``verify --format json`` report: index, name,
     passed and seconds."""
@@ -78,6 +100,7 @@ def main(argv=None) -> int:
     sha = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     names = [m["name"] for m in spec["end_to_end"]]
+    cycles = cycle_lengths()
     workloads = {}
     for w in (w["name"] for w in spec["workloads"]):
         runs = []
@@ -91,6 +114,9 @@ def main(argv=None) -> int:
             runs.append((seed, last_json(proc.stdout)))
             print(f"{w} seed {seed}: correct={runs[-1][1]['correct']}", file=sys.stderr)
         workloads[w] = summarize(runs, names)
+        # bench/run.py writes each untraced run's report under this name
+        workloads[w]["op_ms_by_position"] = by_position(
+            [ROOT / ".bench_out" / f"{w}-seed{seed}-trace0.json" for seed, _ in runs], cycles[w])
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
