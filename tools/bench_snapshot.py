@@ -62,7 +62,7 @@ def by_position(reports, cycle: int) -> list[float]:
     """The median op time in ms at each position of a cycle of ``cycle``
     op kinds: over the runs' reports, the median of each run's median raw
     (not speed-scaled) ``durations_s`` at that position."""
-    runs = [json.loads(Path(path).read_text())["durations_s"] for path in reports]
+    runs = [json.loads(path.read_text())["durations_s"] for path in reports]
     return [1e3 * statistics.median(statistics.median(d[i::cycle]) for d in runs)
             for i in range(cycle)]
 
