@@ -1204,6 +1204,8 @@ def walk_scripts():
         "passage-exact": (3, Params(1, 0), 0, [0, 2**63]),
         "passage-inexact-then-low": (4, WIDE, 0, mark + [0]),
         "passage-inexact-then-high": (4, WIDE, 0, mark + [LAST]),
+        # b > 2^64: every passage bound i·d/b_1 lies inside the first chunk
+        "passage-bounds-in-one-chunk": (3, Params(1, 2**70), 0, [0, 0]),
         "rho-tie-exact": (3, Params(0, 0, F(1, 4)), 2, [2**62]),
         "rho-tie-inexact-then-alpha": (3, Params(0, 0, F(2, 7)), 2, tie + [0]),
         "rho-tie-inexact-then-beta": (3, Params(0, 0, F(2, 7)), 2, tie + [LAST]),
