@@ -25,11 +25,15 @@ private loop, ``_coin`` or ``_passage``, which reads its chunks from any
 zero-argument source.  The samplers call those loops directly on
 ``_chunks(rng, coins)``: ``next_u64`` for a draw of fewer than 32 coins,
 else the same outputs read from ``_blocks``, the one stream of ``take``
-blocks, which the urn and the batch seeds read at every size.
+blocks, which the batch seeds and the urn's longer paths read too.
 
 ``SplitMix64.take(k)`` returns the next k outputs, bit for bit those of k
 ``next_u64`` calls, and leaves the same state; their order does not
-depend on the host's byte order.
+depend on the host's byte order.  Its lane mix is ``_heads(streams, k)``,
+which gives the next k outputs of several streams from one int, one
+128-bit lane per output; ``sample_four`` reads the first outputs of its
+two streams that way, and ``_chunks`` goes on past such a head by its
+rule.
 
 A batch of draws reads ``_draw_chunks(seed, count, coins)``: for draw i,
 a source of exactly the chunks ``_chunks`` gives it at derive_seed(seed,
@@ -58,7 +62,8 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 1024
 # below this many coins a draw's chunks come cheaper from next_u64 calls than
-# from a take block: the sweep of n = 1..400 in CHANGES.md
+# from a take block: the sweep of n = 1..400 in CHANGES.md.  A lane-mixed head
+# (``_heads``) stands in for the first block; past it the rule holds as before
 _BLOCKS_FROM = 32
 _BYTE_ORDER = sys.byteorder
 
@@ -108,17 +113,30 @@ class SplitMix64:
             raise ParameterError(f"need k >= 0 outputs, got {k}")
         out: list[int] = []
         while k > 0:
-            # lane i of one int mixes state + (i+1)·GOLDEN; each 64×64-bit
-            # product stays inside its 128-bit lane; a full block needs no mask
-            if k >= _BLOCK:
-                lanes, ones, steps, low = _BLOCK, _ONES, _STEPS, _LOW
-            else:
-                lanes, top = k, (1 << 128 * k) - 1
-                ones, steps, low = _ONES & top, _STEPS & top, _LOW & top
+            lanes = k if k < _BLOCK else _BLOCK
             k -= lanes
-            out += _mixed((self.state * ones + steps) & low, lanes, low)
-            self.state = (self.state + lanes * _GOLDEN) & _MASK
+            out += _heads((self,), lanes)
         return out
+
+
+def _heads(streams, k: int):
+    """The next k outputs of each stream from one lane mix, stream-major
+    (output i of streams[j] at j*k + i), as k ``next_u64`` calls on each
+    give them, and each stream left where those calls leave it.  Lane
+    j*k + i of one int mixes streams[j].state + (i+1)·GOLDEN, so
+    len(streams)·k is at most _BLOCK."""
+    lanes = k * len(streams)
+    if k == _BLOCK:   # one full block needs no mask
+        ones, steps, low = _ONES, _STEPS, _LOW
+    else:
+        top = (1 << 128 * k) - 1
+        ones, steps, low = _ONES & top, _STEPS & top, _LOW & ((1 << 128 * lanes) - 1)
+    z = 0
+    for g in reversed(streams):
+        # each 64×64-bit product stays inside its 128-bit lane
+        z = z << 128 * k | g.state * ones + steps
+        g.state = (g.state + k * _GOLDEN) & _MASK
+    return _mixed(z & low, lanes, low)
 
 
 def _mixed(z: int, lanes: int, low: int):
@@ -161,16 +179,25 @@ def _blocks(rng: SplitMix64, first: int):
     ``take`` blocks: the first of min(first, _BLOCK) outputs, then _BLOCK at a
     time, with no Python frame per output or per block.  A draw that owns rng
     drops the rest of its last block."""
-    take = rng.take
-    return chain(take(first if first < _BLOCK else _BLOCK),
-                 chain.from_iterable(map(take, repeat(_BLOCK))))
+    return chain(rng.take(first if first < _BLOCK else _BLOCK), _refills(rng))
 
 
-def _chunks(rng: SplitMix64, coins: int):
+def _refills(rng: SplitMix64):
+    """rng's outputs from here on, read in ``take`` blocks of _BLOCK, each
+    taken only when the one before it is read to its end."""
+    return chain.from_iterable(map(rng.take, repeat(_BLOCK)))
+
+
+def _chunks(rng: SplitMix64, coins: int, head=()):
     """A zero-argument source of rng's outputs for a draw of up to ``coins``
     coins: ``next_u64`` itself below _BLOCKS_FROM coins, else the next
-    output of ``_blocks(rng, coins)``."""
-    return rng.next_u64 if coins < _BLOCKS_FROM else _blocks(rng, coins).__next__
+    output of ``_blocks(rng, coins)``.  A draw whose first outputs, ``head``,
+    came from a lane mix (``_heads``, at least min(coins, _BLOCK) of them)
+    reads those first, then goes on by the same rule."""
+    if not head:
+        return rng.next_u64 if coins < _BLOCKS_FROM else _blocks(rng, coins).__next__
+    return chain(head, iter(rng.next_u64, None) if coins < _BLOCKS_FROM
+                 else _refills(rng)).__next__
 
 
 def _draw_chunks(seed: int, count: int, coins: int):

@@ -38,14 +38,16 @@ P(C >= i) = (w - i d)/w with w = B + (n - s) d (C = n - s: never marked).
 All coin flips are exact (see ``rng``), so the output law is exactly the
 target (audited against the enumeration oracle by chi-square in the tests).
 The one integer core ``_draw_ab`` serves ``sample_ab``, ``sample_four`` and
-every batch.  Parameters are normalised once per call, not once per
+every batch.  Parameters are normalised once per weight set, not once per
 draw, on integers: ``Params`` keeps (A, B, d) from construction,
 ``urn_sample`` puts (a, b) over one denominator, and ``sample_four`` forms
 alpha + gamma and beta + delta unreduced (each coin depends on the value
 of its ratio only), with no Fraction arithmetic and no conversion of a
-weight that is a Fraction.  So a draw does only exact coin flips and cell
-appends, and ``Tableau._sorted`` builds its one tableau without the
-public constructor's checks.
+weight that is a Fraction.  ``sample_four`` and ``urn_sample`` keep that
+integer form for their last weights, keyed on each argument's type and
+value, so a call that repeats them skips the checks and the products.  So
+a draw does only exact coin flips and cell appends, and ``Tableau._sorted``
+builds its one tableau without the public constructor's checks.
 
 A draw reads its chunks by the number of coins it can flip: ``_draw_ab``
 flips at most 2n (n sigma coins, fewer than n first-passage draws), the
@@ -53,10 +55,16 @@ relabel pass of ``sample_four`` one per cell, the a = b = inf draw one per
 diagonal box.  From 32 coins on (``rng._chunks``) it reads the outputs of
 ``SplitMix64.take`` blocks, the first holding one chunk per coin up to
 1024; below, where a block costs more than the ``next_u64`` calls it
-replaces, it calls ``next_u64``.
-Either way it reads the same chunks in the same order, so every draw is
-the same per seed; a draw owns its generator, so the unread rest of a block
-is dropped.
+replaces, it calls ``next_u64``.  ``sample_four`` up to n = 256 reads the
+first 2n outputs of both its streams from one lane mix (``rng._heads``,
+4n lanes), and past them each stream goes on by the same rule.  Its
+relabel pass decides each coin by the first chunk u against T =
+floor(num·2^64/den), worked out once per weight set: u < T relabels, u > T
+does not, and u = T does not at an exact T; at an inexact one (chance
+2^-64) ``_coin`` reads on.
+Either way a draw reads the same chunks in the same order, so every draw
+is the same per seed; a draw owns its generator, so the unread rest of a
+block is dropped.
 
 A batch draws through ``_batch``, which yields each draw's sorted cells
 for every weight regime: draw i is ``sample_ab`` at derive_seed(seed, i),
@@ -77,12 +85,13 @@ The urn ``urn_sample`` flips the same integer coins, P(white) =
 (A + w d)/(A + B + k d) at draw k with w whites added; each seed draws the
 path that one ``bernoulli_ratio`` per draw gives.  The draws that can be
 certain (draw 0 with a = 0 or b = 0, draw 1 after the a = b = 0 tie) flip
-that coin on ``next_u64``, and a certain coin reads no chunk; every other
-draw reads ``rng._blocks`` at any n, one chunk per draw, so each block is
-read to its end.  The loop keeps (A + w d)·2^64 as a running sum, so the
-first chunk u decides the draw by one product u·den; only when u·den <
-(A + w d)·2^64 < u·den + den (chance at most 2^-64) does the shared
-``_coin`` read on, from the same stream.
+that coin on ``next_u64``, and a certain coin reads no chunk.  Every other
+draw is open and reads one chunk: from ``next_u64`` below 6 open draws,
+else from ``rng._blocks``, whose blocks its ``zip`` reads in C, so each
+block is read to its end.  The loop keeps (A + w d)·2^64 as a running
+sum, so the first chunk u decides the draw by one product u·den; only when
+u·den < (A + w d)·2^64 < u·den + den (chance at most 2^-64) does the
+shared ``_coin`` read on, from the same stream.
 
 An infinite weight leaves only the diagonal, by one rule: each diagonal box
 independently holds Alpha with probability rho (a = b = inf), 1 (b = inf,
@@ -100,8 +109,8 @@ from typing import NamedTuple
 from .errors import ParameterError
 from .enumeration import AB_CAP
 from .eulerian_poly import _as_n, _as_param, _finite, _invert, _over_one_denominator, _Record
-from .rng import (_BLOCK, SplitMix64, _blocks, _chunks, _coin, _draw_chunks, _passage, _rounds,
-                  _seed_groups, _seed_stream, _tail)
+from .rng import (_BLOCK, SplitMix64, _blocks, _chunks, _coin, _draw_chunks, _heads,
+                  _passage, _rounds, _seed_groups, _seed_stream, _tail)
 from .tableau import Symbol, Tableau, counts
 
 __all__ = [
@@ -214,11 +223,56 @@ def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, chunk) -> list:
     return cells
 
 
+# The last weights of each sampler in integer form, as one (key, form) pair
+# that a call reads once and replaces whole, so threads cannot mix entries.
+# The key holds each argument's type, then its value: a tuple compare is far
+# cheaper than the checks and products it saves, and a form is stored only
+# once its weights have passed those checks.
+_four_memo: tuple = (None, None)
+_urn_memo: tuple = (None, None)
+_RHO = Fraction(1, 2)   # sample_four's base draw has A > 0, so it never reads rho
+# below this many open draws the urn's chunks come cheaper from next_u64 calls
+# than from a take block: its zip reads a block in C, so it gains from fewer
+# draws than ``_chunks``'s coins do (the sweep of n = 1..32 in CHANGES.md)
+_URN_BLOCKS_FROM = 6
+
+
 def sample_four(n: int, alpha, beta, gamma, delta, seed: int) -> Tableau:
     """Four-symbol draw: sample with effective weights (alpha+gamma,
     beta+delta), then independently relabel each Alpha to Gamma with
     probability gamma/(alpha+gamma) and each Beta to Delta with
     probability delta/(beta+delta)."""
+    global _four_memo
+    key = (type(alpha), type(beta), type(gamma), type(delta), alpha, beta, gamma, delta)
+    memo = _four_memo
+    if key != memo[0]:
+        memo = _four_memo = key, _four_form(alpha, beta, gamma, delta)
+    A, B, d, relabel = memo[1]
+    n = _as_n(n, error=ParameterError)
+    # the two passes read the streams at derive_seed(seed, 0) and (seed, 1);
+    # up to 4n = _BLOCK lanes, the first 2n outputs of both come from one mix
+    seeds = _seed_stream(seed)
+    streams = SplitMix64(seeds.next_u64()), SplitMix64(seeds.next_u64())
+    head = _heads(streams, 2 * n) if 4 * n <= _BLOCK else ()
+    base = _draw_ab(n, A, B, d, _RHO, _chunks(streams[0], 2 * n, head[:2 * n]))
+    base.sort()  # the relabel coins are flipped in sorted cell order
+    chunk = _chunks(streams[1], len(base), head[2 * n:])
+    cells = []
+    for r, c, s in base:
+        new, T, rem, den = relabel[s]
+        if den:   # the first chunk u decides unless u = T at an inexact T
+            u = chunk()
+            if u < T or u == T and rem and _coin(chunk, rem, den):
+                s = new
+        elif T:   # a certain coin reads no chunk
+            s = new
+        cells.append((r, c, s))
+    return Tableau._sorted(n, cells)
+
+
+def _four_form(alpha, beta, gamma, delta) -> tuple:
+    """(A, B, d) of sample_four's base draw at weights alpha + gamma and
+    beta + delta, and its relabel coins by the symbol they relabel."""
     an, ad = _finite("alpha", alpha).as_integer_ratio()
     bn, bd = _finite("beta", beta).as_integer_ratio()
     gn, gd = _finite("gamma", gamma).as_integer_ratio()
@@ -229,26 +283,21 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int) -> Tableau:
     y_num, y_den = bn * dd + dn * bd, bd * dd
     if x_num == 0 or y_num == 0:
         raise ParameterError("need alpha + gamma > 0 and beta + delta > 0")
-    n = _as_n(n, error=ParameterError)
-    # a = 1/x, b = 1/y over x_num * y_num; A = x_den * y_num > 0 skips the rho
-    # tie.  The two passes read the streams at derive_seed(seed, 0) and (seed, 1)
-    seeds = _seed_stream(seed)
-    base = _draw_ab(n, x_den * y_num, y_den * x_num, x_num * y_num, Fraction(1, 2),
-                    _chunks(SplitMix64(seeds.next_u64()), 2 * n))
-    base.sort()  # the relabel coins are flipped in sorted cell order
-    chunk = _chunks(SplitMix64(seeds.next_u64()), len(base))
-    # gamma/x and delta/y as unreduced integer ratios
-    g_num, g_den = gn * x_den, gd * x_num
-    d_num, d_den = dn * y_den, dd * y_num
-    ALPHA, BETA, GAMMA, DELTA = Symbol.ALPHA, Symbol.BETA, Symbol.GAMMA, Symbol.DELTA
-    cells = []
-    for r, c, s in base:
-        if s is ALPHA and _coin(chunk, g_num, g_den):
-            s = GAMMA
-        elif s is BETA and _coin(chunk, d_num, d_den):
-            s = DELTA
-        cells.append((r, c, s))
-    return Tableau._sorted(n, cells)
+    # a = 1/x, b = 1/y over x_num * y_num; gamma/x and delta/y as integer ratios
+    return (x_den * y_num, y_den * x_num, x_num * y_num,
+            {Symbol.ALPHA: (Symbol.GAMMA, *_threshold(gn * x_den, gd * x_num)),
+             Symbol.BETA: (Symbol.DELTA, *_threshold(dn * y_den, dd * y_num))})
+
+
+def _threshold(num: int, den: int) -> tuple[int, int, int]:
+    """The coin U < num/den read off U's first chunk u: with T, r =
+    divmod(num·2^64, den), u < T decides it true and u > T false, and u = T
+    decides it false at r = 0 but leaves it open at r != 0, for ``_coin`` to
+    read on at num/den = r/den.  (T, r, den); a certain coin, which reads
+    no chunk, is (1 if true else 0, 0, 0)."""
+    if 0 < num < den:
+        return (*divmod(num << 64, den), den)
+    return int(num == den), 0, 0
 
 
 class UrnResult(NamedTuple):
@@ -265,9 +314,13 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
     a = b = 0 starts with the 1/2 rule: the first added ball is white with
     probability exactly 1/2 (the second then restores balance, so from time
     2 the urn evolves as if started at (1, 1))."""
+    global _urn_memo
     n = _as_n(n, error=ParameterError)
-    a, b = _finite("a", a), _finite("b", b)
-    A, B, d = _over_one_denominator(a, b)
+    key = (type(a), type(b), a, b)
+    memo = _urn_memo
+    if key != memo[0]:
+        memo = _urn_memo = key, _over_one_denominator(_finite("a", a), _finite("b", b))
+    A, B, d = memo[1]
     rng = SplitMix64(seed)
     white_added = 0
     path = []
@@ -283,7 +336,7 @@ def urn_sample(n: int, a, b, seed: int) -> UrnResult:
         # draw unless u·den < num < u·den + den, and then _coin reads on.  The
         # range comes first in zip, so no chunk is read past the last draw
         num, step = (A + white_added * d) << 64, d << 64
-        stream = _blocks(rng, n - k0)
+        stream = _blocks(rng, n - k0) if n - k0 >= _URN_BLOCKS_FROM else iter(rng.next_u64, None)
         for den, u in zip(range(A + B + k0 * d, A + B + n * d, d), stream):
             lo = u * den
             if lo >= num or (lo + den > num and not _coin(stream.__next__, num - lo, den)):

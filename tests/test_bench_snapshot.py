@@ -3,6 +3,7 @@ output, so no benchmark runs here."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,20 @@ def test_op_times_by_cycle_position_from_canned_reports(tmp_path):
 def test_cycle_lengths_are_read_off_the_workload_classes():
     lengths = snapshot.cycle_lengths()
     assert lengths == {"draws-small": 8, "draws-large": 8, "exact-laws": 4, "cli-cold": 10}
+
+
+def test_bytecode_warm_up_child_may_write_bytecode(monkeypatch):
+    # the warm-up child drops PYTHONDONTWRITEBYTECODE, keeps the rest of the
+    # environment and puts the checkout's src/ first; nothing else runs
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setenv("SNAPSHOT_TEST_PROBE", "kept")
+    calls = []
+    monkeypatch.setattr(snapshot.subprocess, "run", lambda cmd, **kw: calls.append((cmd, kw)))
+    snapshot.warm_bytecode_cache()
+    [(cmd, kw)] = calls
+    assert cmd[1:] == ["-c", "import staircase_tableaux.cli"]
+    env = kw["env"]
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PYTHONPATH"].split(os.pathsep) == [str(ROOT / "src"), "elsewhere"]
+    assert env["SNAPSHOT_TEST_PROBE"] == "kept" and kw["cwd"] == ROOT and kw["check"]

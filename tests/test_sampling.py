@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import sys
+import threading
 import warnings
 from collections import Counter
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ import numpy
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from staircase_tableaux import Symbol, Tableau, counts, serialize, validate
+from staircase_tableaux import Symbol, Tableau, counts, serialize, validate, weight
 from staircase_tableaux.distributions import (
     cell_prob,
     chi_square_gof,
@@ -86,6 +87,21 @@ def test_take_lane_path_of_the_other_byte_order(monkeypatch):
             swapped = [int.from_bytes(u.to_bytes(8, "little"), "big") for u in lanes.take(k)]
             assert swapped == [g.next_u64() for _ in range(k)]
             assert lanes.state == g.state
+    # and the heads of several streams, each in its own lanes
+    mixed, looped = [SplitMix64(s) for s in TAKE_SEEDS], [SplitMix64(s) for s in TAKE_SEEDS]
+    swapped = [int.from_bytes(u.to_bytes(8, "little"), "big") for u in rng._heads(mixed, 9)]
+    assert swapped == [g.next_u64() for g in looped for _ in range(9)]
+
+
+@pytest.mark.parametrize("streams, k", [(1, 0), (2, 0), (1, 1), (2, 1), (2, 8), (3, 5),
+                                        (2, 512), (4, 256), (1, 1024)])
+def test_heads_are_each_streams_next_outputs(streams, k):
+    # one lane mix of several streams: stream-major, each stream's next k
+    # outputs, and each stream left where k next_u64 calls leave it
+    seeds = (TAKE_SEEDS * 2)[:streams]
+    mixed, looped = [SplitMix64(s) for s in seeds], [SplitMix64(s) for s in seeds]
+    assert list(rng._heads(mixed, k)) == [g.next_u64() for g in looped for _ in range(k)]
+    assert [g.state for g in mixed] == [g.state for g in looped]
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 1024, 1025, 2100, 3001])
@@ -539,6 +555,21 @@ def test_sample_four_equals_doubled_ab_model():
     assert chi_square_gof(law, obs).p_value > 1e-3
 
 
+@pytest.mark.parametrize("n, weights", [
+    (3, (F(2), F(3, 7), F(1, 3), F(5))),
+    (4, (F(2), F(3, 7), F(1, 3), F(5))),
+    (3, (F(1, 2), F(4), F(0), F(3))),   # gamma = 0: no Alpha is ever relabelled
+], ids=["unequal-n=3", "unequal-n=4", "gamma=0-n=3"])
+def test_sample_four_audit_against_law(n, weights):
+    # unequal weights, so no relabel coin is 1/2; the law is enumerate_four's
+    # weights, its zero-weight tableaux left out so that drawing one fails
+    weights_of = {t: weight(t, *weights) for t in enumerate_four(n)}
+    z = sum(weights_of.values())
+    law = {t: w / z for t, w in weights_of.items() if w}
+    obs = Counter(sample_four(n, *weights, derive_seed(137, i)) for i in range(60_000))
+    assert pooled_chi_square(law, obs).p_value > 1e-3
+
+
 @pytest.mark.parametrize("call", [
     lambda params: sample_ab(4, params, 0),
     lambda params: sample_ab(0, params, 0),
@@ -841,12 +872,19 @@ def test_urn_multi_chunk_coins_with_huge_denominators(monkeypatch, n, depth):
 
     monkeypatch.setattr(sampling, "SplitMix64", scripted)
     assert urn_sample(n, a, b, 11) == want
-    assert streams[0].handed > n   # so did the urn: it took a block more than n draws need
+    assert streams[0].handed > n   # so did the urn: it read more chunks than n draws need
+
+
+def taken_heads(streams, k):
+    """The seam for ``rng._heads``: each stream's next k outputs read by its
+    own ``take``, so a Scripted stream hands out its script there too."""
+    return [u for g in streams for u in g.take(k)]
 
 
 def scripted_streams(monkeypatch, scripts):
     """Make the sampler's i-th SplitMix64 a Scripted stream that hands out
-    scripts[i] first; returns the list of streams made so far."""
+    scripts[i] first, lane-mixed heads included; returns the list of
+    streams made so far."""
     streams = []
 
     def make(seed):
@@ -855,6 +893,7 @@ def scripted_streams(monkeypatch, scripts):
         return streams[-1]
 
     monkeypatch.setattr(sampling, "SplitMix64", make)
+    monkeypatch.setattr(sampling, "_heads", taken_heads)
     return streams
 
 
@@ -890,7 +929,10 @@ def test_urn_open_chunk_at_a_later_draw(monkeypatch, a, b, k, n, depth):
     assert want.path[k - 1] == w and reference.handed == n - w + depth
     streams = scripted_streams(monkeypatch, [script])
     assert urn_sample(n, a, b, 23) == want
-    assert streams[0].takes == 2   # the first block holds one chunk per draw, then a refill
+    # from _URN_BLOCKS_FROM open draws on, the first block holds one chunk per
+    # open draw, then a refill; below, every chunk comes from next_u64
+    opens = n - (0 if A and B else 1 if A or B else 2)
+    assert streams[0].takes == (2 if opens >= sampling._URN_BLOCKS_FROM else 0)
 
 
 WIDE = Params(F(1, 3), F(5, 7))   # A = 7, B = 15, d = 21: no coin of it is dyadic
@@ -958,10 +1000,166 @@ def test_block_fed_draws_equal_next_u64_fed_on_multi_chunk_coins(monkeypatch, co
     monkeypatch.undo()
     fed = scripted_streams(monkeypatch, scripts)
     assert draw(n) == want
-    # the scripted stream read blocks exactly when its draw has enough coins
+    # the scripted stream read blocks exactly when its draw has enough coins.
+    # sample_four reads each stream's first 2n outputs as one lane-mixed head
+    # (one take through the seam), so a block follows only a read past it
     coins = {"relabel": len(want.cells), "rho": n}.get(coin, 2 * n)
-    assert reference[-1].takes == 0
-    assert (fed[-1].takes > 0) == (coins >= rng._BLOCKS_FROM)
+    head = int(coin == "relabel")
+    past_head = not head or depth == "past-the-first-block"
+    assert reference[-1].takes == head
+    assert (fed[-1].takes > head) == (coins >= rng._BLOCKS_FROM and past_head)
+
+
+def first_chunk_threshold(p: F) -> int:
+    """T = floor(p·2^64): a first chunk below T decides U < p, one above T
+    decides against it, and T itself decides against it only if p·2^64 is
+    an integer; else the coin reads on."""
+    return (p.numerator << 64) // p.denominator
+
+
+# (alpha, beta, gamma, delta) whose two relabel coins are both 1/2, an exact
+# threshold, or both 2/5, an inexact one
+RELABEL_POINTS = {"exact-1/2": (F(1), F(1), F(1), F(1)), "inexact-2/5": (F(3), F(3), F(2), F(2))}
+
+
+@pytest.mark.parametrize("weights", RELABEL_POINTS.values(), ids=RELABEL_POINTS.keys())
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["T-1", "T", "T+1"])
+@pytest.mark.parametrize("cell", ["first", "last"])
+@pytest.mark.parametrize("n", [1, 4, 257])   # 257: past the lane cap 4n <= 1024
+def test_relabel_coin_on_its_first_chunk_threshold(monkeypatch, weights, offset, cell, n):
+    # one relabel coin reads T + offset, then a chunk of 0, which decides an
+    # open coin true; the reference flips every relabel coin by bernoulli_ratio
+    # on a next_u64 stream fed the same script
+    alpha, beta, gamma, delta = weights
+    seed = 19
+    base = sample_ab(n, Params.from_alpha_beta(alpha + gamma, beta + delta), derive_seed(seed, 0))
+    p = gamma / (alpha + gamma)
+    assert p == delta / (beta + delta)
+    k = 0 if cell == "first" else len(base.cells) - 1
+    script = SplitMix64(derive_seed(seed, 1)).take(k) + [first_chunk_threshold(p) + offset, 0]
+    coins, cells = Scripted(derive_seed(seed, 1), script), []
+    for r, c, s in base.cells:
+        if bernoulli_ratio(coins, p.numerator, p.denominator):
+            s = Symbol.GAMMA if s is A else Symbol.DELTA
+        cells.append((r, c, s))
+    want = Tableau(n, cells)
+    scripted_streams(monkeypatch, [[], script])
+    assert sample_four(n, *weights, seed) == want
+
+
+# (a, b, k): the urn's draw k has P(white) 1/2, an exact threshold, or 2/5,
+# an inexact one, after k draws of white
+URN_THRESHOLDS = {"exact-1/2-k=0": (F(1), F(1), 0), "inexact-2/5-k=0": (F(2), F(3), 0),
+                  "exact-1/2-k=3": (F(4), F(1), 3), "inexact-2/5-k=3": (F(4), F(3), 3)}
+
+
+@pytest.mark.parametrize("a, b, k", URN_THRESHOLDS.values(), ids=URN_THRESHOLDS.keys())
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["T-1", "T", "T+1"])
+@pytest.mark.parametrize("n", [4, 40])   # open draws from next_u64, and from take blocks
+def test_urn_first_chunk_on_its_threshold(monkeypatch, a, b, k, offset, n):
+    # chunks of 0 draw white, so w stays 0 and draw k's P(white) is
+    # a/(a + b + k); it reads T + offset, then a chunk of 0, which decides an
+    # open draw white
+    p = a / (a + b + k)
+    assert p in (F(1, 2), F(2, 5))
+    script = [0] * k + [first_chunk_threshold(p) + offset, 0]
+    want = per_coin_urn(n, a, b, Scripted(29, script))
+    streams = scripted_streams(monkeypatch, [script])
+    assert urn_sample(n, a, b, 29) == want
+    assert (streams[0].takes > 0) == (n >= sampling._URN_BLOCKS_FROM)
+
+
+FOUR_WEIGHTS = [(F(2), F(3, 7), F(1, 3), F(5)), (F(1, 2), F(4), F(0), F(3))]
+URN_WEIGHTS = [(F(3), F(1, 5)), (F(0), F(5, 7))]
+
+
+def memo_calls():
+    """Calls that alternate two weight sets per sampler, then calls that
+    give one weight as an int, a Fraction, a float, a "p/q" string and a
+    NumPy int in turn, each a function of the seed."""
+    calls = []
+    for i in range(6):
+        four, urn = FOUR_WEIGHTS[i % 2], URN_WEIGHTS[i % 2]
+        calls.append(lambda s, w=four: serialize(sample_four(4, *w, s)))
+        calls.append(lambda s, w=urn: urn_sample(4, *w, s))
+    for x in (2, F(2), 2.0, "2/1", numpy.int64(2)):
+        calls.append(lambda s, x=x: serialize(sample_four(4, x, F(3, 7), F(1, 3), F(5), s)))
+        calls.append(lambda s, x=x: urn_sample(4, F(1, 2), x, s))
+    return calls
+
+
+def empty_memos(monkeypatch):
+    monkeypatch.setattr(sampling, "_four_memo", (None, None))
+    monkeypatch.setattr(sampling, "_urn_memo", (None, None))
+
+
+def test_memo_draws_as_an_empty_memo(monkeypatch):
+    calls, seeds = memo_calls(), [derive_seed(113, i) for i in range(8)]
+    want = []
+    for call in calls:
+        empty_memos(monkeypatch)
+        want.append([call(s) for s in seeds])
+    empty_memos(monkeypatch)
+    # in one pass each call finds the memo its predecessor left
+    assert [[call(s) for s in seeds] for call in calls] == want
+
+
+BAD_AFTER_FILL = [
+    (lambda: sample_four(4, F(-1, 2), F(3, 7), F(1, 3), F(5), 1), "alpha must be >= 0, got -1/2"),
+    (lambda: sample_four(4, 2, "x", F(1, 3), F(5), 1),
+     "beta must be a finite rational >= 0, got 'x'"),
+    (lambda: sample_four(4, 2, 3, math.inf, 5, 1), "gamma must be a finite rational >= 0, got inf"),
+    (lambda: sample_four(4, 0, 1, 0, 1, 1), "need alpha + gamma > 0 and beta + delta > 0"),
+    (lambda: sample_four(-1, *FOUR_WEIGHTS[0], 1), "n must be >= 0, got -1"),
+    (lambda: sample_four(4, *FOUR_WEIGHTS[0], "s"), "seed must be an integer, got 's'"),
+    (lambda: urn_sample(4, F(1, 2), -3, 1), "b must be >= 0, got -3"),
+    (lambda: urn_sample(4, math.inf, 1, 1), "a must be a finite rational >= 0, got inf"),
+    (lambda: urn_sample(2.5, *URN_WEIGHTS[0], 1), "n must be an integer, got 2.5"),
+    (lambda: urn_sample(4, *URN_WEIGHTS[0], None), "seed must be an integer, got None"),
+]
+
+
+@pytest.mark.parametrize("call, message", BAD_AFTER_FILL)
+def test_memo_keeps_every_error_message(monkeypatch, call, message):
+    # a bad argument after a memo fill raises as it would on an empty memo,
+    # and leaves the memo's draws as they were
+    empty_memos(monkeypatch)
+    seeds = [derive_seed(127, i) for i in range(4)]
+    want = [(sample_four(4, *FOUR_WEIGHTS[0], s), urn_sample(4, *URN_WEIGHTS[0], s)) for s in seeds]
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+    assert [(sample_four(4, *FOUR_WEIGHTS[0], s), urn_sample(4, *URN_WEIGHTS[0], s))
+            for s in seeds] == want
+
+
+def test_memo_under_two_threads():
+    # two threads alternate weight sets out of step, switching as often as
+    # the interpreter allows; every draw is its per-seed reference
+    seeds = [derive_seed(131, i) for i in range(400)]
+    want = {w: [serialize(sample_four(4, *w, s)) for s in seeds] for w in FOUR_WEIGHTS}
+    want.update({w: [urn_sample(4, *w, s) for s in seeds] for w in URN_WEIGHTS})
+    got = [[], []]
+
+    def work(k):
+        for i, s in enumerate(seeds):
+            four, urn = FOUR_WEIGHTS[(i + k) % 2], URN_WEIGHTS[(i + k) % 2]
+            got[k].append((four, i, serialize(sample_four(4, *four, s))))
+            got[k].append((urn, i, urn_sample(4, *urn, s)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(2):
+        assert len(got[k]) == 2 * len(seeds)
+        assert all(draw == want[w][i] for w, i, draw in got[k])
 
 
 def test_urn_empty_start():

@@ -12,8 +12,13 @@ snapshot can be read against its bounds.  The runs go one at a time, and
 it reads the JSON object on the last line of each run's output and the
 op durations of the run's report in ``.bench_out/``.  Then it runs
 ``staircase-tableaux verify --level desk --format json`` from ``src/``.
+Before the runs it imports ``staircase_tableaux.cli`` once in a child
+without ``PYTHONDONTWRITEBYTECODE``, so that every run's set-up reads a
+fresh bytecode cache (``src/**/__pycache__``, git-ignored) and ``setup_s``
+does not depend on what an earlier session left there.
 It writes ``BENCH_<L>.json`` at the root of the checkout: the git SHA, the
-Python version, the CPU count, ``correct`` per run, the median and
+Python version, the CPU count, ``"bytecode_cache": "warmed"``, ``correct``
+per run, the median and
 quartiles of every end-to-end metric per workload, the median op time at
 each position of the workload's cycle of op kinds, and the seconds of each
 acceptance criterion.  Diff two such files, read against the bounds in
@@ -84,6 +89,20 @@ def criteria(stdout: str) -> list[dict]:
     return [{k: r[k] for k in ("index", "name", "passed", "seconds")} for r in rows]
 
 
+def src_env() -> dict[str, str]:
+    """This environment with the checkout's ``src/`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def warm_bytecode_cache() -> None:
+    """Import the package's CLI, and so every module, once in a child that
+    may write bytecode, so the runs' children all read a fresh cache."""
+    env = {k: v for k, v in src_env().items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-c", "import staircase_tableaux.cli"],
+                   cwd=ROOT, env=env, check=True)
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -101,6 +120,7 @@ def main(argv=None) -> int:
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     names = [m["name"] for m in spec["end_to_end"]]
     cycles = cycle_lengths()
+    warm_bytecode_cache()
     workloads = {}
     for w in (w["name"] for w in spec["workloads"]):
         runs = []
@@ -118,17 +138,16 @@ def main(argv=None) -> int:
         workloads[w]["op_ms_by_position"] = by_position(
             [ROOT / ".bench_out" / f"{w}-seed{seed}-trace0.json" for seed, _ in runs], cycles[w])
 
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "staircase_tableaux.cli", "verify",
                            "--level", "desk", "--format", "json"],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
+                          cwd=ROOT, env=src_env(), capture_output=True, text=True)
     snapshot = {
         "label": args.label,
         "git_sha": sha,
         "dirty": dirty,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "bytecode_cache": "warmed",
         "seeds": SEEDS,
         "seconds": seconds,
         "workloads": workloads,
