@@ -1154,9 +1154,10 @@ def test_memo_under_two_threads():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     for k in range(2):
         assert len(got[k]) == 2 * len(seeds)
         assert all(draw == want[w][i] for w, i, draw in got[k])
