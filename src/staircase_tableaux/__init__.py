@@ -25,16 +25,39 @@ staircase tableaux executable:
 - ``cli``: the ``staircase-tableaux`` command exposing all of the above.
 
 The package re-exports each of the six library modules' ``__all__``, so
-every public name they declare can be imported from here.
+every public name they declare can be imported from here.  Names resolve on
+first use (PEP 562): importing the package loads none of its modules, a
+submodule name loads that module alone, and any other public name loads the
+six library modules once.
 """
-
-from .tableau import *
-from .eulerian_poly import *
-from .enumeration import *
-from .sampling import *
-from .distributions import *
-from .asep import *
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_LIBRARY = ("tableau", "eulerian_poly", "enumeration", "sampling", "distributions", "asep")
+
+
+def _submodule(name: str):
+    import sys   # builtin: importlib would cost a cold start its own import
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    if not name.startswith("_"):
+        try:
+            return _submodule(name)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+    if not name.startswith("_") or name == "__all__":
+        public = {n: getattr(m, n) for m in map(_submodule, _LIBRARY) for n in m.__all__}
+        # __all__ also names the submodules that the library modules load, as
+        # the six star imports once bound them
+        globals().update(public, __all__=sorted({*public, *_LIBRARY, "errors", "rng"}))
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -14,7 +14,6 @@ rejects; ``z_full`` sweeps the certified ``enumerate_four`` stream as is.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -105,4 +104,5 @@ def render_filled(f: FilledTableau) -> str:
 def serialize_filled(f: FilledTableau) -> bytes:
     doc = to_document(f.base)
     doc["labels"] = [{"row": r, "col": c, "label": lab} for r, c, lab in f.labels]
+    import json
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()

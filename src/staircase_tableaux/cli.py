@@ -2,7 +2,9 @@
 
 One table, ``COMMANDS``, lists each command's handler, its arguments and
 the output formats it offers; ``build_parser`` builds the parser from it,
-so a command accepts only the flags it honours.  A handler returns its
+so a command accepts only the flags it honours.  A cold start pays for
+its command alone: ``main`` builds only the subparser of the command named
+first, and each handler imports the modules it uses.  A handler returns its
 output *views*: a dict from format name to a lazy iterable of lines, in
 order of preference.  ``emit`` writes the view ``--format`` names, or the
 first one, and formats every value by one rule:
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -36,10 +37,8 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import acceptance, asep, distributions, enumeration, eulerian_poly, sampling, tableau
 from .errors import CapExceededError, DomainError, ParameterError, RootFindingError, StaircaseError
-from .eulerian_poly import _as_n, _fractions
-from .rng import _derived_seeds
+from .eulerian_poly import _as_n, _as_param, _fractions, _invert
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,27 +74,27 @@ def _rational_flag(text: str) -> Fraction | float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _resolve_params(args) -> sampling.Params:
-    """Exactly one of the two parameter conventions per invocation; only
-    sample takes a zero weight, as every exact law needs a and b finite."""
+def _resolve_params(args) -> tuple[Fraction | float, Fraction | float]:
+    """The inverse weights (a, b), read by the rules ``sampling.Params``
+    applies.  Exactly one of the two parameter conventions per invocation;
+    only sample takes a zero weight, as every exact law needs a and b finite."""
     has_ab = args.a is not None or args.b is not None
     has_greek = args.alpha is not None or args.beta is not None
     if has_ab and has_greek:
         raise ParameterError("use either --a/--b or --alpha/--beta, not both")
-    rho = getattr(args, "rho", Fraction(1, 2))
     if has_greek:
         if args.alpha is None or args.beta is None:
             raise ParameterError("--alpha and --beta must be given together")
-        params = sampling.Params.from_alpha_beta(args.alpha, args.beta, rho)
+        a, b = _invert(_as_param("alpha", args.alpha)), _invert(_as_param("beta", args.beta))
     elif args.a is None or args.b is None:
         raise ParameterError("give parameters as --a/--b or --alpha/--beta")
     else:
-        params = sampling.Params(args.a, args.b, rho)
-    for inverse, weight in ("a", "alpha"), ("b", "beta"):
-        if getattr(params, inverse) == math.inf and args.command != "sample":
+        a, b = _as_param("a", args.a), _as_param("b", args.b)
+    for inverse, weight, value in ("a", "alpha", a), ("b", "beta", b):
+        if value == math.inf and args.command != "sample":
             raise ParameterError(f"--{weight} must be > 0, got 0" if has_greek
                                  else f"--{inverse} must be finite, got inf")
-    return params
+    return a, b
 
 
 def _unused(args, context: str, *dests: str) -> None:
@@ -123,6 +122,7 @@ def _line(item, text: Callable[[object], str]) -> str:
     if isinstance(item, tuple):
         return ",".join(map(text, item))
     if isinstance(item, (dict, list)):
+        import json
         return json.dumps(item, sort_keys=True, default=text)
     return text(item)
 
@@ -170,6 +170,8 @@ def _write_lines(fh, lines: Iterable[str]) -> None:
 
 
 def cmd_sample(args) -> Views:
+    from . import sampling, tableau
+    from .rng import _derived_seeds
     if args.four:
         _unused(args, "sample --four", "a", "b", "rho")
         if args.alpha is None or args.beta is None:
@@ -183,7 +185,7 @@ def cmd_sample(args) -> Views:
             return map(draw, _derived_seeds(args.seed, args.samples))
     else:
         _unused(args, "sample without --four", "gamma", "delta")
-        params = _resolve_params(args)
+        params = sampling.Params(*_resolve_params(args), getattr(args, "rho", Fraction(1, 2)))
 
         def draw(seed: int) -> tableau.Tableau:
             return sampling.sample_ab(args.n, params, seed)
@@ -209,6 +211,7 @@ def cmd_sample(args) -> Views:
 
 
 def cmd_enumerate(args) -> Views:
+    from . import enumeration, tableau
     stream = {
         "ab": enumeration.enumerate_ab,
         "four": enumeration.enumerate_four,
@@ -228,32 +231,33 @@ def cmd_enumerate(args) -> Views:
 
 
 def cmd_dist_a(args) -> Views:
-    params = _resolve_params(args)
-    d = distributions.dist_A(args.n, params.a, params.b)
+    from . import distributions
+    a, b = _resolve_params(args)
+    d = distributions.dist_A(args.n, a, b)
     pairs = [(k, d.pmf(k)) for k in d.support()]
     return {"csv": [("k", "probability"), *pairs],
-            "json": [{"n": args.n, "a": str(params.a), "b": str(params.b),
+            "json": [{"n": args.n, "a": str(a), "b": str(b),
                       "pmf": {str(k): p for k, p in pairs}}]}
 
 
 def cmd_moments_a(args) -> Views:
-    params = _resolve_params(args)
-    mean, var = distributions.moments_A(args.n, params.a, params.b)
+    from . import distributions
+    mean, var = distributions.moments_A(args.n, *_resolve_params(args))
     return {"csv": [("mean", "variance"), (mean, var)],
             "json": [{"n": args.n, "mean": mean, "variance": var}]}
 
 
 def cmd_decompose(args) -> Views:
-    params = _resolve_params(args)
-    bd = distributions.bernoulli_decomposition(args.n, params.a, params.b)
+    from . import distributions
+    bd = distributions.bernoulli_decomposition(args.n, *_resolve_params(args))
     rows = [(i + 1, p, x) for i, (p, x) in enumerate(zip(bd.p, bd.xi))]
     return {"csv": [("i", "p", "xi"), *rows],
             "json": [{"n": bd.n, "p": bd.p, "xi": [repr(x) for x in bd.xi]}]}
 
 
 def cmd_pairs_n(args) -> Views:
-    params = _resolve_params(args)
-    law = distributions.dist_N_pairs(args.n, params.a, params.b)
+    from . import distributions
+    law = distributions.dist_N_pairs(args.n, *_resolve_params(args))
     rows = [(i, pd.p10, pd.p01, pd.p11) for i, pd in enumerate(law.pairs)]
     summary = {
         "mean_alpha": law.mean_alpha, "var_alpha": law.var_alpha,
@@ -269,12 +273,12 @@ _KIND_ARGS = {"diag": ("i",), "cell": ("i", "j"), "joint": ("positions",), "cov"
 
 
 def cmd_positions(args) -> Views:
+    from . import distributions
     needed = _KIND_ARGS[args.kind]
     _unused(args, f"--kind {args.kind}", *(d for d in ("i", "j", "positions") if d not in needed))
     if any(getattr(args, d) is None for d in needed):
         raise ParameterError(f"--kind {args.kind} needs " + " and ".join("--" + d for d in needed))
-    params = _resolve_params(args)
-    a, b = params.a, params.b
+    a, b = _resolve_params(args)
     if args.kind == "diag":
         value = {"p_alpha": distributions.diag_prob(args.n, a, b, args.i)}
     elif args.kind == "cell":
@@ -290,8 +294,8 @@ def cmd_positions(args) -> Views:
 
 
 def cmd_subcheck(args) -> tuple[Views, int]:
-    params = _resolve_params(args)
-    rep = distributions.subtableau_law_check(args.n, params.a, params.b, args.i, args.j,
+    from . import distributions, tableau
+    rep = distributions.subtableau_law_check(args.n, *_resolve_params(args), args.i, args.j,
                                              allow_large=args.allow_large)
     doc = rep._asdict()
     if (diff := doc.pop("first_difference")) is not None:
@@ -302,6 +306,8 @@ def cmd_subcheck(args) -> tuple[Views, int]:
 
 
 def cmd_urn(args) -> Views:
+    from . import sampling
+    from .rng import _derived_seeds
     a, b = args.a, args.b
     if args.samples == 1:
         res = sampling.urn_sample(args.n, a, b, args.seed)
@@ -318,25 +324,27 @@ def cmd_urn(args) -> Views:
 
 
 def cmd_triangle(args) -> Views:
+    from . import eulerian_poly
     n_max = 10 if args.n_max is None else args.n_max
     if args.symbolic:
         _unused(args, "triangle --symbolic", "a", "b", "alpha", "beta", "row", "float")
         rows = enumerate(eulerian_poly._symbolic_rows(_as_n(n_max, name="--n-max")))
     elif args.row is not None:
         _unused(args, "triangle --row", "n_max")
-        params = _resolve_params(args)
+        a, b = _resolve_params(args)
         row = _as_n(args.row, name="--row")
-        rows = [(row, eulerian_poly.v_row(row, params.a, params.b))]
+        rows = [(row, eulerian_poly.v_row(row, a, b))]
     else:
-        params = _resolve_params(args)
+        a, b = _resolve_params(args)
         # one row at a time: the whole triangle holds n_max^3 log n_max bits
-        scaled = eulerian_poly.scaled_rows(_as_n(n_max, name="--n-max"), params.a, params.b)
+        scaled = eulerian_poly.scaled_rows(_as_n(n_max, name="--n-max"), a, b)
         rows = ((n, _fractions(row, d ** n)) for n, (row, d) in enumerate(scaled))
     return {"csv": itertools.chain([("n", "k", "v")], (
         (n, k, v) for n, row in rows for k, v in enumerate(row)))}
 
 
 def _read_tableau(args) -> tableau.Tableau:
+    from . import tableau
     if args.input and args.input != "-":
         try:
             with open(args.input, "rb") as fh:
@@ -349,28 +357,32 @@ def _read_tableau(args) -> tableau.Tableau:
 
 
 def cmd_asep_fill(args) -> Views:
+    from . import asep
     filled = asep.fill_uq(_read_tableau(args))
     return {"text": _later(lambda: [asep.render_filled(filled)]),
             "json": _later(lambda: [asep.serialize_filled(filled).decode()])}
 
 
 def cmd_asep_weight(args) -> Views:
+    from . import asep
     names = ("n_alpha", "n_beta", "n_gamma", "n_delta", "n_u", "n_q")
     vec = asep.wtx(_read_tableau(args))
     return {"csv": [names, tuple(vec)], "json": [dict(zip(names, vec))]}
 
 
 def cmd_asep_z_full(args) -> Views:
+    from . import asep
     return {"text": [asep.z_full(args.n, args.alpha, args.beta, args.gamma, args.delta,
                                  args.q, args.u, allow_large=args.allow_large)]}
 
 
 def cmd_clt(args) -> Views:
-    params = _resolve_params(args)
-    return {"json": [distributions.clt_diagnostics(args.n, params.a, params.b)._asdict()]}
+    from . import distributions
+    return {"json": [distributions.clt_diagnostics(args.n, *_resolve_params(args))._asdict()]}
 
 
 def cmd_verify(args) -> tuple[Views, int]:
+    from . import acceptance
     results = acceptance.run(level=args.level, indices=args.only)
     width = max(len(r.name) for r in results)
     text = [f"[{'PASS' if r.passed else 'FAIL'}] {r.index:2d} {r.name:<{width}}  "
@@ -460,13 +472,15 @@ COMMANDS = {
     "clt": Command(cmd_clt, "finite-n normal/local limit diagnostics", ("json",), (N, *AB)),
     "verify": Command(cmd_verify, "run the acceptance suite", ("text", "json"), (
         _arg("--level", choices=("quick", "desk"), default="desk"),
-        _arg("--only", type=int, action="append", choices=[i for i, _, _ in acceptance.CRITERIA],
+        # acceptance.CRITERIA's indices, which a test holds equal: reading
+        # them here would make every command import every module
+        _arg("--only", type=int, action="append", choices=range(1, 16),
              help="run a single criterion (repeatable)"))),
 }
 
 
-def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str) -> None:
-    sub = parser.add_subparsers(dest=dest, required=True)
+def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str, metavar=None) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
     for name, spec in table.items():
         if not isinstance(spec, Command):
             help_, nested = spec
@@ -481,17 +495,24 @@ def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str) -> No
         p.set_defaults(func=spec.handler, parser=p)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser; or, for a key of ``COMMANDS``, one holding only that
+    command's subparser, which parses and reports exactly as the whole one."""
     parser = argparse.ArgumentParser(
         prog="staircase-tableaux",
         description="Exact computation, enumeration and sampling for weighted staircase tableaux.",
     )
-    _add_commands(parser, COMMANDS, "command")
+    # one command's parser still lists every command in an error's usage line
+    whole = command is None
+    _add_commands(parser, COMMANDS if whole else {command: COMMANDS[command]}, "command",
+                  metavar=None if whole else "{" + ",".join(COMMANDS) + "}")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command named first needs only its own subparser
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     # exact output can pass CPython's int <-> str digit limit: lift it after
     # parsing the arguments, and put it back for in-process callers
     old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

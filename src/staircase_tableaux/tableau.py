@@ -15,7 +15,6 @@ Tableaux are immutable values; all operations here are pure.
 from __future__ import annotations
 
 import enum
-import json
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
@@ -293,6 +292,7 @@ def to_document(t: Tableau) -> dict:
 
 def serialize(t: Tableau) -> bytes:
     """Canonical single-document JSON encoding (cells sorted by row, col)."""
+    import json   # only documents need it: a cold start that writes none skips its import
     return json.dumps(to_document(t), separators=(",", ":"), sort_keys=True).encode()
 
 
@@ -336,6 +336,7 @@ def parse(data: bytes | str) -> Tableau:
     """
     if not isinstance(data, (bytes, str)):
         raise ParameterError(f"data must be bytes or str, got {data!r}")
+    import json
     try:
         doc = json.loads(data.decode() if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:

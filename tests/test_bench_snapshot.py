@@ -4,6 +4,9 @@ output, so no benchmark runs here."""
 import importlib.util
 import json
 import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,12 +71,21 @@ def test_bytecode_warm_up_child_may_write_bytecode(monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
     monkeypatch.setenv("SNAPSHOT_TEST_PROBE", "kept")
-    calls = []
+    calls, run = [], subprocess.run
     monkeypatch.setattr(snapshot.subprocess, "run", lambda cmd, **kw: calls.append((cmd, kw)))
     snapshot.warm_bytecode_cache()
     [(cmd, kw)] = calls
-    assert cmd[1:] == ["-c", "import staircase_tableaux.cli"]
     env = kw["env"]
     assert "PYTHONDONTWRITEBYTECODE" not in env
     assert env["PYTHONPATH"].split(os.pathsep) == [str(ROOT / "src"), "elsewhere"]
     assert env["SNAPSHOT_TEST_PROBE"] == "kept" and kw["cwd"] == ROOT and kw["check"]
+    # its command, run here without writing bytecode, imports every module
+    # of the package, not only those the CLI loads
+    assert cmd[:2] == [sys.executable, "-c"]
+    src = str(ROOT / "src")
+    report = "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('staircase_tableaux.')))"
+    proc = run([*cmd[:2], cmd[2] + report], env={**os.environ, "PYTHONPATH": src},
+               capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = pkgutil.iter_modules([os.path.join(src, "staircase_tableaux")])
+    assert proc.stdout == f"{sorted('staircase_tableaux.' + m.name for m in modules)}\n"

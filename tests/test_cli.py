@@ -495,7 +495,6 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
         raise RootFindingError("forced")
 
     monkeypatch.setattr(distributions, "bernoulli_decomposition", boom)
-    monkeypatch.setattr(cli.distributions, "bernoulli_decomposition", boom)
     code, _, err = run_cli(capsys, "decompose", "--n", "3", "--a", "1", "--b", "1")
     assert code == cli.EXIT_NUMERICAL and "forced" in err
 
@@ -692,6 +691,84 @@ def test_json_views_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# one valid invocation of every command; each is varied below
+_VALID = {
+    "sample": ["sample", "--n", "3", "--a", "1", "--b", "2", "--samples", "3", "--format", "csv"],
+    "enumerate": ["enumerate", "--n", "2", "--count-only"],
+    "dist-a": ["dist-a", "--n", "3", "--alpha", "2", "--beta", "1/3", "--float"],
+    "moments-a": ["moments-a", "--n", "5", "--a", "1", "--b", "2"],
+    "decompose": ["decompose", "--n", "4", "--a", "2/3", "--b", "7/5"],
+    "pairs-n": ["pairs-n", "--n", "4", "--a", "1", "--b", "2", "--format", "json"],
+    "positions": ["positions", "--n", "3", "--kind", "diag", "--i", "1", "--a", "1", "--b", "1"],
+    "subcheck": ["subcheck", "--n", "3", "--i", "1", "--j", "1", "--a", "1", "--b", "1"],
+    "urn": ["urn", "--n", "5", "--samples", "4"],
+    "triangle": ["triangle", "--n-max", "3", "--a", "1/2", "--b", "3"],
+    "asep fill": ["asep", "fill", "--input", "TABLEAU"],
+    "asep weight": ["asep", "weight", "--input", "TABLEAU", "--format", "json"],
+    "asep z-full": ["asep", "z-full", "--n", "2", "--q", "2"],
+    "clt": ["clt", "--n", "10", "--a", "1", "--b", "1"],
+    "verify": ["verify", "--only", "12", "--only", "3", "--level", "quick"],
+}
+# the flag whose value each command reads through its type=
+_TYPED = {"triangle": "--n-max", "verify": "--only", "asep fill": None, "asep weight": None}
+
+
+def _variants(name: str, argv: list[str]) -> dict[str, list[str]]:
+    """The valid invocation, and it with an unknown option, without --n,
+    with a bad --format, with a value its type= refuses, and -h."""
+    cases = {"valid": argv, "unknown-option": [*argv, "--bogus"],
+             "bad-format": [*argv, "--format", "xml"], "help": [*name.split(), "-h"]}
+    if "--n" in argv:
+        i = argv.index("--n")
+        cases["missing-n"] = argv[:i] + argv[i + 2:]
+    if (flag := _TYPED.get(name, "--n")) is not None:
+        i = argv.index(flag)
+        cases["bad-type"] = [*argv[:i + 1], "x", *argv[i + 2:]]
+    return cases
+
+
+_PARSER_CASES = [(name, kind, argv) for name, valid in _VALID.items()
+                 for kind, argv in _variants(name, valid).items()]
+
+
+def _main_outcome(capsys, argv) -> tuple:
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name, kind, argv", _PARSER_CASES,
+                         ids=[f"{name}-{kind}" for name, kind, _ in _PARSER_CASES])
+def test_one_subparser_agrees_with_the_whole_parser(tmp_path, capsys, monkeypatch, name, kind, argv):
+    # main builds only the named command's subparser; every invocation must
+    # give the stdout, stderr and exit code that the whole parser gives
+    from staircase_tableaux import acceptance
+
+    path = tmp_path / "t.json"
+    path.write_bytes(serialize(sample_ab(3, Params(1, 2), 5)))
+    argv = [str(path) if a == "TABLEAU" else a for a in argv]
+    # verify's report carries wall-clock seconds: echo the parsed request instead
+    monkeypatch.setattr(acceptance, "run", lambda level, indices: [
+        acceptance.CheckResult(i, "stub", True, level, 0.0) for i in indices])
+    build, asked = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: asked.append(command) or build(command))
+    own = _main_outcome(capsys, argv)
+    assert asked == [argv[0]]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert own == _main_outcome(capsys, argv)
+    assert own[0] == (0 if kind in ("valid", "help") else cli.EXIT_USAGE)
+
+
+def test_verify_only_takes_every_criterion():
+    from staircase_tableaux import acceptance
+
+    [(_, only)] = [(f, kw) for f, kw in cli.COMMANDS["verify"].arguments if f == ("--only",)]
+    assert list(only["choices"]) == [i for i, _, _ in acceptance.CRITERIA]
 
 
 def test_readme_command_lines_parse():

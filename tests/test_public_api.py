@@ -13,6 +13,7 @@ import pytest
 import staircase_tableaux
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(staircase_tableaux.__path__))
+LIBRARY = ("tableau", "eulerian_poly", "enumeration", "sampling", "distributions", "asep")
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
@@ -24,8 +25,7 @@ def test_package_all_resolves():
 def test_package_exports_every_library_name():
     # the package re-exports the six library modules' __all__s; no two of
     # them share a name, so none shadows another
-    library = ("tableau", "eulerian_poly", "enumeration", "sampling", "distributions", "asep")
-    names = [n for m in library for n in importlib.import_module(f"staircase_tableaux.{m}").__all__]
+    names = [n for m in LIBRARY for n in importlib.import_module(f"staircase_tableaux.{m}").__all__]
     assert len(set(names)) == len(names)
     assert set(names) <= set(staircase_tableaux.__all__)
 
@@ -102,6 +102,124 @@ def test_cli_import_loads_no_unused_stdlib_module():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# under -S, so that no site hook loads a module first; prints the package
+# modules the child loaded, then whether it loaded json
+_LOADED = ("print(*sorted(m.split('.')[1] for m in sys.modules "
+           "if m.startswith('staircase_tableaux.')), 'json' in sys.modules)")
+_RUN_MAIN = ("import contextlib, io, sys\nfrom staircase_tableaux.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n    status = main(sys.argv[1:])\n"
+             "assert status == 0, status\n")
+_EXACT = "cli distributions errors eulerian_poly"
+_DRAWS = "cli enumeration errors eulerian_poly rng sampling tableau"
+_COLD_STARTS = [
+    ("import staircase_tableaux", (), "False"),
+    ("import staircase_tableaux.cli", (), "cli errors eulerian_poly False"),
+    # the commands that the benchmark's cli-cold workload runs, at small n
+    (_RUN_MAIN, ("sample", "--n", "3", "--alpha", "2", "--beta", "1/3", "--samples", "20",
+                 "--format", "csv"), f"{_DRAWS} False"),
+    (_RUN_MAIN, ("urn", "--n", "20", "--a", "1/2", "--b", "3", "--samples", "20"), f"{_DRAWS} False"),
+    (_RUN_MAIN, ("dist-a", "--n", "8", "--a", "1/2", "--b", "3", "--format", "json"), f"{_EXACT} True"),
+    (_RUN_MAIN, ("moments-a", "--n", "10", "--a", "1/2", "--b", "3"), f"{_EXACT} False"),
+    (_RUN_MAIN, ("decompose", "--n", "6", "--a", "1/2", "--b", "3"), f"{_EXACT} False"),
+    (_RUN_MAIN, ("pairs-n", "--n", "10", "--a", "1/2", "--b", "3"), f"{_EXACT} False"),
+    (_RUN_MAIN, ("clt", "--n", "20", "--a", "1/2", "--b", "3"), f"{_EXACT} True"),
+    (_RUN_MAIN, ("triangle", "--n-max", "6", "--a", "1/2", "--b", "3"), "cli errors eulerian_poly False"),
+    (_RUN_MAIN, ("enumerate", "--n", "4", "--count-only"),
+     "cli enumeration errors eulerian_poly tableau False"),
+    (_RUN_MAIN, ("asep", "z-full", "--n", "2", "--q", "2"),
+     "asep cli enumeration errors eulerian_poly tableau False"),
+    # only verify loads acceptance, and with it every module
+    (_RUN_MAIN, ("verify", "--only", "12", "--level", "quick"), " ".join(MODULES) + " False"),
+]
+
+
+@pytest.mark.parametrize("code, argv, loaded", _COLD_STARTS,
+                         ids=[" ".join(argv) or code for code, argv, _ in _COLD_STARTS])
+def test_cold_start_loads_only_its_own_modules(code, argv, loaded):
+    # what a fresh interpreter imports is what each cold command pays for:
+    # the package loads no module until a name is used, and each command
+    # only the modules it runs
+    src = str(Path(staircase_tableaux.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", f"{code}\nimport sys\n{_LOADED}", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == loaded + "\n"
+
+
+def test_package_all_is_pinned():
+    # SHA-256 prefix of repr(__all__) as the six star imports built it: the
+    # 84 names, sorted, eight of them the submodules those imports loaded
+    import hashlib
+
+    names = staircase_tableaux.__all__
+    assert len(names) == 84 and names == sorted(names)
+    assert hashlib.sha256(repr(names).encode()).hexdigest()[:12] == "6f5b7d66ed86"
+
+
+def test_star_import_binds_the_modules_objects():
+    namespace = {}
+    exec("from staircase_tableaux import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == staircase_tableaux.__all__
+    assert {n for n, obj in namespace.items() if type(obj) is type(sys)} == {*LIBRARY, "errors", "rng"}
+    for module in LIBRARY:
+        mod = importlib.import_module(f"staircase_tableaux.{module}")
+        assert namespace[module] is mod
+        for name in mod.__all__:
+            assert namespace[name] is getattr(mod, name), f"{module}.{name}"
+
+
+def test_dir_holds_every_exported_name():
+    # in a fresh interpreter, where no name has been resolved yet
+    src = str(Path(staircase_tableaux.__file__).resolve().parents[1])
+    code = "import staircase_tableaux as st; names = dir(st); print(set(st.__all__) <= set(names))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__"])
+def test_unknown_name_raises_attribute_error_naming_it(name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(staircase_tableaux, name)
+
+
+_FIRST_TOUCH = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+import staircase_tableaux as st
+names = ("dist_A", "sampling", "Tableau", "distributions")
+barrier, got = threading.Barrier(len(names)), [None] * len(names)
+
+def touch(i):
+    barrier.wait()
+    got[i] = getattr(st, names[i])
+
+threads = [threading.Thread(target=touch, args=(i,)) for i in range(len(names))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+from staircase_tableaux import distributions, sampling, tableau
+want = (distributions.dist_A, sampling, tableau.Tableau, distributions)
+assert all(g is w for g, w in zip(got, want)), got
+assert st.dist_A is want[0] and st.sampling is sys.modules["staircase_tableaux.sampling"]
+"""
+
+
+def test_first_touch_from_several_threads_gets_the_same_objects():
+    # four threads race to the first use of two library names and two
+    # submodule names, each in a fresh interpreter
+    src = str(Path(staircase_tableaux.__file__).resolve().parents[1])
+    for _ in range(3):
+        proc = subprocess.run([sys.executable, "-c", _FIRST_TOUCH], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _records():

@@ -12,7 +12,7 @@ snapshot can be read against its bounds.  The runs go one at a time, and
 it reads the JSON object on the last line of each run's output and the
 op durations of the run's report in ``.bench_out/``.  Then it runs
 ``staircase-tableaux verify --level desk --format json`` from ``src/``.
-Before the runs it imports ``staircase_tableaux.cli`` once in a child
+Before the runs it imports every module of the package once in a child
 without ``PYTHONDONTWRITEBYTECODE``, so that every run's set-up reads a
 fresh bytecode cache (``src/**/__pycache__``, git-ignored) and ``setup_s``
 does not depend on what an earlier session left there.
@@ -95,12 +95,18 @@ def src_env() -> dict[str, str]:
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
+# every module the package holds; a module loads only what it imports, so
+# naming each one is what compiles them all
+WARM_UP = ("import importlib, pkgutil, staircase_tableaux as p\n"
+           "for m in pkgutil.iter_modules(p.__path__):\n"
+           "    importlib.import_module(f'staircase_tableaux.{m.name}')")
+
+
 def warm_bytecode_cache() -> None:
-    """Import the package's CLI, and so every module, once in a child that
-    may write bytecode, so the runs' children all read a fresh cache."""
+    """Import every module of the package once in a child that may write
+    bytecode, so the runs' children all read a fresh cache."""
     env = {k: v for k, v in src_env().items() if k != "PYTHONDONTWRITEBYTECODE"}
-    subprocess.run([sys.executable, "-c", "import staircase_tableaux.cli"],
-                   cwd=ROOT, env=env, check=True)
+    subprocess.run([sys.executable, "-c", WARM_UP], cwd=ROOT, env=env, check=True)
 
 
 def _git(*args: str) -> str:
