@@ -21,7 +21,8 @@ staircase tableaux executable:
   position formulas, and finite-n limit diagnostics;
 - ``asep``: the deterministic u/q box filling and the six-variable
   generating function;
-- ``errors``: the typed errors, each a subclass of ``StaircaseError``;
+- ``errors``: the typed errors, each a subclass of ``StaircaseError``, and
+  the argument rules and cap policy that raise them, below every module;
 - ``cli``: the ``staircase-tableaux`` command exposing all of the above.
 
 The package re-exports each of the six library modules' ``__all__``, so

@@ -20,8 +20,9 @@ from itertools import chain
 from typing import NamedTuple
 
 from .enumeration import enumerate_four
-from .eulerian_poly import BivarPoly, _finite
-from .tableau import Symbol, Tableau, _boxes, _require_valid, to_document
+from .errors import _finite
+from .eulerian_poly import BivarPoly
+from .tableau import Symbol, Tableau, _boxes, _dumps, _require_valid, to_document
 
 __all__ = ["FilledTableau", "fill_uq", "wtx", "z_full", "render_filled", "serialize_filled"]
 
@@ -102,7 +103,5 @@ def render_filled(f: FilledTableau) -> str:
 
 
 def serialize_filled(f: FilledTableau) -> bytes:
-    doc = to_document(f.base)
-    doc["labels"] = [{"row": r, "col": c, "label": lab} for r, c, lab in f.labels]
-    import json
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+    labels = [{"row": r, "col": c, "label": lab} for r, c, lab in f.labels]
+    return _dumps({**to_document(f.base), "labels": labels})

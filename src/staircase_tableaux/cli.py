@@ -22,7 +22,7 @@ nothing to stdout.
 
 Exit codes: 0 success, 2 usage error, 3 parameter error, 4 cap refusal,
 5 numerical failure, 6 verification failure.  The enumeration caps,
-including the STAIRCASE_TABLEAUX_CAP override, live in ``enumeration``.
+including the STAIRCASE_TABLEAUX_CAP override, live in ``errors``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ import itertools
 import math
 import os
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import CapExceededError, DomainError, ParameterError, RootFindingError, StaircaseError
-from .eulerian_poly import _as_n, _as_param, _fractions, _invert
+from .errors import (CapExceededError, DomainError, ParameterError, RootFindingError,
+                     StaircaseError, _as_n, _as_param, _invert)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -338,7 +337,7 @@ def cmd_triangle(args) -> Views:
         a, b = _resolve_params(args)
         # one row at a time: the whole triangle holds n_max^3 log n_max bits
         scaled = eulerian_poly.scaled_rows(_as_n(n_max, name="--n-max"), a, b)
-        rows = ((n, _fractions(row, d ** n)) for n, (row, d) in enumerate(scaled))
+        rows = ((n, eulerian_poly._fractions(row, d ** n)) for n, (row, d) in enumerate(scaled))
     return {"csv": itertools.chain([("n", "k", "v")], (
         (n, k, v) for n, row in rows for k, v in enumerate(row)))}
 
@@ -407,11 +406,7 @@ def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return flags, kwargs
 
 
-class Command(NamedTuple):
-    handler: Callable
-    help: str
-    formats: tuple[str, ...]
-    arguments: tuple
+Command = namedtuple("Command", "handler help formats arguments")
 
 
 N = _arg("--n", type=int, required=True)

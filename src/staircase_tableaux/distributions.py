@@ -15,9 +15,9 @@ from itertools import count, islice
 from operator import add
 from typing import NamedTuple
 
-from .errors import DomainError, ParameterError, RootFindingError
-from .eulerian_poly import (_ANY, _as_ab, _as_n, _finite, _fractions, _invert,
-                            _over_one_denominator, _Record, scaled_row)
+from .errors import (_ANY, DomainError, ParameterError, RootFindingError, _as_ab, _as_n, _finite,
+                     _invert, _over_one_denominator, _Record)
+from .eulerian_poly import _fractions, scaled_row
 
 __all__ = [
     "DiscreteDist",

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .errors import CapExceededError, ParameterError
-from .eulerian_poly import BivarPoly, _as_n, _finite
+from .errors import AB_CAP, FOUR_CAP, CapExceededError, ParameterError, _as_n, _check_cap, _finite
+from .eulerian_poly import BivarPoly
 from .tableau import Symbol, Tableau, counts, validate, weight_exponents
 
 __all__ = [
@@ -45,30 +44,6 @@ __all__ = [
     "joint_poly_N",
     "max_symbol_tableaux",
 ]
-
-AB_CAP = 8
-FOUR_CAP = 5
-
-
-def _check_cap(n: int, cap: int, override: bool) -> int:
-    """The one cap policy of every enumeration: n <= cap unless overridden,
-    where the environment variable STAIRCASE_TABLEAUX_CAP, when set,
-    replaces the default cap (AB_CAP or FOUR_CAP).  Returns n as an int."""
-    n = _as_n(n, error=ParameterError)
-    env = os.environ.get("STAIRCASE_TABLEAUX_CAP")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"bad STAIRCASE_TABLEAUX_CAP: {env!r}") from exc
-        cap = _as_n(cap, 0, "STAIRCASE_TABLEAUX_CAP", ParameterError)
-    if n > cap and not override:
-        raise CapExceededError(
-            f"n={n} exceeds the enumeration cap {cap}; pass allow_large=True "
-            "(--allow-large on the command line) to override"
-        )
-    return n
-
 
 def _grow(cells: list[tuple[int, int, Symbol]], alpha_rows: list[int],
           size: int, target: int) -> Iterator[list[tuple[int, int, Symbol]]]:

@@ -17,13 +17,12 @@ type-B Eulerian numbers.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import chain
-from numbers import Rational
-from operator import add, attrgetter, index, mul
+from operator import add, mul
 
-from .errors import DomainError, ParameterError
+from .errors import (_ANY, DomainError, ParameterError, _as_ab, _as_n, _finite,
+                     _over_one_denominator, _rational, _Record)
 
 __all__ = [
     "rising_factorial",
@@ -44,108 +43,6 @@ __all__ = [
     "eulerian",
     "eulerian_row",
 ]
-
-
-def _fraction(x) -> Fraction:
-    """Fraction(x) over Python ints: a NumPy integer x would lend it its
-    own fixed-width integers, which overflow in the samplers' coins."""
-    if isinstance(x, Rational) and not isinstance(x, int):
-        return Fraction(int(x.numerator), int(x.denominator))
-    return Fraction(x)
-
-
-def _rational(name: str, x, rule: str = "a finite rational") -> Fraction:
-    """x as a Fraction, or a ParameterError that names x and its rule."""
-    if type(x) is not Fraction:
-        try:
-            x = _fraction(x)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ParameterError(f"{name} must be {rule}, got {x!r}") from exc
-    return x
-
-
-def _finite(name: str, x) -> Fraction:
-    """The shared parameter rule: a weight is a finite rational >= 0."""
-    x = _rational(name, x, "a finite rational >= 0")
-    if x.numerator < 0:
-        raise ParameterError(f"{name} must be >= 0, got {x}")
-    return x
-
-
-def _as_param(name: str, x, top=math.inf) -> Fraction | float:
-    """``x`` as a Fraction in [0, top], or math.inf when top is inf."""
-    rule = "a rational >= 0 or inf" if top == math.inf else f"a rational in [0, {top}]"
-    if type(x) is not Fraction:
-        if x == math.inf == top:
-            return math.inf
-        x = _rational(name, x, rule)
-    if x.numerator < 0 or (top != math.inf and x.numerator > x.denominator * top):
-        raise ParameterError(f"{name} must be {rule}, got {x}")
-    return x
-
-
-def _as_ab(a, b) -> tuple[Fraction, Fraction]:
-    # a = inf (weight alpha = 0) collapses every law to a point mass;
-    # callers that support it handle that case before calling here
-    return _finite("a", a), _finite("b", b)
-
-
-def _over_one_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
-    """(X, Y, d) with x = X/d and y = Y/d."""
-    d = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
-
-
-def _invert(x):
-    """The a <-> alpha (and b <-> beta) map: 0 <-> inf, otherwise x -> 1/x."""
-    return math.inf if x == 0 else (Fraction(0) if x == math.inf else 1 / x)
-
-
-_ANY = -math.inf   # the least of an entry index, which may fall outside its table
-
-
-def _as_n(n, least: int = 0, name: str = "n", error: type = DomainError) -> int:
-    """The shared size rule: n is an integer >= least, else ``error``."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {n!r}") from None
-    if n < least:
-        raise error(f"{name} must be >= {least}, got {n}")
-    return n
-
-
-class _Record:
-    """Base of the value classes that check or derive their fields: repr,
-    == and hash read the ``_fields`` in order, and assignment raises.  A
-    subclass's ``__init__`` takes what the record is built from and passes
-    the checked or derived fields, in order, to ``_Record.__init__``, the
-    one place fields are set."""
-
-    _fields: tuple[str, ...]
-
-    def __init_subclass__(cls) -> None:
-        # the fields' values as one tuple (every record has two or more fields)
-        cls._key = property(attrgetter(*cls._fields))
-
-    def __init__(self, *values) -> None:
-        for field, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, field, value)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
 
 
 def rising_factorial(x, n: int) -> Fraction:

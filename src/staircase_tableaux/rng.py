@@ -53,8 +53,7 @@ from array import array
 from itertools import chain, islice, repeat
 from operator import attrgetter
 
-from .errors import ParameterError
-from .eulerian_poly import _ANY, _as_n, _as_param
+from .errors import _ANY, ParameterError, _as_n, _as_param
 
 __all__ = ["SplitMix64", "derive_seed", "bernoulli", "bernoulli_ratio", "first_passage"]
 

@@ -106,9 +106,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import ParameterError
-from .enumeration import AB_CAP
-from .eulerian_poly import _as_n, _as_param, _finite, _invert, _over_one_denominator, _Record
+from .errors import (AB_CAP, ParameterError, _as_n, _as_param, _finite, _invert,
+                     _over_one_denominator, _Record)
 from .rng import (_BLOCK, SplitMix64, _blocks, _chunks, _coin, _draw_chunks, _heads,
                   _passage, _rounds, _seed_groups, _seed_stream, _tail)
 from .tableau import Symbol, Tableau, counts

@@ -20,8 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidTableauError, MalformedDocumentError, ParameterError
-from .eulerian_poly import BivarPoly, _as_n, _finite, _Record
+from .errors import (DomainError, InvalidTableauError, MalformedDocumentError, ParameterError,
+                     _as_n, _finite, _Record)
+from .eulerian_poly import BivarPoly
 
 __all__ = [
     "Symbol",
@@ -290,10 +291,15 @@ def to_document(t: Tableau) -> dict:
     }
 
 
+def _dumps(doc: dict) -> bytes:
+    """The canonical JSON encoding: compact, keys sorted, UTF-8."""
+    import json   # only documents need it: a cold start that writes none skips its import
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+
+
 def serialize(t: Tableau) -> bytes:
     """Canonical single-document JSON encoding (cells sorted by row, col)."""
-    import json   # only documents need it: a cold start that writes none skips its import
-    return json.dumps(to_document(t), separators=(",", ":"), sort_keys=True).encode()
+    return _dumps(to_document(t))
 
 
 def from_document(doc: dict) -> Tableau:

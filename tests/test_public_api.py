@@ -97,7 +97,7 @@ def test_cli_import_loads_no_unused_stdlib_module():
     # the interpreter's site hooks from loading any of them first
     src = str(Path(staircase_tableaux.__file__).resolve().parents[1])
     code = ("import sys, staircase_tableaux.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'tempfile'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'tempfile', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -112,10 +112,10 @@ _RUN_MAIN = ("import contextlib, io, sys\nfrom staircase_tableaux.cli import mai
              "with contextlib.redirect_stdout(io.StringIO()):\n    status = main(sys.argv[1:])\n"
              "assert status == 0, status\n")
 _EXACT = "cli distributions errors eulerian_poly"
-_DRAWS = "cli enumeration errors eulerian_poly rng sampling tableau"
+_DRAWS = "cli errors eulerian_poly rng sampling tableau"
 _COLD_STARTS = [
     ("import staircase_tableaux", (), "False"),
-    ("import staircase_tableaux.cli", (), "cli errors eulerian_poly False"),
+    ("import staircase_tableaux.cli", (), "cli errors False"),
     # the commands that the benchmark's cli-cold workload runs, at small n
     (_RUN_MAIN, ("sample", "--n", "3", "--alpha", "2", "--beta", "1/3", "--samples", "20",
                  "--format", "csv"), f"{_DRAWS} False"),
@@ -147,6 +147,40 @@ def test_cold_start_loads_only_its_own_modules(code, argv, loaded):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == loaded + "\n"
+
+
+# the package modules each module imports at its top, which is what loading
+# it loads; acceptance, which the verify command alone loads, imports them all
+_LAYERS = {
+    "__init__": set(), "errors": set(),
+    "rng": {"errors"}, "eulerian_poly": {"errors"},
+    "tableau": {"errors", "eulerian_poly"},
+    "enumeration": {"errors", "eulerian_poly", "tableau"},
+    "sampling": {"errors", "rng", "tableau"},
+    "distributions": {"errors", "eulerian_poly"},
+    "asep": {"errors", "eulerian_poly", "enumeration", "tableau"},
+    "cli": {"errors"},
+    "acceptance": set(MODULES) - {"acceptance", "cli"},
+}
+
+
+def _top_level_imports(path: Path) -> set[str]:
+    """The package modules a module's top-level statements import."""
+    import ast
+
+    found = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_module_layering_is_pinned():
+    # a new edge between modules shows here first: errors sits under every
+    # module, and cli loads nothing else until a command runs
+    package = Path(staircase_tableaux.__file__).parent
+    imports = {p.stem: _top_level_imports(p) for p in package.glob("*.py")}
+    assert imports == _LAYERS
 
 
 def test_package_all_is_pinned():
