@@ -37,49 +37,69 @@ mark step of a row alpha-indexed after step s is s + C + 1, where
 P(C >= i) = (w - i d)/w with w = B + (n - s) d (C = n - s: never marked).
 All coin flips are exact (see ``rng``), so the output law is exactly the
 target (audited against the enumeration oracle by chi-square in the tests).
-The one integer core ``_draw_ab`` serves ``sample_ab``, ``sample_four`` and
-every batch.  Parameters are normalised once per weight set, not once per
-draw, on integers: ``Params`` keeps (A, B, d) from construction,
-``urn_sample`` puts (a, b) over one denominator, and ``sample_four`` forms
-alpha + gamma and beta + delta unreduced (each coin depends on the value
-of its ratio only), with no Fraction arithmetic and no conversion of a
-weight that is a Fraction.  ``sample_four`` and ``urn_sample`` keep that
-integer form for their last weights, keyed on each argument's type and
-value, so a call that repeats them skips the checks and the products.  So
-a draw does only exact coin flips and cell appends, and ``Tableau._sorted``
-builds its one tableau without the public constructor's checks.
+A draw is its decision vector, per step m -1 for Beta or the passage
+count C for Alpha, and ``_cells(n, decisions)`` is the one function that
+turns a vector into sorted cells: the buckets above.  It depends on n and
+the vector only, so it keeps the cells of every vector it has built while
+(n+1)! <= 1024 (n <= 5, ``_CELLS_UPTO``): at most (n+1)! entries per n,
+873 in all, and none past n = 5.  Parameters are normalised once per weight
+set, not once per draw, on integers: ``Params`` keeps (A, B, d) from
+construction, ``urn_sample`` puts (a, b) over one denominator, and
+``sample_four`` forms alpha + gamma and beta + delta unreduced (each coin
+depends on the value of its ratio only), with no Fraction arithmetic and
+no conversion of a weight that is a Fraction.  ``sample_four`` and
+``urn_sample`` keep that integer form for their last weights, keyed on the
+type and value of each argument (n too, for ``sample_four``), so a call
+that repeats them skips the checks and the products.  So a draw does only
+exact coin flips, and ``Tableau._sorted`` builds its one tableau from the
+sorted cells without the public constructor's checks.
 
-A draw reads its chunks by the number of coins it can flip: ``_draw_ab``
-flips at most 2n (n sigma coins, fewer than n first-passage draws), the
-relabel pass of ``sample_four`` one per cell, the a = b = inf draw one per
-diagonal box.  From 32 coins on (``rng._chunks``) it reads the outputs of
-``SplitMix64.take`` blocks, the first holding one chunk per coin up to
-1024; below, where a block costs more than the ``next_u64`` calls it
-replaces, it calls ``next_u64``.  ``sample_four`` up to n = 256 reads the
-first 2n outputs of both its streams from one lane mix (``rng._heads``,
-4n lanes), and past them each stream goes on by the same rule.  Its
-relabel pass decides each coin by the first chunk u against T =
-floor(num·2^64/den), worked out once per weight set: u < T relabels, u > T
-does not, and u = T does not at an exact T; at an inexact one (chance
-2^-64) ``_coin`` reads on.
-Either way a draw reads the same chunks in the same order, so every draw
-is the same per seed; a draw owns its generator, so the unread rest of a
-block is dropped.
+A draw reads its chunks by the number of coins it can flip: at most 2n
+for the finite-weight draw (n sigma coins, fewer than n first-passage
+draws), one per cell for the relabel pass of ``sample_four``, one per
+diagonal box for the a = b = inf draw.  From 32 coins on (``rng._chunks``)
+it reads the outputs of ``SplitMix64.take`` blocks, the first holding one
+chunk per coin up to 1024; below, where a block costs more than the
+``next_u64`` calls it replaces, it calls ``next_u64``.  ``sample_four`` up
+to n = 256 reads the first 2n outputs of both its streams from one lane
+mix (``rng._heads``, 4n lanes), and past them each stream goes on by the
+same rule.
+
+Nearly every coin is decided by its first chunk u, against a threshold
+that depends on the weights only.  ``_plan(n, A, B, d, rho)`` states each
+step's rule once per weight set: the sigma coin as ``_threshold`` gives it,
+T = floor(num·2^64/den), with u < T Alpha, u > T Beta and u = T Beta at an
+exact T; and the first-passage bounds ceil(i·d·2^64/b_m), i = 1..n-m, whose
+``bisect_right`` at u is C.  A chunk on an inexact threshold (T, or a bound
+less one) straddles its point and leaves the coin open.  Below 32 coins
+``_decide`` reads a draw's first chunks by index from the head it already
+has, the lane mix of ``sample_four`` or a batch's column of
+``rng._rounds``, and the relabel pass of ``sample_four`` reads head[2n:]
+the same way against its two thresholds.  A draw with an open chunk
+(chance of order n²·2^-64) goes to the read-on path over the same chunks:
+``_draw_ab`` flips each coin by ``_coin`` and ``_passage``, which read on
+until it is decided, and ``sample_four``'s relabel loop does the same with
+``_coin``.  ``sample_ab`` and every draw from 32 coins on take that path
+directly.  Either way a draw reads the same chunks in the same order, so
+every draw is the same per seed; a draw owns its generator, so the unread
+rest of a block is dropped.
 
 A batch draws through ``_batch``, which yields each draw's sorted cells
-for every weight regime: draw i is ``sample_ab`` at derive_seed(seed, i),
-its chunks read from ``rng._draw_chunks``, which expands the first chunks
-of a whole group of seeds at once instead of calling ``next_u64`` per
-chunk.  ``sample_batch`` counts the draws' cells and then, once per
-distinct tableau, its diagonal alphas; above ``AB_CAP``, where it keeps no
-tableaux, it counts each draw's diagonal alphas.  Where draws share their
-prefixes (finite weights, at least 4·(n+1)! seeds in a group of up to
-1024, so n <= 4), it walks each group through the decision tree together,
-one threshold per coin per node (``_walk``); with fewer draws per tableau
-the walk loses (n = 5 breaks even, n >= 6 runs 30-80 % slower).  A ``BatchSummary`` holds
-just those two Counters and reads its count and sums off the diagonal
-alpha counts, so they cannot drift apart.  The CLI's ``sample``
-and the sampler criteria of the acceptance suite draw through it too.
+for every weight regime: draw i is ``sample_ab`` at derive_seed(seed, i).
+Below 32 coins a group of seeds expands its first chunks at once
+(``rng._rounds``, or ``rng._draw_chunks`` at an infinite weight) instead of
+calling ``next_u64`` per chunk; from 32 on, each draw reads its own blocks.
+``sample_batch`` counts the draws' cells and then, once per distinct
+tableau, its diagonal alphas; above ``AB_CAP``, where it keeps no tableaux,
+it counts each draw's diagonal alphas.  Where draws share their prefixes
+(finite weights, at least 4·(n+1)! seeds in a group of up to 1024, so
+n <= 4), it walks each group through the decision tree together, one cut
+of the plan per coin per node (``_walk``), and a leaf's decisions give its
+cells; with fewer draws per tableau the walk loses to ``_decide``.  A
+``BatchSummary`` holds just those two Counters and reads its count and
+sums off the diagonal alpha counts, so they cannot drift apart.  The CLI's
+``sample`` and the sampler criteria of the acceptance suite draw through
+it too.
 
 The urn ``urn_sample`` flips the same integer coins, P(white) =
 (A + w d)/(A + B + k d) at draw k with w whites added; each seed draws the
@@ -101,15 +121,16 @@ beta = 0) or 0 (a = inf, alpha = 0); a certain box flips no coin.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import (AB_CAP, ParameterError, _as_n, _as_param, _finite, _invert,
                      _over_one_denominator, _Record)
-from .rng import (_BLOCK, SplitMix64, _blocks, _chunks, _coin, _draw_chunks, _heads,
-                  _passage, _rounds, _seed_groups, _seed_stream, _tail)
+from .rng import (_BLOCK, _BLOCKS_FROM, SplitMix64, _blocks, _chunks, _coin, _draw_chunks,
+                  _heads, _passage, _rounds, _seed_groups, _seed_stream, _tail)
 from .tableau import Symbol, Tableau, counts
 
 __all__ = [
@@ -172,8 +193,8 @@ def _coins(n: int, params: Params) -> int:
     return 2 * n if params._scaled is not None else n if params.a == params.b else 0
 
 
-def _draw(n: int, params: Params, chunk) -> list:
-    """The cells, unsorted, of one draw reading its chunks from ``chunk()``."""
+def _draw(n: int, params: Params, chunk) -> tuple:
+    """The sorted cells of one draw reading its chunks from ``chunk()``."""
     if params._scaled is not None:
         return _draw_ab(n, *params._scaled, params.rho, chunk)
     ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
@@ -182,18 +203,16 @@ def _draw(n: int, params: Params, chunk) -> list:
         syms = [ALPHA if _coin(chunk, num, den) else BETA for _ in range(n)]
     else:   # b = inf (beta = 0): all alpha; a = inf (alpha = 0): all beta
         syms = [ALPHA if params.b == INF else BETA] * n
-    return list(zip(range(1, n + 1), range(n, 0, -1), syms))
+    return tuple(zip(range(1, n + 1), range(n, 0, -1), syms))
 
 
-def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, chunk) -> list:
-    """The cells, unsorted, of the finite-weight draw at a = A/d, b = B/d
-    (in lowest terms or not), flipping at most 2n coins on ``chunk()``:
-    exact coins and cell appends only (see the module docstring)."""
-    ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
-    cells: list[tuple[int, int, Symbol]] = []
-    marked_at: dict[int, list[int]] = {}  # step -> rows whose next mark falls there
+def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, chunk) -> tuple:
+    """The sorted cells of the finite-weight draw at a = A/d, b = B/d (in
+    lowest terms or not), flipping at most 2n coins on ``chunk()`` and
+    reading on wherever a coin's first chunk leaves it open: the decisions
+    of ``_decide``, drawn by ``_coin`` and ``_passage``."""
+    decisions = []
     for m in range(1, n + 1):
-        col = n + 1 - m
         b_m = B + (n - m) * d
         if A == 0 and b_m == 0:
             # a = b = 0 at the last step: both case weights vanish at the
@@ -201,24 +220,92 @@ def _draw_ab(n: int, A: int, B: int, d: int, rho: Fraction, chunk) -> list:
             alpha = _coin(chunk, rho.numerator, rho.denominator)
         else:
             alpha = _coin(chunk, b_m, A + b_m)
-        sigma = ALPHA if alpha else BETA
+        # the top row, alpha-indexed after step m, files under its next mark
+        # step; w = B + (n - m) d is b_m
+        decisions.append(_passage(chunk, b_m, d, n - m) if alpha else -1)
+    return _cells(n, tuple(decisions))
+
+
+def _plan(n: int, A: int, B: int, d: int, rho: Fraction) -> list:
+    """Each step's first-chunk rule for the draw at a = A/d, b = B/d: per
+    step m, the sigma coin as ``_threshold`` gives it, (T, r, den), then the
+    cuts (T_i, r_i) = divmod(i·d·2^64, b_m) of its first-passage draw, i =
+    1..n-m, their bounds ceil(i·d·2^64/b_m) and the set of inexact T_i."""
+    plan = []
+    for m in range(1, n + 1):
+        b_m = B + (n - m) * d
+        num, den = rho.as_integer_ratio() if A == 0 and b_m == 0 else (b_m, A + b_m)
+        cuts = [divmod(i * d << 64, b_m) for i in range(1, n - m + 1)]
+        plan.append((*_threshold(num, den), cuts, [T + (r > 0) for T, r in cuts],
+                     {T for T, r in cuts if r}))
+    return plan
+
+
+def _decide(plan: list, head):
+    """The decisions of the draw whose first chunks are head[0], head[1],
+    ...: per step -1 for Beta, or the passage count c for Alpha.  None when
+    a chunk sits on an inexact threshold, where only reading on decides."""
+    decisions, t = [], 0
+    for T, r, den, _, bounds, opens in plan:
+        if den:   # the sigma coin: u < T Alpha, u > T Beta, u = T open or Beta
+            u = head[t]
+            t += 1
+            if u >= T:
+                if u == T and r:
+                    return None
+                decisions.append(-1)
+                continue
+        elif not T:   # a certain coin reads no chunk
+            decisions.append(-1)
+            continue
+        if bounds:   # at m = n the first-passage draw reads no chunk
+            u = head[t]
+            t += 1
+            if u in opens:
+                return None
+            decisions.append(bisect_right(bounds, u))
+        else:
+            decisions.append(0)
+    return tuple(decisions)
+
+
+# the sorted cells of every decision vector seen at n <= _CELLS_UPTO, keyed on
+# the vector, whose length is n: at most (n+1)! <= 720 per n, 873 in all
+_CELLS_UPTO = 5
+_CELLS: dict = {}
+
+
+def _cells(n: int, decisions: tuple) -> tuple:
+    """The sorted cells of the draw of size n that makes ``decisions`` (see
+    ``_decide``): at step m the rows marked there get Beta, and the top one
+    sigma; an Alpha's top row files under its next mark step m + c + 1."""
+    cells = _CELLS.get(decisions) if n <= _CELLS_UPTO else None
+    if cells is not None:
+        return cells
+    ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
+    out: list[tuple[int, int, Symbol]] = []
+    marked_at: dict[int, list[int]] = {}  # step -> rows whose next mark falls there
+    col = n + 1
+    for m, c in enumerate(decisions, 1):
+        col -= 1
+        sigma = BETA if c < 0 else ALPHA
         marks = marked_at.pop(m, None)
         if marks is None:
-            cells.append((m, col, sigma))
+            out.append((m, col, sigma))
             top = m
         else:
-            if len(marks) > 1:   # cells are sorted later; one mark needs no sort
+            if len(marks) > 1:   # one mark needs no sort
                 marks.sort()
-                cells.extend((r, col, BETA) for r in marks[1:])
+                out += [(r, col, BETA) for r in marks[1:]]
             top = marks[0]
-            cells.append((m, col, BETA))
-            cells.append((top, col, sigma))
-        if alpha:
-            # file the top row, alpha-indexed after step m, under its next
-            # mark step; w = B + (n - m) d is b_m
-            c = _passage(chunk, b_m, d, n - m)
-            if c < n - m:
-                marked_at.setdefault(m + c + 1, []).append(top)
+            out.append((m, col, BETA))
+            out.append((top, col, sigma))
+        if 0 <= c < n - m:
+            marked_at.setdefault(m + c + 1, []).append(top)
+    out.sort()
+    cells = tuple(out)
+    if n <= _CELLS_UPTO:
+        _CELLS[decisions] = cells
     return cells
 
 
@@ -242,19 +329,38 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int) -> Tableau:
     probability gamma/(alpha+gamma) and each Beta to Delta with
     probability delta/(beta+delta)."""
     global _four_memo
-    key = (type(alpha), type(beta), type(gamma), type(delta), alpha, beta, gamma, delta)
+    key = (type(n), type(alpha), type(beta), type(gamma), type(delta),
+           n, alpha, beta, gamma, delta)
     memo = _four_memo
     if key != memo[0]:
-        memo = _four_memo = key, _four_form(alpha, beta, gamma, delta)
-    A, B, d, relabel = memo[1]
-    n = _as_n(n, error=ParameterError)
+        memo = _four_memo = key, _four_form(n, alpha, beta, gamma, delta)
+    n, A, B, d, relabel, plan = memo[1]
     # the two passes read the streams at derive_seed(seed, 0) and (seed, 1);
     # up to 4n = _BLOCK lanes, the first 2n outputs of both come from one mix
     seeds = _seed_stream(seed)
     streams = SplitMix64(seeds.next_u64()), SplitMix64(seeds.next_u64())
     head = _heads(streams, 2 * n) if 4 * n <= _BLOCK else ()
+    decisions = _decide(plan, head) if plan is not None else None
+    if decisions is not None:
+        # the relabel coins by index into the second stream's head
+        cells, k = [], 2 * n
+        for r, c, s in _cells(n, decisions):
+            new, T, rem, den = relabel[s]
+            if den:
+                u = head[k]
+                k += 1
+                if u == T and rem:   # open: the draw reads on below
+                    break
+                if u < T:
+                    s = new
+            elif T:
+                s = new
+            cells.append((r, c, s))
+        else:
+            return Tableau._sorted(n, cells)
+    # no plan, or an open first chunk: the draw reads on over the same chunks
     base = _draw_ab(n, A, B, d, _RHO, _chunks(streams[0], 2 * n, head[:2 * n]))
-    base.sort()  # the relabel coins are flipped in sorted cell order
+    # the relabel coins are flipped in sorted cell order
     chunk = _chunks(streams[1], len(base), head[2 * n:])
     cells = []
     for r, c, s in base:
@@ -269,9 +375,10 @@ def sample_four(n: int, alpha, beta, gamma, delta, seed: int) -> Tableau:
     return Tableau._sorted(n, cells)
 
 
-def _four_form(alpha, beta, gamma, delta) -> tuple:
-    """(A, B, d) of sample_four's base draw at weights alpha + gamma and
-    beta + delta, and its relabel coins by the symbol they relabel."""
+def _four_form(n, alpha, beta, gamma, delta) -> tuple:
+    """n, then (A, B, d) of sample_four's base draw at weights alpha + gamma
+    and beta + delta, its relabel coins by the symbol they relabel, and its
+    ``_plan`` below _BLOCKS_FROM coins (else None)."""
     an, ad = _finite("alpha", alpha).as_integer_ratio()
     bn, bd = _finite("beta", beta).as_integer_ratio()
     gn, gd = _finite("gamma", gamma).as_integer_ratio()
@@ -282,10 +389,13 @@ def _four_form(alpha, beta, gamma, delta) -> tuple:
     y_num, y_den = bn * dd + dn * bd, bd * dd
     if x_num == 0 or y_num == 0:
         raise ParameterError("need alpha + gamma > 0 and beta + delta > 0")
+    n = _as_n(n, error=ParameterError)
     # a = 1/x, b = 1/y over x_num * y_num; gamma/x and delta/y as integer ratios
-    return (x_den * y_num, y_den * x_num, x_num * y_num,
+    A, B, d = x_den * y_num, y_den * x_num, x_num * y_num
+    return (n, A, B, d,
             {Symbol.ALPHA: (Symbol.GAMMA, *_threshold(gn * x_den, gd * x_num)),
-             Symbol.BETA: (Symbol.DELTA, *_threshold(dn * y_den, dd * y_num))})
+             Symbol.BETA: (Symbol.DELTA, *_threshold(dn * y_den, dd * y_num))},
+            _plan(n, A, B, d, _RHO) if 2 * n < _BLOCKS_FROM else None)
 
 
 def _threshold(num: int, den: int) -> tuple[int, int, int]:
@@ -402,15 +512,26 @@ def _diagonal_alphas(n: int, cells) -> int:
 
 def _batch(n: int, params: Params, seed: int, count: int):
     """The sorted cells of each draw of a batch, draw i those of
-    sample_ab(n, params, derive_seed(seed, i)), its chunks read from
-    ``rng._draw_chunks``."""
+    sample_ab(n, params, derive_seed(seed, i)).  Below _BLOCKS_FROM coins at
+    finite weights, ``_decide`` reads each draw's first chunks from its
+    column of ``rng._rounds``; else its chunks come from ``rng._draw_chunks``."""
     n = _as_n(n, error=ParameterError)
     if not isinstance(params, Params):
         raise ParameterError(f"params must be a Params, got {params!r}")
-    for chunk in _draw_chunks(seed, count, _coins(n, params)):
-        cells = _draw(n, params, chunk)
-        cells.sort()
-        yield cells
+    if params._scaled is None or 2 * n >= _BLOCKS_FROM:
+        for chunk in _draw_chunks(seed, count, _coins(n, params)):
+            yield _draw(n, params, chunk)
+        return
+    args = (n, *params._scaled, params.rho)
+    plan = _plan(*args)
+    for seeds in _seed_groups(seed, count):
+        rounds = _rounds(seeds, 2 * n)
+        for s, head in zip(seeds, zip(*rounds) if rounds else repeat(())):
+            decisions = _decide(plan, head)
+            if decisions is None:   # an open first chunk: read on past the head
+                yield _draw_ab(*args, chain(head, _tail(s, 2 * n)).__next__)
+            else:
+                yield _cells(n, decisions)
 
 
 def sample_batch(n: int, params: Params, seed: int, count: int) -> BatchSummary:
@@ -418,7 +539,8 @@ def sample_batch(n: int, params: Params, seed: int, count: int) -> BatchSummary:
     seed (seed, i).  Each distinct tableau, or above AB_CAP each distinct
     diagonal alpha count, is summed once.  The draws walk their decision
     tree together when the weights are finite and min(count, 1024) >=
-    4·(n+1)!, four per alpha/beta tableau; else they are drawn one by one."""
+    4·(n+1)!, four per alpha/beta tableau; else they are drawn one by one
+    (``_batch``)."""
     n = _as_n(n, error=ParameterError)
     count = _as_n(count, 1, "count", ParameterError)
     out = BatchSummary()
@@ -435,21 +557,21 @@ def sample_batch(n: int, params: Params, seed: int, count: int) -> BatchSummary:
             rounds = [r.tolist() for r in _rounds(seeds, 2 * n)]
             _walk(n, *params._scaled, params.rho, rounds, seeds, tally)
     else:
-        tally.update(map(tuple, _batch(n, params, seed, count)))
+        tally.update(_batch(n, params, seed, count))
     for cells, m in tally.items():
         out.diag_alpha_counts[_diagonal_alphas(n, cells)] += m
     return out
 
 
 def _split(col, idx, cuts, redraw: list) -> list:
-    """The draws ``idx`` by how many of the increasing points num/den of
-    ``cuts`` their chunk col[i] lies at or above: len(cuts) + 1 lists.  With
-    T = floor(num·2^64/den), a chunk below T lies below, one above T above;
-    a chunk equal to T lies above an exact point and straddles an inexact
-    one (r != 0), which leaves its coin open: that draw goes to ``redraw``."""
+    """The draws ``idx`` by how many of the increasing points of ``cuts``
+    their chunk col[i] lies at or above: len(cuts) + 1 lists.  A cut is
+    (T, r) = divmod(num·2^64, den) for the point num/den: a chunk below T
+    lies below, one above T above; a chunk equal to T lies above an exact
+    point and straddles an inexact one (r != 0), which leaves its coin open:
+    that draw goes to ``redraw``."""
     parts = []
-    for num, den in cuts:
-        T, r = divmod(num << 64, den)
+    for T, r in cuts:
         parts.append([i for i in idx if col[i] < T])
         above = [i for i in idx if col[i] > T]
         if len(parts[-1]) + len(above) < len(idx):
@@ -465,42 +587,34 @@ def _walk(n: int, A: int, B: int, d: int, rho: Fraction, rounds: list, seeds: li
     and then ``_tail(seeds[i], len(rounds))``.
 
     A node holds the draws that made the same decisions before step m, so
-    they share t chunks read, ``cells`` and (mark step, row) pairs
-    ``marked``; its coin splits them by rounds[t][i].  A draw whose coin is
-    left open (chance about n²·2^-64), or alone in its node, is drawn again
-    by ``_draw_ab``, so ``_coin`` and ``_passage`` stay the only coin loops."""
-    ALPHA, BETA = Symbol.ALPHA, Symbol.BETA
+    they share t chunks read; its coin splits them by rounds[t][i] at the
+    cuts of ``_plan``, and a leaf's decisions give its cells (``_cells``).
+    A draw whose coin is left open (chance about n²·2^-64), or alone in its
+    node, is drawn again by ``_draw_ab``, so ``_coin`` and ``_passage`` stay
+    the only coin loops."""
+    plan = _plan(n, A, B, d, rho)
     redraw: list[int] = []
-    nodes = [(range(len(seeds)), 1, 0, (), ())]   # (idx, m, t, cells, marked)
+    nodes = [(range(len(seeds)), 0, ())]   # (idx, t, decisions)
     while nodes:
-        idx, m, t, cells, marked = nodes.pop()
+        idx, t, decisions = nodes.pop()
         if len(idx) < 2:   # walking a lone draw on is no faster than redrawing it
             redraw.extend(idx)
             continue
-        if m > n:
-            tally[tuple(sorted(cells))] += len(idx)
+        if len(decisions) == n:
+            tally[_cells(n, decisions)] += len(idx)
             continue
-        b_m = B + (n - m) * d
-        num, den = rho.as_integer_ratio() if A == 0 and b_m == 0 else (b_m, A + b_m)
-        if 0 < num < den:
-            alphas, betas = _split(rounds[t], idx, [(num, den)], redraw)
+        T, r, den, cuts, _, _ = plan[len(decisions)]
+        if den:
+            alphas, betas = _split(rounds[t], idx, [(T, r)], redraw)
             t += 1
         else:   # a certain coin reads no chunk
-            alphas, betas = (idx, ()) if num else ((), idx)
-        col = n + 1 - m
-        marks = sorted(r for s, r in marked if s == m)   # as in _draw_ab
-        if marks:
-            marked = tuple(p for p in marked if p[0] != m)
-            cells += tuple((r, col, BETA) for r in [m] + marks[1:])
-        top = marks[0] if marks else m
+            alphas, betas = (idx, ()) if T else ((), idx)
         if betas:
-            nodes.append((betas, m + 1, t, cells + ((top, col, BETA),), marked))
-        if alphas:   # at m = n the first-passage draw has no bounds and reads no chunk
-            bounds = [(i * d, b_m) for i in range(1, n - m + 1)]
-            for c, sub in enumerate(_split(rounds[t], alphas, bounds, redraw)):
+            nodes.append((betas, t, decisions + (-1,)))
+        if alphas:   # at m = n the first-passage draw has no cuts and reads no chunk
+            for c, sub in enumerate(_split(rounds[t], alphas, cuts, redraw)):
                 if sub:
-                    nodes.append((sub, m + 1, t + (m < n), cells + ((top, col, ALPHA),),
-                                  marked + ((m + c + 1, top),) if c < n - m else marked))
+                    nodes.append((sub, t + bool(cuts), decisions + (c,)))
     for i in redraw:
         chunk = chain([r[i] for r in rounds], _tail(seeds[i], len(rounds))).__next__
-        tally[tuple(sorted(_draw_ab(n, A, B, d, rho, chunk)))] += 1
+        tally[_draw_ab(n, A, B, d, rho, chunk)] += 1

@@ -119,8 +119,10 @@ class Tableau(_Record):
     @classmethod
     def _sorted(cls, n: int, cells: list[tuple[int, int, Symbol]]) -> "Tableau":
         """The package's own constructor: sorts ``cells``, a fresh list, in
-        place and checks nothing, so its caller vouches for them."""
-        cells.sort()
+        place, or takes a tuple already sorted, and checks nothing, so its
+        caller vouches for them."""
+        if type(cells) is not tuple:
+            cells.sort()
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "cells", tuple(cells))

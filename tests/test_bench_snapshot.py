@@ -89,3 +89,72 @@ def test_bytecode_warm_up_child_may_write_bytecode(monkeypatch):
     assert proc.returncode == 0, proc.stderr
     modules = pkgutil.iter_modules([os.path.join(src, "staircase_tableaux")])
     assert proc.stdout == f"{sorted('staircase_tableaux.' + m.name for m in modules)}\n"
+
+
+def _result(ops_per_s, tail_ms):
+    return {"correct": True, "attempted": 100, "failed": 0, "metrics": {
+        "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+        "op_tail_ms": {"value": tail_ms, "unit": "ms"}}}
+
+
+END_TO_END = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
+              {"name": "op_tail_ms", "unit": "ms", "better": "lower", "bound": 0.24}]
+
+
+def test_against_summary_of_canned_pairs():
+    # four (REV, checkout) pairs; the third ties on ops_per_s and the fourth
+    # loses on op_tail_ms, so neither counts as a win there
+    lines = [(_run_output(True, 100, 0, old, 0.0), _run_output(True, 100, 0, new, 0.0))
+             for old, new in [(10.0, 12.0), (11.0, 13.0), (12.0, 12.0), (13.0, 15.0)]]
+    pairs = [(snapshot.last_json(a), snapshot.last_json(b)) for a, b in lines]
+    for (old, new), tails in zip(pairs, [(20.0, 15.0), (22.0, 16.0), (24.0, 17.0), (18.0, 19.0)]):
+        old["metrics"]["op_tail_ms"] = {"value": tails[0], "unit": "ms"}
+        new["metrics"]["op_tail_ms"] = {"value": tails[1], "unit": "ms"}
+    summary = snapshot.against(pairs, END_TO_END)
+    assert summary["ops_per_s"] == {
+        "better": "higher", "bound": 0.24,
+        "pairs": [(10.0, 12.0), (11.0, 13.0), (12.0, 12.0), (13.0, 15.0)],
+        "rev_median": 11.5, "rev_q1": 10.75, "rev_q3": 12.25, "median": 12.5,
+        "wins": 3, "relative_change": pytest.approx(1 / 11.5)}
+    tail = summary["op_tail_ms"]
+    assert (tail["rev_median"], tail["median"], tail["wins"]) == (21.0, 16.5, 3)
+    assert (tail["rev_q1"], tail["rev_q3"]) == (19.5, 22.5)
+    assert tail["relative_change"] == pytest.approx(-4.5 / 21)
+
+
+def test_against_alternates_the_trees_pair_by_pair(monkeypatch, tmp_path):
+    # every step that would run a process is stubbed: each seed runs both
+    # trees, REV first in odd pairs, and the block pairs each seed's results
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 15, "workloads": [{"name": "draws-small"}], "end_to_end": END_TO_END}))
+    monkeypatch.setattr(snapshot, "ROOT", tmp_path)
+    monkeypatch.setattr(snapshot, "_git", lambda *args: "f" * 40)
+    monkeypatch.setattr(snapshot, "cycle_lengths", lambda: {"draws-small": 8})
+    monkeypatch.setattr(snapshot, "by_position", lambda reports, cycle: [0.0] * cycle)
+    extracted, warmed, order = [], [], []
+    monkeypatch.setattr(snapshot, "extract", lambda rev, into: extracted.append((rev, into)))
+    monkeypatch.setattr(snapshot, "warm_bytecode_cache",
+                        lambda root=tmp_path: warmed.append(root))
+
+    def run(root, workload, seed, seconds):
+        order.append((seed, "checkout" if root == tmp_path else "rev"))
+        return _result(100.0 + seed + 10 * (root == tmp_path), 20.0)
+
+    class Done:
+        returncode, stdout = 0, ""
+
+    monkeypatch.setattr(snapshot, "run", run)
+    monkeypatch.setattr(snapshot.subprocess, "run", lambda cmd, **kw: Done())
+    assert snapshot.main(["--label", "t", "--against", "HEAD~1"]) == 0
+    rev_root = extracted[0][1]
+    assert extracted == [("f" * 40, rev_root)] and warmed == [rev_root, tmp_path]
+    assert order == [(s, t) for s in range(1, snapshot.PAIRS + 1)
+                     for t in (("rev", "checkout") if s % 2 else ("checkout", "rev"))]
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["seeds"] == snapshot.PAIRS
+    block = out["against"]
+    assert block["rev"] == "f" * 40 and block["bench_differs"] is False
+    ops = block["workloads"]["draws-small"]["ops_per_s"]
+    assert ops["pairs"] == [[100.0 + s, 110.0 + s] for s in range(1, snapshot.PAIRS + 1)]
+    assert ops["wins"] == snapshot.PAIRS
+    assert block["workloads"]["draws-small"]["op_tail_ms"]["wins"] == 0   # all ties

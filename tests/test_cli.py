@@ -168,13 +168,13 @@ def test_sample_streams_rows(monkeypatch):
     buf = io.StringIO()
     monkeypatch.setattr(sys, "stdout", buf)
     lines_at_draw = []
-    real = sampling._draw   # each draw of a seeded batch, whatever its weights
+    real = sampling._cells   # each finite-weight draw of a seeded batch ends here
 
     def spy(*args):
         lines_at_draw.append(buf.getvalue().count("\n"))
         return real(*args)
 
-    monkeypatch.setattr(sampling, "_draw", spy)
+    monkeypatch.setattr(sampling, "_cells", spy)
     assert cli.main(["sample", "--n", "3", "--a", "1", "--b", "1", "--seed", "5",
                      "--samples", "4", "--format", "csv"]) == 0
     # the first tableau is drawn before anything is written; every later one

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 import sys
@@ -10,7 +11,7 @@ from itertools import chain
 
 import numpy
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from staircase_tableaux import Symbol, Tableau, counts, serialize, validate, weight
 from staircase_tableaux.distributions import (
@@ -936,6 +937,85 @@ def test_urn_open_chunk_at_a_later_draw(monkeypatch, a, b, k, n, depth):
 
 
 WIDE = Params(F(1, 3), F(5, 7))   # A = 7, B = 15, d = 21: no coin of it is dyadic
+LAST = 2**64 - 1
+
+
+def read_on(n, params, seed):
+    """The read-on path: ``_draw_ab`` over the seed's chunks from next_u64."""
+    return sampling._draw_ab(n, *params._scaled, params.rho, SplitMix64(seed).next_u64)
+
+
+def read_on_four(n, alpha, beta, gamma, delta, seed):
+    """sample_four by the read-on path: its base draw at weights (alpha +
+    gamma, beta + delta) from derive_seed(seed, 0), then one exact relabel
+    coin per cell in sorted order from derive_seed(seed, 1)."""
+    x, y = alpha + gamma, beta + delta
+    base = read_on(n, Params.from_alpha_beta(x, y), derive_seed(seed, 0))
+    g, cells = SplitMix64(derive_seed(seed, 1)), []
+    for r, c, s in base:
+        if bernoulli(g, gamma / x if s is A else delta / y):
+            s = Symbol.GAMMA if s is A else Symbol.DELTA
+        cells.append((r, c, s))
+    return Tableau(n, cells)
+
+
+# the weight edges 0, dyadic and not, and numerators and denominators past 2^64
+DRAW_WEIGHTS = st.sampled_from([F(0), F(1, 3), F(1), F(7, 2), F(5, 2**64 + 3), F(2**66 + 1, 3)])
+
+
+@given(n=st.integers(0, 16), a=DRAW_WEIGHTS, b=DRAW_WEIGHTS,
+       rho=st.fractions(0, 1, max_denominator=12), seed=st.integers(0, 2**64 - 1),
+       count=st.integers(1, 12))
+@example(n=4, a=F(0), b=F(0), rho=F(1, 4), seed=5, count=12)
+@example(n=15, a=F(5, 2**64 + 3), b=F(2**66 + 1, 3), rho=F(1, 2), seed=6, count=3)
+@settings(max_examples=200, deadline=None)
+def test_sample_ab_and_batch_equal_the_read_on_path(n, a, b, rho, seed, count):
+    # below 32 coins a batch decides each draw on its first chunks
+    # (``_decide``); sample_ab and every batch draw the read-on path's cells
+    params = Params(a, b, rho)
+    assert sample_ab(n, params, seed).cells == read_on(n, params, seed)
+    assert list(sampling._batch(n, params, seed, count)) == [
+        read_on(n, params, derive_seed(seed, i)) for i in range(count)]
+
+
+@given(n=st.integers(0, 16), weights=st.tuples(*[DRAW_WEIGHTS] * 4),
+       seed=st.integers(0, 2**64 - 1))
+@example(n=4, weights=(F(1, 3), F(7, 2), F(0), F(1)), seed=7)   # gamma = 0
+@example(n=15, weights=(F(1), F(5, 2**64 + 3), F(7, 2), F(0)), seed=8)   # delta = 0
+@settings(max_examples=200, deadline=None)
+def test_sample_four_equals_the_read_on_path(n, weights, seed):
+    alpha, beta, gamma, delta = weights
+    assume(alpha + gamma > 0 and beta + delta > 0)
+    assert sample_four(n, *weights, seed) == read_on_four(n, *weights, seed)
+
+
+def test_cells_cache_is_bounded():
+    # the cache holds only vectors of n <= _CELLS_UPTO, at most (n+1)! per n,
+    # and each entry is what a build without the cache gives; over every
+    # decision vector of such an n, _cells is a bijection onto the tableaux
+    for n in range(9):
+        sample_batch(n, WIDE, 43, 600)
+        for i in range(50):
+            sample_four(n, *FOUR_WIDE, i)
+    cache = dict(sampling._CELLS)
+    upto = sampling._CELLS_UPTO
+    assert math.factorial(upto + 1) <= 1024 < math.factorial(upto + 2)
+    assert cache and max(map(len, cache)) == upto
+    assert len(cache) <= sum(math.factorial(n + 1) for n in range(upto + 1))
+    for n in range(upto + 1):
+        vectors = list(itertools.product(*[range(-1, n - m + 1) for m in range(1, n + 1)]))
+        assert len(vectors) == math.factorial(n + 1)
+        built = {}
+        for v in vectors:
+            sampling._CELLS.pop(v, None)
+            built[v] = sampling._cells(n, v)
+            if v in cache:
+                assert cache[v] == built[v]
+        assert set(built.values()) == {t.cells for t in enumerate_ab(n)}
+    assert len(sampling._CELLS) == sum(math.factorial(n + 1) for n in range(upto + 1))
+    sample_batch(upto + 3, WIDE, 47, 200)
+    sample_four(upto + 1, *FOUR_WIDE, 1)
+    assert max(map(len, sampling._CELLS)) == upto
 
 
 # Each script gives the chunks the sampler's streams hand out first and
@@ -970,25 +1050,34 @@ def rho_script(n, depth):
     return [straddling_chunks(2, 7, depth)], lambda g: bernoulli_ratio(g, 2, 7)
 
 
+# sample_four at (alpha + gamma, beta + delta) = (3, 7/5), whose base draw is
+# WIDE's; its relabel coins 1/3 and 2/7 are not dyadic either
+FOUR_WIDE = (2, 1, 1, F(2, 5))
+
 SCRIPTED_DRAWS = {
     "sigma": (sigma_script, lambda n: sample_ab(n, WIDE, 17)),
     "passage": (passage_script, lambda n: sample_ab(n, WIDE, 17)),
     "relabel": (relabel_script, lambda n: sample_four(n, 1, 1, F(2, 5), F(2, 5), 17)),
     "rho": (rho_script, lambda n: sample_ab(n, Params(INF, INF, F(2, 7)), 17)),
+    "four-sigma": (sigma_script, lambda n: sample_four(n, *FOUR_WIDE, 17)),
+    "four-passage": (passage_script, lambda n: sample_four(n, *FOUR_WIDE, 17)),
 }
 
 
 @pytest.mark.parametrize("coin", SCRIPTED_DRAWS)
-@pytest.mark.parametrize("size", ["below", "at", "above"])
+@pytest.mark.parametrize("size", ["small", "below", "at", "above"])
 @pytest.mark.parametrize("depth", ["short", "past-the-first-block"])
 def test_block_fed_draws_equal_next_u64_fed_on_multi_chunk_coins(monkeypatch, coin, size, depth):
     # a draw's chunks come from next_u64 or from take blocks by its coin
     # count; either way it reads the same chunks in the same order.  The
     # scripted coin reads depth + 1 chunks, and past the first block (which
     # holds at most 2n chunks) a refill falls inside it.  Random seeds never
-    # reach these paths: a coin reads a second chunk with probability ~2^-60
+    # reach these paths: a coin reads a second chunk with probability ~2^-60.
+    # Below 32 coins sample_four decides its draw on the first chunks of its
+    # head; a straddling coin sends it to the read-on path, and past the
+    # first block its coin spends the head
     script, draw = SCRIPTED_DRAWS[coin]
-    n = {"below": rng._BLOCKS_FROM // 2 - 1, "at": rng._BLOCKS_FROM // 2,
+    n = {"small": 4, "below": rng._BLOCKS_FROM // 2 - 1, "at": rng._BLOCKS_FROM // 2,
          "above": rng._BLOCKS_FROM}[size]
     scripts, read = script(n, {"short": 2, "past-the-first-block": 2 * n + 3}[depth])
     g = Chunks(scripts[-1])
@@ -1004,10 +1093,11 @@ def test_block_fed_draws_equal_next_u64_fed_on_multi_chunk_coins(monkeypatch, co
     # sample_four reads each stream's first 2n outputs as one lane-mixed head
     # (one take through the seam), so a block follows only a read past it
     coins = {"relabel": len(want.cells), "rho": n}.get(coin, 2 * n)
-    head = int(coin == "relabel")
-    past_head = not head or depth == "past-the-first-block"
-    assert reference[-1].takes == head
-    assert (fed[-1].takes > head) == (coins >= rng._BLOCKS_FROM and past_head)
+    head = int(coin == "relabel" or coin.startswith("four"))
+    k = len(scripts) - 1   # the scripted stream
+    past_head = not head or reference[k].handed > 2 * n
+    assert reference[k].takes == head
+    assert (fed[k].takes > head) == (coins >= rng._BLOCKS_FROM and past_head)
 
 
 def first_chunk_threshold(p: F) -> int:
@@ -1047,6 +1137,40 @@ def test_relabel_coin_on_its_first_chunk_threshold(monkeypatch, weights, offset,
     assert sample_four(n, *weights, seed) == want
 
 
+# (params, sample_four weights with the same base draw): at n = 4 the step-1
+# sigma coin b_1/(a + b_1) = 1/2 and the passage points i/4 are exact at
+# (4, 1); at WIDE, 78/85 and i·7/26 are not
+BASE_POINTS = {"exact": (Params(4, 1), (F(1, 8), F(1, 2), F(1, 8), F(1, 2))),
+               "inexact": (WIDE, FOUR_WIDE)}
+
+
+@pytest.mark.parametrize("point", BASE_POINTS)
+@pytest.mark.parametrize("coin", ["sigma", "passage"])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["T-1", "T", "T+1"])
+@pytest.mark.parametrize("then", [0, LAST], ids=["then-0", "then-last"])
+def test_base_coin_on_its_first_chunk_threshold(monkeypatch, point, coin, offset, then):
+    # the step-1 sigma coin, or after a chunk of 0 (Alpha) the passage
+    # point d/b_1, reads T + offset and then `then`.  ``_decide`` leaves the
+    # draw open exactly at an inexact T, and sample_four, which decides its
+    # base draw on the first chunks of its head, draws as the read-on path
+    # (``_draw_ab`` and ``_coin``) does on the same streams
+    params, weights = BASE_POINTS[point]
+    n, (A, B, d) = 4, params._scaled
+    b_1 = B + (n - 1) * d
+    if coin == "sigma":
+        script = [first_chunk_threshold(F(b_1, A + b_1)) + offset, then]
+    else:
+        script = [0, first_chunk_threshold(F(d, b_1)) + offset, then]
+    head = script + SplitMix64(3).take(2 * n - len(script))
+    decided = sampling._decide(sampling._plan(n, A, B, d, params.rho), head)
+    assert (decided is None) == (point == "inexact" and offset == 0)
+    scripted_streams(monkeypatch, [script])
+    got = sample_four(n, *weights, 41)
+    monkeypatch.setattr(sampling, "_decide", lambda plan, head: None)
+    scripted_streams(monkeypatch, [script])
+    assert sample_four(n, *weights, 41) == got
+
+
 # (a, b, k): the urn's draw k has P(white) 1/2, an exact threshold, or 2/5,
 # an inexact one, after k draws of white
 URN_THRESHOLDS = {"exact-1/2-k=0": (F(1), F(1), 0), "inexact-2/5-k=0": (F(2), F(3), 0),
@@ -1074,18 +1198,32 @@ URN_WEIGHTS = [(F(3), F(1, 5)), (F(0), F(5, 7))]
 
 
 def memo_calls():
-    """Calls that alternate two weight sets per sampler, then calls that
-    give one weight as an int, a Fraction, a float, a "p/q" string and a
-    NumPy int in turn, each a function of the seed."""
+    """Calls that alternate two weight sets per sampler, and out of step
+    with them n = 3 and 4; then calls that give one weight as an int, a
+    Fraction, a float, a "p/q" string and a NumPy int in turn, and n as 1,
+    True, 4 and a NumPy int; each a function of the seed."""
     calls = []
     for i in range(6):
-        four, urn = FOUR_WEIGHTS[i % 2], URN_WEIGHTS[i % 2]
-        calls.append(lambda s, w=four: serialize(sample_four(4, *w, s)))
-        calls.append(lambda s, w=urn: urn_sample(4, *w, s))
-    for x in (2, F(2), 2.0, "2/1", numpy.int64(2)):
-        calls.append(lambda s, x=x: serialize(sample_four(4, x, F(3, 7), F(1, 3), F(5), s)))
+        four, urn, n = FOUR_WEIGHTS[i % 2], URN_WEIGHTS[i % 2], 3 + i // 2 % 2
+        calls.append(lambda s, w=four, n=n: serialize(sample_four(n, *w, s)))
+        calls.append(lambda s, w=urn, n=n: urn_sample(n, *w, s))
+    for k, x in enumerate((2, F(2), 2.0, "2/1", numpy.int64(2))):
+        calls.append(lambda s, x=x, n=3 + k % 2:
+                     serialize(sample_four(n, x, F(3, 7), F(1, 3), F(5), s)))
         calls.append(lambda s, x=x: urn_sample(4, F(1, 2), x, s))
+    for n in (1, True, 4, numpy.int64(4)):
+        calls.append(lambda s, n=n: serialize(sample_four(n, *FOUR_WEIGHTS[0], s)))
     return calls
+
+
+def test_sample_four_n_spellings_draw_alike():
+    # the memo is keyed on n's type and value, and True and a NumPy int
+    # draw as the equal int, whichever filled the memo before them
+    for seed in (1, 2, 3):
+        for n, like in [(True, 1), (numpy.int64(4), 4), (numpy.int32(0), 0)]:
+            want = sample_four(like, *FOUR_WEIGHTS[1], seed)
+            assert sample_four(n, *FOUR_WEIGHTS[1], seed) == want
+            assert sample_four(like, *FOUR_WEIGHTS[1], seed) == want
 
 
 def empty_memos(monkeypatch):
@@ -1136,15 +1274,17 @@ def test_memo_keeps_every_error_message(monkeypatch, call, message):
 def test_memo_under_two_threads():
     # two threads alternate weight sets out of step, switching as often as
     # the interpreter allows; every draw is its per-seed reference
+    # sample_four's n alternates too, out of step with its weights
     seeds = [derive_seed(131, i) for i in range(400)]
-    want = {w: [serialize(sample_four(4, *w, s)) for s in seeds] for w in FOUR_WEIGHTS}
+    want = {(w, n): [serialize(sample_four(n, *w, s)) for s in seeds]
+            for w in FOUR_WEIGHTS for n in (3, 4)}
     want.update({w: [urn_sample(4, *w, s) for s in seeds] for w in URN_WEIGHTS})
     got = [[], []]
 
     def work(k):
         for i, s in enumerate(seeds):
-            four, urn = FOUR_WEIGHTS[(i + k) % 2], URN_WEIGHTS[(i + k) % 2]
-            got[k].append((four, i, serialize(sample_four(4, *four, s))))
+            four, urn, n = FOUR_WEIGHTS[(i + k) % 2], URN_WEIGHTS[(i + k) % 2], 3 + i // 2 % 2
+            got[k].append(((four, n), i, serialize(sample_four(n, *four, s))))
             got[k].append((urn, i, urn_sample(4, *urn, s)))
 
     interval = sys.getswitchinterval()
@@ -1382,8 +1522,6 @@ def test_batch_equals_the_fold_of_per_seed_draws(n, a, b, rho, seed, count):
     assert sample_batch(n, params, seed, count) == want
 
 
-LAST = 2**64 - 1
-
 
 def walk_scripts():
     """(n, params, round, chunks): the scripted columns hold ``chunks`` from
@@ -1394,7 +1532,18 @@ def walk_scripts():
     sigma = straddling_chunks(b_1, A + b_1, 2)
     mark = [0] + straddling_chunks(d, b_1, 2)   # chunk 0 draws Alpha at step 1
     tie = straddling_chunks(2, 7, 2)   # a = b = 0 at n = 3 flips rho at round 2
+    # at n = 4, (4, 1) has the exact sigma coin 1/2 and passage points i/4;
+    # WIDE's 78/85 and 7/26 are inexact, and a chunk beside T decides them
+    sigma_T, mark_T = first_chunk_threshold(F(b_1, A + b_1)), first_chunk_threshold(F(d, b_1))
+    at_n4 = {}
+    for offset, name in [(-1, "T-1"), (0, "T"), (1, "T+1")]:
+        at_n4[f"sigma-exact-{name}"] = (4, Params(4, 1), 0, [2**63 + offset])
+        at_n4[f"passage-exact-{name}"] = (4, Params(4, 1), 0, [0, 2**62 + offset])
+        if offset:
+            at_n4[f"sigma-inexact-{name}"] = (4, WIDE, 0, [sigma_T + offset])
+            at_n4[f"passage-inexact-{name}"] = (4, WIDE, 0, [0, mark_T + offset])
     return {
+        **at_n4,
         "sigma-inexact-then-alpha": (4, WIDE, 0, sigma + [0]),
         "sigma-inexact-then-beta": (4, WIDE, 0, sigma + [LAST]),
         "sigma-inexact-past-the-rounds": (4, WIDE, 0, straddling_chunks(b_1, A + b_1, 8)),
@@ -1403,6 +1552,7 @@ def walk_scripts():
         "passage-exact": (3, Params(1, 0), 0, [0, 2**63]),
         "passage-inexact-then-low": (4, WIDE, 0, mark + [0]),
         "passage-inexact-then-high": (4, WIDE, 0, mark + [LAST]),
+        "passage-inexact-past-the-rounds": (4, WIDE, 0, [0] + straddling_chunks(d, b_1, 7)),
         # b > 2^64: every passage bound i·d/b_1 lies inside the first chunk
         "passage-bounds-in-one-chunk": (3, Params(1, 2**70), 0, [0, 0]),
         "rho-tie-exact": (3, Params(0, 0, F(1, 4)), 2, [2**62]),
@@ -1413,14 +1563,15 @@ def walk_scripts():
 
 @pytest.mark.parametrize("n, params, start, script", walk_scripts().values(),
                          ids=walk_scripts().keys())
-def test_walk_on_scripted_columns_equals_each_draw(n, params, start, script):
+def test_walk_on_scripted_columns_equals_each_draw(monkeypatch, n, params, start, script):
     # the walk splits each node's draws by one threshold per coin; a chunk on
     # an inexact one leaves its coin open, and only _draw_ab on the draw's
     # own column and tail may decide it.  Random seeds almost never reach
     # that, so the columns of draws 0..7 are scripted alike: together they
     # never make a lone node, which _draw_ab would redraw and so mend.  The
-    # past-the-rounds script straddles to the last round, so its coin reads
-    # on into each draw's tail
+    # past-the-rounds scripts straddle to the last round, so their coin reads
+    # on into each draw's tail.  A batch that decides each draw on its own
+    # column (``_batch``, through the ``_rounds`` seam) gives the same draws
     seeds = list(rng._derived_seeds(37, 300))
     rounds = [r.tolist() for r in rng._rounds(seeds, 2 * n)]
     column = [r[0] for r in rounds]
@@ -1430,11 +1581,13 @@ def test_walk_on_scripted_columns_equals_each_draw(n, params, start, script):
     args = (n, *params._scaled, params.rho)
     walked = Counter()
     sampling._walk(*args, rounds, seeds, walked)
-    want = Counter()
+    draws = []
     for i, seed in enumerate(seeds):
         chunk = chain([r[i] for r in rounds], rng._tail(seed, 2 * n)).__next__
-        want[tuple(sorted(sampling._draw_ab(*args, chunk)))] += 1
-    assert walked == want
+        draws.append(tuple(sorted(sampling._draw_ab(*args, chunk))))
+    assert walked == Counter(draws)
+    monkeypatch.setattr(sampling, "_rounds", lambda group, coins: rounds)
+    assert list(sampling._batch(n, params, 37, 300)) == draws
 
 
 def rejection_sample_ab(law, seed: int) -> Tableau:
