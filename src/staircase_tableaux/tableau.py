@@ -117,7 +117,7 @@ class Tableau(_Record):
         super().__init__(n, tuple(checked))
 
     @classmethod
-    def _sorted(cls, n: int, cells: list[tuple[int, int, Symbol]]) -> "Tableau":
+    def _sorted(cls, n: int, cells: list | tuple) -> "Tableau":
         """The package's own constructor: sorts ``cells``, a fresh list, in
         place, or takes a tuple already sorted, and checks nothing, so its
         caller vouches for them."""

@@ -158,3 +158,10 @@ def test_against_alternates_the_trees_pair_by_pair(monkeypatch, tmp_path):
     assert ops["pairs"] == [[100.0 + s, 110.0 + s] for s in range(1, snapshot.PAIRS + 1)]
     assert ops["wins"] == snapshot.PAIRS
     assert block["workloads"]["draws-small"]["op_tail_ms"]["wins"] == 0   # all ties
+    # without --against: the checkout alone, seeds 1..SEEDS, and no block
+    del order[:]
+    assert snapshot.main(["--label", "u"]) == 0
+    assert order == [(s, "checkout") for s in range(1, snapshot.SEEDS + 1)]
+    out = json.loads((tmp_path / "BENCH_u.json").read_text())
+    assert out["seeds"] == snapshot.SEEDS and "against" not in out
+    assert len(extracted) == 1 and warmed[2:] == [tmp_path]

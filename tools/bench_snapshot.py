@@ -192,21 +192,17 @@ def main(argv=None) -> int:
         for w in (w["name"] for w in spec["workloads"]):
             runs, pairs[w] = [], []
             for seed in range(1, (PAIRS if rev else SEEDS) + 1):
+                # REV first in odd pairs, the checkout first in even ones
+                trees = [ROOT] if rev is None else [old_root, ROOT][::1 if seed % 2 else -1]
                 try:
-                    if rev is None:
-                        runs.append((seed, run(ROOT, w, seed, seconds)))
-                    elif seed % 2:   # REV first in odd pairs, the checkout first in even
-                        old = run(old_root, w, seed, seconds)
-                        runs.append((seed, run(ROOT, w, seed, seconds)))
-                    else:
-                        runs.append((seed, run(ROOT, w, seed, seconds)))
-                        old = run(old_root, w, seed, seconds)
+                    results = {root: run(root, w, seed, seconds) for root in trees}
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     return 1
+                runs.append((seed, results[ROOT]))
                 if rev:
-                    pairs[w].append((old, runs[-1][1]))
-                print(f"{w} seed {seed}: correct={runs[-1][1]['correct']}", file=sys.stderr)
+                    pairs[w].append((results[old_root], results[ROOT]))
+                print(f"{w} seed {seed}: correct={results[ROOT]['correct']}", file=sys.stderr)
             workloads[w] = summarize(runs, names)
             # bench/run.py writes each untraced run's report under this name
             workloads[w]["op_ms_by_position"] = by_position(
