@@ -1273,13 +1273,15 @@ def test_memo_keeps_every_error_message(monkeypatch, call, message):
 
 def test_memo_under_two_threads():
     # two threads alternate weight sets out of step, switching as often as
-    # the interpreter allows; every draw is its per-seed reference
-    # sample_four's n alternates too, out of step with its weights
+    # the interpreter allows; every draw is its per-seed reference.
+    # sample_four's n alternates too, out of step with its weights, and the
+    # threads fill the emptied cells cache together
     seeds = [derive_seed(131, i) for i in range(400)]
     want = {(w, n): [serialize(sample_four(n, *w, s)) for s in seeds]
             for w in FOUR_WEIGHTS for n in (3, 4)}
     want.update({w: [urn_sample(4, *w, s) for s in seeds] for w in URN_WEIGHTS})
     got = [[], []]
+    sampling._CELLS.clear()
 
     def work(k):
         for i, s in enumerate(seeds):
