@@ -35,15 +35,14 @@ which gives the next k outputs of several streams from one int, one
 two streams that way, and ``_chunks`` goes on past such a head by its
 rule.
 
-A batch of draws reads ``_draw_chunks(seed, count, coins)``: for draw i,
-a source of exactly the chunks ``_chunks`` gives it at derive_seed(seed,
-i).  Below _BLOCKS_FROM coins, where each draw would call ``next_u64``,
-the lanes of ``take`` run over the generators rather than over the steps
-of one: lane i of a group of up to _BLOCK seeds holds seed i, and round r
-mixes output r of every draw in the group at once (``_rounds``, which the
-batch walk of ``sampling`` reads too).  A draw that reads past its
-``coins`` outputs, which a random seed almost never does, goes on with
-``next_u64`` from there.
+A batch of small draws expands its first chunks by seed group: the lanes
+of ``take`` run over the generators rather than over the steps of one,
+so lane i of a group of up to _BLOCK seeds (``_seed_groups``) holds seed
+i, and round r mixes output r of every seed at once (``_rounds``).  A
+draw that reads past its column of rounds, which a random seed almost
+never does, goes on with ``_tail``.  ``sampling._batch`` picks each batch
+draw's source: its column and tail below _BLOCKS_FROM coins, else
+``_chunks`` on its own stream.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain, islice, repeat
-from operator import attrgetter
 
 from .errors import _ANY, ParameterError, _as_n, _as_param
 
@@ -79,7 +77,6 @@ def _lane_int(values) -> int:
 _ONES = _lane_int([1] * _BLOCK)
 _STEPS = _lane_int(range(1, _BLOCK + 1)) * _GOLDEN   # (i+1)·GOLDEN, under 2^75
 _LOW = _ONES * _MASK   # 2^64 - 1 per lane
-_NEXT = attrgetter("__next__")
 
 
 def _as_seed(x, name: str = "seed") -> int:
@@ -199,14 +196,6 @@ def _chunks(rng: SplitMix64, coins: int, head=()):
                  else _refills(rng)).__next__
 
 
-def _draw_chunks(seed: int, count: int, coins: int):
-    """For i < count, a source of the chunks that ``_chunks`` gives a draw
-    of up to ``coins`` coins at derive_seed(seed, i), output for output."""
-    if coins >= _BLOCKS_FROM:
-        return (_chunks(SplitMix64(s), coins) for s in _derived_seeds(seed, count))
-    return chain.from_iterable(map(_expanded, _seed_groups(seed, count), repeat(coins)))
-
-
 def _rounds(seeds: list[int], coins: int) -> list:
     """The first ``coins`` outputs of each seed's stream, by round: round r
     holds output r of every seed, mixed from the lanes' states s + r·GOLDEN."""
@@ -220,17 +209,9 @@ def _rounds(seeds: list[int], coins: int) -> list:
     return rounds
 
 
-def _expanded(seeds: list[int], coins: int):
-    """``_draw_chunks`` for one group of seeds: draw i reads column i of
-    ``_rounds``, then its ``_tail``."""
-    rounds = _rounds(seeds, coins)
-    heads = zip(*rounds) if rounds else repeat(())
-    return map(_NEXT, map(chain, heads, map(_tail, seeds, repeat(coins))))
-
-
 def _tail(seed: int, skip: int):
     """SplitMix64(seed)'s outputs after the first ``skip``, its stream
-    built only when a draw reads past its expanded outputs."""
+    built only when a draw reads past its column of ``_rounds``."""
     yield from iter(SplitMix64(seed + skip * _GOLDEN).next_u64, None)
 
 

@@ -85,10 +85,10 @@ every draw is the same per seed; a draw owns its generator, so the unread
 rest of a block is dropped.
 
 A batch draws through ``_batch``, which yields each draw's sorted cells
-for every weight regime: draw i is ``sample_ab`` at derive_seed(seed, i).
-Below 32 coins a group of seeds expands its first chunks at once
-(``rng._rounds``, or ``rng._draw_chunks`` at an infinite weight) instead of
-calling ``next_u64`` per chunk; from 32 on, each draw reads its own blocks.
+for every weight regime and alone picks where its chunks come from: draw i
+is ``sample_ab`` at derive_seed(seed, i).  Below 32 coins a group of seeds
+expands its first chunks at once (``rng._rounds``), a draw going on past
+its column from ``rng._tail``; from 32 on, each draw reads its own blocks.
 ``sample_batch`` counts the draws' cells and then, once per distinct
 tableau, its diagonal alphas; above ``AB_CAP``, where it keeps no tableaux,
 it counts each draw's diagonal alphas.  Where draws share their prefixes
@@ -129,7 +129,7 @@ from typing import NamedTuple
 
 from .errors import (AB_CAP, ParameterError, _as_n, _as_param, _finite, _invert,
                      _over_one_denominator, _Record)
-from .rng import (_BLOCK, _BLOCKS_FROM, SplitMix64, _blocks, _chunks, _coin, _draw_chunks,
+from .rng import (_BLOCK, _BLOCKS_FROM, SplitMix64, _blocks, _chunks, _coin, _derived_seeds,
                   _heads, _passage, _rounds, _seed_groups, _seed_stream, _tail)
 from .tableau import Symbol, Tableau, counts
 
@@ -512,24 +512,26 @@ def _diagonal_alphas(n: int, cells) -> int:
 
 def _batch(n: int, params: Params, seed: int, count: int):
     """The sorted cells of each draw of a batch, draw i those of
-    sample_ab(n, params, derive_seed(seed, i)).  Below _BLOCKS_FROM coins at
-    finite weights, ``_decide`` reads each draw's first chunks from its
-    column of ``rng._rounds``; else its chunks come from ``rng._draw_chunks``."""
+    sample_ab(n, params, derive_seed(seed, i)).  From _BLOCKS_FROM coins on
+    each draw reads its own stream (``rng._chunks``).  Below, each group of
+    seeds expands its first chunks at once (``rng._rounds``): ``_decide``
+    reads a finite-weight draw's column, and an infinite-weight draw, or
+    one with an open first chunk, reads its column and then its tail."""
     n = _as_n(n, error=ParameterError)
     if not isinstance(params, Params):
         raise ParameterError(f"params must be a Params, got {params!r}")
-    if params._scaled is None or 2 * n >= _BLOCKS_FROM:
-        for chunk in _draw_chunks(seed, count, _coins(n, params)):
-            yield _draw(n, params, chunk)
+    coins = _coins(n, params)
+    if coins >= _BLOCKS_FROM:
+        for s in _derived_seeds(seed, count):
+            yield _draw(n, params, _chunks(SplitMix64(s), coins))
         return
-    args = (n, *params._scaled, params.rho)
-    plan = _plan(*args)
+    plan = _plan(n, *params._scaled, params.rho) if params._scaled is not None else None
     for seeds in _seed_groups(seed, count):
-        rounds = _rounds(seeds, 2 * n)
-        for s, head in zip(seeds, zip(*rounds) if rounds else repeat(())):
-            decisions = _decide(plan, head)
-            if decisions is None:   # an open first chunk: read on past the head
-                yield _draw_ab(*args, chain(head, _tail(s, 2 * n)).__next__)
+        rounds = _rounds(seeds, coins)
+        for s, column in zip(seeds, zip(*rounds) if rounds else repeat(())):
+            decisions = _decide(plan, column) if plan is not None else None
+            if decisions is None:   # read on past the column
+                yield _draw(n, params, chain(column, _tail(s, coins)).__next__)
             else:
                 yield _cells(n, decisions)
 
@@ -589,15 +591,15 @@ def _walk(n: int, A: int, B: int, d: int, rho: Fraction, rounds: list, seeds: li
     A node holds the draws that made the same decisions before step m, so
     they share t chunks read; its coin splits them by rounds[t][i] at the
     cuts of ``_plan``, and a leaf's decisions give its cells (``_cells``).
-    A draw whose coin is left open (chance about n²·2^-64), or alone in its
-    node, is drawn again by ``_draw_ab``, so ``_coin`` and ``_passage`` stay
-    the only coin loops."""
+    A draw alone in its node is decided on its own column by ``_decide``;
+    one whose coin is left open (chance about n²·2^-64) is drawn again by
+    ``_draw_ab``, so ``_coin`` and ``_passage`` stay the only coin loops."""
     plan = _plan(n, A, B, d, rho)
     redraw: list[int] = []
     nodes = [(range(len(seeds)), 0, ())]   # (idx, t, decisions)
     while nodes:
         idx, t, decisions = nodes.pop()
-        if len(idx) < 2:   # walking a lone draw on is no faster than redrawing it
+        if len(idx) < 2:   # walking a lone draw on is no faster than deciding it
             redraw.extend(idx)
             continue
         if len(decisions) == n:
@@ -616,5 +618,10 @@ def _walk(n: int, A: int, B: int, d: int, rho: Fraction, rounds: list, seeds: li
                 if sub:
                     nodes.append((sub, t + bool(cuts), decisions + (c,)))
     for i in redraw:
-        chunk = chain([r[i] for r in rounds], _tail(seeds[i], len(rounds))).__next__
-        tally[_draw_ab(n, A, B, d, rho, chunk)] += 1
+        column = [r[i] for r in rounds]
+        decisions = _decide(plan, column)
+        if decisions is None:   # read on past the column
+            chunk = chain(column, _tail(seeds[i], len(rounds))).__next__
+            tally[_draw_ab(n, A, B, d, rho, chunk)] += 1
+        else:
+            tally[_cells(n, decisions)] += 1

@@ -129,16 +129,22 @@ def test_against_alternates_the_trees_pair_by_pair(monkeypatch, tmp_path):
         "run_seconds": 15, "workloads": [{"name": "draws-small"}], "end_to_end": END_TO_END}))
     monkeypatch.setattr(snapshot, "ROOT", tmp_path)
     monkeypatch.setattr(snapshot, "_git", lambda *args: "f" * 40)
-    monkeypatch.setattr(snapshot, "cycle_lengths", lambda: {"draws-small": 8})
-    monkeypatch.setattr(snapshot, "by_position", lambda reports, cycle: [0.0] * cycle)
+    monkeypatch.setattr(snapshot, "cycle_lengths", lambda: {"draws-small": 4})
     extracted, warmed, order = [], [], []
     monkeypatch.setattr(snapshot, "extract", lambda rev, into: extracted.append((rev, into)))
     monkeypatch.setattr(snapshot, "warm_bytecode_cache",
                         lambda root=tmp_path: warmed.append(root))
 
     def run(root, workload, seed, seconds):
-        order.append((seed, "checkout" if root == tmp_path else "rev"))
-        return _result(100.0 + seed + 10 * (root == tmp_path), 20.0)
+        checkout = root == tmp_path
+        order.append((seed, "checkout" if checkout else "rev"))
+        # a canned report where bench/run.py writes it: the checkout's op at
+        # cycle position i takes i + 1 ms, REV's twice that
+        (root / ".bench_out").mkdir(exist_ok=True)
+        durations = [(2 - checkout) * 1e-3 * (i % 4 + 1) for i in range(12)]
+        (root / ".bench_out" / f"{workload}-seed{seed}-trace0.json").write_text(
+            json.dumps({"workload": workload, "durations_s": durations}))
+        return _result(100.0 + seed + 10 * checkout, 20.0)
 
     class Done:
         returncode, stdout = 0, ""
@@ -158,10 +164,15 @@ def test_against_alternates_the_trees_pair_by_pair(monkeypatch, tmp_path):
     assert ops["pairs"] == [[100.0 + s, 110.0 + s] for s in range(1, snapshot.PAIRS + 1)]
     assert ops["wins"] == snapshot.PAIRS
     assert block["workloads"]["draws-small"]["op_tail_ms"]["wins"] == 0   # all ties
+    # each tree's op times per cycle position, read off its own reports
+    small = out["workloads"]["draws-small"]
+    assert small["op_ms_by_position"] == pytest.approx([1.0, 2.0, 3.0, 4.0])
+    assert small["rev_op_ms_by_position"] == pytest.approx([2.0, 4.0, 6.0, 8.0])
     # without --against: the checkout alone, seeds 1..SEEDS, and no block
     del order[:]
     assert snapshot.main(["--label", "u"]) == 0
     assert order == [(s, "checkout") for s in range(1, snapshot.SEEDS + 1)]
     out = json.loads((tmp_path / "BENCH_u.json").read_text())
     assert out["seeds"] == snapshot.SEEDS and "against" not in out
+    assert "rev_op_ms_by_position" not in out["workloads"]["draws-small"]
     assert len(extracted) == 1 and warmed[2:] == [tmp_path]

@@ -7,7 +7,7 @@ import threading
 import warnings
 from collections import Counter
 from fractions import Fraction as F
-from itertools import chain
+from itertools import chain, islice
 
 import numpy
 import pytest
@@ -33,8 +33,11 @@ from staircase_tableaux import rng, sampling
 from staircase_tableaux.errors import ParameterError
 from staircase_tableaux.rng import (
     SplitMix64,
+    _chunks,
     _derived_seeds,
-    _draw_chunks,
+    _rounds,
+    _seed_groups,
+    _tail,
     bernoulli,
     bernoulli_ratio,
     derive_seed,
@@ -113,29 +116,40 @@ def test_batch_seeds_in_blocks_are_derive_seed(count):
 
 @pytest.mark.parametrize("coins", [0, 1, 8, rng._BLOCKS_FROM - 1, rng._BLOCKS_FROM, 40])
 def test_batch_chunk_sources_are_each_draws_stream(coins):
-    # draw i's source hands out SplitMix64(derive_seed(seed, i))'s outputs
-    # in order, past the `coins` outputs expanded for the whole group too;
-    # 1030 draws cross a group of _BLOCK seeds
+    # the two sources a batch draw reads hand out SplitMix64(seed)'s outputs
+    # in order: its column of _rounds, expanded for the whole group, then
+    # _tail(seed, coins) past it; and _chunks on its own stream.  1030
+    # draws cross a group of _BLOCK seeds
     for seed in (5, 2**64 - 1):
-        sources = list(_draw_chunks(seed, 1030, coins))
-        assert len(sources) == 1030
-        for i, chunk in enumerate(sources):
-            g = SplitMix64(derive_seed(seed, i))
-            assert [chunk() for _ in range(coins + 5)] == [g.next_u64() for _ in range(coins + 5)]
+        groups = list(_seed_groups(seed, 1030))
+        assert list(map(len, groups)) == [rng._BLOCK, 6]
+        for seeds in groups:
+            rounds = _rounds(seeds, coins)
+            assert len(rounds) == coins
+            for i, s in enumerate(seeds):
+                want = SplitMix64(s).take(coins + 5)
+                assert [r[i] for r in rounds] + list(islice(_tail(s, coins), 5)) == want
+                chunk = _chunks(SplitMix64(s), coins)
+                assert [chunk() for _ in range(coins + 5)] == want
 
 
 def test_batch_chunk_sources_of_the_other_byte_order(monkeypatch):
     # as in test_take_lane_path_of_the_other_byte_order, each seed and each
     # expanded output is read back in its place with its 8 bytes reversed;
     # the seeds, read from take blocks, come reversed too, so every lane
-    # holds its own seed and each expanded output is draw i's, reversed
+    # holds its own seed and each column of _rounds is draw i's, reversed
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(rng, "_BYTE_ORDER", other)
     for coins in (1, 8):
-        for i, chunk in enumerate(_draw_chunks(9, 1030, coins)):
-            g = SplitMix64(derive_seed(9, i))
-            swapped = [int.from_bytes(chunk().to_bytes(8, "little"), "big") for _ in range(coins)]
-            assert swapped == [g.next_u64() for _ in range(coins)]
+        i = 0
+        for seeds in _seed_groups(9, 1030):
+            rounds = _rounds(seeds, coins)
+            for column in zip(*rounds):
+                g = SplitMix64(derive_seed(9, i))
+                swapped = [int.from_bytes(u.to_bytes(8, "little"), "big") for u in column]
+                assert swapped == [g.next_u64() for _ in range(coins)]
+                i += 1
+        assert i == 1030
 
 
 SEED_CALLS = {
@@ -1439,6 +1453,39 @@ def test_batch_is_the_fold_of_its_draws(params):
         for i in range(1030):
             want.add(sample_ab(n, params, derive_seed(61 + n, i)))
         assert sample_batch(n, params, 61 + n, 1030) == want, n
+
+
+@pytest.mark.parametrize("n", [rng._BLOCKS_FROM - 1, rng._BLOCKS_FROM, 40])
+def test_infinite_weight_batch_past_the_block_cutoff_is_each_draw(n):
+    # at a = b = inf a draw flips a rho coin per diagonal box, so from n =
+    # _BLOCKS_FROM on each batch draw reads its own blocks, and below it its
+    # group's column of rounds; 1030 draws cross a group of _BLOCK seeds
+    params = Params(INF, INF, F(2, 7))
+    draws = [sample_ab(n, params, derive_seed(71, i)) for i in range(1030)]
+    assert list(sampling._batch(n, params, 71, 1030)) == [t.cells for t in draws]
+    want = sampling.BatchSummary()
+    for t in draws:
+        want.add(t)
+    assert sample_batch(n, params, 71, 1030) == want
+
+
+# the benchmark's small batch points: n = 4 at five (alpha, beta), and the
+# rho tie at n = 3
+SMALL_BATCHES = [(4, Params.from_alpha_beta(al, be))
+                 for al, be in [(F(1), F(1)), (F(2), F(1)), (F(2), F(2)), (F(1, 3), F(5)),
+                                (INF, F(1))]] + [(3, Params(0, 0, F(1, 4)))]
+
+
+def test_small_random_batches_never_read_on(monkeypatch):
+    # a random seed's first chunk leaves a coin open with chance about
+    # n²·2^-64, so none of 60 000 draws should reach the read-on path: the
+    # walk decides a draw left alone in its node on its own column
+    calls, draw_ab = [], sampling._draw_ab
+    monkeypatch.setattr(sampling, "_draw_ab", lambda *args: calls.append(args) or draw_ab(*args))
+    for seed in range(10):
+        for n, params in SMALL_BATCHES:
+            assert sample_batch(n, params, seed, 1000).count == 1000
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, params", [

@@ -33,7 +33,10 @@ The file then holds an ``against`` block: REV's SHA, whether ``bench/`` or
 end-to-end metric the (REV, checkout) value of every pair, each tree's
 median, REV's quartiles, the number of pairs the checkout wins (ties count
 for neither) and the relative change of the medians beside the metric's
-bound.  The rest of the file describes the checkout's runs.  Two files
+bound.  Each workload's ``rev_op_ms_by_position`` holds REV's median op
+time per cycle position beside the checkout's ``op_ms_by_position``, read
+off REV's reports before its tree is deleted.  The rest of the file
+describes the checkout's runs.  Two files
 written in two sessions do not compare this way: the host's speed moves
 between them.
 """
@@ -205,9 +208,12 @@ def main(argv=None) -> int:
                 print(f"{w} seed {seed}: correct={results[ROOT]['correct']}", file=sys.stderr)
             workloads[w] = summarize(runs, names)
             # bench/run.py writes each untraced run's report under this name
+            reports = [Path(".bench_out", f"{w}-seed{seed}-trace0.json") for seed, _ in runs]
             workloads[w]["op_ms_by_position"] = by_position(
-                [ROOT / ".bench_out" / f"{w}-seed{seed}-trace0.json" for seed, _ in runs],
-                cycles[w])
+                [ROOT / r for r in reports], cycles[w])
+            if rev:
+                workloads[w]["rev_op_ms_by_position"] = by_position(
+                    [old_root / r for r in reports], cycles[w])
 
     proc = subprocess.run([sys.executable, "-m", "staircase_tableaux.cli", "verify",
                            "--level", "desk", "--format", "json"],
