@@ -123,11 +123,12 @@ def test_batch_chunk_sources_are_each_draws_stream(coins):
     for seed in (5, 2**64 - 1):
         groups = list(_seed_groups(seed, 1030))
         assert list(map(len, groups)) == [rng._BLOCK, 6]
-        for seeds in groups:
+        for first, seeds in zip((0, rng._BLOCK), groups):
             rounds = _rounds(seeds, coins)
             assert len(rounds) == coins
             for i, s in enumerate(seeds):
-                want = SplitMix64(s).take(coins + 5)
+                g = SplitMix64(derive_seed(seed, first + i))
+                want = [g.next_u64() for _ in range(coins + 5)]
                 assert [r[i] for r in rounds] + list(islice(_tail(s, coins), 5)) == want
                 chunk = _chunks(SplitMix64(s), coins)
                 assert [chunk() for _ in range(coins + 5)] == want

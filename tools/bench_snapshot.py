@@ -36,9 +36,8 @@ for neither) and the relative change of the medians beside the metric's
 bound.  Each workload's ``rev_op_ms_by_position`` holds REV's median op
 time per cycle position beside the checkout's ``op_ms_by_position``, read
 off REV's reports before its tree is deleted.  The rest of the file
-describes the checkout's runs.  Two files
-written in two sessions do not compare this way: the host's speed moves
-between them.
+describes the checkout's runs.  Two files written in two sessions do not
+compare this way: the host's speed moves between them.
 """
 
 from __future__ import annotations
